@@ -1,17 +1,25 @@
 """Pure-Python simulation kernel (reference semantics for the compiled twin).
 
-The compiled kernel in _ckernel.pyx mirrors this module operation for
-operation: same event codes, same push order inside each handler, same
-float expressions, and the same insertion-ordered pool iteration. Any change
-here must be reflected there, or the two backends stop being bit-identical.
+The compiled kernel in _ckernel.pyx reproduces this module's results bit for
+bit: the same events are processed in the same (time, seq) order under the
+same sequence numbering, with the same float expressions evaluated in the
+same order, and fair-share members kept in join order. The two differ in how
+many events they queue for a shared link direction. The compiled twin pushes
+one serialization-end event per member on every share recomputation and
+skips the superseded ones when they surface; this module keeps one pending
+event per link direction, for the member with the smallest (eta, seq), and
+advances the sequence counter by the member count so that event carries the
+seq the per-member scheme would have given it. Any change to the semantics
+here must be made there too, or the two backends stop being bit-identical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from ..compute import NodeState
-from ..engine import EventQueue
+from ..engine import SimulationError
 from ..network import FairSharePool
 
 # internal event codes
@@ -92,188 +100,215 @@ class KernelOutputs:
     trace: list[tuple[float, int, int, int, int]] | None
 
 
-class _PyRun:
-    """One single-threaded deterministic run over the event queue."""
-
-    def __init__(self, inp: KernelInputs, node_specs):
-        self.inp = inp
-        n_tasks = len(inp.arrival_time)
-        self.n_tasks = n_tasks
-        self.queue = EventQueue()
-        self.pools = [
-            FairSharePool(inp.link_bandwidth[code >> 1])
-            for code in range(2 * len(inp.link_bandwidth))
-        ]
-        self.nodes = [NodeState(spec) for spec in node_specs]
-        self.rr_next = 0
-        self.next_arrival = 0
-        self.processed = 0
-        self.trace: list | None = [] if inp.collect_trace else None
-
-        self.t_node = [-1] * n_tasks
-        self.t_phase = [PH_PENDING] * n_tasks
-        self.t_route = [-1] * n_tasks
-        self.t_hop = [0] * n_tasks
-        self.t_leg = [0] * n_tasks
-        self.t_epoch = [0] * n_tasks
-        self.uplink_done = [NAN] * n_tasks
-        self.exec_start = [NAN] * n_tasks
-        self.exec_end = [NAN] * n_tasks
-        self.delivered_at = [NAN] * n_tasks
-
-    # -- helpers ----------------------------------------------------------
-
-    def _trace(self, time, seq, kind, task, extra):
-        if self.trace is not None:
-            self.trace.append((time, seq, kind, task, extra))
-
-    def _push(self, time, code, task, epoch=0):
-        self.queue.schedule(time, (code, task, epoch))
-
-    def _reschedule_pool(self, etas):
-        # every member's serialization end moved; supersede their old events
-        for token, eta in etas:
-            self.t_epoch[token] += 1
-            self._push(eta, EV_SER_END, token, self.t_epoch[token])
-
-    def _current_hop_code(self, task):
-        route = self.inp.route_hops[self.t_route[task]]
-        if self.t_leg[task] == 0:
-            return route[self.t_hop[task]]
-        # downlink walks the route backwards with flipped direction
-        return route[len(route) - 1 - self.t_hop[task]] ^ 1
-
-    def _join_current_hop(self, task, now):
-        code = self._current_hop_code(task)
-        bits = self.inp.request_bits if self.t_leg[task] == 0 else self.inp.result_bits
-        self._reschedule_pool(self.pools[code].join(now, task, bits))
-
-    def _start_leg(self, task, now, delay):
-        """Begin uplink/downlink; an empty route still completes via an event."""
-        if delay > 0.0 or not self.inp.route_hops[self.t_route[task]]:
-            self.t_hop[task] = -1
-            self._push(now + delay, EV_HOP_ARRIVE, task)
-        else:
-            self.t_hop[task] = 0
-            self._join_current_hop(task, now)
-
-    def _leg_complete(self, task, now, seq):
-        if self.t_leg[task] == 0:
-            self.uplink_done[task] = now
-            self._trace(now, seq, TR_TRANSFER_COMPLETE, task, 0)
-            self._submit(task, now)
-        else:
-            self._trace(now, seq, TR_TRANSFER_COMPLETE, task, 1)
-            self._push(now, EV_DELIVERED, task)
-
-    def _submit(self, task, now):
-        state = self.nodes[self.t_node[task]]
-        exec_start, exec_end = state.submit(task, self.inp.length_mi, now)
-        self.exec_start[task] = exec_start
-        self.exec_end[task] = exec_end
-        self.t_phase[task] = PH_QUEUED
-        self._push(exec_start, EV_EXEC_START, task)
-        self._push(exec_end, EV_EXEC_END, task)
-
-    def _place(self, task, device, now):
-        inp = self.inp
-        cand = inp.candidate_nodes
-        chosen_slot = -1
-        if inp.strategy == STRATEGY_TRADE_OFF:
-            best_score = 0.0
-            for slot in range(len(cand)):
-                state = self.nodes[cand[slot]]
-                if state.admit(inp.task_ram_mb, inp.task_storage_mb) is not None:
-                    continue
-                node = cand[slot]
-                score = (
-                    (state.queued_and_running + 1)
-                    * inp.weight[node]
-                    * inp.length_mi
-                    / inp.mips_per_core[node]
-                )
-                if chosen_slot < 0 or score < best_score:
-                    chosen_slot = slot
-                    best_score = score
-        else:
-            n = len(cand)
-            for step in range(n):
-                slot = (self.rr_next + step) % n
-                state = self.nodes[cand[slot]]
-                if state.admit(inp.task_ram_mb, inp.task_storage_mb) is None:
-                    chosen_slot = slot
-                    self.rr_next = (slot + 1) % n
-                    break
-        if chosen_slot < 0:
-            self.t_phase[task] = PH_NO_PLACEMENT
-            return
-        node = cand[chosen_slot]
-        self.nodes[node].reserve(inp.task_ram_mb, inp.task_storage_mb)
-        self.t_node[task] = node
-        self.t_route[task] = inp.up_route[device][chosen_slot]
-        self.t_phase[task] = PH_UP
-        self._start_leg(task, now, inp.control_delay_s)
-
-    # -- event loop --------------------------------------------------------
-
-    def _handle(self, now, seq, payload):
-        code, task, epoch = payload
-        if code == EV_SER_END:
-            if epoch != self.t_epoch[task]:
-                return  # superseded by a later share recomputation
-            hop_code = self._current_hop_code(task)
-            self._reschedule_pool(self.pools[hop_code].leave(now, task))
-            self._push(now + self.inp.link_hop_delay[hop_code >> 1], EV_HOP_ARRIVE, task)
-        elif code == EV_HOP_ARRIVE:
-            self.t_hop[task] += 1
-            if self.t_hop[task] < len(self.inp.route_hops[self.t_route[task]]):
-                self._join_current_hop(task, now)
-            else:
-                self._leg_complete(task, now, seq)
-        elif code == EV_EXEC_START:
-            self.t_phase[task] = PH_RUNNING
-            self._trace(now, seq, TR_EXECUTION_START, task, self.t_node[task])
-        elif code == EV_EXEC_END:
-            node_state = self.nodes[self.t_node[task]]
-            node_state.complete(task)
-            node_state.release(self.inp.task_ram_mb, self.inp.task_storage_mb)
-            self._trace(now, seq, TR_EXECUTION_COMPLETE, task, self.t_node[task])
-            self.t_phase[task] = PH_DOWN
-            self.t_leg[task] = 1
-            self._start_leg(task, now, 0.0)
-        elif code == EV_ARRIVAL:
-            self._trace(now, seq, TR_TASK_ARRIVAL, task, self.inp.arrival_device[task])
-            if self.next_arrival < self.n_tasks:
-                idx = self.next_arrival
-                self.next_arrival += 1
-                self._push(self.inp.arrival_time[idx], EV_ARRIVAL, idx)
-            self._place(task, self.inp.arrival_device[task], now)
-        elif code == EV_DELIVERED:
-            self.delivered_at[task] = now
-            self.t_phase[task] = PH_DELIVERED
-            self._trace(now, seq, TR_RESULT_DELIVERED, task, self.t_node[task])
-        else:  # EV_SIM_END
-            self._trace(now, seq, TR_SIMULATION_END, task, -1)
-        self.processed += 1
-
-    def run(self) -> KernelOutputs:
-        inp = self.inp
-        self._push(inp.duration_s, EV_SIM_END, -1)
-        if self.n_tasks:
-            self.next_arrival = 1
-            self._push(inp.arrival_time[0], EV_ARRIVAL, 0)
-        self.queue.run_until(inp.duration_s, self._handle)
-        return KernelOutputs(
-            node_of=self.t_node,
-            uplink_done=self.uplink_done,
-            exec_start=self.exec_start,
-            exec_end=self.exec_end,
-            delivered_at=self.delivered_at,
-            final_phase=self.t_phase,
-            processed_events=self.processed,
-            trace=self.trace,
-        )
+def _past(time: float, now: float) -> SimulationError:
+    return SimulationError(f"scheduled event at t={time!r} in the past (clock={now!r})")
 
 
 def run(inputs: KernelInputs, node_specs) -> KernelOutputs:
-    return _PyRun(inputs, node_specs).run()
+    """One single-threaded deterministic run: a flat loop over a (time, seq) heap.
+
+    Heap entries are (time, seq, code, arg); arg is the task, or the hop code
+    for EV_SER_END. Each link direction keeps one live serialization-end
+    event, for the member with the smallest (eta, seq); an older one is
+    recognised as superseded because its seq is no longer the one recorded
+    in `pending_seq`.
+    """
+    inp = inputs
+    n_tasks = len(inp.arrival_time)
+    arrival_time = inp.arrival_time
+    arrival_device = inp.arrival_device
+    length_mi = inp.length_mi
+    task_ram_mb = inp.task_ram_mb
+    task_storage_mb = inp.task_storage_mb
+    control_delay_s = inp.control_delay_s
+    duration_s = inp.duration_s
+    request_bits = inp.request_bits
+    result_bits = inp.result_bits
+    link_hop_delay = inp.link_hop_delay
+    candidates = inp.candidate_nodes
+    n_candidates = len(candidates)
+    trade_off = inp.strategy == STRATEGY_TRADE_OFF
+    weights = inp.weight
+    mips_per_core = inp.mips_per_core
+    up_route = inp.up_route
+    up_hops = inp.route_hops
+    # the downlink walks the uplink route backwards with flipped direction
+    down_hops = [[code ^ 1 for code in reversed(route)] for route in up_hops]
+
+    pools = [FairSharePool(inp.link_bandwidth[code >> 1])
+             for code in range(2 * len(inp.link_bandwidth))]
+    pending_seq = [-1] * len(pools)  # seq of each link direction's live EV_SER_END
+    pending_task = [-1] * len(pools)
+    nodes = [NodeState(spec) for spec in node_specs]
+    trace: list | None = [] if inp.collect_trace else None
+
+    t_node = [-1] * n_tasks
+    t_phase = [PH_PENDING] * n_tasks
+    t_route = [-1] * n_tasks
+    t_path: list[list[int] | None] = [None] * n_tasks  # hop codes of the current leg
+    t_hop = [0] * n_tasks
+    uplink_done = [NAN] * n_tasks
+    exec_start = [NAN] * n_tasks
+    exec_end = [NAN] * n_tasks
+    delivered_at = [NAN] * n_tasks
+
+    if duration_s < 0.0:
+        raise _past(duration_s, 0.0)
+    heap: list[tuple[float, int, int, int]] = [(duration_s, 0, EV_SIM_END, -1)]
+    seq = 1  # next sequence number
+    if n_tasks:
+        if arrival_time[0] < 0.0:
+            raise _past(arrival_time[0], 0.0)
+        heappush(heap, (arrival_time[0], seq, EV_ARRIVAL, 0))
+        seq += 1
+    next_arrival = 1
+    rr_next = 0
+    processed = 0
+
+    while heap and heap[0][0] <= duration_s:
+        now, ev_seq, code, task = heappop(heap)
+        join = -1  # hop code the task joins as this handler's last step
+        if code == EV_SER_END:
+            hop = task
+            if ev_seq != pending_seq[hop]:
+                continue  # superseded by a later share recomputation
+            task = pending_task[hop]
+            nxt = pools[hop].leave(now, task)
+            if nxt is not None:
+                token, eta, rank, count = nxt
+                if eta < now:
+                    raise _past(eta, now)
+                pending_seq[hop] = seq + rank
+                pending_task[hop] = token
+                heappush(heap, (eta, seq + rank, EV_SER_END, hop))
+                seq += count
+            arrive = now + link_hop_delay[hop >> 1]
+            if arrive < now:
+                raise _past(arrive, now)
+            heappush(heap, (arrive, seq, EV_HOP_ARRIVE, task))
+            seq += 1
+        elif code == EV_HOP_ARRIVE:
+            hop_index = t_hop[task] + 1
+            t_hop[task] = hop_index
+            path = t_path[task]
+            if hop_index < len(path):
+                join = path[hop_index]
+            elif t_phase[task] == PH_UP:  # uplink complete: queue on the chosen node
+                uplink_done[task] = now
+                if trace is not None:
+                    trace.append((now, ev_seq, TR_TRANSFER_COMPLETE, task, 0))
+                start, end = nodes[t_node[task]].submit(task, length_mi, now)
+                exec_start[task] = start
+                exec_end[task] = end
+                t_phase[task] = PH_QUEUED
+                heappush(heap, (start, seq, EV_EXEC_START, task))
+                if end < now:
+                    raise _past(end, now)
+                heappush(heap, (end, seq + 1, EV_EXEC_END, task))
+                seq += 2
+            else:
+                if trace is not None:
+                    trace.append((now, ev_seq, TR_TRANSFER_COMPLETE, task, 1))
+                heappush(heap, (now, seq, EV_DELIVERED, task))
+                seq += 1
+        elif code == EV_EXEC_START:
+            t_phase[task] = PH_RUNNING
+            if trace is not None:
+                trace.append((now, ev_seq, TR_EXECUTION_START, task, t_node[task]))
+        elif code == EV_EXEC_END:
+            node = t_node[task]
+            state = nodes[node]
+            state.complete(task)
+            state.release(task_ram_mb, task_storage_mb)
+            if trace is not None:
+                trace.append((now, ev_seq, TR_EXECUTION_COMPLETE, task, node))
+            t_phase[task] = PH_DOWN
+            path = t_path[task] = down_hops[t_route[task]]
+            if path:
+                t_hop[task] = 0
+                join = path[0]
+            else:
+                t_hop[task] = -1
+                heappush(heap, (now, seq, EV_HOP_ARRIVE, task))
+                seq += 1
+        elif code == EV_ARRIVAL:
+            device = arrival_device[task]
+            if trace is not None:
+                trace.append((now, ev_seq, TR_TASK_ARRIVAL, task, device))
+            if next_arrival < n_tasks:
+                if arrival_time[next_arrival] < now:
+                    raise _past(arrival_time[next_arrival], now)
+                heappush(heap, (arrival_time[next_arrival], seq, EV_ARRIVAL, next_arrival))
+                seq += 1
+                next_arrival += 1
+            # placement: trade-off argmin (ties to the lowest slot) or round-robin
+            chosen_slot = -1
+            if trade_off:
+                best_score = 0.0
+                for slot in range(n_candidates):
+                    node = candidates[slot]
+                    state = nodes[node]
+                    if state.admit(task_ram_mb, task_storage_mb) is not None:
+                        continue
+                    score = (
+                        (state.queued_and_running + 1)
+                        * weights[node]
+                        * length_mi
+                        / mips_per_core[node]
+                    )
+                    if chosen_slot < 0 or score < best_score:
+                        chosen_slot = slot
+                        best_score = score
+            else:
+                for step in range(n_candidates):
+                    slot = (rr_next + step) % n_candidates
+                    if nodes[candidates[slot]].admit(task_ram_mb, task_storage_mb) is None:
+                        chosen_slot = slot
+                        rr_next = (slot + 1) % n_candidates
+                        break
+            if chosen_slot < 0:
+                t_phase[task] = PH_NO_PLACEMENT
+            else:
+                node = candidates[chosen_slot]
+                nodes[node].reserve(task_ram_mb, task_storage_mb)
+                t_node[task] = node
+                route_id = t_route[task] = up_route[device][chosen_slot]
+                path = t_path[task] = up_hops[route_id]
+                t_phase[task] = PH_UP
+                if control_delay_s > 0.0 or not path:
+                    t_hop[task] = -1
+                    arrive = now + control_delay_s
+                    if arrive < now:
+                        raise _past(arrive, now)
+                    heappush(heap, (arrive, seq, EV_HOP_ARRIVE, task))
+                    seq += 1
+                else:
+                    join = path[0]
+        elif code == EV_DELIVERED:
+            delivered_at[task] = now
+            t_phase[task] = PH_DELIVERED
+            if trace is not None:
+                trace.append((now, ev_seq, TR_RESULT_DELIVERED, task, t_node[task]))
+        elif trace is not None:  # EV_SIM_END
+            trace.append((now, ev_seq, TR_SIMULATION_END, task, -1))
+        if join >= 0:
+            bits = request_bits if t_phase[task] == PH_UP else result_bits
+            token, eta, rank, count = pools[join].join(now, task, bits)
+            if eta < now:
+                raise _past(eta, now)
+            pending_seq[join] = seq + rank
+            pending_task[join] = token
+            heappush(heap, (eta, seq + rank, EV_SER_END, join))
+            seq += count
+        processed += 1
+
+    return KernelOutputs(
+        node_of=t_node,
+        uplink_done=uplink_done,
+        exec_start=exec_start,
+        exec_end=exec_end,
+        delivered_at=delivered_at,
+        final_phase=t_phase,
+        processed_events=processed,
+        trace=trace,
+    )

@@ -3,8 +3,15 @@
 from __future__ import annotations
 
 import csv
+import io
 import math
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from ._kernel.pykernel import KernelOutputs
 
 TASKS_CSV_COLUMNS = [
     "task_id", "scenario", "topology", "cpu", "seed", "node_id", "generated_at",
@@ -71,28 +78,29 @@ def percentile_95(sorted_values: list[float]) -> float:
     return sorted_values[rank - 1]
 
 
-def summarize(records: list[TaskRecord], *, scenario: str, topology: str, cpu: str,
-              mips: float, seed: int, strict_deadline: bool = False,
+def summarize(generated_at: Sequence[float], delivered_at: Sequence[float], *,
+              deadline_s: float, scenario: str, topology: str, cpu: str, mips: float,
+              seed: int, strict_deadline: bool = False,
               node_utilization: tuple[tuple[str, float], ...] = ()) -> RunSummary:
-    """Aggregate one completed run.
+    """Aggregate one completed run from its per-task columns.
 
-    Latency statistics cover Delivered tasks only (unfinished tasks have no
-    latency). By default success means delivered within the simulation time;
-    strict_deadline additionally requires the deadline to be met.
+    delivered_at is NaN for a task that was not delivered. Latency statistics
+    cover Delivered tasks only (unfinished tasks have no latency). By default
+    success means delivered within the simulation time; strict_deadline
+    additionally requires the deadline to be met.
     """
-    if not records:
+    if not generated_at:
         raise EmptyRunError("empty-run: zero generated tasks")
-    generated = len(records)
-    latencies = sorted(r.latency_s for r in records if r.delivered)
+    generated = len(generated_at)
+    latencies = sorted([delivered - created
+                        for created, delivered in zip(generated_at, delivered_at)
+                        if not math.isnan(delivered)])
     delivered = len(latencies)
-    if strict_deadline:
-        succeeded = sum(1 for r in records if r.delivered and r.deadline_met)
-    else:
-        succeeded = delivered
+    hit = bisect_right(latencies, deadline_s)  # latencies <= deadline_s
+    succeeded = hit if strict_deadline else delivered
     if delivered:
         mean_latency = sum(latencies) / delivered
         p95 = percentile_95(latencies)
-        hit = sum(1 for r in records if r.delivered and r.deadline_met)
         deadline_hit_pct = 100.0 * hit / delivered
     else:
         mean_latency = math.nan
@@ -172,24 +180,49 @@ def format_number(value) -> str:
     return f"{value:.12g}"
 
 
-def write_tasks_csv(path, records: list[TaskRecord], *, scenario: str, topology: str,
-                    cpu: str, seed: int) -> None:
+def _timestamp(value: float) -> str:
+    """format_number for a timestamp column, where NaN means never reached."""
+    return "" if math.isnan(value) else f"{value:.12g}"
+
+
+def _csv_line(fields: list) -> str:
+    """fields quoted as csv.writer quotes them, without the line terminator."""
+    buffer = io.StringIO()
+    csv.writer(buffer).writerow(fields)
+    return buffer.getvalue()[:-2]
+
+
+def _task_lines(generated_at: Sequence[float], out: KernelOutputs, node_ids: Sequence[str],
+                deadline_s: float, cell: str):
+    # Each line is what csv.writer writes for the row. Only the cell labels and
+    # node ids can need quoting, so they are quoted once here; the trailing ""
+    # is the node_id of a task never placed (node -1).
+    nodes = [_csv_line([node_id]) for node_id in node_ids] + [""]
+    for task, (created, node, uplink, start, end, delivered) in enumerate(zip(
+            generated_at, out.node_of, out.uplink_done, out.exec_start, out.exec_end,
+            out.delivered_at)):
+        if math.isnan(delivered):
+            yield (f"t{task},{cell},{nodes[node]},{created:.12g},{_timestamp(uplink)},"
+                   f"{_timestamp(start)},{_timestamp(end)},,Unfinished,,false\r\n")
+        else:  # a delivered task reached every phase (see assert_run_invariants)
+            latency = delivered - created
+            yield (f"t{task},{cell},{nodes[node]},{created:.12g},{uplink:.12g},{start:.12g},"
+                   f"{end:.12g},{delivered:.12g},Delivered,{latency:.12g},"
+                   f"{'true' if latency <= deadline_s else 'false'}\r\n")
+
+
+def write_tasks_csv(path, generated_at: Sequence[float], out: KernelOutputs,
+                    node_ids: Sequence[str], *, deadline_s: float, scenario: str,
+                    topology: str, cpu: str, seed: int) -> None:
+    """One lifecycle row per task, streamed from the kernel's columns.
+
+    node_ids maps a node index in out.node_of to its id. The bytes are those
+    csv.writer produces for rows of format_number cells.
+    """
+    cell = _csv_line([scenario, topology, cpu, seed])
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TASKS_CSV_COLUMNS)
-        for r in records:
-            writer.writerow([
-                f"t{r.task_id}", scenario, topology, cpu, seed,
-                r.node_id or "",
-                format_number(r.generated_at),
-                format_number(r.uplink_done),
-                format_number(r.exec_start),
-                format_number(r.exec_end),
-                format_number(r.delivered_at),
-                r.status,
-                format_number(r.latency_s),
-                format_number(r.deadline_met),
-            ])
+        csv.writer(fh).writerow(TASKS_CSV_COLUMNS)
+        fh.writelines(_task_lines(generated_at, out, node_ids, deadline_s, cell))
 
 
 def write_summary_csv(path, summaries: list[RunSummary]) -> None:

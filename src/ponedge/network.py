@@ -109,47 +109,58 @@ class FairSharePool:
     """Equal-share serialization on one link direction.
 
     Concurrent transfers each get bandwidth/N; shares are recomputed whenever
-    a transfer joins or finishes. join/leave return the new serialization-end
-    estimate for every member so the caller can reschedule its events.
+    a transfer joins or finishes. join/leave return only the next completion,
+    as (token, eta, rank, count): the member whose serialization ends first
+    (ties to the earliest joiner), its position in join order, and the member
+    count. A caller that numbers one event per member can thus consume
+    `count` sequence numbers and keep a single pending event at `rank`.
     """
 
     def __init__(self, bandwidth_bps: float):
         self.bandwidth_bps = bandwidth_bps
-        self.members: dict[int, float] = {}  # token -> remaining bits, insertion-ordered
+        self.tokens: list[int] = []  # members in join order
+        self.remaining: list[float] = []  # bits left, index-aligned with tokens
         self.last_update = 0.0
 
     def _advance(self, now: float) -> None:
-        if self.members:
-            rate = self.bandwidth_bps / len(self.members)
+        if self.remaining:
+            rate = self.bandwidth_bps / len(self.remaining)
             elapsed = now - self.last_update
             if elapsed > 0.0:
-                for token in self.members:
-                    self.members[token] -= rate * elapsed
+                drained = rate * elapsed
+                self.remaining = [remaining - drained for remaining in self.remaining]
         self.last_update = now
 
-    def _etas(self, now: float) -> list[tuple[int, float]]:
-        rate = self.bandwidth_bps / len(self.members)
-        return [(token, now + remaining / rate) for token, remaining in self.members.items()]
+    def _next_completion(self, now: float) -> tuple[int, float, int, int]:
+        count = len(self.remaining)
+        rate = self.bandwidth_bps / count
+        if count == 1:
+            return self.tokens[0], now + self.remaining[0] / rate, 0, 1
+        # the minimum over computed etas, not over remaining bits: rounding can
+        # tie two etas whose remaining bits differ, and the tie goes to rank
+        etas = [now + remaining / rate for remaining in self.remaining]
+        eta = min(etas)
+        rank = etas.index(eta)
+        return self.tokens[rank], eta, rank, count
 
-    def join(self, now: float, token: int, size_bits: float) -> list[tuple[int, float]]:
-        if token in self.members:
+    def join(self, now: float, token: int, size_bits: float) -> tuple[int, float, int, int]:
+        if token in self.tokens:
             raise SimulationError(f"transfer token {token} already on link")
         self._advance(now)
-        self.members[token] = size_bits
-        return self._etas(now)
+        self.tokens.append(token)
+        self.remaining.append(size_bits)
+        return self._next_completion(now)
 
-    def leave(self, now: float, token: int) -> list[tuple[int, float]]:
-        self._advance(now)
-        del self.members[token]
-        if not self.members:
-            return []
-        return self._etas(now)
-
-    def demand_bps(self) -> float:
-        """Aggregate instantaneous rate: min(total demand, bandwidth)."""
-        if not self.members:
-            return 0.0
-        return self.bandwidth_bps
+    def leave(self, now: float, token: int) -> tuple[int, float, int, int] | None:
+        """Next completion after `token` finishes; None when the link goes idle."""
+        rank = self.tokens.index(token)
+        if len(self.tokens) == 1:  # the link goes idle: nothing left to drain
+            self.last_update = now
+        else:
+            self._advance(now)
+        del self.tokens[rank]
+        del self.remaining[rank]
+        return self._next_completion(now) if self.tokens else None
 
 
 def transfer_schedule(bandwidth_bps: float, transfers: list[tuple[float, float]]) -> list[float]:

@@ -41,13 +41,24 @@ class RunParams:
 
 @dataclass
 class RunResult:
+    """One run: the kernel's per-task columns are the record store."""
+
     params: RunParams
     topology: TopologySpec
-    records: list[TaskRecord]
+    inputs: pykernel.KernelInputs
+    outputs: pykernel.KernelOutputs
     summary: RunSummary
-    processed_events: int
     trace_lines: list[str] | None = None
     trace_hash: str | None = None
+
+    @property
+    def processed_events(self) -> int:
+        return self.outputs.processed_events
+
+    @property
+    def records(self) -> list[TaskRecord]:
+        """Per-task records, built from the columns on each access."""
+        return _build_records(self.params, self.topology, self.inputs, self.outputs)
 
 
 def build_kernel_inputs(params: RunParams, topo: TopologySpec,
@@ -159,30 +170,32 @@ def _build_records(params: RunParams, topo: TopologySpec,
     return records
 
 
-def assert_run_invariants(records: list[TaskRecord], summary: RunSummary) -> None:
+def assert_run_invariants(generated_at: list[float], out: pykernel.KernelOutputs,
+                          summary: RunSummary) -> None:
     """Conservation and latency-decomposition identities, checked on every run."""
     if summary.tasks_generated != summary.tasks_delivered + summary.tasks_unfinished:
         raise SimulationError(
             f"conservation violated: {summary.tasks_generated} generated != "
             f"{summary.tasks_delivered} delivered + {summary.tasks_unfinished} unfinished"
         )
-    for r in records:
-        if not r.delivered:
+    for task, (created, uplink, start, end, delivered) in enumerate(zip(
+            generated_at, out.uplink_done, out.exec_start, out.exec_end, out.delivered_at)):
+        if math.isnan(delivered):
             continue
+        latency = delivered - created
         parts = (
-            (r.uplink_done - r.generated_at)
-            + (r.exec_start - r.uplink_done)
-            + (r.exec_end - r.exec_start)
-            + (r.delivered_at - r.exec_end)
+            (uplink - created)
+            + (start - uplink)
+            + (end - start)
+            + (delivered - end)
         )
-        if abs(parts - r.latency_s) > DECOMPOSITION_TOLERANCE_S:
+        if abs(parts - latency) > DECOMPOSITION_TOLERANCE_S:
             raise SimulationError(
-                f"latency decomposition violated for task {r.task_id}: "
-                f"components {parts!r} vs latency {r.latency_s!r}"
+                f"latency decomposition violated for task {task}: "
+                f"components {parts!r} vs latency {latency!r}"
             )
-        if not (r.generated_at <= r.uplink_done <= r.exec_start
-                <= r.exec_end <= r.delivered_at):
-            raise SimulationError(f"lifecycle timestamps out of order for task {r.task_id}")
+        if not (created <= uplink <= start <= end <= delivered):
+            raise SimulationError(f"lifecycle timestamps out of order for task {task}")
 
 
 def node_utilization(topo: TopologySpec, out: pykernel.KernelOutputs,
@@ -229,9 +242,10 @@ def run_simulation(params: RunParams, backend: str | None = "auto",
                            params.calibration)
     inputs = build_kernel_inputs(params, topo, collect_trace)
     out = _kernel.run(inputs, topo.nodes, backend=backend)
-    records = _build_records(params, topo, inputs, out)
     summary = summarize(
-        records,
+        inputs.arrival_time,
+        out.delivered_at,
+        deadline_s=params.scenario.deadline_s,
         scenario=params.scenario.name,
         topology=params.topology,
         cpu=params.cpu_name(),
@@ -240,14 +254,9 @@ def run_simulation(params: RunParams, backend: str | None = "auto",
         strict_deadline=params.calibration.strict_deadline_tsr,
         node_utilization=node_utilization(topo, out, params.duration_s),
     )
-    assert_run_invariants(records, summary)
-    result = RunResult(
-        params=params,
-        topology=topo,
-        records=records,
-        summary=summary,
-        processed_events=out.processed_events,
-    )
+    assert_run_invariants(inputs.arrival_time, out, summary)
+    result = RunResult(params=params, topology=topo, inputs=inputs, outputs=out,
+                       summary=summary)
     if collect_trace:
         result.trace_lines = _trace_lines(topo, out.trace)
         result.trace_hash = hash_trace(result.trace_lines)

@@ -79,26 +79,44 @@ def resolved_config(cell: CellSpec) -> dict:
     }
 
 
+def _published_summary(directory: str, config_text: str) -> RunSummary | None:
+    """The summary of a published cell whose config.json is config_text, else None."""
+    try:
+        with open(os.path.join(directory, "config.json")) as fh:
+            if fh.read() != config_text:
+                return None
+        return read_summary_csv(os.path.join(directory, "summary.csv"))[0]
+    except FileNotFoundError:
+        return None
+
+
 def run_cell(cell: CellSpec, backend: str | None = "auto",
              trace_path: str | None = None) -> RunSummary:
-    """Run one cell and publish its files atomically; reuse a finished cell."""
+    """Run one cell and publish its files atomically.
+
+    A published cell is reused only when its config.json matches this cell's
+    resolved config; one run with other settings is recomputed and replaced.
+    """
     final_dir = cell.directory()
-    summary_path = os.path.join(final_dir, "summary.csv")
-    if os.path.exists(summary_path) and trace_path is None:
-        return read_summary_csv(summary_path)[0]
+    config_text = json.dumps(resolved_config(cell), indent=2, sort_keys=True)
+    if trace_path is None:
+        cached = _published_summary(final_dir, config_text)
+        if cached is not None:
+            return cached
     result = run_simulation(cell.run_params(), backend=backend,
                             collect_trace=trace_path is not None)
     staging = final_dir + f".tmp-{os.getpid()}"
     os.makedirs(staging, exist_ok=True)
     try:
-        write_tasks_csv(os.path.join(staging, "tasks.csv"), result.records,
-                        scenario=cell.scenario.name, topology=cell.topology,
-                        cpu=cell.cpu, seed=cell.seed)
+        write_tasks_csv(os.path.join(staging, "tasks.csv"), result.inputs.arrival_time,
+                        result.outputs, [node.id for node in result.topology.nodes],
+                        deadline_s=cell.scenario.deadline_s, scenario=cell.scenario.name,
+                        topology=cell.topology, cpu=cell.cpu, seed=cell.seed)
         write_summary_csv(os.path.join(staging, "summary.csv"), [result.summary])
         with open(os.path.join(staging, "config.json"), "w") as fh:
-            json.dump(resolved_config(cell), fh, indent=2, sort_keys=True)
+            fh.write(config_text)
         if os.path.isdir(final_dir):
-            shutil.rmtree(final_dir)  # leftover partial cell from an interrupt
+            shutil.rmtree(final_dir)  # a partial cell from an interrupt, or a stale one
         os.makedirs(os.path.dirname(final_dir), exist_ok=True)
         os.rename(staging, final_dir)
     finally:

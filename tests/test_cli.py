@@ -109,6 +109,18 @@ def test_sweep_reuses_cached_cells(tmp_path):
     assert (out / "e-health" / "genio" / "220000" / "1" / "summary.csv").stat().st_mtime_ns == stamp
 
 
+def test_run_recomputes_cell_published_with_other_settings(tmp_path):
+    shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+    assert main(RUN_FLAGS[:-1] + ["5", "--out-dir", str(shared)]) == 0
+    assert main(RUN_FLAGS[:-1] + ["7", "--out-dir", str(shared)]) == 0
+    assert main(RUN_FLAGS[:-1] + ["7", "--out-dir", str(fresh)]) == 0
+    cell = ("e-health", "genio", "220000", "1")
+    config = json.loads(shared.joinpath(*cell, "config.json").read_text())
+    assert config["duration_s"] == 7.0
+    for name in ("tasks.csv", "summary.csv", "config.json"):
+        assert shared.joinpath(*cell, name).read_bytes() == fresh.joinpath(*cell, name).read_bytes()
+
+
 def test_compare_scenario_outputs(tmp_path, capsys):
     out = tmp_path / "cmp"
     code = main(["compare", "--scenario", "e-health", "--seeds", "1,2",

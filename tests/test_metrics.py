@@ -4,21 +4,33 @@ import csv
 
 import pytest
 
+from ponedge._kernel.pykernel import PH_DELIVERED, PH_NO_PLACEMENT, KernelOutputs
 from ponedge.metrics import (AGGREGATE_METRICS, EmptyRunError, IncomparableRunsError,
                              RunSummary, SUMMARY_CSV_COLUMNS, TASKS_CSV_COLUMNS,
-                             TaskRecord, aggregate, compare, format_number,
-                             percentile_95, read_summary_csv, summarize,
-                             write_summary_csv, write_tasks_csv)
+                             aggregate, compare, format_number, percentile_95,
+                             read_summary_csv, summarize, write_summary_csv,
+                             write_tasks_csv)
+
+NAN = float("nan")
 
 
-def record(task_id, latency=0.01, delivered=True, deadline=0.5, generated=1.0):
-    if not delivered:
-        return TaskRecord(task_id, None, generated, None, None, None, None,
-                          "Unfinished", None, False)
-    return TaskRecord(task_id, "n0257-edge", generated, generated + 1e-5,
-                      generated + 1e-5, generated + latency - 1e-5,
-                      generated + latency, "Delivered", latency,
-                      latency <= deadline)
+def run_columns(latencies, generated=1.0):
+    """(generated_at, kernel outputs) for tasks placed on node 0 and delivered
+    after the given latencies; None marks a task that was never placed."""
+    def column(value):
+        return [NAN if lat is None else value(lat) for lat in latencies]
+
+    out = KernelOutputs(
+        node_of=[-1 if lat is None else 0 for lat in latencies],
+        uplink_done=column(lambda lat: generated + 1e-5),
+        exec_start=column(lambda lat: generated + 1e-5),
+        exec_end=column(lambda lat: generated + lat - 1e-5),
+        delivered_at=column(lambda lat: generated + lat),
+        final_phase=[PH_NO_PLACEMENT if lat is None else PH_DELIVERED for lat in latencies],
+        processed_events=0,
+        trace=None,
+    )
+    return [generated] * len(latencies), out
 
 
 def make_summary(**kw):
@@ -30,22 +42,23 @@ def make_summary(**kw):
     return RunSummary(**base)
 
 
-def _summarize(records, **kw):
-    args = dict(scenario="e-health", topology="genio", cpu="x", mips=220_000.0, seed=1)
+def _summarize(latencies, **kw):
+    generated_at, out = run_columns(latencies)
+    args = dict(deadline_s=0.5, scenario="e-health", topology="genio", cpu="x",
+                mips=220_000.0, seed=1)
     args.update(kw)
-    return summarize(records, **args)
+    return summarize(generated_at, out.delivered_at, **args)
 
 
 def test_all_delivered_within_deadline():
-    s = _summarize([record(i) for i in range(10)])
+    s = _summarize([0.01] * 10)
     assert s.tsr_pct == 100.0
     assert s.deadline_hit_pct == 100.0
     assert s.tasks_generated == s.tasks_delivered == 10
 
 
 def test_tsr_ratio_eight_of_ten():
-    records = [record(i) for i in range(8)] + [record(i, delivered=False) for i in (8, 9)]
-    s = _summarize(records)
+    s = _summarize([0.01] * 8 + [None, None])
     assert s.tsr_pct == 80.0
     assert s.tasks_unfinished == 2
     assert s.tasks_generated == s.tasks_delivered + s.tasks_unfinished
@@ -54,14 +67,13 @@ def test_tsr_ratio_eight_of_ten():
 def test_mean_latency_is_component_sum_for_single_task():
     # uplink + wait(0) + exec + downlink for the entry smart-city setup
     latency = 8.5e-6 + 500.0 / 43_000.0 + 8.05e-5
-    s = _summarize([record(0, latency=latency)])
+    s = _summarize([latency])
     assert s.mean_latency_s == pytest.approx(latency, abs=1e-12)
     assert s.mean_latency_s == pytest.approx(0.0117169, abs=5e-8)
 
 
 def test_mean_latency_over_delivered_only():
-    records = [record(0, latency=0.2), record(1, delivered=False)]
-    s = _summarize(records)
+    s = _summarize([0.2, None])
     assert s.mean_latency_s == pytest.approx(0.2)
     assert s.tsr_pct == 50.0
 
@@ -72,9 +84,8 @@ def test_zero_generated_tasks_is_an_error():
 
 
 def test_strict_deadline_mode_counts_misses_as_failures():
-    records = [record(0, latency=0.01, deadline=0.5), record(1, latency=0.9, deadline=0.5)]
-    lenient = _summarize(records)
-    strict = _summarize(records, strict_deadline=True)
+    lenient = _summarize([0.01, 0.9], deadline_s=0.5)
+    strict = _summarize([0.01, 0.9], deadline_s=0.5, strict_deadline=True)
     assert lenient.tsr_pct == 100.0
     assert strict.tsr_pct == 50.0
     assert strict.deadline_hit_pct == 50.0
@@ -153,7 +164,8 @@ def test_format_number_preserves_nine_significant_digits():
 
 def test_tasks_csv_column_order(tmp_path):
     path = tmp_path / "tasks.csv"
-    write_tasks_csv(path, [record(0), record(1, delivered=False)],
+    generated_at, out = run_columns([0.01, None])
+    write_tasks_csv(path, generated_at, out, ["n0257-edge"], deadline_s=0.5,
                     scenario="e-health", topology="genio", cpu="Intel Core i7-3930K", seed=3)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))

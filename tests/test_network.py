@@ -6,6 +6,7 @@ import random
 import pytest
 
 from ponedge.config import topology_preset
+from ponedge.engine import SimulationError
 from ponedge.network import (BITS_PER_KB, ConfigurationError, FairSharePool,
                              LinkKind, LinkSpec, route_between, single_transfer_time,
                              transfer_schedule)
@@ -81,31 +82,35 @@ def test_route_unknown_node():
 
 
 def drive_pool(bandwidth_bps, transfers, hop_const=0.0):
-    """Tiny event loop around FairSharePool: the kernel's serialization logic."""
+    """Tiny event loop around FairSharePool: the kernel's serialization logic.
+
+    Like the kernel, it keeps one pending completion for the link direction,
+    numbered as if every member had been given its own event.
+    """
     pool = FairSharePool(bandwidth_bps)
     heap = []
     seq = 0
-    epoch = {}
+    pending = -1  # seq of the live completion event
     done = {}
 
-    def reschedule(etas):
-        nonlocal seq
-        for token, eta in etas:
-            epoch[token] = epoch.get(token, 0) + 1
-            heapq.heappush(heap, (eta, seq, "ser-end", token, epoch[token]))
-            seq += 1
+    def schedule(completion):
+        nonlocal seq, pending
+        if completion is None:
+            return
+        token, eta, rank, count = completion
+        pending = seq + rank
+        heapq.heappush(heap, (eta, pending, "ser-end", token))
+        seq += count
 
     for idx, (start, _bits) in enumerate(transfers):
-        heapq.heappush(heap, (start, seq, "join", idx, 0))
+        heapq.heappush(heap, (start, seq, "join", idx))
         seq += 1
     while heap:
-        time, _, kind, token, ev_epoch = heapq.heappop(heap)
+        time, ev_seq, kind, token = heapq.heappop(heap)
         if kind == "join":
-            reschedule(pool.join(time, token, transfers[token][1]))
-        else:
-            if ev_epoch != epoch[token]:
-                continue
-            reschedule(pool.leave(time, token))
+            schedule(pool.join(time, token, transfers[token][1]))
+        elif ev_seq == pending:
+            schedule(pool.leave(time, token))
             done[token] = time + hop_const
     return [done[i] for i in range(len(transfers))]
 
@@ -149,25 +154,33 @@ def test_staggered_transfers_match_fluid_oracle():
             assert g == pytest.approx(w, rel=1e-6)
 
 
-def test_work_conservation_rate_sum():
-    pool = FairSharePool(1e9)
-    assert pool.demand_bps() == 0.0
-    pool.join(0.0, 1, 1e6)
-    pool.join(0.0, 2, 1e6)
-    # two active transfers at 0.5 Gbps each: the full link is in use
-    assert pool.demand_bps() == 1e9
-    assert len(pool.members) == 2
-
-
 def test_pool_accounting_by_hand():
     # 1 KB alone for 1 us (1000 bits drained), then an equal joiner halves the
     # rate; when the first leaves, the second must hold exactly the leftovers
     pool = FairSharePool(1e9)
-    etas = pool.join(0.0, 1, 8000.0)
-    assert etas == [(1, 8e-6)]
-    etas = dict(pool.join(1e-6, 2, 8000.0))
-    assert etas[1] == pytest.approx(1e-6 + 7000.0 / 0.5e9, rel=1e-12)
-    assert etas[2] == pytest.approx(1e-6 + 8000.0 / 0.5e9, rel=1e-12)
-    etas = dict(pool.leave(etas[1], 1))
-    assert pool.members[2] == pytest.approx(1000.0, rel=1e-9)
-    assert etas[2] == pytest.approx(1.6e-5, rel=1e-9)
+    assert pool.join(0.0, 1, 8000.0) == (1, 8e-6, 0, 1)
+    token, eta, rank, count = pool.join(1e-6, 2, 8000.0)
+    assert (token, rank, count) == (1, 0, 2)
+    assert eta == pytest.approx(1e-6 + 7000.0 / 0.5e9, rel=1e-12)
+    assert pool.tokens == [1, 2]
+    assert pool.remaining == [pytest.approx(7000.0, rel=1e-9), 8000.0]
+    token, eta, rank, count = pool.leave(eta, 1)
+    assert (token, rank, count) == (2, 0, 1)
+    assert pool.remaining == [pytest.approx(1000.0, rel=1e-9)]
+    assert eta == pytest.approx(1.6e-5, rel=1e-9)
+    assert pool.leave(eta, 2) is None
+
+
+def test_pool_eta_ties_go_to_the_earliest_joiner():
+    # both etas round to exactly 1.0 although the first joiner has more bits
+    # left, so the minimum must be taken over etas, not over remaining bits
+    pool = FairSharePool(2.0)
+    pool.join(1.0, 7, 2e-17)
+    assert pool.join(1.0, 8, 1e-17) == (7, 1.0, 0, 2)
+
+
+def test_pool_rejects_duplicate_token():
+    pool = FairSharePool(1e9)
+    pool.join(0.0, 1, 8000.0)
+    with pytest.raises(SimulationError):
+        pool.join(0.0, 1, 8000.0)
