@@ -3,14 +3,20 @@
 The compiled kernel in _ckernel.pyx reproduces this module's results bit for
 bit: the same events are processed in the same (time, seq) order under the
 same sequence numbering, with the same float expressions evaluated in the
-same order, and fair-share members kept in join order. The two differ in how
-many events they queue for a shared link direction. The compiled twin pushes
-one serialization-end event per member on every share recomputation and
-skips the superseded ones when they surface; this module keeps one pending
-event per link direction, for the member with the smallest (eta, seq), and
+same order, and fair-share members kept in join order. The numbering counts
+events this module never queues. The compiled twin pushes one
+serialization-end event per member on every share recomputation and skips
+the superseded ones when they surface; this module keeps one pending event
+per link direction, for the member with the smallest (eta, seq), and
 advances the sequence counter by the member count so that event carries the
-seq the per-member scheme would have given it. Any change to the semantics
-here must be made there too, or the two backends stop being bit-identical.
+seq the per-member scheme would have given it. The twin also queues an
+execution-start and a result-delivered event per task, which only record
+state; this module records them where they are scheduled, under the seq
+they would have had, counts the execution start as processed only when it
+falls within the horizon, and sorts the trace once at the end, which is
+the processing order because (time, seq) is unique. Any change to the
+semantics here must be made there too, or the two backends stop being
+bit-identical.
 """
 
 from __future__ import annotations
@@ -26,10 +32,8 @@ from ..network import FairSharePool
 EV_ARRIVAL = 0
 EV_SER_END = 1
 EV_HOP_ARRIVE = 2
-EV_EXEC_START = 3
-EV_EXEC_END = 4
-EV_DELIVERED = 5
-EV_SIM_END = 6
+EV_EXEC_END = 3
+EV_SIM_END = 4
 
 # trace kinds (index-aligned with engine.EventKind declaration order)
 TR_TASK_ARRIVAL = 0
@@ -111,7 +115,8 @@ def run(inputs: KernelInputs, node_specs) -> KernelOutputs:
     for EV_SER_END. Each link direction keeps one live serialization-end
     event, for the member with the smallest (eta, seq); an older one is
     recognised as superseded because its seq is no longer the one recorded
-    in `pending_seq`.
+    in `pending_seq`. Execution start and delivery are recorded when they
+    are scheduled, each under the seq its event would have had.
     """
     inp = inputs
     n_tasks = len(inp.arrival_time)
@@ -197,28 +202,33 @@ def run(inputs: KernelInputs, node_specs) -> KernelOutputs:
                 uplink_done[task] = now
                 if trace is not None:
                     trace.append((now, ev_seq, TR_TRANSFER_COMPLETE, task, 0))
-                start, end = nodes[t_node[task]].submit(task, length_mi, now)
+                node = t_node[task]
+                start, end = nodes[node].submit(length_mi, now)
                 exec_start[task] = start
                 exec_end[task] = end
-                t_phase[task] = PH_QUEUED
-                heappush(heap, (start, seq, EV_EXEC_START, task))
+                if start <= duration_s:  # the execution start falls within the horizon
+                    t_phase[task] = PH_RUNNING
+                    if trace is not None:
+                        trace.append((start, seq, TR_EXECUTION_START, task, node))
+                    processed += 1
+                else:
+                    t_phase[task] = PH_QUEUED
                 if end < now:
                     raise _past(end, now)
                 heappush(heap, (end, seq + 1, EV_EXEC_END, task))
                 seq += 2
-            else:
+            else:  # downlink complete: the result is delivered now
+                delivered_at[task] = now
+                t_phase[task] = PH_DELIVERED
                 if trace is not None:
                     trace.append((now, ev_seq, TR_TRANSFER_COMPLETE, task, 1))
-                heappush(heap, (now, seq, EV_DELIVERED, task))
+                    trace.append((now, seq, TR_RESULT_DELIVERED, task, t_node[task]))
+                processed += 1
                 seq += 1
-        elif code == EV_EXEC_START:
-            t_phase[task] = PH_RUNNING
-            if trace is not None:
-                trace.append((now, ev_seq, TR_EXECUTION_START, task, t_node[task]))
         elif code == EV_EXEC_END:
             node = t_node[task]
             state = nodes[node]
-            state.complete(task)
+            state.complete()
             state.release(task_ram_mb, task_storage_mb)
             if trace is not None:
                 trace.append((now, ev_seq, TR_EXECUTION_COMPLETE, task, node))
@@ -284,11 +294,6 @@ def run(inputs: KernelInputs, node_specs) -> KernelOutputs:
                     seq += 1
                 else:
                     join = path[0]
-        elif code == EV_DELIVERED:
-            delivered_at[task] = now
-            t_phase[task] = PH_DELIVERED
-            if trace is not None:
-                trace.append((now, ev_seq, TR_RESULT_DELIVERED, task, t_node[task]))
         elif trace is not None:  # EV_SIM_END
             trace.append((now, ev_seq, TR_SIMULATION_END, task, -1))
         if join >= 0:
@@ -302,6 +307,8 @@ def run(inputs: KernelInputs, node_specs) -> KernelOutputs:
             seq += count
         processed += 1
 
+    if trace is not None:
+        trace.sort()  # into (time, seq) order, which is the processing order
     return KernelOutputs(
         node_of=t_node,
         uplink_done=uplink_done,

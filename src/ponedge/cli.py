@@ -14,7 +14,7 @@ from .engine import SimulationError
 from .metrics import format_number
 from .network import ConfigurationError
 from .orchestrator import STRATEGIES
-from .sweep import CellSpec, compare_scenario, run_cell, sweep_scenario, write_comparison
+from .sweep import CellSpec, compare_scenarios, run_cell, sweep_scenario, write_comparison
 from .workload import ARRIVAL_MODES, SCENARIOS
 
 EXIT_OK = 0
@@ -169,17 +169,14 @@ def cmd_sweep(args) -> int:
 
 def cmd_compare(args) -> int:
     spec = _experiment(args)
-    comparisons = []
-    deadlines = {}
-    for name in spec.scenarios:
-        scenario = spec.scenario_spec(name)
-        deadlines[name] = scenario.deadline_s
-        comparisons.append(compare_scenario(
-            scenario, out_dir=args.out_dir, jobs=args.jobs,
-            topologies=("genio", "baseline"), cpus=spec.cpus, seeds=spec.seeds,
-            duration_s=spec.duration_s, strategy=spec.strategy,
-            arrivals=spec.arrivals, calibration=spec.calibration,
-        ))
+    scenarios = [spec.scenario_spec(name) for name in spec.scenarios]
+    deadlines = {scenario.name: scenario.deadline_s for scenario in scenarios}
+    comparisons = compare_scenarios(
+        scenarios, out_dir=args.out_dir, jobs=args.jobs,
+        topologies=("genio", "baseline"), cpus=spec.cpus, seeds=spec.seeds,
+        duration_s=spec.duration_s, strategy=spec.strategy,
+        arrivals=spec.arrivals, calibration=spec.calibration,
+    )
     comparison_path, plot_path = write_comparison(args.out_dir, comparisons, deadlines)
     print(f"{'scenario':<15} {'cpu':<22} {'genio lat (s)':>14} "
           f"{'baseline lat (s)':>17} {'reduction':>10} {'genio tsr':>10} "

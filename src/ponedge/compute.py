@@ -54,8 +54,6 @@ class NodeState:
         self.queued_and_running = 0
         self.reserved_ram_mb = 0.0
         self.reserved_storage_mb = 0.0
-        self._done_busy = 0.0
-        self._active: dict[int, tuple[float, float]] = {}  # task -> (start, end)
 
     def admit(self, ram_mb: float, storage_mb: float) -> str | None:
         """None when the footprint fits the remaining capacity, else the reason."""
@@ -73,7 +71,7 @@ class NodeState:
         self.reserved_ram_mb -= ram_mb
         self.reserved_storage_mb -= storage_mb
 
-    def submit(self, task_id: int, length_mi: float, now: float) -> tuple[float, float]:
+    def submit(self, length_mi: float, now: float) -> tuple[float, float]:
         """Queue a task; returns (exec_start, exec_end)."""
         core = 0
         free_at = self.core_free_at[0]
@@ -85,21 +83,7 @@ class NodeState:
         exec_end = exec_start + length_mi / self.spec.mips_per_core
         self.core_free_at[core] = exec_end
         self.queued_and_running += 1
-        self._active[task_id] = (exec_start, exec_end)
         return exec_start, exec_end
 
-    def complete(self, task_id: int) -> None:
-        start, end = self._active.pop(task_id)
-        self._done_busy += end - start
+    def complete(self) -> None:
         self.queued_and_running -= 1
-
-    def load_snapshot(self, now: float) -> tuple[int, float]:
-        """(tasks submitted but not completed, mean utilization since t=0)."""
-        busy = self._done_busy
-        for start, end in self._active.values():
-            ran_until = end if end < now else now
-            if ran_until > start:
-                busy += ran_until - start
-        if now <= 0.0:
-            return self.queued_and_running, 0.0
-        return self.queued_and_running, busy / (self.spec.cores * now)

@@ -144,6 +144,11 @@ class FairSharePool:
         return self.tokens[rank], eta, rank, count
 
     def join(self, now: float, token: int, size_bits: float) -> tuple[int, float, int, int]:
+        if not self.tokens:  # an idle link: the transfer gets the whole bandwidth
+            self.tokens.append(token)
+            self.remaining.append(size_bits)
+            self.last_update = now
+            return token, now + size_bits / self.bandwidth_bps, 0, 1
         if token in self.tokens:
             raise SimulationError(f"transfer token {token} already on link")
         self._advance(now)

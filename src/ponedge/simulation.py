@@ -138,8 +138,7 @@ def build_kernel_inputs(params: RunParams, topo: TopologySpec,
 def _cached_arrivals(scenario: ScenarioSpec, duration_s: float, seed: int,
                      mode: str) -> tuple[tuple[float, ...], tuple[int, ...]]:
     # the arrival process is identical for every topology/CPU cell of a sweep
-    tasks = generate_arrivals(scenario, duration_s, seed, mode)
-    return tuple(t.generated_at for t in tasks), tuple(t.device for t in tasks)
+    return generate_arrivals(scenario, duration_s, seed, mode)
 
 
 def _maybe(value: float) -> float | None:

@@ -133,13 +133,21 @@ def _run_cell_job(cell: CellSpec) -> RunSummary:
 
 
 def run_cells(cells: list[CellSpec], jobs: int = 0) -> list[RunSummary]:
-    """Run independent cells, optionally in parallel; order follows `cells`."""
+    """Run independent cells, optionally in parallel; order follows `cells`.
+
+    Workers take one cell at a time, in the order given. A cell listed twice
+    runs once, so two workers never publish the same directory.
+    """
+    unique = list(dict.fromkeys(cells))
     if jobs <= 0:
         jobs = os.cpu_count() or 1
-    if jobs == 1 or len(cells) <= 1:
-        return [run_cell(cell) for cell in cells]
-    with multiprocessing.Pool(min(jobs, len(cells))) as pool:
-        return pool.map(_run_cell_job, cells)
+    if jobs == 1 or len(unique) <= 1:
+        summaries = [run_cell(cell) for cell in unique]
+    else:
+        with multiprocessing.Pool(min(jobs, len(unique))) as pool:
+            summaries = pool.map(_run_cell_job, unique, chunksize=1)
+    by_cell = dict(zip(unique, summaries))
+    return [by_cell[cell] for cell in cells]
 
 
 def build_cells(scenario: ScenarioSpec, *, out_dir: str,
@@ -180,13 +188,27 @@ def write_aggregate(out_dir: str, scenario_name: str,
     return path
 
 
+def sweep_scenarios(scenarios: list[ScenarioSpec], *, out_dir: str, jobs: int = 0,
+                    **kwargs) -> list[list[RunSummary]]:
+    """Each scenario's topologies x CPU grid x seeds, plus its aggregate.
+
+    The cells of every scenario go through one run_cells call, so one worker
+    pool serves the whole experiment; the aggregates are written after.
+    """
+    grids = [build_cells(scenario, out_dir=out_dir, **kwargs) for scenario in scenarios]
+    summaries = run_cells([cell for cells in grids for cell in cells], jobs=jobs)
+    per_scenario = []
+    for scenario, cells in zip(scenarios, grids):
+        mine, summaries = summaries[:len(cells)], summaries[len(cells):]
+        write_aggregate(out_dir, scenario.name, mine)
+        per_scenario.append(mine)
+    return per_scenario
+
+
 def sweep_scenario(scenario: ScenarioSpec, *, out_dir: str, jobs: int = 0,
                    **kwargs) -> list[RunSummary]:
     """Both topologies x the scenario's CPU grid x seeds, plus the aggregate."""
-    cells = build_cells(scenario, out_dir=out_dir, **kwargs)
-    summaries = run_cells(cells, jobs=jobs)
-    write_aggregate(out_dir, scenario.name, summaries)
-    return summaries
+    return sweep_scenarios([scenario], out_dir=out_dir, jobs=jobs, **kwargs)[0]
 
 
 @dataclass(frozen=True)
@@ -209,14 +231,25 @@ class ScenarioComparison:
     seeds: tuple[int, ...]
 
 
-def compare_scenario(scenario: ScenarioSpec, *, out_dir: str, jobs: int = 0,
-                     **kwargs) -> ScenarioComparison:
+def compare_scenarios(scenarios: list[ScenarioSpec], *, out_dir: str, jobs: int = 0,
+                      **kwargs) -> list[ScenarioComparison]:
     """Per-CPU latency/TSR comparison on seed-averaged cells, both topologies.
 
     Missing cells are computed on demand (sweep results are reused through
-    the on-disk cache).
+    the on-disk cache), all scenarios' cells in one sweep_scenarios call.
     """
-    summaries = sweep_scenario(scenario, out_dir=out_dir, jobs=jobs, **kwargs)
+    per_scenario = sweep_scenarios(scenarios, out_dir=out_dir, jobs=jobs, **kwargs)
+    return [_comparison(scenario, summaries)
+            for scenario, summaries in zip(scenarios, per_scenario)]
+
+
+def compare_scenario(scenario: ScenarioSpec, *, out_dir: str, jobs: int = 0,
+                     **kwargs) -> ScenarioComparison:
+    """compare_scenarios for one scenario."""
+    return compare_scenarios([scenario], out_dir=out_dir, jobs=jobs, **kwargs)[0]
+
+
+def _comparison(scenario: ScenarioSpec, summaries: list[RunSummary]) -> ScenarioComparison:
     by_cell = aggregate(summaries, ("scenario", "topology", "cpu", "mips"))
     cells = {(row["topology"], row["mips"]): row for row in by_cell}
     mips_grid = sorted({row["mips"] for row in by_cell})

@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
-from .compute import DEFAULT_TASK_RAM_MB, DEFAULT_TASK_STORAGE_MB
 from .engine import Stream
 from .network import ConfigurationError
 
@@ -48,46 +46,18 @@ def scenario_preset(name: str) -> ScenarioSpec:
         raise ConfigurationError(f"unknown scenario {name!r} (valid: {valid})") from None
 
 
-class TaskStatus(Enum):
-    PENDING = "Pending"
-    IN_TRANSIT = "InTransit"
-    QUEUED = "Queued"
-    RUNNING = "Running"
-    DELIVERED = "Delivered"
-    UNFINISHED = "Unfinished"
-
-
-@dataclass
-class Task:
-    """One offloadable unit of work and its lifecycle timestamps."""
-
-    id: int
-    device: int  # generating device index within the scenario
-    generated_at: float
-    length_mi: float
-    request_kb: float
-    result_kb: float
-    deadline_s: float
-    ram_mb: float = DEFAULT_TASK_RAM_MB
-    storage_mb: float = DEFAULT_TASK_STORAGE_MB
-    status: TaskStatus = TaskStatus.PENDING
-    uplink_done: float | None = None
-    exec_start: float | None = None
-    exec_end: float | None = None
-    delivered_at: float | None = None
-
-
 ARRIVAL_MODES = ("poisson", "fixed")
 
 
 def generate_arrivals(spec: ScenarioSpec, duration_s: float, seed: int,
-                      mode: str = "poisson") -> list[Task]:
+                      mode: str = "poisson") -> tuple[tuple[float, ...], tuple[int, ...]]:
     """One arrival process per device, merged and sorted by (time, device).
 
     poisson: per-device exponential inter-arrivals with mean 60/rate seconds.
     fixed: exact 60/rate spacing with a per-device phase drawn once from
     [0, 60/rate). Each device consumes its own named stream, so the draw
-    sequence of one device never shifts another's.
+    sequence of one device never shifts another's. Returns the columns
+    (times, devices): task i arrives at times[i] from device devices[i].
     """
     if not duration_s > 0:
         raise ConfigurationError("duration must be positive")
@@ -108,15 +78,4 @@ def generate_arrivals(spec: ScenarioSpec, duration_s: float, seed: int,
                 times.append((t, device))
                 t += interval
     times.sort()
-    return [
-        Task(
-            id=task_id,
-            device=device,
-            generated_at=t,
-            length_mi=spec.length_mi,
-            request_kb=spec.request_kb,
-            result_kb=spec.result_kb,
-            deadline_s=spec.deadline_s,
-        )
-        for task_id, (t, device) in enumerate(times)
-    ]
+    return tuple(t for t, _ in times), tuple(device for _, device in times)

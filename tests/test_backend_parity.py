@@ -1,10 +1,12 @@
 """The compiled kernel must be bit-identical to the pure-Python reference."""
 
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
 from ponedge._kernel import available_backends
+from ponedge._kernel.pykernel import PH_DELIVERED, PH_DOWN, PH_QUEUED, PH_RUNNING, PH_UP
 from ponedge.config import DEFAULT_CALIBRATION
 from ponedge.simulation import RunParams, run_simulation
 from ponedge.workload import scenario_preset
@@ -25,30 +27,39 @@ CASES = [
 
 # Pinned results of the pure-Python kernel, recorded on the per-member
 # rescheduling kernel it replaced and equal to the compiled kernel's: trace
-# hash, processed events, tasks generated and delivered, mean and p95 latency.
+# hash, processed events, tasks generated and delivered, mean and p95 latency,
+# and how many tasks end the run in each phase. The aigc case ends with tasks
+# still queued behind the horizon, whose execution start is never processed.
 GOLDEN = {
     CASES[0]: ("0b84a32da3d19c45db3272fd93231427616016f75257b29b083cdc4daf16a488",
-               3905, 481, 481, 0.01199225271961618, 0.011716906976744212),
+               3905, 481, 481, 0.01199225271961618, 0.011716906976744212,
+               {PH_DELIVERED: 481}),
     CASES[1]: ("d0a06e810051d38c30ded2a99dece5161dedb432d0f46a1c8375a56a426e0710",
-               5769, 481, 480, 0.021844890087815528, 0.02184466666666829),
+               5769, 481, 480, 0.021844890087815528, 0.02184466666666829,
+               {PH_DOWN: 1, PH_DELIVERED: 480}),
     CASES[2]: ("c12dc9fae11a5cd3b586ba5e3123059dbf0faef3a73517526675bfc33a6b57d1",
-               9217, 1152, 1152, 0.00179083521937469, 0.0017739032258088372),
+               9217, 1152, 1152, 0.00179083521937469, 0.0017739032258088372,
+               {PH_DELIVERED: 1152}),
     CASES[3]: ("c89cabd5652209ff0864d2408e3acac6ee3d3cf9ed90fc4b9774760c4a1a1c26",
-               28083, 2341, 2339, 0.05374156719585584, 0.0652664803322125),
+               28083, 2341, 2339, 0.05374156719585584, 0.0652664803322125,
+               {PH_RUNNING: 1, PH_DOWN: 1, PH_DELIVERED: 2339}),
     CASES[4]: ("b00d50767b1ae5492b378f0ab4d1959ea3fa399718647dae413b7a8627d397b0",
-               25214, 2023, 2006, 1.0300526330181692, 1.4886102252801336),
+               25214, 2023, 2006, 1.0300526330181692, 1.4886102252801336,
+               {PH_UP: 6, PH_QUEUED: 9, PH_RUNNING: 1, PH_DOWN: 1, PH_DELIVERED: 2006}),
 }
 # round-robin placement, fixed arrivals and a control-plane delay on the WAN case
 VARIANT = dict(strategy="round-robin", arrivals="fixed",
                calibration=replace(DEFAULT_CALIBRATION, control_plane_delay_s=0.002))
 VARIANT_GOLDEN = ("6dcae3ad1d18ad1ecbba9461d60684d514ec5245aabe9f45eaec65da58fbeaba",
-                  29944, 2000, 1995, 0.3262741266745424, 0.4564965839815418)
+                  29944, 2000, 1995, 0.3262741266745424, 0.4564965839815418,
+                  {PH_UP: 5, PH_DELIVERED: 1995})
 
 
 def _golden_view(result):
     s = result.summary
     return (result.trace_hash, result.processed_events, s.tasks_generated,
-            s.tasks_delivered, s.mean_latency_s, s.p95_latency_s)
+            s.tasks_delivered, s.mean_latency_s, s.p95_latency_s,
+            dict(Counter(result.outputs.final_phase)))
 
 
 @pytest.mark.parametrize(
@@ -73,6 +84,8 @@ def test_backends_bit_identical(scenario, topology, mips):
     assert py.trace_hash == cy.trace_hash
     assert py.records == cy.records
     assert py.processed_events == cy.processed_events
+    assert py.outputs.final_phase == cy.outputs.final_phase
+    assert py.outputs.trace == cy.outputs.trace
     assert py.summary == cy.summary
 
 

@@ -4,8 +4,11 @@ import json
 
 import pytest
 
+from ponedge import sweep
 from ponedge.cli import main
+from ponedge.config import DEFAULT_CALIBRATION
 from ponedge.metrics import read_summary_csv
+from ponedge.workload import scenario_preset
 
 RUN_FLAGS = ["run", "--scenario", "e-health", "--topology", "genio",
              "--cpu-mips", "220000", "--seed", "1", "--duration", "20"]
@@ -142,6 +145,32 @@ def test_compare_reuses_existing_sweep(tmp_path, capsys):
     assert main(["compare", "--scenario", "e-health", "--seeds", "1",
                  "--duration", "5", "--out-dir", str(out), "--jobs", "1"]) == 0
     assert "average latency reduction" in capsys.readouterr().out
+
+
+def test_compare_all_in_one_pool_matches_serial(tmp_path, capsys):
+    # every scenario's cells share one worker pool; files and tables must not
+    # depend on how many workers ran them
+    trees = {}
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["compare", "--all", "--seeds", "1", "--duration", "3",
+                     "--out-dir", str(out), "--jobs", jobs]) == 0
+        stdout = capsys.readouterr().out.replace(str(out), "OUT")
+        files = {path.relative_to(out).as_posix(): path.read_bytes()
+                 for path in sorted(out.rglob("*")) if path.is_file()}
+        trees[jobs] = (stdout, files)
+    assert len(trees["1"][1]) == 4 * 2 * 5 * 3 + 4 + 2  # cells x files, aggregates, tables
+    assert trees["2"] == trees["1"]
+
+
+def test_run_cells_runs_a_repeated_cell_once(tmp_path, monkeypatch):
+    # a cell listed twice (e.g. --seeds 1,1) must not be published by two workers
+    cell = sweep.CellSpec(scenario_preset("e-health"), "genio", "", 220_000.0, 1, 5.0,
+                          "trade-off", "poisson", DEFAULT_CALIBRATION, str(tmp_path))
+    calls = []
+    monkeypatch.setattr(sweep, "run_cell", lambda c: calls.append(c) or c.seed)
+    assert sweep.run_cells([cell, cell], jobs=2) == [1, 1]
+    assert calls == [cell]
 
 
 def test_config_file_experiment(tmp_path):

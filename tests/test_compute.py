@@ -1,4 +1,4 @@
-"""MIPS execution math, per-core FIFO, admission, and load snapshots."""
+"""MIPS execution math, per-core FIFO, admission, and queue accounting."""
 
 import random
 
@@ -15,29 +15,29 @@ def edge(mips, cores=1, **kw):
 
 def test_execution_duration_smart_city_entry_cpu():
     node = edge(43_000)
-    start, end = node.submit(0, 500.0, now=0.0)
+    start, end = node.submit(500.0, now=0.0)
     assert start == 0.0
     assert end == pytest.approx(500.0 / 43_000.0, rel=1e-12)  # ~0.011628 s
 
 
 def test_execution_duration_heavy_task_high_end_cpu():
     node = edge(2_350_000)
-    start, end = node.submit(0, 48_000.0, now=1.0)
+    start, end = node.submit(48_000.0, now=1.0)
     assert end - start == pytest.approx(48_000.0 / 2_350_000.0, rel=1e-12)  # ~0.020426 s
 
 
 def test_fifo_on_single_core():
     node = edge(43_000)
-    _, first_end = node.submit(0, 500.0, now=0.0)
-    second_start, second_end = node.submit(1, 500.0, now=0.0)
+    _, first_end = node.submit(500.0, now=0.0)
+    second_start, second_end = node.submit(500.0, now=0.0)
     assert second_start == first_end
     assert second_end > first_end
 
 
 def test_least_available_core_with_tie_to_lowest_index():
     node = edge(100_000, cores=2)
-    s0, _ = node.submit(0, 1000.0, now=0.0)  # both cores free: core 0
-    s1, _ = node.submit(1, 1000.0, now=0.0)  # core 1 now earliest
+    s0, _ = node.submit(1000.0, now=0.0)  # both cores free: core 0
+    s1, _ = node.submit(1000.0, now=0.0)  # core 1 now earliest
     assert s0 == 0.0 and s1 == 0.0
     assert node.core_free_at[0] == node.core_free_at[1]
     # mips split across cores: per-core rate is half the chip
@@ -74,36 +74,19 @@ def test_admission_tracks_reservations():
     assert node.admit(6.0, 100.0) is None
 
 
-def test_load_snapshot_fresh_node():
-    assert edge(43_000).load_snapshot(0.0) == (0, 0.0)
-
-
-def test_load_snapshot_mid_execution_full_utilization():
-    node = edge(43_000)
-    node.submit(0, 43_000.0, now=0.0)  # runs [0, 1]
-    count, utilization = node.load_snapshot(0.5)
-    assert count == 1
-    assert utilization == pytest.approx(1.0)
-
-
-def test_load_snapshot_counts_completed_separately():
-    node = edge(100_000)
-    node.submit(0, 1000.0, now=0.0)
-    node.submit(1, 1000.0, now=0.0)
-    node.complete(0)
-    count, _ = node.load_snapshot(0.05)
-    assert count == 1
-
-
 def test_utilization_bounded_and_work_conserving():
     rng = random.Random(5)
     node = edge(50_000, cores=2)
     now = 0.0
-    for task in range(100):
+    busy_committed = 0.0
+    for _ in range(100):
         now += rng.random() * 0.01
-        node.submit(task, rng.random() * 500 + 1, now)
-    count, utilization = node.load_snapshot(now + 0.001)
-    assert 0.0 <= utilization <= 1.0
-    assert count == 100
-    busy_committed = sum(end - start for start, end in node._active.values())
+        start, end = node.submit(rng.random() * 500 + 1, now)
+        assert now <= start < end
+        busy_committed += end - start
+    assert node.queued_and_running == 100
+    # two cores never commit more busy time than they have until the last frees
     assert busy_committed <= 2 * max(node.core_free_at)
+    for _ in range(100):
+        node.complete()
+    assert node.queued_and_running == 0

@@ -55,46 +55,37 @@ ONE_PER_SECOND = ScenarioSpec("metronome", users=1, rate_per_min=60, deadline_s=
 
 
 def test_fixed_mode_exact_spacing():
-    tasks = generate_arrivals(ONE_PER_SECOND, 60.0, seed=9, mode="fixed")
-    assert len(tasks) == 60
-    phase = tasks[0].generated_at
+    times, devices = generate_arrivals(ONE_PER_SECOND, 60.0, seed=9, mode="fixed")
+    assert len(times) == len(devices) == 60
+    phase = times[0]
     assert 0.0 <= phase < 1.0
-    for k, task in enumerate(tasks):
-        assert task.generated_at == pytest.approx(phase + k, abs=1e-12)
+    for k, time in enumerate(times):
+        assert time == pytest.approx(phase + k, abs=1e-12)
 
 
 def test_arrivals_replay_identically():
     spec = scenario_preset("e-health")
     a = generate_arrivals(spec, 120.0, seed=4, mode="poisson")
     b = generate_arrivals(spec, 120.0, seed=4, mode="poisson")
-    assert [(t.generated_at, t.device) for t in a] == [(t.generated_at, t.device) for t in b]
+    assert a == b
     c = generate_arrivals(spec, 120.0, seed=5, mode="poisson")
-    assert [(t.generated_at) for t in a] != [(t.generated_at) for t in c]
+    assert a[0] != c[0]
 
 
 def test_arrivals_sorted_with_device_tie_break():
     spec = scenario_preset("smart-city")
-    tasks = generate_arrivals(spec, 300.0, seed=2, mode="poisson")
-    keys = [(t.generated_at, t.device) for t in tasks]
+    times, devices = generate_arrivals(spec, 300.0, seed=2, mode="poisson")
+    keys = list(zip(times, devices))
     assert keys == sorted(keys)
-    assert [t.id for t in tasks] == list(range(len(tasks)))
-    assert all(t.generated_at < 300.0 for t in tasks)
-
-
-def test_tasks_carry_scenario_constants_without_jitter():
-    spec = scenario_preset("aigc")
-    for task in generate_arrivals(spec, 30.0, seed=3, mode="poisson"):
-        assert task.length_mi == spec.length_mi
-        assert task.request_kb == spec.request_kb
-        assert task.result_kb == spec.result_kb
-        assert task.deadline_s == spec.deadline_s
+    assert len(times) == len(devices)
+    assert all(time < 300.0 for time in times)
 
 
 def test_poisson_count_mean_smart_city():
     # 128 users x 2/min x 10 min -> mean 2560 tasks; sample mean over 30
     # seeds must sit within 3 sigma of the Poisson count distribution
     spec = scenario_preset("smart-city")
-    counts = [len(generate_arrivals(spec, 600.0, seed, "poisson")) for seed in range(30)]
+    counts = [len(generate_arrivals(spec, 600.0, seed, "poisson")[0]) for seed in range(30)]
     mean = sum(counts) / len(counts)
     sigma_of_mean = math.sqrt(2560.0 / len(counts))
     assert abs(mean - 2560.0) <= 3 * sigma_of_mean
@@ -114,13 +105,13 @@ def test_poisson_interarrival_mean_three_sigma(name):
 
 def test_poisson_interarrival_ks_sanity():
     spec = scenario_preset("e-health")
-    tasks = generate_arrivals(spec, 2000.0, seed=17, mode="poisson")
+    times, devices = generate_arrivals(spec, 2000.0, seed=17, mode="poisson")
     gaps = []
     by_device = {}
-    for task in tasks:
-        prev = by_device.get(task.device, 0.0)
-        gaps.append(task.generated_at - prev)
-        by_device[task.device] = task.generated_at
+    for time, device in zip(times, devices):
+        prev = by_device.get(device, 0.0)
+        gaps.append(time - prev)
+        by_device[device] = time
     assert len(gaps) >= 10_000
     result = stats.kstest(gaps, "expon", args=(0, 60.0 / spec.rate_per_min))
     assert result.pvalue > 0.01
