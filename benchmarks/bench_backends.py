@@ -15,7 +15,7 @@ import time
 
 from ponedge._kernel import available_backends
 from ponedge.engine import hash_trace
-from ponedge.simulation import RunParams, _trace_lines, run_simulation
+from ponedge.simulation import RunParams, run_simulation, trace_text
 from ponedge.workload import scenario_preset
 
 CASES = [
@@ -44,7 +44,7 @@ def time_trace(params: RunParams, backend: str, repeats: int) -> tuple[float, st
     digest = ""
     for _ in range(repeats):
         start = time.perf_counter()
-        digest = hash_trace(_trace_lines(result.topology, result.outputs.trace))
+        digest = hash_trace(trace_text(result.topology, result.outputs.trace))
         best = min(best, time.perf_counter() - start)
     return best, digest
 

@@ -141,7 +141,7 @@ def cmd_run(args) -> int:
     seed = spec.seeds[0]
     cell = CellSpec(scenario, topology, cpu, mips, seed, spec.duration_s,
                     spec.strategy, spec.arrivals, spec.calibration, args.out_dir)
-    summary = run_cell(cell, trace_path=args.trace)
+    summary = run_cell(cell, trace_path=args.trace, tasks_csv=True)
     print(f"scenario={summary.scenario} topology={summary.topology} cpu={summary.cpu!r} "
           f"mips={summary.mips:g} seed={summary.seed}")
     print(f"  tasks: {summary.tasks_generated} generated, {summary.tasks_delivered} delivered, "

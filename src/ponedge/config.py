@@ -119,6 +119,7 @@ class TopologySpec:
     nodes: list[NodeSpec]
     links: list[LinkRecord]
     _adjacency: dict | None = field(default=None, repr=False, compare=False)
+    _tree: dict | None = field(default=None, repr=False, compare=False)
 
     def node(self, node_id: str) -> NodeSpec:
         for node in self.nodes:
@@ -135,6 +136,30 @@ class TopologySpec:
             self._adjacency = adj
         return self._adjacency
 
+    def tree(self) -> dict[str, tuple[str, int, int]]:
+        """Each node's (parent, link to the parent, depth).
+
+        Every connected component is rooted at its first listed node, whose
+        parent is "" over link -1 at depth 0.
+        """
+        if self._tree is None:
+            adj = self.adjacency()
+            tree: dict[str, tuple[str, int, int]] = {}
+            for root in self.nodes:
+                if root.id in tree:
+                    continue
+                tree[root.id] = ("", -1, 0)
+                stack = [root.id]
+                while stack:
+                    node = stack.pop()
+                    depth = tree[node][2] + 1
+                    for neighbor, link_id in adj[node]:
+                        if neighbor not in tree:
+                            tree[neighbor] = (node, link_id, depth)
+                            stack.append(neighbor)
+            self._tree = tree
+        return self._tree
+
     def validate(self) -> None:
         """Connected tree; devices hang off exactly one ONU via a Local link."""
         adj = self.adjacency()
@@ -142,16 +167,7 @@ class TopologySpec:
             raise ConfigurationError(
                 f"not a tree: {len(self.nodes)} nodes but {len(self.links)} links"
             )
-        seen = {self.nodes[0].id}
-        frontier = [self.nodes[0].id]
-        while frontier:
-            frontier = [
-                neighbor
-                for node in frontier
-                for neighbor, _ in adj[node]
-                if neighbor not in seen and not seen.add(neighbor)
-            ]
-        if len(seen) != len(self.nodes):
+        if sum(parent == "" for parent, _, _ in self.tree().values()) != 1:
             raise ConfigurationError("topology is not connected")
         links_by_id = {link.id: link for link in self.links}
         for node in self.nodes:

@@ -128,10 +128,6 @@ def random_stream(seed: int, label: str) -> Stream:
     return Stream(seed, label)
 
 
-def hash_trace(lines) -> str:
-    """SHA-256 over the newline-joined event-trace lines."""
-    digest = hashlib.sha256()
-    for line in lines:
-        digest.update(line.encode("utf-8"))
-        digest.update(b"\n")
-    return digest.hexdigest()
+def hash_trace(text: str) -> str:
+    """SHA-256 of an event trace's text, the bytes its trace file holds."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()

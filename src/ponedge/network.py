@@ -72,37 +72,29 @@ def single_transfer_time(size_kb: float, link: LinkSpec) -> float:
 def route_between(topology, src: str, dst: str) -> tuple[Hop, ...]:
     """Unique path between two nodes of a tree-shaped topology.
 
+    Both endpoints climb the topology's rooted tree to their common ancestor.
     Raises ConfigurationError when either endpoint is unknown or unreachable.
     """
-    adjacency = topology.adjacency()
-    if src not in adjacency or dst not in adjacency:
-        missing = src if src not in adjacency else dst
+    tree = topology.tree()
+    if src not in tree or dst not in tree:
+        missing = src if src not in tree else dst
         raise ConfigurationError(f"unknown node id {missing!r}")
-    if src == dst:
-        return ()
-    # BFS parent walk; the topology is a tree so the path found is the path.
-    parents: dict[str, tuple[str, int]] = {src: ("", -1)}
-    frontier = [src]
-    while frontier:
-        nxt = []
-        for node in frontier:
-            for neighbor, link_id in adjacency[node]:
-                if neighbor not in parents:
-                    parents[neighbor] = (node, link_id)
-                    nxt.append(neighbor)
-        if dst in parents:
-            break
-        frontier = nxt
-    if dst not in parents:
-        raise ConfigurationError(f"no path between {src!r} and {dst!r}")
-    hops = []
-    node = dst
-    while node != src:
-        prev, link_id = parents[node]
-        hops.append(Hop(link_id=link_id, head=prev, tail=node))
-        node = prev
-    hops.reverse()
-    return tuple(hops)
+    up: list[Hop] = []  # src towards the common ancestor
+    down: list[Hop] = []  # dst towards the common ancestor, reversed at the end
+    a, b = src, dst
+    while a != b:
+        a_parent, a_link, a_depth = tree[a]
+        b_parent, b_link, b_depth = tree[b]
+        if a_depth == b_depth == 0:  # two roots: different components
+            raise ConfigurationError(f"no path between {src!r} and {dst!r}")
+        if a_depth >= b_depth:
+            up.append(Hop(link_id=a_link, head=a, tail=a_parent))
+            a = a_parent
+        else:
+            down.append(Hop(link_id=b_link, head=b_parent, tail=b))
+            b = b_parent
+    down.reverse()
+    return tuple(up + down)
 
 
 class FairSharePool:

@@ -18,8 +18,6 @@ from ._kernel import pykernel
 
 DECOMPOSITION_TOLERANCE_S = 1e-12
 
-_TRACE_KINDS = list(EventKind)
-
 
 @dataclass(frozen=True)
 class RunParams:
@@ -48,7 +46,7 @@ class RunResult:
     inputs: pykernel.KernelInputs
     outputs: pykernel.KernelOutputs
     summary: RunSummary
-    trace_lines: list[str] | None = None
+    trace_text: str | None = None
     trace_hash: str | None = None
 
     @property
@@ -215,19 +213,32 @@ def node_utilization(topo: TopologySpec, out: pykernel.KernelOutputs,
 
 
 def _trace_lines(topo: TopologySpec, trace) -> list[str]:
+    """One line per kernel trace entry, formatted as Event.trace_line does."""
+    kinds = [kind.value for kind in EventKind]  # indexed by the kernel's kind code
+    nodes = [node.id for node in topo.nodes]
+    device = lru_cache(maxsize=None)(device_node_id)
+    arrival, transfer, end = (pykernel.TR_TASK_ARRIVAL, pykernel.TR_TRANSFER_COMPLETE,
+                              pykernel.TR_SIMULATION_END)
     lines = []
-    for time, seq, kind_code, task, extra in trace:
-        kind = _TRACE_KINDS[kind_code]
-        if kind is EventKind.TASK_ARRIVAL:
-            subject = f"task=t{task} src={device_node_id(extra)}"
-        elif kind is EventKind.TRANSFER_COMPLETE:
-            subject = f"task=t{task} leg={'up' if extra == 0 else 'down'}"
-        elif kind is EventKind.SIMULATION_END:
-            subject = "-"
+    append = lines.append
+    for time, seq, kind, task, extra in trace:
+        if kind == arrival:
+            append(f"{time:.17g}\t{seq}\t{kinds[kind]}\ttask=t{task} src={device(extra)}")
+        elif kind == transfer:
+            append(f"{time:.17g}\t{seq}\t{kinds[kind]}\ttask=t{task} "
+                   f"leg={'up' if extra == 0 else 'down'}")
+        elif kind == end:
+            append(f"{time:.17g}\t{seq}\t{kinds[kind]}\t-")
         else:
-            subject = f"task=t{task} node={topo.nodes[extra].id}"
-        lines.append(f"{time:.17g}\t{seq}\t{kind.value}\t{subject}")
+            append(f"{time:.17g}\t{seq}\t{kinds[kind]}\ttask=t{task} node={nodes[extra]}")
     return lines
+
+
+def trace_text(topo: TopologySpec, trace) -> str:
+    """The event-trace file: one newline-terminated line per kernel trace entry."""
+    lines = _trace_lines(topo, trace)
+    lines.append("")  # the join then ends the text with a newline
+    return "\n".join(lines)
 
 
 def run_simulation(params: RunParams, backend: str | None = "auto",
@@ -257,6 +268,6 @@ def run_simulation(params: RunParams, backend: str | None = "auto",
     result = RunResult(params=params, topology=topo, inputs=inputs, outputs=out,
                        summary=summary)
     if collect_trace:
-        result.trace_lines = _trace_lines(topo, out.trace)
-        result.trace_hash = hash_trace(result.trace_lines)
+        result.trace_text = trace_text(topo, out.trace)
+        result.trace_hash = hash_trace(result.trace_text)
     return result

@@ -1,11 +1,12 @@
 """Batch harness: parameter-sweep cells, cached results layout, comparisons.
 
 Results land in out_dir/<scenario>/<topology>/<cpu-mips>/<seed>/ with
-tasks.csv, summary.csv and a resolved config.json per cell; sweep aggregates
-per scenario, compare reads (or produces) both topologies and emits the
-comparison tables. Cell directories are staged under a temporary name and
-renamed only when complete, so an interrupted invocation never leaves a
-partial result that a later one would trust.
+summary.csv and a resolved config.json per cell; a single-cell run also
+writes the per-task tasks.csv. Sweep aggregates per scenario, compare reads
+(or produces) both topologies and emits the comparison tables. Cell
+directories are staged under a temporary name and renamed only when
+complete, so an interrupted invocation never leaves a partial result that a
+later one would trust.
 """
 
 from __future__ import annotations
@@ -79,8 +80,12 @@ def resolved_config(cell: CellSpec) -> dict:
     }
 
 
-def _published_summary(directory: str, config_text: str) -> RunSummary | None:
-    """The summary of a published cell whose config.json is config_text, else None."""
+def _published_summary(directory: str, config_text: str,
+                       tasks_csv: bool) -> RunSummary | None:
+    """The summary of a published cell whose config.json is config_text and
+    which holds tasks.csv if tasks_csv is set, else None."""
+    if tasks_csv and not os.path.isfile(os.path.join(directory, "tasks.csv")):
+        return None
     try:
         with open(os.path.join(directory, "config.json")) as fh:
             if fh.read() != config_text:
@@ -91,16 +96,18 @@ def _published_summary(directory: str, config_text: str) -> RunSummary | None:
 
 
 def run_cell(cell: CellSpec, backend: str | None = "auto",
-             trace_path: str | None = None) -> RunSummary:
+             trace_path: str | None = None, *, tasks_csv: bool) -> RunSummary:
     """Run one cell and publish its files atomically.
 
-    A published cell is reused only when its config.json matches this cell's
-    resolved config; one run with other settings is recomputed and replaced.
+    The cell gets summary.csv and config.json, plus the per-task tasks.csv
+    when tasks_csv is set. A published cell is reused only when its
+    config.json matches this cell's resolved config and, if tasks_csv is set,
+    it holds tasks.csv; otherwise it is recomputed and replaced.
     """
     final_dir = cell.directory()
     config_text = json.dumps(resolved_config(cell), indent=2, sort_keys=True)
     if trace_path is None:
-        cached = _published_summary(final_dir, config_text)
+        cached = _published_summary(final_dir, config_text, tasks_csv)
         if cached is not None:
             return cached
     result = run_simulation(cell.run_params(), backend=backend,
@@ -108,10 +115,11 @@ def run_cell(cell: CellSpec, backend: str | None = "auto",
     staging = final_dir + f".tmp-{os.getpid()}"
     os.makedirs(staging, exist_ok=True)
     try:
-        write_tasks_csv(os.path.join(staging, "tasks.csv"), result.inputs.arrival_time,
-                        result.outputs, [node.id for node in result.topology.nodes],
-                        deadline_s=cell.scenario.deadline_s, scenario=cell.scenario.name,
-                        topology=cell.topology, cpu=cell.cpu, seed=cell.seed)
+        if tasks_csv:
+            write_tasks_csv(os.path.join(staging, "tasks.csv"), result.inputs.arrival_time,
+                            result.outputs, [node.id for node in result.topology.nodes],
+                            deadline_s=cell.scenario.deadline_s, scenario=cell.scenario.name,
+                            topology=cell.topology, cpu=cell.cpu, seed=cell.seed)
         write_summary_csv(os.path.join(staging, "summary.csv"), [result.summary])
         with open(os.path.join(staging, "config.json"), "w") as fh:
             fh.write(config_text)
@@ -124,12 +132,13 @@ def run_cell(cell: CellSpec, backend: str | None = "auto",
             shutil.rmtree(staging)
     if trace_path is not None:
         with open(trace_path, "w") as fh:
-            fh.write("\n".join(result.trace_lines) + "\n")
+            fh.write(result.trace_text)
     return result.summary
 
 
 def _run_cell_job(cell: CellSpec) -> RunSummary:
-    return run_cell(cell)
+    # sweep cells publish summaries only; `ponedge run` gives a cell's tasks
+    return run_cell(cell, tasks_csv=False)
 
 
 def run_cells(cells: list[CellSpec], jobs: int = 0) -> list[RunSummary]:
@@ -142,7 +151,7 @@ def run_cells(cells: list[CellSpec], jobs: int = 0) -> list[RunSummary]:
     if jobs <= 0:
         jobs = os.cpu_count() or 1
     if jobs == 1 or len(unique) <= 1:
-        summaries = [run_cell(cell) for cell in unique]
+        summaries = [_run_cell_job(cell) for cell in unique]
     else:
         with multiprocessing.Pool(min(jobs, len(unique))) as pool:
             summaries = pool.map(_run_cell_job, unique, chunksize=1)

@@ -147,6 +147,27 @@ def test_compare_reuses_existing_sweep(tmp_path, capsys):
     assert "average latency reduction" in capsys.readouterr().out
 
 
+def test_run_republishes_compare_cell_with_tasks(tmp_path, capsys):
+    # compare cells hold summaries only; `run` on one of them must recompute
+    # it for tasks.csv instead of reusing it, and leave the summary as it was
+    shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+    assert main(["compare", "--scenario", "e-health", "--seeds", "1", "--duration", "5",
+                 "--out-dir", str(shared), "--jobs", "1"]) == 0
+    cells = list(shared.glob("e-health/*/*/1"))
+    assert len(cells) == 2 * 5
+    for cell in cells:
+        assert sorted(path.name for path in cell.iterdir()) == ["config.json", "summary.csv"]
+    cell = shared / "e-health" / "genio" / "220000" / "1"
+    published = {name: (cell / name).read_bytes() for name in ("summary.csv", "config.json")}
+    run_flags = RUN_FLAGS[:-1] + ["5"]
+    assert main(run_flags + ["--out-dir", str(shared)]) == 0
+    assert main(run_flags + ["--out-dir", str(fresh)]) == 0
+    fresh_cell = fresh / "e-health" / "genio" / "220000" / "1"
+    assert (cell / "tasks.csv").read_bytes() == (fresh_cell / "tasks.csv").read_bytes()
+    for name, data in published.items():
+        assert (cell / name).read_bytes() == data
+
+
 def test_compare_all_in_one_pool_matches_serial(tmp_path, capsys):
     # every scenario's cells share one worker pool; files and tables must not
     # depend on how many workers ran them
@@ -159,7 +180,7 @@ def test_compare_all_in_one_pool_matches_serial(tmp_path, capsys):
         files = {path.relative_to(out).as_posix(): path.read_bytes()
                  for path in sorted(out.rglob("*")) if path.is_file()}
         trees[jobs] = (stdout, files)
-    assert len(trees["1"][1]) == 4 * 2 * 5 * 3 + 4 + 2  # cells x files, aggregates, tables
+    assert len(trees["1"][1]) == 4 * 2 * 5 * 2 + 4 + 2  # cells x files, aggregates, tables
     assert trees["2"] == trees["1"]
 
 
@@ -168,9 +189,10 @@ def test_run_cells_runs_a_repeated_cell_once(tmp_path, monkeypatch):
     cell = sweep.CellSpec(scenario_preset("e-health"), "genio", "", 220_000.0, 1, 5.0,
                           "trade-off", "poisson", DEFAULT_CALIBRATION, str(tmp_path))
     calls = []
-    monkeypatch.setattr(sweep, "run_cell", lambda c: calls.append(c) or c.seed)
+    monkeypatch.setattr(sweep, "run_cell",
+                        lambda c, *, tasks_csv: calls.append((c, tasks_csv)) or c.seed)
     assert sweep.run_cells([cell, cell], jobs=2) == [1, 1]
-    assert calls == [cell]
+    assert calls == [(cell, False)]
 
 
 def test_config_file_experiment(tmp_path):

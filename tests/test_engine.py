@@ -1,5 +1,6 @@
 """Event queue ordering, clock discipline, and seeded stream behavior."""
 
+import hashlib
 import random
 
 import pytest
@@ -130,5 +131,6 @@ def test_event_payload_kinds_are_closed():
 def test_trace_line_format_and_hash():
     ev = Event(1.5, 3, EventKind.TASK_ARRIVAL, ("task=t0", "src=n0000-dev"))
     assert ev.trace_line() == "1.5\t3\tTaskArrival\ttask=t0 src=n0000-dev"
-    assert hash_trace([ev.trace_line()]) == hash_trace([ev.trace_line()])
-    assert hash_trace([ev.trace_line()]) != hash_trace([])
+    text = ev.trace_line() + "\n"
+    assert hash_trace(text) == hashlib.sha256(text.encode()).hexdigest()
+    assert hash_trace(text) != hash_trace("")

@@ -81,6 +81,30 @@ def test_route_unknown_node():
         route_between(topo, "n0000-dev", "nowhere")
 
 
+def test_route_unreachable_node():
+    topo = topology_preset("genio", scenario_preset("e-health"), 220_000)
+    cut = type(topo)(preset="genio", nodes=topo.nodes, links=topo.links[:-1])
+    for src, dst in (("n0000-dev", "n0022-cloud"), ("n0022-cloud", "n0000-dev")):
+        with pytest.raises(ConfigurationError, match="no path"):
+            route_between(cut, src, dst)
+
+
+def test_route_is_the_tree_path_between_any_two_nodes():
+    topo = topology_preset("baseline", scenario_preset("e-health"), 220_000)
+    links = {link.id: link for link in topo.links}
+    ids = [node.id for node in topo.nodes]
+    for src in ids:
+        for dst in ids:
+            route = route_between(topo, src, dst)
+            at = src
+            for hop in route:
+                link = links[hop.link_id]
+                assert hop.head == at and {hop.head, hop.tail} == {link.a, link.b}
+                at = hop.tail
+            assert at == dst
+            assert len({hop.link_id for hop in route}) == len(route)  # no link twice
+
+
 def drive_pool(bandwidth_bps, transfers, hop_const=0.0):
     """Tiny event loop around FairSharePool: the kernel's serialization logic.
 

@@ -57,18 +57,20 @@ def test_records_identical_across_repeats():
 
 def test_trace_lines_shape():
     result = run_simulation(single_task_params(), collect_trace=True)
-    kinds = [line.split("\t")[2] for line in result.trace_lines]
+    assert result.trace_text.endswith("\n")
+    lines = result.trace_text.splitlines()
+    kinds = [line.split("\t")[2] for line in lines]
     assert kinds[0] == "TaskArrival"
     assert kinds[-1] == "SimulationEnd"
     assert set(kinds) <= {
         "TaskArrival", "TransferComplete", "ExecutionStart",
         "ExecutionComplete", "ResultDelivered", "SimulationEnd",
     }
-    times = [float(line.split("\t")[0]) for line in result.trace_lines]
+    times = [float(line.split("\t")[0]) for line in lines]
     assert times == sorted(times)
     # one line per domain event for a delivered task: arrival, two transfer
     # legs, exec start/complete, delivery, then the end marker
-    assert len(result.trace_lines) == 7
+    assert len(lines) == 7
 
 
 def test_conservation_and_decomposition_hold():
