@@ -6,7 +6,8 @@ from dataclasses import replace
 import pytest
 
 from ponedge._kernel import available_backends
-from ponedge._kernel.pykernel import PH_DELIVERED, PH_DOWN, PH_QUEUED, PH_RUNNING, PH_UP
+from ponedge._kernel.pykernel import (PH_DELIVERED, PH_DOWN, PH_NO_PLACEMENT, PH_QUEUED,
+                                      PH_RUNNING, PH_UP)
 from ponedge.config import DEFAULT_CALIBRATION
 from ponedge.simulation import RunParams, run_simulation
 from ponedge.workload import scenario_preset
@@ -47,12 +48,43 @@ GOLDEN = {
                25214, 2023, 2006, 1.0300526330181692, 1.4886102252801336,
                {PH_UP: 6, PH_QUEUED: 9, PH_RUNNING: 1, PH_DOWN: 1, PH_DELIVERED: 2006}),
 }
-# round-robin placement, fixed arrivals and a control-plane delay on the WAN case
-VARIANT = dict(strategy="round-robin", arrivals="fixed",
-               calibration=replace(DEFAULT_CALIBRATION, control_plane_delay_s=0.002))
-VARIANT_GOLDEN = ("6dcae3ad1d18ad1ecbba9461d60684d514ec5245aabe9f45eaec65da58fbeaba",
-                  29944, 2000, 1995, 0.3262741266745424, 0.4564965839815418,
-                  {PH_UP: 5, PH_DELIVERED: 1995})
+# Variants of the cases above, each pinned the same way: round-robin
+# placement, fixed arrivals and a control-plane delay on the WAN case; two
+# edge cores with room for two tasks, so tasks queue per core and some are
+# refused everywhere (27 end unplaced); and round-robin over far-edge ONUs,
+# whose Local-only routes need no transfer, skipping refused edge servers.
+# Recorded on the pure-Python kernel and equal to the compiled kernel's.
+VARIANTS = {
+    "aigc-baseline-700000-variant": (
+        CASES[4],
+        dict(strategy="round-robin", arrivals="fixed",
+             calibration=replace(DEFAULT_CALIBRATION, control_plane_delay_s=0.002)),
+        ("6dcae3ad1d18ad1ecbba9461d60684d514ec5245aabe9f45eaec65da58fbeaba",
+         29944, 2000, 1995, 0.3262741266745424, 0.4564965839815418,
+         {PH_UP: 5, PH_DELIVERED: 1995})),
+    "smart-building-baseline-440000-two-cores-small-ram": (
+        CASES[3],
+        dict(calibration=replace(DEFAULT_CALIBRATION, edge_cores=2, edge_ram_mb=2.0)),
+        ("24e1302cee5458dfc6455436916f2173732bc37624778dff30046645867c3c03",
+         29346, 2341, 2311, 0.06589177509805753, 0.07850507118045869,
+         {PH_RUNNING: 1, PH_DOWN: 2, PH_DELIVERED: 2311, PH_NO_PLACEMENT: 27})),
+    "aigc-genio-700000-round-robin-far-edge-small-ram": (
+        ("aigc", "genio", 700_000.0),
+        dict(strategy="round-robin",
+             calibration=replace(DEFAULT_CALIBRATION, far_edge_execution=True,
+                                 edge_ram_mb=2.0)),
+        ("ccd45265a73c6d4f52711e3426e6c86d4d2947ca7c47d519fb408bfabc11e327",
+         14567, 2023, 688, 41.33525956493809, 82.90581605991389,
+         {PH_UP: 2, PH_QUEUED: 1282, PH_RUNNING: 51, PH_DELIVERED: 688})),
+}
+RUNS = [(case, {}, GOLDEN[case]) for case in CASES] + list(VARIANTS.values())
+RUN_IDS = [f"{s}-{t}-{m:g}" for s, t, m in CASES] + list(VARIANTS)
+
+
+def _params(case, extra):
+    scenario, topology, mips = case
+    return RunParams(scenario=scenario_preset(scenario), topology=topology,
+                     cpu_mips=mips, seed=5, duration_s=120.0, **extra)
 
 
 def _golden_view(result):
@@ -62,23 +94,16 @@ def _golden_view(result):
             dict(Counter(result.outputs.final_phase)))
 
 
-@pytest.mark.parametrize(
-    "case,extra,expected",
-    [(case, {}, GOLDEN[case]) for case in CASES] + [(CASES[4], VARIANT, VARIANT_GOLDEN)],
-    ids=[f"{s}-{t}-{m:g}" for s, t, m in CASES] + ["aigc-baseline-700000-variant"])
+@pytest.mark.parametrize("case,extra,expected", RUNS, ids=RUN_IDS)
 def test_python_kernel_matches_golden(case, extra, expected):
-    scenario, topology, mips = case
-    params = RunParams(scenario=scenario_preset(scenario), topology=topology,
-                       cpu_mips=mips, seed=5, duration_s=120.0, **extra)
-    result = run_simulation(params, backend="python", collect_trace=True)
+    result = run_simulation(_params(case, extra), backend="python", collect_trace=True)
     assert _golden_view(result) == expected
 
 
 @needs_cython
-@pytest.mark.parametrize("scenario,topology,mips", CASES)
-def test_backends_bit_identical(scenario, topology, mips):
-    params = RunParams(scenario=scenario_preset(scenario), topology=topology,
-                       cpu_mips=mips, seed=5, duration_s=120.0)
+@pytest.mark.parametrize("case,extra,expected", RUNS, ids=RUN_IDS)
+def test_backends_bit_identical(case, extra, expected):
+    params = _params(case, extra)
     py = run_simulation(params, backend="python", collect_trace=True)
     cy = run_simulation(params, backend="cython", collect_trace=True)
     assert py.trace_hash == cy.trace_hash
