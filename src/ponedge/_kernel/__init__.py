@@ -33,7 +33,8 @@ def resolve_backend(name: str | None = "auto") -> str:
     return name
 
 
-def run(inputs: KernelInputs, node_specs, backend: str | None = "auto") -> KernelOutputs:
+def run(inputs: KernelInputs, node_specs=None, backend: str | None = "auto") -> KernelOutputs:
+    """Run one simulation; `node_specs` is ignored, the inputs carry every node constant."""
     if resolve_backend(backend) == "cython":
         return _ckernel.run(inputs)
-    return pykernel.run(inputs, node_specs)
+    return pykernel.run(inputs)

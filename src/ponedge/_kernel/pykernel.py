@@ -17,6 +17,17 @@ falls within the horizon, and sorts the trace once at the end, which is
 the processing order because (time, seq) is unique. Any change to the
 semantics here must be made there too, or the two backends stop being
 bit-identical.
+
+Like the twin's C arrays, all run state lives in lists local to `run`: per
+link direction, the fair-share members in join order, their bits left as of
+the last update and the live serialization-end event; per node, the free-at
+time of each core, the tasks queued or running and the free RAM and
+storage, decremented on placement and restored when execution ends. One
+known difference: drained bits are clamped at zero here. A join processed
+at the same float time as a member's serialization end can drain that
+member a rounding error below zero; the twin then schedules the member's
+end one ulp before the clock and processes it, which this module would
+reject as an event in the past.
 """
 
 from __future__ import annotations
@@ -24,9 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from ..compute import NodeState
 from ..engine import SimulationError
-from ..network import FairSharePool
 
 # internal event codes
 EV_ARRIVAL = 0
@@ -108,7 +117,25 @@ def _past(time: float, now: float) -> SimulationError:
     return SimulationError(f"scheduled event at t={time!r} in the past (clock={now!r})")
 
 
-def run(inputs: KernelInputs, node_specs) -> KernelOutputs:
+def _drain(bits_left: list[float], rate: float, elapsed: float) -> list[float]:
+    """Bits each member has left after `elapsed` seconds at `rate`, clamped at 0."""
+    drained = rate * elapsed
+    return [bits - drained if bits > drained else 0.0 for bits in bits_left]
+
+
+def _next_completion(bits_left: list[float], rate: float, now: float) -> tuple[float, int]:
+    """(eta, rank) of the member whose serialization ends first.
+
+    The minimum is taken over computed etas, not over remaining bits: rounding
+    can tie two etas whose remaining bits differ, and the tie goes to the
+    earliest joiner.
+    """
+    etas = [now + bits / rate for bits in bits_left]
+    eta = min(etas)
+    return eta, etas.index(eta)
+
+
+def run(inputs: KernelInputs) -> KernelOutputs:
     """One single-threaded deterministic run: a flat loop over a (time, seq) heap.
 
     Heap entries are (time, seq, code, arg); arg is the task, or the hop code
@@ -129,7 +156,6 @@ def run(inputs: KernelInputs, node_specs) -> KernelOutputs:
     duration_s = inp.duration_s
     request_bits = inp.request_bits
     result_bits = inp.result_bits
-    link_hop_delay = inp.link_hop_delay
     candidates = inp.candidate_nodes
     n_candidates = len(candidates)
     trade_off = inp.strategy == STRATEGY_TRADE_OFF
@@ -140,11 +166,21 @@ def run(inputs: KernelInputs, node_specs) -> KernelOutputs:
     # the downlink walks the uplink route backwards with flipped direction
     down_hops = [[code ^ 1 for code in reversed(route)] for route in up_hops]
 
-    pools = [FairSharePool(inp.link_bandwidth[code >> 1])
-             for code in range(2 * len(inp.link_bandwidth))]
-    pending_seq = [-1] * len(pools)  # seq of each link direction's live EV_SER_END
-    pending_task = [-1] * len(pools)
-    nodes = [NodeState(spec) for spec in node_specs]
+    # link directions (hop code = link * 2 + direction): fair-share members in
+    # join order, their bits left as of last_update, and the live EV_SER_END
+    n_dirs = 2 * len(inp.link_bandwidth)
+    bandwidth = [inp.link_bandwidth[code >> 1] for code in range(n_dirs)]
+    hop_delay = [inp.link_hop_delay[code >> 1] for code in range(n_dirs)]
+    members: list[list[int]] = [[] for _ in range(n_dirs)]
+    bits_left: list[list[float]] = [[] for _ in range(n_dirs)]
+    last_update = [0.0] * n_dirs
+    pending_seq = [-1] * n_dirs
+    pending_task = [-1] * n_dirs
+    # nodes: per-core FIFO free-at times, tasks queued or running, free capacity
+    core_free_at = [[0.0] * cores for cores in inp.cores]
+    queued = [0] * len(inp.cores)
+    free_ram = list(inp.ram_capacity)
+    free_storage = list(inp.storage_capacity)
     trace: list | None = [] if inp.collect_trace else None
 
     t_node = [-1] * n_tasks
@@ -170,24 +206,39 @@ def run(inputs: KernelInputs, node_specs) -> KernelOutputs:
     rr_next = 0
     processed = 0
 
-    while heap and heap[0][0] <= duration_s:
+    while heap:
         now, ev_seq, code, task = heappop(heap)
+        if now > duration_s:
+            break  # every event left lies beyond the horizon
         join = -1  # hop code the task joins as this handler's last step
         if code == EV_SER_END:
             hop = task
             if ev_seq != pending_seq[hop]:
                 continue  # superseded by a later share recomputation
             task = pending_task[hop]
-            nxt = pools[hop].leave(now, task)
-            if nxt is not None:
-                token, eta, rank, count = nxt
+            tokens = members[hop]
+            if len(tokens) == 1:  # the link goes idle: nothing left to drain
+                tokens.pop()
+                bits_left[hop].pop()
+                last_update[hop] = now
+            else:
+                left = bits_left[hop]
+                elapsed = now - last_update[hop]
+                if elapsed > 0.0:
+                    left = bits_left[hop] = _drain(left, bandwidth[hop] / len(tokens), elapsed)
+                last_update[hop] = now
+                rank = tokens.index(task)
+                del tokens[rank]
+                del left[rank]
+                count = len(tokens)
+                eta, rank = _next_completion(left, bandwidth[hop] / count, now)
                 if eta < now:
                     raise _past(eta, now)
                 pending_seq[hop] = seq + rank
-                pending_task[hop] = token
+                pending_task[hop] = tokens[rank]
                 heappush(heap, (eta, seq + rank, EV_SER_END, hop))
                 seq += count
-            arrive = now + link_hop_delay[hop >> 1]
+            arrive = now + hop_delay[hop]
             if arrive < now:
                 raise _past(arrive, now)
             heappush(heap, (arrive, seq, EV_HOP_ARRIVE, task))
@@ -203,7 +254,13 @@ def run(inputs: KernelInputs, node_specs) -> KernelOutputs:
                 if trace is not None:
                     trace.append((now, ev_seq, TR_TRANSFER_COMPLETE, task, 0))
                 node = t_node[task]
-                start, end = nodes[node].submit(length_mi, now)
+                # the core that frees up earliest, ties to the lowest index
+                free = core_free_at[node]
+                free_at = min(free)
+                start = now if now > free_at else free_at
+                end = start + length_mi / mips_per_core[node]
+                free[free.index(free_at)] = end
+                queued[node] += 1
                 exec_start[task] = start
                 exec_end[task] = end
                 if start <= duration_s:  # the execution start falls within the horizon
@@ -227,9 +284,9 @@ def run(inputs: KernelInputs, node_specs) -> KernelOutputs:
                 seq += 1
         elif code == EV_EXEC_END:
             node = t_node[task]
-            state = nodes[node]
-            state.complete()
-            state.release(task_ram_mb, task_storage_mb)
+            queued[node] -= 1
+            free_ram[node] += task_ram_mb
+            free_storage[node] += task_storage_mb
             if trace is not None:
                 trace.append((now, ev_seq, TR_EXECUTION_COMPLETE, task, node))
             t_phase[task] = PH_DOWN
@@ -251,36 +308,33 @@ def run(inputs: KernelInputs, node_specs) -> KernelOutputs:
                 heappush(heap, (arrival_time[next_arrival], seq, EV_ARRIVAL, next_arrival))
                 seq += 1
                 next_arrival += 1
-            # placement: trade-off argmin (ties to the lowest slot) or round-robin
+            # placement among the nodes with room for the task's footprint:
+            # trade-off argmin (ties to the lowest slot) or round-robin
             chosen_slot = -1
             if trade_off:
                 best_score = 0.0
-                for slot in range(n_candidates):
-                    node = candidates[slot]
-                    state = nodes[node]
-                    if state.admit(task_ram_mb, task_storage_mb) is not None:
+                for slot, node in enumerate(candidates):
+                    if task_ram_mb > free_ram[node] or task_storage_mb > free_storage[node]:
                         continue
-                    score = (
-                        (state.queued_and_running + 1)
-                        * weights[node]
-                        * length_mi
-                        / mips_per_core[node]
-                    )
+                    score = (queued[node] + 1) * weights[node] * length_mi / mips_per_core[node]
                     if chosen_slot < 0 or score < best_score:
                         chosen_slot = slot
                         best_score = score
             else:
                 for step in range(n_candidates):
                     slot = (rr_next + step) % n_candidates
-                    if nodes[candidates[slot]].admit(task_ram_mb, task_storage_mb) is None:
-                        chosen_slot = slot
-                        rr_next = (slot + 1) % n_candidates
-                        break
+                    node = candidates[slot]
+                    if task_ram_mb > free_ram[node] or task_storage_mb > free_storage[node]:
+                        continue
+                    chosen_slot = slot
+                    rr_next = (slot + 1) % n_candidates
+                    break
             if chosen_slot < 0:
                 t_phase[task] = PH_NO_PLACEMENT
             else:
                 node = candidates[chosen_slot]
-                nodes[node].reserve(task_ram_mb, task_storage_mb)
+                free_ram[node] -= task_ram_mb
+                free_storage[node] -= task_storage_mb
                 t_node[task] = node
                 route_id = t_route[task] = up_route[device][chosen_slot]
                 path = t_path[task] = up_hops[route_id]
@@ -298,11 +352,31 @@ def run(inputs: KernelInputs, node_specs) -> KernelOutputs:
             trace.append((now, ev_seq, TR_SIMULATION_END, task, -1))
         if join >= 0:
             bits = request_bits if t_phase[task] == PH_UP else result_bits
-            token, eta, rank, count = pools[join].join(now, task, bits)
+            tokens = members[join]
+            if not tokens:  # an idle link: the transfer gets the whole bandwidth
+                tokens.append(task)
+                bits_left[join].append(bits)
+                last_update[join] = now
+                eta = now + bits / bandwidth[join]
+                rank = 0
+                count = 1
+            else:
+                if task in tokens:
+                    raise SimulationError(f"transfer token {task} already on link")
+                count = len(tokens)
+                left = bits_left[join]
+                elapsed = now - last_update[join]
+                if elapsed > 0.0:
+                    left = bits_left[join] = _drain(left, bandwidth[join] / count, elapsed)
+                last_update[join] = now
+                tokens.append(task)
+                left.append(bits)
+                count += 1
+                eta, rank = _next_completion(left, bandwidth[join] / count, now)
             if eta < now:
                 raise _past(eta, now)
             pending_seq[join] = seq + rank
-            pending_task[join] = token
+            pending_task[join] = tokens[rank]
             heappush(heap, (eta, seq + rank, EV_SER_END, join))
             seq += count
         processed += 1

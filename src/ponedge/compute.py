@@ -1,4 +1,7 @@
-"""Node compute model: MIPS-rated execution, per-core FIFO queues, admission."""
+"""Node descriptions: layer, MIPS rating, cores and capacity.
+
+Execution, per-core FIFO queueing and admission run in the kernel.
+"""
 
 from __future__ import annotations
 
@@ -38,52 +41,3 @@ class NodeSpec:
     @property
     def mips_per_core(self) -> float:
         return self.mips / self.cores
-
-
-class NodeState:
-    """Runtime queues and accounting for one compute node.
-
-    Non-preemptive FIFO per core; an incoming task goes to the core that
-    frees up earliest (ties to the lowest core index), so execution time is
-    always exactly length / mips_per_core.
-    """
-
-    def __init__(self, spec: NodeSpec):
-        self.spec = spec
-        self.core_free_at = [0.0] * spec.cores
-        self.queued_and_running = 0
-        self.reserved_ram_mb = 0.0
-        self.reserved_storage_mb = 0.0
-
-    def admit(self, ram_mb: float, storage_mb: float) -> str | None:
-        """None when the footprint fits the remaining capacity, else the reason."""
-        if ram_mb > self.spec.ram_mb - self.reserved_ram_mb:
-            return "ram"
-        if storage_mb > self.spec.storage_mb - self.reserved_storage_mb:
-            return "storage"
-        return None
-
-    def reserve(self, ram_mb: float, storage_mb: float) -> None:
-        self.reserved_ram_mb += ram_mb
-        self.reserved_storage_mb += storage_mb
-
-    def release(self, ram_mb: float, storage_mb: float) -> None:
-        self.reserved_ram_mb -= ram_mb
-        self.reserved_storage_mb -= storage_mb
-
-    def submit(self, length_mi: float, now: float) -> tuple[float, float]:
-        """Queue a task; returns (exec_start, exec_end)."""
-        core = 0
-        free_at = self.core_free_at[0]
-        for idx in range(1, len(self.core_free_at)):
-            if self.core_free_at[idx] < free_at:
-                core = idx
-                free_at = self.core_free_at[idx]
-        exec_start = now if now > free_at else free_at
-        exec_end = exec_start + length_mi / self.spec.mips_per_core
-        self.core_free_at[core] = exec_end
-        self.queued_and_running += 1
-        return exec_start, exec_end
-
-    def complete(self) -> None:
-        self.queued_and_running -= 1

@@ -1,12 +1,10 @@
-"""Typed link model, tree-topology routing, and fair-share transfer math."""
+"""Typed link model, tree-topology routing, and a fluid oracle for fair-share links."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from enum import Enum
-
-from .engine import SimulationError
 
 # Speed of light in fiber (refractive index ~1.5): 100 m ~ 0.5 us, 50 km ~ 0.25 ms.
 PROPAGATION_SPEED_M_S = 2.0e8
@@ -97,76 +95,13 @@ def route_between(topology, src: str, dst: str) -> tuple[Hop, ...]:
     return tuple(up + down)
 
 
-class FairSharePool:
-    """Equal-share serialization on one link direction.
-
-    Concurrent transfers each get bandwidth/N; shares are recomputed whenever
-    a transfer joins or finishes. join/leave return only the next completion,
-    as (token, eta, rank, count): the member whose serialization ends first
-    (ties to the earliest joiner), its position in join order, and the member
-    count. A caller that numbers one event per member can thus consume
-    `count` sequence numbers and keep a single pending event at `rank`.
-    """
-
-    def __init__(self, bandwidth_bps: float):
-        self.bandwidth_bps = bandwidth_bps
-        self.tokens: list[int] = []  # members in join order
-        self.remaining: list[float] = []  # bits left, index-aligned with tokens
-        self.last_update = 0.0
-
-    def _advance(self, now: float) -> None:
-        if self.remaining:
-            rate = self.bandwidth_bps / len(self.remaining)
-            elapsed = now - self.last_update
-            if elapsed > 0.0:
-                drained = rate * elapsed
-                self.remaining = [remaining - drained for remaining in self.remaining]
-        self.last_update = now
-
-    def _next_completion(self, now: float) -> tuple[int, float, int, int]:
-        count = len(self.remaining)
-        rate = self.bandwidth_bps / count
-        if count == 1:
-            return self.tokens[0], now + self.remaining[0] / rate, 0, 1
-        # the minimum over computed etas, not over remaining bits: rounding can
-        # tie two etas whose remaining bits differ, and the tie goes to rank
-        etas = [now + remaining / rate for remaining in self.remaining]
-        eta = min(etas)
-        rank = etas.index(eta)
-        return self.tokens[rank], eta, rank, count
-
-    def join(self, now: float, token: int, size_bits: float) -> tuple[int, float, int, int]:
-        if not self.tokens:  # an idle link: the transfer gets the whole bandwidth
-            self.tokens.append(token)
-            self.remaining.append(size_bits)
-            self.last_update = now
-            return token, now + size_bits / self.bandwidth_bps, 0, 1
-        if token in self.tokens:
-            raise SimulationError(f"transfer token {token} already on link")
-        self._advance(now)
-        self.tokens.append(token)
-        self.remaining.append(size_bits)
-        return self._next_completion(now)
-
-    def leave(self, now: float, token: int) -> tuple[int, float, int, int] | None:
-        """Next completion after `token` finishes; None when the link goes idle."""
-        rank = self.tokens.index(token)
-        if len(self.tokens) == 1:  # the link goes idle: nothing left to drain
-            self.last_update = now
-        else:
-            self._advance(now)
-        del self.tokens[rank]
-        del self.remaining[rank]
-        return self._next_completion(now) if self.tokens else None
-
-
 def transfer_schedule(bandwidth_bps: float, transfers: list[tuple[float, float]]) -> list[float]:
     """Independent fluid oracle for fair sharing on one link direction.
 
     Takes (start_time, size_bits) per transfer and integrates the
     processor-sharing fluid model over the piecewise-constant rate intervals,
-    without any event queue. Used by tests to cross-check the event-driven
-    path; keep it free of FairSharePool internals.
+    without any event queue. Used by tests to cross-check the kernel's
+    event-driven links; keep it free of the kernel's internals.
     """
     remaining = [math.inf] * len(transfers)
     done = [math.inf] * len(transfers)

@@ -75,23 +75,6 @@ def eligible_nodes(preset: ArchitecturePreset, node_specs) -> list[str]:
     return sorted(spec.id for spec in node_specs if spec.layer in preset.eligible_layers)
 
 
-def candidates(preset: ArchitecturePreset, states: dict, ram_mb: float,
-               storage_mb: float) -> list[str]:
-    """Admissible nodes of the eligible layers, in node-id order.
-
-    `states` maps node id to its runtime NodeState; admission checks the
-    task's declared footprint against the remaining capacity.
-    """
-    out = []
-    for node_id in sorted(states):
-        state = states[node_id]
-        if state.spec.layer not in preset.eligible_layers:
-            continue
-        if state.admit(ram_mb, storage_mb) is None:
-            out.append(node_id)
-    return out
-
-
 def trade_off_score(view: CandidateView, length_mi: float) -> float:
     return (view.queued_and_running + 1) * view.layer_weight * length_mi / view.mips_per_core
 

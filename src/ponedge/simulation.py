@@ -168,17 +168,26 @@ def _build_records(params: RunParams, topo: TopologySpec,
 
 
 def assert_run_invariants(generated_at: list[float], out: pykernel.KernelOutputs,
-                          summary: RunSummary) -> None:
-    """Conservation and latency-decomposition identities, checked on every run."""
-    if summary.tasks_generated != summary.tasks_delivered + summary.tasks_unfinished:
-        raise SimulationError(
-            f"conservation violated: {summary.tasks_generated} generated != "
-            f"{summary.tasks_delivered} delivered + {summary.tasks_unfinished} unfinished"
-        )
-    for task, (created, uplink, start, end, delivered) in enumerate(zip(
-            generated_at, out.uplink_done, out.exec_start, out.exec_end, out.delivered_at)):
-        if math.isnan(delivered):
+                          duration_s: float, n_nodes: int) -> list[float]:
+    """Check a run's identities in one walk over its task columns.
+
+    Conservation: every task is delivered or unfinished, and a task has a
+    delivery time exactly when its final phase is delivered. Every delivered
+    task's latency decomposes into its stages, whose timestamps are in order.
+    Returns each node's busy core-time over the horizon, clipped at the
+    cutoff and summed in task order.
+    """
+    busy = [0.0] * n_nodes
+    delivered_count = 0
+    for task, (node, created, uplink, start, end, delivered) in enumerate(zip(
+            out.node_of, generated_at, out.uplink_done, out.exec_start, out.exec_end,
+            out.delivered_at)):
+        if start == start:  # not NaN: the task reached a core
+            busy[node] += ((end if end < duration_s else duration_s)
+                           - (start if start < duration_s else duration_s))
+        if delivered != delivered:  # NaN: not delivered
             continue
+        delivered_count += 1
         latency = delivered - created
         parts = (
             (uplink - created)
@@ -193,18 +202,19 @@ def assert_run_invariants(generated_at: list[float], out: pykernel.KernelOutputs
             )
         if not (created <= uplink <= start <= end <= delivered):
             raise SimulationError(f"lifecycle timestamps out of order for task {task}")
+    generated = len(generated_at)
+    unfinished = generated - out.final_phase.count(pykernel.PH_DELIVERED)
+    if generated != delivered_count + unfinished:
+        raise SimulationError(
+            f"conservation violated: {generated} generated != "
+            f"{delivered_count} delivered + {unfinished} unfinished"
+        )
+    return busy
 
 
-def node_utilization(topo: TopologySpec, out: pykernel.KernelOutputs,
+def node_utilization(topo: TopologySpec, busy: list[float],
                      duration_s: float) -> tuple[tuple[str, float], ...]:
-    """Busy core-time per node over the horizon, clipped at the cutoff."""
-    busy = [0.0] * len(topo.nodes)
-    for i, node in enumerate(out.node_of):
-        if node < 0 or math.isnan(out.exec_start[i]):
-            continue
-        start = min(out.exec_start[i], duration_s)
-        end = min(out.exec_end[i], duration_s)
-        busy[node] += end - start
+    """Busy core-time per node as a share of its core-time over the horizon."""
     return tuple(
         (node.id, busy[idx] / (node.cores * duration_s))
         for idx, node in enumerate(topo.nodes)
@@ -252,6 +262,7 @@ def run_simulation(params: RunParams, backend: str | None = "auto",
                            params.calibration)
     inputs = build_kernel_inputs(params, topo, collect_trace)
     out = _kernel.run(inputs, topo.nodes, backend=backend)
+    busy = assert_run_invariants(inputs.arrival_time, out, params.duration_s, len(topo.nodes))
     summary = summarize(
         inputs.arrival_time,
         out.delivered_at,
@@ -262,9 +273,8 @@ def run_simulation(params: RunParams, backend: str | None = "auto",
         mips=params.cpu_mips,
         seed=params.seed,
         strict_deadline=params.calibration.strict_deadline_tsr,
-        node_utilization=node_utilization(topo, out, params.duration_s),
+        node_utilization=node_utilization(topo, busy, params.duration_s),
     )
-    assert_run_invariants(inputs.arrival_time, out, summary)
     result = RunResult(params=params, topology=topo, inputs=inputs, outputs=out,
                        summary=summary)
     if collect_trace:

@@ -1,0 +1,24 @@
+"""Hand-built inputs for tests that drive the pure-Python kernel directly."""
+
+from ponedge._kernel.pykernel import STRATEGY_TRADE_OFF, KernelInputs
+
+
+def kernel_inputs(**fields) -> KernelInputs:
+    """One device and one idle single-core node, reached without a link.
+
+    Any KernelInputs field can be overridden; every arrival comes from
+    device 0 unless `arrival_device` is given.
+    """
+    values = dict(
+        mips_per_core=[1e9], cores=[1], weight=[1.0], ram_capacity=[32_768.0],
+        storage_capacity=[1_048_576.0], candidate_nodes=[0],
+        link_bandwidth=[], link_hop_delay=[], route_hops=[[]], up_route=[[0]],
+        arrival_time=[], arrival_device=None, length_mi=1.0, request_bits=0.0,
+        result_bits=0.0, task_ram_mb=1.0, task_storage_mb=100.0,
+        strategy=STRATEGY_TRADE_OFF, control_delay_s=0.0, duration_s=1e3,
+        collect_trace=False,
+    )
+    values.update(fields)
+    if values["arrival_device"] is None:
+        values["arrival_device"] = [0] * len(values["arrival_time"])
+    return KernelInputs(**values)

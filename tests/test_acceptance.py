@@ -78,7 +78,7 @@ def test_c1_single_task_analytic_oracle():
 def test_c2_fair_share_oracle():
     bits = 5000.0 * BITS_PER_KB
     propagation = 100.0 / 2.0e8
-    done = drive_pool(1e9, [(0.0, bits), (0.0, bits)], hop_const=propagation)
+    done = drive_pool(1e9, [0.0, 0.0], bits, hop_const=propagation)
     expected = 2 * 0.04 + propagation
     ok = all(math.isclose(v, expected, rel_tol=1e-9) for v in done)
     report("C2 fair-share-oracle", ok,

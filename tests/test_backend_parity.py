@@ -53,7 +53,8 @@ GOLDEN = {
 # edge cores with room for two tasks, so tasks queue per core and some are
 # refused everywhere (27 end unplaced); and round-robin over far-edge ONUs,
 # whose Local-only routes need no transfer, skipping refused edge servers.
-# Recorded on the pure-Python kernel and equal to the compiled kernel's.
+# All are equal on both kernels; the fractional-footprint one was recorded on
+# the compiled kernel, the others on the pure-Python kernel.
 VARIANTS = {
     "aigc-baseline-700000-variant": (
         CASES[4],
@@ -76,6 +77,14 @@ VARIANTS = {
         ("ccd45265a73c6d4f52711e3426e6c86d4d2947ca7c47d519fb408bfabc11e327",
          14567, 2023, 688, 41.33525956493809, 82.90581605991389,
          {PH_UP: 2, PH_QUEUED: 1282, PH_RUNNING: 51, PH_DELIVERED: 688})),
+    # fractional footprints: room for five 0.1 MB tasks on the edge server,
+    # whose free capacity is decremented on each placement
+    "aigc-baseline-700000-fractional-footprint": (
+        CASES[4],
+        dict(calibration=replace(DEFAULT_CALIBRATION, task_ram_mb=0.1, edge_ram_mb=0.5)),
+        ("37b5955142fb1d58d75f4fac97fe9e35991120d6621ca343c2e1c181a043a482",
+         25500, 2023, 1970, 0.3398144330931947, 0.4883358072374193,
+         {PH_UP: 6, PH_RUNNING: 1, PH_DELIVERED: 1970, PH_NO_PLACEMENT: 46})),
 }
 RUNS = [(case, {}, GOLDEN[case]) for case in CASES] + list(VARIANTS.values())
 RUN_IDS = [f"{s}-{t}-{m:g}" for s, t, m in CASES] + list(VARIANTS)

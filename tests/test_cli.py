@@ -211,6 +211,17 @@ def test_config_file_experiment(tmp_path):
     assert summary.seed == 4
 
 
+def test_run_multi_core_edge_completes(tmp_path):
+    # a join at the same time as a member's serialization end used to drain
+    # that member below zero bits and abort the run at t=33.023 s
+    config = tmp_path / "exp.json"
+    config.write_text(json.dumps({
+        "scenario": "aigc", "topology": "baseline", "cpus": [800000],
+        "seeds": [123457], "duration": 60, "calibration": {"edge_cores": 3},
+    }))
+    assert main(["run", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 0
+
+
 def test_config_file_unknown_key_exits_2(tmp_path, capsys):
     config = tmp_path / "exp.json"
     config.write_text('{"scenario": "e-health", "speeed": 1}')

@@ -1,16 +1,17 @@
 """Link math, routing, and the fair-share transfer model against a fluid oracle."""
 
-import heapq
 import random
 
 import pytest
 
+from ponedge._kernel import pykernel
+from ponedge._kernel.pykernel import STRATEGY_ROUND_ROBIN
 from ponedge.config import topology_preset
-from ponedge.engine import SimulationError
-from ponedge.network import (BITS_PER_KB, ConfigurationError, FairSharePool,
-                             LinkKind, LinkSpec, route_between, single_transfer_time,
-                             transfer_schedule)
+from ponedge.network import (BITS_PER_KB, ConfigurationError, LinkKind, LinkSpec,
+                             route_between, single_transfer_time, transfer_schedule)
 from ponedge.workload import scenario_preset
+
+from kernel_inputs import kernel_inputs
 
 FIBER = LinkSpec(LinkKind.FIBER, 1e9, 100.0, 0.0)
 WAN_50KM = LinkSpec(LinkKind.WAN, 1e9, 50_000.0, 10e-3)
@@ -105,52 +106,35 @@ def test_route_is_the_tree_path_between_any_two_nodes():
             assert len({hop.link_id for hop in route}) == len(route)  # no link twice
 
 
-def drive_pool(bandwidth_bps, transfers, hop_const=0.0):
-    """Tiny event loop around FairSharePool: the kernel's serialization logic.
+def drive_pool(bandwidth_bps, starts, size_bits, hop_const=0.0):
+    """When each transfer, starting at `starts`, has crossed one shared link.
 
-    Like the kernel, it keeps one pending completion for the link direction,
-    numbered as if every member had been given its own event.
+    Every transfer is a task's uplink over the same link direction in a
+    kernel run; the times are the tasks' `uplink_done`.
     """
-    pool = FairSharePool(bandwidth_bps)
-    heap = []
-    seq = 0
-    pending = -1  # seq of the live completion event
-    done = {}
-
-    def schedule(completion):
-        nonlocal seq, pending
-        if completion is None:
-            return
-        token, eta, rank, count = completion
-        pending = seq + rank
-        heapq.heappush(heap, (eta, pending, "ser-end", token))
-        seq += count
-
-    for idx, (start, _bits) in enumerate(transfers):
-        heapq.heappush(heap, (start, seq, "join", idx))
-        seq += 1
-    while heap:
-        time, ev_seq, kind, token = heapq.heappop(heap)
-        if kind == "join":
-            schedule(pool.join(time, token, transfers[token][1]))
-        elif ev_seq == pending:
-            schedule(pool.leave(time, token))
-            done[token] = time + hop_const
-    return [done[i] for i in range(len(transfers))]
+    order = sorted(range(len(starts)), key=starts.__getitem__)  # arrivals in time order
+    inputs = kernel_inputs(link_bandwidth=[bandwidth_bps], link_hop_delay=[hop_const],
+                           route_hops=[[0]], arrival_time=[starts[i] for i in order],
+                           request_bits=size_bits)
+    uplink_done = pykernel.run(inputs).uplink_done
+    done = [0.0] * len(starts)
+    for rank, task in enumerate(order):
+        done[task] = uplink_done[rank]
+    return done
 
 
 def test_uncontended_transfer_matches_analytic_time():
     size_kb = 321.5
     start = 2.25
     hop_const = WAN_50KM.length_m / 2.0e8 + WAN_50KM.fixed_latency_s
-    (completed,) = drive_pool(1e9, [(start, size_kb * BITS_PER_KB)], hop_const)
+    (completed,) = drive_pool(1e9, [start], size_kb * BITS_PER_KB, hop_const)
     assert abs(completed - (start + single_transfer_time(size_kb, WAN_50KM))) < 1e-12
 
 
 def test_two_simultaneous_transfers_double_serialization():
     bits = 5000.0 * BITS_PER_KB  # 0.04 s alone on 1 Gbps
     prop = 100.0 / 2.0e8
-    done = drive_pool(1e9, [(0.0, bits), (0.0, bits)], hop_const=prop)
+    done = drive_pool(1e9, [0.0, 0.0], bits, hop_const=prop)
     for completion in done:
         assert completion == pytest.approx(2 * 0.04 + prop, rel=1e-9)
 
@@ -158,7 +142,7 @@ def test_two_simultaneous_transfers_double_serialization():
 def test_n_identical_transfers_finish_together():
     bits = 750.0 * BITS_PER_KB
     for n in (2, 3, 7):
-        done = drive_pool(1e9, [(0.0, bits)] * n)
+        done = drive_pool(1e9, [0.0] * n, bits)
         expected = n * bits / 1e9
         for completion in done:
             assert completion == pytest.approx(expected, rel=1e-9)
@@ -168,43 +152,41 @@ def test_staggered_transfers_match_fluid_oracle():
     rng = random.Random(7)
     for _ in range(60):
         n = rng.randint(1, 6)
-        transfers = [
-            (rng.random() * 0.05, (rng.random() * 4000 + 1) * BITS_PER_KB)
-            for _ in range(n)
-        ]
-        got = drive_pool(1e9, transfers)
-        want = transfer_schedule(1e9, transfers)
+        starts = [rng.random() * 0.05 for _ in range(n)]
+        bits = (rng.random() * 4000 + 1) * BITS_PER_KB  # one request size per run
+        got = drive_pool(1e9, starts, bits)
+        want = transfer_schedule(1e9, [(start, bits) for start in starts])
         for g, w in zip(got, want):
             assert g == pytest.approx(w, rel=1e-6)
 
 
 def test_pool_accounting_by_hand():
     # 1 KB alone for 1 us (1000 bits drained), then an equal joiner halves the
-    # rate; when the first leaves, the second must hold exactly the leftovers
-    pool = FairSharePool(1e9)
-    assert pool.join(0.0, 1, 8000.0) == (1, 8e-6, 0, 1)
-    token, eta, rank, count = pool.join(1e-6, 2, 8000.0)
-    assert (token, rank, count) == (1, 0, 2)
-    assert eta == pytest.approx(1e-6 + 7000.0 / 0.5e9, rel=1e-12)
-    assert pool.tokens == [1, 2]
-    assert pool.remaining == [pytest.approx(7000.0, rel=1e-9), 8000.0]
-    token, eta, rank, count = pool.leave(eta, 1)
-    assert (token, rank, count) == (2, 0, 1)
-    assert pool.remaining == [pytest.approx(1000.0, rel=1e-9)]
-    assert eta == pytest.approx(1.6e-5, rel=1e-9)
-    assert pool.leave(eta, 2) is None
+    # rate; the first leaves after its last 7000 bits at 0.5 Gbps, and the
+    # second then holds exactly the 1000 bits left, at the full rate
+    first, second = drive_pool(1e9, [0.0, 1e-6], 8000.0)
+    assert first == pytest.approx(1e-6 + 7000.0 / 0.5e9, rel=1e-12)
+    assert second == pytest.approx(first + 1000.0 / 1e9, rel=1e-9)
+    assert drive_pool(1e9, [0.0], 8000.0) == [8e-6]  # an idle link: bits / bandwidth
 
 
 def test_pool_eta_ties_go_to_the_earliest_joiner():
-    # both etas round to exactly 1.0 although the first joiner has more bits
-    # left, so the minimum must be taken over etas, not over remaining bits
-    pool = FairSharePool(2.0)
-    pool.join(1.0, 7, 2e-17)
-    assert pool.join(1.0, 8, 1e-17) == (7, 1.0, 0, 2)
-
-
-def test_pool_rejects_duplicate_token():
-    pool = FairSharePool(1e9)
-    pool.join(0.0, 1, 8000.0)
-    with pytest.raises(SimulationError):
-        pool.join(0.0, 1, 8000.0)
+    # Link 0 runs at 2 bps. Task 0 crosses it to node 1 (slot 0), executes
+    # there until exactly t=1.0 and sends its 1e-17-bit result back; task 1
+    # arrives at t=1.0, just before that, and sends its 2e-17-bit request the
+    # same way to node 0 (slot 1). The sizes are those of the rounding tie
+    # found by hand for a 2 bps link: sharing it, both etas round to exactly
+    # 1.0 although the earlier joiner has more bits left, so the request must
+    # complete first. A minimum over remaining bits would pick the result.
+    inputs = kernel_inputs(
+        mips_per_core=[1e9, 2.0], cores=[1, 1], weight=[1.0, 1.0],
+        ram_capacity=[1e3, 1e3], storage_capacity=[1e3, 1e3], candidate_nodes=[1, 0],
+        link_bandwidth=[2.0], link_hop_delay=[0.0], route_hops=[[0], [1]],
+        up_route=[[0, 0], [1, 1]], arrival_time=[0.5, 1.0], arrival_device=[0, 1],
+        request_bits=2e-17, result_bits=1e-17, task_ram_mb=0.0, task_storage_mb=0.0,
+        strategy=STRATEGY_ROUND_ROBIN, collect_trace=True)
+    out = pykernel.run(inputs)
+    assert out.exec_end[0] == 1.0 and out.uplink_done[1] == out.delivered_at[0] == 1.0
+    transfers = [(task, leg) for time, _, kind, task, leg in out.trace
+                 if kind == pykernel.TR_TRANSFER_COMPLETE and time == 1.0]
+    assert transfers == [(1, 0), (0, 1)]

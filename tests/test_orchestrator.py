@@ -4,12 +4,15 @@ import random
 
 import pytest
 
-from ponedge.compute import NodeLayer, NodeSpec, NodeState
+from ponedge._kernel import pykernel
+from ponedge._kernel.pykernel import STRATEGY_ROUND_ROBIN
+from ponedge.compute import NodeLayer, NodeSpec
 from ponedge.network import ConfigurationError
 from ponedge.orchestrator import (ArchitecturePreset, CandidateView,
                                   NoPlacementError, RoundRobinSelector,
-                                  architecture_preset, candidates, eligible_nodes,
-                                  trade_off_select)
+                                  architecture_preset, eligible_nodes, trade_off_select)
+
+from kernel_inputs import kernel_inputs
 
 
 def view(node_id, weight, mips, queued=0):
@@ -148,20 +151,32 @@ def test_round_robin_skips_unadmitted_and_continues():
 
 
 def test_candidates_filters_layer_and_admission():
-    states = {
-        spec.id: NodeState(spec)
-        for spec in [
-            NodeSpec("n1-dev", NodeLayer.FAR_EDGE_DEVICE, 5000.0),
-            NodeSpec("n2-onu", NodeLayer.ONU, 5000.0),
-            NodeSpec("n3-edge", NodeLayer.EDGE_SERVER, 220_000.0),
-            NodeSpec("n4-cloud", NodeLayer.CLOUD, 1_000_000.0),
-            NodeSpec("n5-edge", NodeLayer.EDGE_SERVER, 80_000.0, ram_mb=0.5),
-        ]
-    }
-    preset = architecture_preset("genio")
-    assert candidates(preset, states, 1.0, 100.0) == ["n3-edge", "n4-cloud"]
+    # n5-edge scores best but has no room for the 1 MB footprint, so the
+    # kernel places every task on the other eligible nodes
+    specs = [
+        NodeSpec("n1-dev", NodeLayer.FAR_EDGE_DEVICE, 5000.0),
+        NodeSpec("n2-onu", NodeLayer.ONU, 5000.0),
+        NodeSpec("n3-edge", NodeLayer.EDGE_SERVER, 220_000.0),
+        NodeSpec("n4-cloud", NodeLayer.CLOUD, 1_000_000.0),
+        NodeSpec("n5-edge", NodeLayer.EDGE_SERVER, 8_000_000.0, ram_mb=0.5),
+    ]
+    index = {spec.id: idx for idx, spec in enumerate(specs)}
+
+    def placed(preset):
+        candidates = [index[node_id] for node_id in eligible_nodes(preset, specs)]
+        out = pykernel.run(kernel_inputs(
+            mips_per_core=[spec.mips_per_core for spec in specs], cores=[1] * 5,
+            weight=[1.0] * 5, ram_capacity=[spec.ram_mb for spec in specs],
+            storage_capacity=[spec.storage_mb for spec in specs],
+            candidate_nodes=candidates, up_route=[[0] * len(candidates)],
+            arrival_time=[0.0] * 20, length_mi=1000.0, strategy=STRATEGY_ROUND_ROBIN))
+        return {specs[node].id for node in out.node_of}
+
+    assert eligible_nodes(architecture_preset("genio"), specs) == ["n3-edge", "n4-cloud",
+                                                                   "n5-edge"]
+    assert placed(architecture_preset("genio")) == {"n3-edge", "n4-cloud"}
     with_onu = architecture_preset("genio", far_edge_execution=True)
-    assert candidates(with_onu, states, 1.0, 100.0) == ["n2-onu", "n3-edge", "n4-cloud"]
+    assert placed(with_onu) == {"n2-onu", "n3-edge", "n4-cloud"}
 
 
 def test_eligible_nodes_in_id_order():

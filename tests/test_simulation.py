@@ -5,8 +5,11 @@ from dataclasses import replace
 
 import pytest
 
+from ponedge._kernel.pykernel import PH_DOWN
 from ponedge.config import DEFAULT_CALIBRATION, topology_preset
-from ponedge.simulation import RunParams, build_kernel_inputs, run_simulation
+from ponedge.engine import SimulationError
+from ponedge.simulation import (RunParams, assert_run_invariants, build_kernel_inputs,
+                                run_simulation)
 from ponedge.workload import ScenarioSpec, scenario_preset
 
 SINGLE_DEVICE_SMART_CITY = ScenarioSpec(
@@ -87,6 +90,22 @@ def test_conservation_and_decomposition_hold():
                  + (rec.exec_end - rec.exec_start)
                  + (rec.delivered_at - rec.exec_end))
         assert abs(parts - rec.latency_s) <= 1e-12
+
+
+def test_run_invariants_reject_broken_columns():
+    result = run_simulation(single_task_params())
+    out = result.outputs
+
+    def check(columns):
+        return assert_run_invariants(result.inputs.arrival_time, columns, 30.0,
+                                     len(result.topology.nodes))
+
+    assert check(out)[out.node_of[0]] == out.exec_end[0] - out.exec_start[0]
+    for column in ("uplink_done", "exec_start", "exec_end"):  # a stage lost on delivery
+        with pytest.raises(SimulationError, match="out of order"):
+            check(replace(out, **{column: [math.nan]}))
+    with pytest.raises(SimulationError, match="conservation"):  # delivered, phase says not
+        check(replace(out, final_phase=[PH_DOWN]))
 
 
 def test_control_plane_delay_shifts_latency():
