@@ -151,14 +151,14 @@ def test_round_robin_skips_unadmitted_and_continues():
 
 
 def test_candidates_filters_layer_and_admission():
-    # n5-edge scores best but has no room for the 1 MB footprint, so the
-    # kernel places every task on the other eligible nodes
+    # n5-edge has no room for the 1 MB footprint, so round-robin placement
+    # in the kernel skips it and cycles over the other eligible nodes
     specs = [
         NodeSpec("n1-dev", NodeLayer.FAR_EDGE_DEVICE, 5000.0),
         NodeSpec("n2-onu", NodeLayer.ONU, 5000.0),
         NodeSpec("n3-edge", NodeLayer.EDGE_SERVER, 220_000.0),
         NodeSpec("n4-cloud", NodeLayer.CLOUD, 1_000_000.0),
-        NodeSpec("n5-edge", NodeLayer.EDGE_SERVER, 8_000_000.0, ram_mb=0.5),
+        NodeSpec("n5-edge", NodeLayer.EDGE_SERVER, 80_000.0, ram_mb=0.5),
     ]
     index = {spec.id: idx for idx, spec in enumerate(specs)}
 
