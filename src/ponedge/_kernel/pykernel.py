@@ -33,7 +33,7 @@ reject as an event in the past.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heappushpop
 
 from ..engine import SimulationError
 
@@ -144,6 +144,10 @@ def run(inputs: KernelInputs) -> KernelOutputs:
     recognised as superseded because its seq is no longer the one recorded
     in `pending_seq`. Execution start and delivery are recorded when they
     are scheduled, each under the seq its event would have had.
+
+    The event a handler schedules last is held back in `held` and merged into
+    the next pop with heappushpop, which returns it without touching the heap
+    when it is due first. (time, seq) is unique, so the order is unchanged.
     """
     inp = inputs
     n_tasks = len(inp.arrival_time)
@@ -171,8 +175,8 @@ def run(inputs: KernelInputs) -> KernelOutputs:
     n_dirs = 2 * len(inp.link_bandwidth)
     bandwidth = [inp.link_bandwidth[code >> 1] for code in range(n_dirs)]
     hop_delay = [inp.link_hop_delay[code >> 1] for code in range(n_dirs)]
-    members: list[list[int]] = [[] for _ in range(n_dirs)]
-    bits_left: list[list[float]] = [[] for _ in range(n_dirs)]
+    members: list = [()] * n_dirs  # () while the link direction is idle
+    bits_left: list = [()] * n_dirs
     last_update = [0.0] * n_dirs
     pending_seq = [-1] * n_dirs
     pending_task = [-1] * n_dirs
@@ -205,9 +209,16 @@ def run(inputs: KernelInputs) -> KernelOutputs:
     next_arrival = 1
     rr_next = 0
     processed = 0
+    held = ()  # the event the last handler scheduled last, not yet on the heap
 
-    while heap:
-        now, ev_seq, code, task = heappop(heap)
+    while True:
+        if held:
+            now, ev_seq, code, task = heappushpop(heap, held)
+            held = ()
+        elif heap:
+            now, ev_seq, code, task = heappop(heap)
+        else:
+            break
         if now > duration_s:
             break  # every event left lies beyond the horizon
         join = -1  # hop code the task joins as this handler's last step
@@ -218,8 +229,7 @@ def run(inputs: KernelInputs) -> KernelOutputs:
             task = pending_task[hop]
             tokens = members[hop]
             if len(tokens) == 1:  # the link goes idle: nothing left to drain
-                tokens.pop()
-                bits_left[hop].pop()
+                members[hop] = ()
                 last_update[hop] = now
             else:
                 left = bits_left[hop]
@@ -241,7 +251,7 @@ def run(inputs: KernelInputs) -> KernelOutputs:
             arrive = now + hop_delay[hop]
             if arrive < now:
                 raise _past(arrive, now)
-            heappush(heap, (arrive, seq, EV_HOP_ARRIVE, task))
+            held = (arrive, seq, EV_HOP_ARRIVE, task)
             seq += 1
         elif code == EV_HOP_ARRIVE:
             hop_index = t_hop[task] + 1
@@ -272,7 +282,7 @@ def run(inputs: KernelInputs) -> KernelOutputs:
                     t_phase[task] = PH_QUEUED
                 if end < now:
                     raise _past(end, now)
-                heappush(heap, (end, seq + 1, EV_EXEC_END, task))
+                held = (end, seq + 1, EV_EXEC_END, task)
                 seq += 2
             else:  # downlink complete: the result is delivered now
                 delivered_at[task] = now
@@ -296,7 +306,7 @@ def run(inputs: KernelInputs) -> KernelOutputs:
                 join = path[0]
             else:
                 t_hop[task] = -1
-                heappush(heap, (now, seq, EV_HOP_ARRIVE, task))
+                held = (now, seq, EV_HOP_ARRIVE, task)
                 seq += 1
         elif code == EV_ARRIVAL:
             device = arrival_device[task]
@@ -344,7 +354,7 @@ def run(inputs: KernelInputs) -> KernelOutputs:
                     arrive = now + control_delay_s
                     if arrive < now:
                         raise _past(arrive, now)
-                    heappush(heap, (arrive, seq, EV_HOP_ARRIVE, task))
+                    held = (arrive, seq, EV_HOP_ARRIVE, task)
                     seq += 1
                 else:
                     join = path[0]
@@ -354,12 +364,16 @@ def run(inputs: KernelInputs) -> KernelOutputs:
             bits = request_bits if t_phase[task] == PH_UP else result_bits
             tokens = members[join]
             if not tokens:  # an idle link: the transfer gets the whole bandwidth
-                tokens.append(task)
-                bits_left[join].append(bits)
+                members[join] = [task]
+                bits_left[join] = [bits]
                 last_update[join] = now
                 eta = now + bits / bandwidth[join]
-                rank = 0
-                count = 1
+                if eta < now:
+                    raise _past(eta, now)
+                pending_seq[join] = seq
+                pending_task[join] = task
+                held = (eta, seq, EV_SER_END, join)
+                seq += 1
             else:
                 if task in tokens:
                     raise SimulationError(f"transfer token {task} already on link")
@@ -373,12 +387,12 @@ def run(inputs: KernelInputs) -> KernelOutputs:
                 left.append(bits)
                 count += 1
                 eta, rank = _next_completion(left, bandwidth[join] / count, now)
-            if eta < now:
-                raise _past(eta, now)
-            pending_seq[join] = seq + rank
-            pending_task[join] = tokens[rank]
-            heappush(heap, (eta, seq + rank, EV_SER_END, join))
-            seq += count
+                if eta < now:
+                    raise _past(eta, now)
+                pending_seq[join] = seq + rank
+                pending_task[join] = tokens[rank]
+                held = (eta, seq + rank, EV_SER_END, join)
+                seq += count
         processed += 1
 
     if trace is not None:

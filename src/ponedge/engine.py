@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import math
 from dataclasses import dataclass
@@ -126,8 +125,3 @@ class Stream:
 
 def random_stream(seed: int, label: str) -> Stream:
     return Stream(seed, label)
-
-
-def hash_trace(text: str) -> str:
-    """SHA-256 of an event trace's text, the bytes its trace file holds."""
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()

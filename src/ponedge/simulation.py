@@ -9,7 +9,7 @@ from functools import lru_cache
 from . import _kernel
 from .config import (Calibration, DEFAULT_CALIBRATION, TopologySpec, cpu_label,
                      device_node_id, topology_preset)
-from .engine import EventKind, SimulationError, hash_trace
+from .engine import EventKind, SimulationError
 from .metrics import RunSummary, TaskRecord, summarize
 from .network import BITS_PER_KB, LinkKind, route_between
 from .orchestrator import architecture_preset, eligible_nodes
@@ -17,6 +17,7 @@ from .workload import ScenarioSpec, generate_arrivals
 from ._kernel import pykernel
 
 DECOMPOSITION_TOLERANCE_S = 1e-12
+TRACE_CHUNK = 4096  # trace entries formatted per write: about 270 KB of text
 
 
 @dataclass(frozen=True)
@@ -46,8 +47,6 @@ class RunResult:
     inputs: pykernel.KernelInputs
     outputs: pykernel.KernelOutputs
     summary: RunSummary
-    trace_text: str | None = None
-    trace_hash: str | None = None
 
     @property
     def processed_events(self) -> int:
@@ -244,19 +243,26 @@ def _trace_lines(topo: TopologySpec, trace) -> list[str]:
     return lines
 
 
-def trace_text(topo: TopologySpec, trace) -> str:
-    """The event-trace file: one newline-terminated line per kernel trace entry."""
-    lines = _trace_lines(topo, trace)
-    lines.append("")  # the join then ends the text with a newline
-    return "\n".join(lines)
+def write_trace(fh, topo: TopologySpec, trace) -> None:
+    """Write the event-trace file to the binary file `fh`.
+
+    One newline-terminated ASCII line per kernel trace entry, formatted and
+    written TRACE_CHUNK entries at a time, so the text of at most one chunk
+    is held at once.
+    """
+    for start in range(0, len(trace), TRACE_CHUNK):
+        lines = _trace_lines(topo, trace[start:start + TRACE_CHUNK])
+        lines.append("")  # the join then ends the chunk with a newline
+        fh.write("\n".join(lines).encode("ascii"))
 
 
 def run_simulation(params: RunParams, backend: str | None = "auto",
                    collect_trace: bool = False) -> RunResult:
     """Execute one deterministic run and summarize it.
 
-    Raises SimulationError when a run-level invariant breaks; that is a bug,
-    not a data point.
+    With collect_trace the kernel's trace entries are kept in
+    `outputs.trace`, for write_trace. Raises SimulationError when a
+    run-level invariant breaks; that is a bug, not a data point.
     """
     topo = topology_preset(params.topology, params.scenario, params.cpu_mips,
                            params.calibration)
@@ -275,9 +281,5 @@ def run_simulation(params: RunParams, backend: str | None = "auto",
         strict_deadline=params.calibration.strict_deadline_tsr,
         node_utilization=node_utilization(topo, busy, params.duration_s),
     )
-    result = RunResult(params=params, topology=topo, inputs=inputs, outputs=out,
-                       summary=summary)
-    if collect_trace:
-        result.trace_text = trace_text(topo, out.trace)
-        result.trace_hash = hash_trace(result.trace_text)
-    return result
+    return RunResult(params=params, topology=topo, inputs=inputs, outputs=out,
+                     summary=summary)

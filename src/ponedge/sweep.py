@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import json
-import multiprocessing
 import os
 import shutil
 from dataclasses import asdict, dataclass, fields
@@ -21,7 +20,7 @@ from dataclasses import asdict, dataclass, fields
 from .config import Calibration, DEFAULT_CALIBRATION, cpu_grid
 from .metrics import (RunSummary, aggregate, format_number, read_summary_csv,
                       write_summary_csv, write_tasks_csv)
-from .simulation import RunParams, run_simulation
+from .simulation import RunParams, run_simulation, write_trace
 from .workload import ScenarioSpec
 
 COMPARISON_COLUMNS = [
@@ -102,7 +101,9 @@ def run_cell(cell: CellSpec, backend: str | None = "auto",
     The cell gets summary.csv and config.json, plus the per-task tasks.csv
     when tasks_csv is set. A published cell is reused only when its
     config.json matches this cell's resolved config and, if tasks_csv is set,
-    it holds tasks.csv; otherwise it is recomputed and replaced.
+    it holds tasks.csv; otherwise it is recomputed and replaced. With
+    trace_path the cell is always recomputed, and its event trace is
+    streamed into a staging file renamed onto trace_path when complete.
     """
     final_dir = cell.directory()
     config_text = json.dumps(resolved_config(cell), indent=2, sort_keys=True)
@@ -131,8 +132,14 @@ def run_cell(cell: CellSpec, backend: str | None = "auto",
         if os.path.isdir(staging):
             shutil.rmtree(staging)
     if trace_path is not None:
-        with open(trace_path, "w") as fh:
-            fh.write(result.trace_text)
+        staged_trace = trace_path + f".tmp-{os.getpid()}"
+        try:
+            with open(staged_trace, "wb") as fh:
+                write_trace(fh, result.topology, result.outputs.trace)
+            os.replace(staged_trace, trace_path)
+        finally:
+            if os.path.exists(staged_trace):
+                os.remove(staged_trace)
     return result.summary
 
 
@@ -153,6 +160,8 @@ def run_cells(cells: list[CellSpec], jobs: int = 0) -> list[RunSummary]:
     if jobs == 1 or len(unique) <= 1:
         summaries = [_run_cell_job(cell) for cell in unique]
     else:
+        import multiprocessing  # only a pool needs it; keeps `import ponedge.cli` light
+
         with multiprocessing.Pool(min(jobs, len(unique))) as pool:
             summaries = pool.map(_run_cell_job, unique, chunksize=1)
     by_cell = dict(zip(unique, summaries))

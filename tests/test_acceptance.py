@@ -24,6 +24,7 @@ from ponedge.sweep import compare_scenario, sweep_scenario
 from ponedge.workload import SCENARIOS, ScenarioSpec, scenario_preset
 
 from test_network import drive_pool
+from trace_files import trace_digest
 
 SCENARIO_ORDER = ("smart-city", "e-health", "smart-building", "aigc")
 
@@ -181,7 +182,7 @@ def test_c7_determinism(grid, tmp_path):
     )
     params = RunParams(scenario=scenario_preset("smart-city"), topology="genio",
                        cpu_mips=43_000.0, seed=1)
-    hashes = {run_simulation(params, collect_trace=True).trace_hash for _ in range(10)}
+    hashes = {trace_digest(run_simulation(params, collect_trace=True)) for _ in range(10)}
     ok = identical and len(hashes) == 1
     report("C7 determinism", ok,
            f"byte-identical CSVs: {identical}; {10} trace repeats -> "

@@ -12,6 +12,8 @@ from ponedge.config import DEFAULT_CALIBRATION
 from ponedge.simulation import RunParams, run_simulation
 from ponedge.workload import scenario_preset
 
+from trace_files import trace_digest
+
 needs_cython = pytest.mark.skipif(
     "cython" not in available_backends(),
     reason="compiled kernel not built in this environment",
@@ -98,7 +100,7 @@ def _params(case, extra):
 
 def _golden_view(result):
     s = result.summary
-    return (result.trace_hash, result.processed_events, s.tasks_generated,
+    return (trace_digest(result), result.processed_events, s.tasks_generated,
             s.tasks_delivered, s.mean_latency_s, s.p95_latency_s,
             dict(Counter(result.outputs.final_phase)))
 
@@ -115,7 +117,7 @@ def test_backends_bit_identical(case, extra, expected):
     params = _params(case, extra)
     py = run_simulation(params, backend="python", collect_trace=True)
     cy = run_simulation(params, backend="cython", collect_trace=True)
-    assert py.trace_hash == cy.trace_hash
+    assert trace_digest(py) == trace_digest(cy)
     assert py.records == cy.records
     assert py.processed_events == cy.processed_events
     assert py.outputs.final_phase == cy.outputs.final_phase

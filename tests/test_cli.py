@@ -1,10 +1,14 @@
 """CLI surfaces: flags, exit codes, file layout, determinism, env override."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from ponedge import sweep
+import ponedge
+from ponedge import simulation, sweep
 from ponedge.cli import main
 from ponedge.config import DEFAULT_CALIBRATION
 from ponedge.metrics import read_summary_csv
@@ -66,6 +70,37 @@ def test_run_trace_dump(tmp_path):
         float(time), int(seq)
         assert kind in {"TaskArrival", "TransferComplete", "ExecutionStart",
                         "ExecutionComplete", "ResultDelivered", "SimulationEnd"}
+
+
+def test_run_trace_is_published_atomically(tmp_path, monkeypatch):
+    # a trace of several chunks whose second chunk fails to format
+    cell = sweep.CellSpec(scenario_preset("e-health"), "genio", "", 220_000.0, 1, 120.0,
+                          "trade-off", "poisson", DEFAULT_CALIBRATION, str(tmp_path / "out"))
+    trace = tmp_path / "events.tsv"
+    trace.write_bytes(b"an earlier trace\n")
+    format_chunk = simulation._trace_lines
+    calls = []
+
+    def fail_on_second_chunk(topo, entries):
+        calls.append(len(entries))
+        if len(calls) == 2:
+            raise OSError("no space left on device")
+        return format_chunk(topo, entries)
+
+    monkeypatch.setattr(simulation, "_trace_lines", fail_on_second_chunk)
+    with pytest.raises(OSError):
+        sweep.run_cell(cell, trace_path=str(trace), tasks_csv=True)
+    assert len(calls) == 2 and calls[0] == simulation.TRACE_CHUNK
+    assert trace.read_bytes() == b"an earlier trace\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["events.tsv", "out"]
+
+
+def test_cli_import_starts_no_process_pool_machinery():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ponedge.__file__)))
+    code = "import sys, ponedge.cli; print('multiprocessing' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "False\n"
 
 
 def test_env_seed_override(tmp_path, monkeypatch, capsys):

@@ -1,12 +1,17 @@
 """Event queue ordering, clock discipline, and seeded stream behavior."""
 
-import hashlib
+import io
 import random
 
 import pytest
 
-from ponedge.engine import (Event, EventKind, EventQueue, SimulationError, Stream,
-                            hash_trace, random_stream)
+from ponedge._kernel.pykernel import (TR_EXECUTION_COMPLETE, TR_EXECUTION_START,
+                                      TR_RESULT_DELIVERED, TR_SIMULATION_END,
+                                      TR_TASK_ARRIVAL, TR_TRANSFER_COMPLETE)
+from ponedge.config import topology_preset
+from ponedge.engine import Event, EventKind, EventQueue, SimulationError, Stream, random_stream
+from ponedge.simulation import write_trace
+from ponedge.workload import scenario_preset
 
 
 def drain(queue, t_end):
@@ -128,9 +133,29 @@ def test_event_payload_kinds_are_closed():
     ]
 
 
-def test_trace_line_format_and_hash():
+def test_trace_line_format_and_file_bytes():
     ev = Event(1.5, 3, EventKind.TASK_ARRIVAL, ("task=t0", "src=n0000-dev"))
     assert ev.trace_line() == "1.5\t3\tTaskArrival\ttask=t0 src=n0000-dev"
-    text = ev.trace_line() + "\n"
-    assert hash_trace(text) == hashlib.sha256(text.encode()).hexdigest()
-    assert hash_trace(text) != hash_trace("")
+    # one kernel trace entry of each kind: (time, seq, kind, task, extra)
+    topo = topology_preset("genio", scenario_preset("smart-city"), 43_000.0)
+    edge = [node.id for node in topo.nodes].index("n0257-edge")
+    trace = [
+        (1.5, 3, TR_TASK_ARRIVAL, 0, 7),
+        (0.1 + 0.2, 4, TR_TRANSFER_COMPLETE, 0, 0),
+        (2.0, 5, TR_EXECUTION_START, 0, edge),
+        (1e-7, 6, TR_EXECUTION_COMPLETE, 12, edge),
+        (3.25, 7, TR_TRANSFER_COMPLETE, 12, 1),
+        (3.25, 8, TR_RESULT_DELIVERED, 12, edge),
+        (600.0, 0, TR_SIMULATION_END, -1, -1),
+    ]
+    sink = io.BytesIO()
+    write_trace(sink, topo, trace)
+    assert sink.getvalue() == (
+        b"1.5\t3\tTaskArrival\ttask=t0 src=n0007-dev\n"
+        b"0.30000000000000004\t4\tTransferComplete\ttask=t0 leg=up\n"
+        b"2\t5\tExecutionStart\ttask=t0 node=n0257-edge\n"
+        b"9.9999999999999995e-08\t6\tExecutionComplete\ttask=t12 node=n0257-edge\n"
+        b"3.25\t7\tTransferComplete\ttask=t12 leg=down\n"
+        b"3.25\t8\tResultDelivered\ttask=t12 node=n0257-edge\n"
+        b"600\t0\tSimulationEnd\t-\n"
+    )

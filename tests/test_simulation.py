@@ -1,16 +1,21 @@
 """End-to-end single runs: analytic oracle, determinism, flags, invariants."""
 
+import io
 import math
+import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
-from ponedge._kernel.pykernel import PH_DOWN
+from ponedge._kernel.pykernel import PH_DOWN, TR_SIMULATION_END, TR_TASK_ARRIVAL
 from ponedge.config import DEFAULT_CALIBRATION, topology_preset
 from ponedge.engine import SimulationError
-from ponedge.simulation import (RunParams, assert_run_invariants, build_kernel_inputs,
-                                run_simulation)
+from ponedge.simulation import (TRACE_CHUNK, RunParams, _trace_lines, assert_run_invariants,
+                                build_kernel_inputs, run_simulation, write_trace)
 from ponedge.workload import ScenarioSpec, scenario_preset
+
+from trace_files import trace_digest
 
 SINGLE_DEVICE_SMART_CITY = ScenarioSpec(
     "smart-city-1dev", users=1, rate_per_min=2, deadline_s=0.5,
@@ -44,9 +49,38 @@ def test_single_task_runs_on_edge_with_analytic_latency():
 
 
 def test_trace_replay_hash_stable():
-    hashes = {run_simulation(single_task_params(), collect_trace=True).trace_hash
+    hashes = {trace_digest(run_simulation(single_task_params(), collect_trace=True))
               for _ in range(3)}
     assert len(hashes) == 1
+
+
+def test_write_trace_streams_chunks():
+    topo = run_simulation(single_task_params()).topology
+    trace = [(0.5 * i, i + 1, TR_TASK_ARRIVAL, i, 0) for i in range(2 * TRACE_CHUNK + 5)]
+    trace.append((1e4, 0, TR_SIMULATION_END, -1, -1))
+    pieces = []
+    write_trace(SimpleNamespace(write=pieces.append), topo, trace)
+    assert len(pieces) == 3
+    assert b"".join(pieces) == "".join(
+        line + "\n" for line in _trace_lines(topo, trace)).encode("ascii")
+    assert all(piece.endswith(b"\n") for piece in pieces)
+
+
+def test_write_trace_holds_one_chunk_of_text():
+    params = RunParams(scenario=scenario_preset("smart-building"), topology="baseline",
+                       cpu_mips=440_000.0, seed=5, duration_s=600.0)
+    result = run_simulation(params, collect_trace=True)
+    assert len(result.outputs.trace) == 72_951
+    sizes = []  # of each write; the bytes themselves are discarded
+    sink = SimpleNamespace(write=lambda data: sizes.append(len(data)))
+    tracemalloc.start()
+    try:
+        write_trace(sink, result.topology, result.outputs.trace)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the whole text, held at once, would be more than twice the bytes written
+    assert peak < sum(sizes) / 2
 
 
 def test_records_identical_across_repeats():
@@ -60,8 +94,11 @@ def test_records_identical_across_repeats():
 
 def test_trace_lines_shape():
     result = run_simulation(single_task_params(), collect_trace=True)
-    assert result.trace_text.endswith("\n")
-    lines = result.trace_text.splitlines()
+    sink = io.BytesIO()
+    write_trace(sink, result.topology, result.outputs.trace)
+    text = sink.getvalue().decode("ascii")
+    assert text.endswith("\n")
+    lines = text.splitlines()
     kinds = [line.split("\t")[2] for line in lines]
     assert kinds[0] == "TaskArrival"
     assert kinds[-1] == "SimulationEnd"
