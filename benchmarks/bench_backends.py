@@ -60,14 +60,14 @@ def main() -> int:
 
     backends = available_backends()
     print(f"backends available: {', '.join(backends)}")
-    compiled = "cython" in backends
+    compiled = "c" in backends
     if not compiled:
         print("compiled kernel not built; timing the pure-Python backend only")
 
     header = (f"{'scenario':<15} {'topology':<9} {'mips':>9} {'events':>8} "
               f"{'python':>16} {'trace':>11}")
     if compiled:
-        header += f" {'cython':>16} {'speedup':>8}  identical"
+        header += f" {'c':>16} {'speedup':>8}  identical"
     print(header)
     print("-" * len(header))
     for scenario, topology, mips in CASES:
@@ -79,10 +79,10 @@ def main() -> int:
         line = (f"{scenario:<15} {topology:<9} {mips:>9.0f} {events:>8} "
                 f"{py_rate:>16} {f'{trace_time:.3f}s':>11}")
         if compiled:
-            cy_time, _ = time_run(params, "cython", args.repeats)
-            _, cy_hash = time_trace(params, "cython", 1)
-            cy_rate = f"{cy_time:.3f}s {events / cy_time / 1e3:.0f}k/s"
-            line += f" {cy_rate:>16} {py_time / cy_time:>7.1f}x  {py_hash == cy_hash}"
+            c_time, _ = time_run(params, "c", args.repeats)
+            _, c_hash = time_trace(params, "c", 1)
+            c_rate = f"{c_time:.3f}s {events / c_time / 1e3:.0f}k/s"
+            line += f" {c_rate:>16} {py_time / c_time:>7.1f}x  {py_hash == c_hash}"
         print(line)
     return 0
 

@@ -1,29 +1,10 @@
-import os
-
 from setuptools import Extension, setup
 
-KERNEL = "src/ponedge/_kernel/_ckernel"
+# kernel.c uses no CPython API: it is built as a plain shared library, named
+# like an extension module so that it lands next to pykernel.py, and loaded
+# through ctypes. No -ffast-math, and no fused multiply-adds: the C kernel
+# must keep strict IEEE semantics to stay bit-identical with pykernel.
+KERNEL = Extension("ponedge._kernel.kernel", ["src/ponedge/_kernel/kernel.c"],
+                   extra_compile_args=["-O3", "-ffp-contract=off"])
 
-# No -ffast-math: the compiled kernel must keep strict IEEE semantics so
-# that it stays bit-identical with the pure-Python fallback.
-COMPILE_ARGS = ["-O3"]
-
-try:
-    from Cython.Build import cythonize
-except ImportError:
-    cythonize = None
-
-if cythonize is not None and os.path.exists(KERNEL + ".pyx"):
-    ext_modules = cythonize(
-        [Extension("ponedge._kernel._ckernel", [KERNEL + ".pyx"],
-                   extra_compile_args=COMPILE_ARGS)],
-        compiler_directives={"language_level": "3"},
-    )
-elif os.path.exists(KERNEL + ".c"):
-    # without Cython, compile the generated C source shipped next to the .pyx
-    ext_modules = [Extension("ponedge._kernel._ckernel", [KERNEL + ".c"],
-                             extra_compile_args=COMPILE_ARGS)]
-else:
-    ext_modules = []
-
-setup(ext_modules=ext_modules)
+setup(ext_modules=[KERNEL])

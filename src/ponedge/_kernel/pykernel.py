@@ -1,33 +1,25 @@
-"""Pure-Python simulation kernel (reference semantics for the compiled twin).
+"""Pure-Python simulation kernel: the reference semantics.
 
-The compiled kernel in _ckernel.pyx reproduces this module's results bit for
-bit: the same events are processed in the same (time, seq) order under the
-same sequence numbering, with the same float expressions evaluated in the
-same order, and fair-share members kept in join order. The numbering counts
-events this module never queues. The compiled twin pushes one
-serialization-end event per member on every share recomputation and skips
-the superseded ones when they surface; this module keeps one pending event
-per link direction, for the member with the smallest (eta, seq), and
-advances the sequence counter by the member count so that event carries the
-seq the per-member scheme would have given it. The twin also queues an
-execution-start and a result-delivered event per task, which only record
-state; this module records them where they are scheduled, under the seq
-they would have had, counts the execution start as processed only when it
-falls within the horizon, and sorts the trace once at the end, which is
-the processing order because (time, seq) is unique. Any change to the
-semantics here must be made there too, or the two backends stop being
+The C kernel in kernel.c mirrors this module and reproduces its results bit
+for bit: the same events are processed in the same (time, seq) order under
+the same sequence numbering, with the same float expressions evaluated in
+the same order, and fair-share members kept in join order. Each link
+direction keeps one pending serialization-end event, for the member with the
+smallest (eta, seq); the sequence counter advances by the member count, so
+that event carries the seq it would have had if every member's end were
+queued. Execution starts and deliveries are recorded where they are
+scheduled, under the seq their events would have had; an execution start
+counts as processed only when it falls within the horizon, and the trace is
+sorted once at the end, which is the processing order because (time, seq)
+is unique. Drained bits are clamped at zero. Any change to the semantics
+here must be made in kernel.c too, or the two backends stop being
 bit-identical.
 
-Like the twin's C arrays, all run state lives in lists local to `run`: per
-link direction, the fair-share members in join order, their bits left as of
-the last update and the live serialization-end event; per node, the free-at
-time of each core, the tasks queued or running and the free RAM and
-storage, decremented on placement and restored when execution ends. One
-known difference: drained bits are clamped at zero here. A join processed
-at the same float time as a member's serialization end can drain that
-member a rounding error below zero; the twin then schedules the member's
-end one ulp before the clock and processes it, which this module would
-reject as an event in the past.
+All run state lives in lists local to `run`: per link direction, the
+fair-share members in join order, their bits left as of the last update and
+the live serialization-end event; per node, the free-at time of each core,
+the tasks queued or running and the free RAM and storage, decremented on
+placement and restored when execution ends.
 """
 
 from __future__ import annotations

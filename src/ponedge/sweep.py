@@ -29,6 +29,9 @@ COMPARISON_COLUMNS = [
 ]
 PLOT_COLUMNS = ["scenario", "cpu", "mips", "topology", "tsr_pct", "mean_latency_s",
                 "deadline_s"]
+# The revision of the simulation model. Every change that alters results
+# bumps it, so a cell published by an earlier model is recomputed.
+MODEL_REVISION = 1
 
 
 @dataclass(frozen=True)
@@ -65,8 +68,9 @@ class CellSpec:
 
 
 def resolved_config(cell: CellSpec) -> dict:
-    """Everything the cell's outcome depends on, defaults included."""
+    """Everything the cell's outcome depends on, defaults and model included."""
     return {
+        "model_revision": MODEL_REVISION,
         "scenario": asdict(cell.scenario),
         "topology": cell.topology,
         "cpu": cell.cpu,

@@ -1,22 +1,25 @@
-"""The compiled kernel must be bit-identical to the pure-Python reference."""
+"""The C kernel must be bit-identical to the pure-Python reference."""
 
+import random
 from collections import Counter
 from dataclasses import replace
 
 import pytest
 
+from ponedge import _kernel
 from ponedge._kernel import available_backends
 from ponedge._kernel.pykernel import (PH_DELIVERED, PH_DOWN, PH_NO_PLACEMENT, PH_QUEUED,
                                       PH_RUNNING, PH_UP)
-from ponedge.config import DEFAULT_CALIBRATION
-from ponedge.simulation import RunParams, run_simulation
+from ponedge.config import DEFAULT_CALIBRATION, cpu_grid, topology_preset
+from ponedge.simulation import RunParams, build_kernel_inputs, run_simulation
 from ponedge.workload import scenario_preset
 
+from kernel_inputs import kernel_inputs
 from trace_files import trace_digest
 
-needs_cython = pytest.mark.skipif(
-    "cython" not in available_backends(),
-    reason="compiled kernel not built in this environment",
+needs_c = pytest.mark.skipif(
+    "c" not in available_backends(),
+    reason="C kernel not built in this environment",
 )
 
 CASES = [
@@ -28,8 +31,7 @@ CASES = [
 ]
 
 
-# Pinned results of the pure-Python kernel, recorded on the per-member
-# rescheduling kernel it replaced and equal to the compiled kernel's: trace
+# Pinned results of the pure-Python kernel, equal on the C kernel: trace
 # hash, processed events, tasks generated and delivered, mean and p95 latency,
 # and how many tasks end the run in each phase. The aigc case ends with tasks
 # still queued behind the horizon, whose execution start is never processed.
@@ -53,10 +55,12 @@ GOLDEN = {
 # Variants of the cases above, each pinned the same way: round-robin
 # placement, fixed arrivals and a control-plane delay on the WAN case; two
 # edge cores with room for two tasks, so tasks queue per core and some are
-# refused everywhere (27 end unplaced); and round-robin over far-edge ONUs,
-# whose Local-only routes need no transfer, skipping refused edge servers.
-# All are equal on both kernels; the fractional-footprint one was recorded on
-# the compiled kernel, the others on the pure-Python kernel.
+# refused everywhere (27 end unplaced); round-robin over far-edge ONUs, whose
+# Local-only routes need no transfer, skipping refused edge servers; and three
+# edge cores under WAN contention, where a join processed at the same float
+# time as a member's serialization end drains that member a rounding error
+# below zero bits, which the kernels clamp at zero. All are equal on both
+# kernels.
 VARIANTS = {
     "aigc-baseline-700000-variant": (
         CASES[4],
@@ -87,6 +91,12 @@ VARIANTS = {
         ("37b5955142fb1d58d75f4fac97fe9e35991120d6621ca343c2e1c181a043a482",
          25500, 2023, 1970, 0.3398144330931947, 0.4883358072374193,
          {PH_UP: 6, PH_RUNNING: 1, PH_DELIVERED: 1970, PH_NO_PLACEMENT: 46})),
+    "aigc-baseline-800000-three-cores-clamp": (
+        ("aigc", "baseline", 800_000.0),
+        dict(seed=1, calibration=replace(DEFAULT_CALIBRATION, edge_cores=3)),
+        ("916da158586003e14b3251f94e4d40dbd7ec882f1aa2eb2c9442cf67a664ea35",
+         26233, 2075, 2069, 0.49372328054576875, 0.8836749898537768,
+         {PH_UP: 3, PH_RUNNING: 2, PH_DOWN: 1, PH_DELIVERED: 2069})),
 }
 RUNS = [(case, {}, GOLDEN[case]) for case in CASES] + list(VARIANTS.values())
 RUN_IDS = [f"{s}-{t}-{m:g}" for s, t, m in CASES] + list(VARIANTS)
@@ -95,7 +105,7 @@ RUN_IDS = [f"{s}-{t}-{m:g}" for s, t, m in CASES] + list(VARIANTS)
 def _params(case, extra):
     scenario, topology, mips = case
     return RunParams(scenario=scenario_preset(scenario), topology=topology,
-                     cpu_mips=mips, seed=5, duration_s=120.0, **extra)
+                     cpu_mips=mips, **(dict(seed=5, duration_s=120.0) | extra))
 
 
 def _golden_view(result):
@@ -111,12 +121,12 @@ def test_python_kernel_matches_golden(case, extra, expected):
     assert _golden_view(result) == expected
 
 
-@needs_cython
+@needs_c
 @pytest.mark.parametrize("case,extra,expected", RUNS, ids=RUN_IDS)
 def test_backends_bit_identical(case, extra, expected):
     params = _params(case, extra)
     py = run_simulation(params, backend="python", collect_trace=True)
-    cy = run_simulation(params, backend="cython", collect_trace=True)
+    cy = run_simulation(params, backend="c", collect_trace=True)
     assert trace_digest(py) == trace_digest(cy)
     assert py.records == cy.records
     assert py.processed_events == cy.processed_events
@@ -125,12 +135,78 @@ def test_backends_bit_identical(case, extra, expected):
     assert py.summary == cy.summary
 
 
-@needs_cython
+def _random_params(rng: random.Random) -> RunParams:
+    """A short run on a random calibration: 1-4 cores, fractional footprints
+    that make nodes refuse tasks, with or without a control-plane delay and
+    far-edge execution, under either strategy and arrival mode."""
+    scenario = rng.choice(["smart-city", "e-health", "smart-building", "aigc"])
+    task_ram_mb = rng.choice([0.1, 0.25, 0.3, 0.7])
+    calibration = replace(
+        DEFAULT_CALIBRATION,
+        edge_cores=rng.randint(1, 4),
+        cloud_cores=rng.randint(1, 4),
+        task_ram_mb=task_ram_mb,
+        edge_ram_mb=task_ram_mb * rng.uniform(0.5, 8.0),
+        small_node_ram_mb=task_ram_mb * rng.uniform(0.5, 3.0),
+        control_plane_delay_s=rng.choice([0.0, rng.uniform(1e-4, 5e-3)]),
+        # far-edge candidates would give smart-city's 128 devices a route to
+        # every ONU, more route building than the run itself, so it runs
+        # without them
+        far_edge_execution=scenario != "smart-city" and rng.random() < 0.5,
+    )
+    return RunParams(
+        scenario=scenario_preset(scenario), topology=rng.choice(["genio", "baseline"]),
+        cpu_mips=rng.choice(cpu_grid(scenario))[1], seed=rng.randrange(1, 1_000_000),
+        duration_s=rng.uniform(2.0, 20.0), strategy=rng.choice(["trade-off", "round-robin"]),
+        arrivals=rng.choice(["poisson", "fixed"]), calibration=calibration,
+    )
+
+
+@needs_c
+def test_backends_bit_identical_on_random_calibrations():
+    rng = random.Random(20260418)
+    phases = Counter()
+    for _ in range(200):
+        params = _random_params(rng)
+        topo = topology_preset(params.topology, params.scenario, params.cpu_mips,
+                               params.calibration)
+        inputs = build_kernel_inputs(params, topo, collect_trace=True)
+        if rng.random() < 0.5:
+            # random phases almost never make two float times equal; on a
+            # 0.25 s grid, tasks arrive together, join links at the same
+            # instant, tie on etas and start exactly at the horizon
+            inputs = replace(inputs, arrival_time=[round(t * 4) / 4 for t in inputs.arrival_time],
+                             duration_s=round(inputs.duration_s * 4) / 4)
+        py = _kernel.run(inputs, backend="python")
+        c = _kernel.run(inputs, backend="c")
+        # repr round-trips every float exactly, NaN included
+        assert repr(c) == repr(py), params
+        phases.update(set(py.final_phase))
+    # the draws reach refusals, queues behind the horizon and deliveries
+    assert phases[PH_NO_PLACEMENT] and phases[PH_QUEUED] and phases[PH_DELIVERED]
+
+
+@needs_c
+@pytest.mark.parametrize("fields", [
+    dict(arrival_time=[0.0], arrival_device=[1]),  # no such device
+    dict(candidate_nodes=[1]),  # no such node
+    dict(cores=[0]),
+    dict(up_route=[[1]]),  # no such route
+    dict(route_hops=[[0]]),  # no such link
+    dict(weight=[]),
+])
+def test_c_kernel_rejects_inputs_out_of_bounds(fields):
+    with pytest.raises(ValueError):
+        _kernel.run(kernel_inputs(**fields), backend="c")
+
+
+@needs_c
 def test_backend_env_selection(monkeypatch):
     from ponedge._kernel import resolve_backend
-    assert resolve_backend("auto") == "cython"
+    assert resolve_backend("auto") == "c"
     monkeypatch.setenv("PONEDGE_BACKEND", "python")
     assert resolve_backend("auto") == "python"
-    monkeypatch.setenv("PONEDGE_BACKEND", "qpu")
-    with pytest.raises(ValueError):
-        resolve_backend("auto")
+    for name in ("qpu", "cython"):
+        monkeypatch.setenv("PONEDGE_BACKEND", name)
+        with pytest.raises(ValueError):
+            resolve_backend("auto")

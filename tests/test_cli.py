@@ -97,10 +97,12 @@ def test_run_trace_is_published_atomically(tmp_path, monkeypatch):
 
 def test_cli_import_starts_no_process_pool_machinery():
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ponedge.__file__)))
-    code = "import sys, ponedge.cli; print('multiprocessing' in sys.modules)"
+    code = ("import sys, ponedge.cli; "
+            "print('multiprocessing' in sys.modules, 'ctypes' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out == "False\n"
+    # ctypes is loaded only to call a built C kernel
+    assert out == f"False {'c' in ponedge.available_backends()}\n"
 
 
 def test_env_seed_override(tmp_path, monkeypatch, capsys):
@@ -157,6 +159,22 @@ def test_run_recomputes_cell_published_with_other_settings(tmp_path):
     assert config["duration_s"] == 7.0
     for name in ("tasks.csv", "summary.csv", "config.json"):
         assert shared.joinpath(*cell, name).read_bytes() == fresh.joinpath(*cell, name).read_bytes()
+
+
+def test_run_recomputes_cell_published_by_an_earlier_model(tmp_path):
+    out = tmp_path / "results"
+    assert main(RUN_FLAGS + ["--out-dir", str(out)]) == 0
+    cell = out / "e-health" / "genio" / "220000" / "1"
+    published = {name: (cell / name).read_bytes()
+                 for name in ("tasks.csv", "summary.csv", "config.json")}
+    config = json.loads(published["config.json"])
+    assert config["model_revision"] == sweep.MODEL_REVISION
+    config["model_revision"] = 0
+    (cell / "config.json").write_text(json.dumps(config, indent=2, sort_keys=True))
+    (cell / "summary.csv").write_text("left by the earlier model\n")
+    assert main(RUN_FLAGS + ["--out-dir", str(out)]) == 0
+    for name, data in published.items():
+        assert (cell / name).read_bytes() == data
 
 
 def test_compare_scenario_outputs(tmp_path, capsys):
