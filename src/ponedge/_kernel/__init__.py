@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 from importlib.machinery import EXTENSION_SUFFIXES
 
+from ..network import ConfigurationError
 from . import pykernel
 from .pykernel import KernelInputs, KernelOutputs  # noqa: F401  (re-export)
 
@@ -35,23 +36,31 @@ def available_backends() -> list[str]:
 
 
 def resolve_backend(name: str | None = "auto") -> str:
-    """Map auto/env request to a concrete backend name."""
+    """Map auto/env request to a concrete backend name.
+
+    An unknown name, or `c` when the C kernel is not built, is a
+    ConfigurationError.
+    """
     if name in (None, "auto"):
         name = os.environ.get("PONEDGE_BACKEND", "auto")
     if name in (None, "auto"):
         return "c" if _crun is not None else "python"
     if name == "c" and _crun is None:
-        raise RuntimeError(
+        raise ConfigurationError(
             "C kernel is not built (run `python setup.py build_ext --inplace`, or set "
             "PONEDGE_BACKEND=python)"
         )
     if name not in ("c", "python"):
-        raise ValueError(f"unknown backend {name!r} (valid: auto, c, python)")
+        raise ConfigurationError(f"unknown backend {name!r} (valid: auto, c, python)")
     return name
 
 
 def run(inputs: KernelInputs, node_specs=None, backend: str | None = "auto") -> KernelOutputs:
-    """Run one simulation; `node_specs` is ignored, the inputs carry every node constant."""
+    """Run one simulation; the inputs carry every node constant.
+
+    `node_specs` is ignored. It stays because perfbench replays recorded calls
+    as `(inputs, node_specs)`.
+    """
     if resolve_backend(backend) == "c":
         return _crun(inputs)
     return pykernel.run(inputs)

@@ -19,7 +19,7 @@
 /* internal event codes */
 enum { EV_ARRIVAL, EV_SER_END, EV_HOP_ARRIVE, EV_EXEC_END, EV_SIM_END };
 
-/* trace kinds (index-aligned with engine.EventKind declaration order) */
+/* trace kinds (the same codes as pykernel.TR_*) */
 enum {
     TR_TASK_ARRIVAL, TR_TRANSFER_COMPLETE, TR_EXECUTION_START,
     TR_EXECUTION_COMPLETE, TR_RESULT_DELIVERED, TR_SIMULATION_END

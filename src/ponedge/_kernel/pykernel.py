@@ -36,13 +36,15 @@ EV_HOP_ARRIVE = 2
 EV_EXEC_END = 3
 EV_SIM_END = 4
 
-# trace kinds (index-aligned with engine.EventKind declaration order)
+# trace kinds, and the name the trace file prints for each, indexed by code
 TR_TASK_ARRIVAL = 0
 TR_TRANSFER_COMPLETE = 1
 TR_EXECUTION_START = 2
 TR_EXECUTION_COMPLETE = 3
 TR_RESULT_DELIVERED = 4
 TR_SIMULATION_END = 5
+TRACE_KINDS = ("TaskArrival", "TransferComplete", "ExecutionStart", "ExecutionComplete",
+               "ResultDelivered", "SimulationEnd")
 
 # task phases
 PH_PENDING = 0

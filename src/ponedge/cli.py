@@ -8,12 +8,11 @@ import sys
 from dataclasses import replace
 
 from .config import (DEFAULT_ARRIVALS, DEFAULT_CALIBRATION, DEFAULT_DURATION_S,
-                     DEFAULT_SEEDS, DEFAULT_STRATEGY, ExperimentSpec, cpu_label,
-                     parse_experiment, parse_seeds)
+                     DEFAULT_SEEDS, DEFAULT_STRATEGY, STRATEGIES, ExperimentSpec,
+                     cpu_label, parse_experiment, parse_seeds)
 from .engine import SimulationError
 from .metrics import format_number
 from .network import ConfigurationError
-from .orchestrator import STRATEGIES
 from .sweep import CellSpec, compare_scenarios, run_cell, sweep_scenario, write_comparison
 from .workload import ARRIVAL_MODES, SCENARIOS
 

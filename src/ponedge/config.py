@@ -7,13 +7,13 @@ from dataclasses import dataclass, field, fields, replace
 
 from .compute import DEFAULT_TASK_RAM_MB, DEFAULT_TASK_STORAGE_MB, NodeLayer, NodeSpec
 from .network import ConfigurationError, LinkKind, LinkSpec
-from .orchestrator import STRATEGIES
 from .workload import ARRIVAL_MODES, SCENARIOS, ScenarioSpec, scenario_preset
 
 TOPOLOGY_PRESETS = ("genio", "baseline")
 
 DEFAULT_DURATION_S = 600.0
 DEFAULT_SEEDS = (1, 2, 3, 4, 5)
+STRATEGIES = ("trade-off", "round-robin")
 DEFAULT_STRATEGY = "trade-off"
 DEFAULT_ARRIVALS = "poisson"
 
@@ -85,6 +85,9 @@ class Calibration:
     small_node_ram_mb: float = 1_024.0
     small_node_storage_mb: float = 16_384.0
     edge_weight: float = 1.0
+    # just above cloud_mips / min(edge grid MIPS) = 1e6 / 43000, so an idle edge
+    # server beats the idle cloud for every grid CPU and the cloud only absorbs
+    # overflow once the edge queue has grown
     cloud_weight: float = 25.0
     far_edge_weight: float = 1.3
     task_ram_mb: float = DEFAULT_TASK_RAM_MB

@@ -1,87 +1,12 @@
-"""Deterministic discrete-event core: virtual clock, ordered event queue, seeded streams."""
+"""The run-abort error and the seeded random streams; the event loop is in `_kernel`."""
 
 from __future__ import annotations
 
-import heapq
 import math
-from dataclasses import dataclass
-from enum import Enum
 
 
 class SimulationError(Exception):
     """Fatal logic error inside a run (aborts the run with a diagnostic)."""
-
-
-class EventKind(Enum):
-    TASK_ARRIVAL = "TaskArrival"
-    TRANSFER_COMPLETE = "TransferComplete"
-    EXECUTION_START = "ExecutionStart"
-    EXECUTION_COMPLETE = "ExecutionComplete"
-    RESULT_DELIVERED = "ResultDelivered"
-    SIMULATION_END = "SimulationEnd"
-
-
-@dataclass(frozen=True)
-class Event:
-    """A processed domain event, as exposed in the optional trace dump.
-
-    The payload set is closed: `kind` is always one of the six EventKind
-    members, there are no dynamic event kinds.
-    """
-
-    time: float
-    seq: int
-    kind: EventKind
-    subject: tuple[str, ...] = ()
-
-    def trace_line(self) -> str:
-        subject = " ".join(self.subject) if self.subject else "-"
-        return f"{self.time:.17g}\t{self.seq}\t{self.kind.value}\t{subject}"
-
-
-class EventQueue:
-    """Priority queue ordered by (time, seq); seq is assigned at scheduling.
-
-    Ties at equal time dequeue in scheduling order (stable FIFO), which makes
-    the processing order independent of the heap implementation.
-    """
-
-    def __init__(self) -> None:
-        self._heap: list[tuple[float, int, object]] = []
-        self._next_seq = 0
-        self.now = 0.0
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def schedule(self, time: float, payload: object) -> int:
-        if time < self.now:
-            raise SimulationError(
-                f"scheduled event at t={time!r} in the past (clock={self.now!r})"
-            )
-        seq = self._next_seq
-        self._next_seq += 1
-        heapq.heappush(self._heap, (time, seq, payload))
-        return seq
-
-    def run_until(self, t_end: float, handler) -> int:
-        """Process every queued event with time <= t_end in (time, seq) order.
-
-        The handler is called as handler(time, seq, payload) and may schedule
-        further events (including at the current time). Returns the number of
-        processed events; the clock ends at exactly t_end.
-        """
-        if t_end < self.now:
-            raise SimulationError(f"run_until({t_end!r}) behind clock {self.now!r}")
-        processed = 0
-        heap = self._heap
-        while heap and heap[0][0] <= t_end:
-            time, seq, payload = heapq.heappop(heap)
-            self.now = time
-            handler(time, seq, payload)
-            processed += 1
-        self.now = t_end
-        return processed
 
 
 _MASK64 = (1 << 64) - 1
@@ -121,7 +46,3 @@ class Stream:
 
     def exponential(self, mean: float) -> float:
         return -mean * math.log1p(-self.uniform())
-
-
-def random_stream(seed: int, label: str) -> Stream:
-    return Stream(seed, label)

@@ -1,4 +1,4 @@
-"""Wires config, workload, orchestration, and the kernel into one run."""
+"""Wires config, workload, placement candidates and the kernel into one run."""
 
 from __future__ import annotations
 
@@ -7,12 +7,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import _kernel
+from .compute import NodeLayer
 from .config import (Calibration, DEFAULT_CALIBRATION, TopologySpec, cpu_label,
                      device_node_id, topology_preset)
-from .engine import EventKind, SimulationError
+from .engine import SimulationError
 from .metrics import RunSummary, TaskRecord, summarize
 from .network import BITS_PER_KB, LinkKind, route_between
-from .orchestrator import architecture_preset, eligible_nodes
 from .workload import ScenarioSpec, generate_arrivals
 from ._kernel import pykernel
 
@@ -58,6 +58,15 @@ class RunResult:
         return _build_records(self.params, self.topology, self.inputs, self.outputs)
 
 
+def eligible_nodes(node_specs, far_edge_execution: bool) -> list[str]:
+    """Ids of the nodes placement may choose, in id order: the edge servers and
+    the cloud, plus the ONUs when far-edge execution is on."""
+    layers = {NodeLayer.EDGE_SERVER, NodeLayer.CLOUD}
+    if far_edge_execution:
+        layers.add(NodeLayer.ONU)
+    return sorted(spec.id for spec in node_specs if spec.layer in layers)
+
+
 def build_kernel_inputs(params: RunParams, topo: TopologySpec,
                         collect_trace: bool) -> pykernel.KernelInputs:
     cal = params.calibration
@@ -65,8 +74,7 @@ def build_kernel_inputs(params: RunParams, topo: TopologySpec,
     weights = cal.layer_weights()
     node_index = {node.id: idx for idx, node in enumerate(topo.nodes)}
 
-    preset = architecture_preset(params.topology, far_edge_execution=cal.far_edge_execution)
-    candidate_ids = eligible_nodes(preset, topo.nodes)
+    candidate_ids = eligible_nodes(topo.nodes, cal.far_edge_execution)
     candidate_nodes = [node_index[nid] for nid in candidate_ids]
 
     link_bandwidth = []
@@ -222,8 +230,8 @@ def node_utilization(topo: TopologySpec, busy: list[float],
 
 
 def _trace_lines(topo: TopologySpec, trace) -> list[str]:
-    """One line per kernel trace entry, formatted as Event.trace_line does."""
-    kinds = [kind.value for kind in EventKind]  # indexed by the kernel's kind code
+    """One line per kernel trace entry: time, seq, kind name and subject, tab-separated."""
+    kinds = pykernel.TRACE_KINDS
     nodes = [node.id for node in topo.nodes]
     device = lru_cache(maxsize=None)(device_node_id)
     arrival, transfer, end = (pykernel.TR_TASK_ARRIVAL, pykernel.TR_TRANSFER_COMPLETE,

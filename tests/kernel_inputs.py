@@ -22,3 +22,14 @@ def kernel_inputs(**fields) -> KernelInputs:
     if values["arrival_device"] is None:
         values["arrival_device"] = [0] * len(values["arrival_time"])
     return KernelInputs(**values)
+
+
+def candidate_inputs(mips, **fields) -> KernelInputs:
+    """Idle single-core nodes with the given MIPS, every one a candidate in index
+    order and reached from device 0 without a link; fields as for kernel_inputs."""
+    n = len(mips)
+    values = dict(mips_per_core=list(mips), cores=[1] * n, weight=[1.0] * n,
+                  ram_capacity=[32_768.0] * n, storage_capacity=[1_048_576.0] * n,
+                  candidate_nodes=list(range(n)), up_route=[[0] * n])
+    values.update(fields)
+    return kernel_inputs(**values)

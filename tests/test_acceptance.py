@@ -10,19 +10,21 @@ import math
 import os
 import random
 import time
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
 
+from ponedge._kernel import pykernel
 from ponedge.cli import main
 from ponedge.config import cpu_grid
 from ponedge.engine import Stream
 from ponedge.network import BITS_PER_KB
-from ponedge.orchestrator import CandidateView, trade_off_select
 from ponedge.simulation import RunParams, run_simulation
 from ponedge.sweep import compare_scenario, sweep_scenario
 from ponedge.workload import SCENARIOS, ScenarioSpec, scenario_preset
 
+from kernel_inputs import candidate_inputs
 from test_network import drive_pool
 from trace_files import trace_digest
 
@@ -189,30 +191,45 @@ def test_c7_determinism(grid, tmp_path):
            f"{len(hashes)} distinct hash(es)")
 
 
+SCALE_FACTORS = [2.0 ** e for e in range(-8, 9)] + [3.0, 10.0, 0.7]
+
+
 def test_c8_scheduler_properties():
+    # Random runs of 1-8 candidates through the kernel's trade-off placement.
+    # Arrivals come strictly apart over empty routes with no control delay,
+    # and no execution ends within the horizon at any scale factor, so every
+    # placement is one decision whose queue counts are the earlier
+    # placements on each node.
     rng = random.Random(1031)
-    cases = 10_000
-    argmin_ok = 0
-    scale_ok = 0
-    for _ in range(cases):
+    decisions = argmin_ok = scale_ok = runs = 0
+    while decisions < 10_000:
         n = rng.randint(1, 8)
-        ids = sorted(f"n{v:03d}" for v in rng.sample(range(1000), n))
-        views = [CandidateView(node_id, rng.choice([1.0, 1.3, 1.8, 25.0]),
-                               rng.uniform(1e3, 3e6), rng.randint(0, 40))
-                 for node_id in ids]
+        weight = [rng.choice([1.0, 1.3, 1.8, 25.0]) for _ in range(n)]
+        mips = [rng.uniform(1e3, 3e6) for _ in range(n)]
         length = rng.uniform(1.0, 1e5)
-        decision = trade_off_select(0, length, views)
-        oracle = min(
-            ((v.queued_and_running + 1) * v.layer_weight * length / v.mips_per_core, v.node_id)
-            for v in views
-        )[1]
-        argmin_ok += decision.node_id == oracle
-        k = rng.choice([2.0 ** e for e in range(-8, 9)] + [3.0, 10.0, 0.7])
-        scale_ok += trade_off_select(0, length * k, views).node_id == decision.node_id
-    ok = argmin_ok == cases and scale_ok == cases
+        tasks = rng.randint(1, 40)
+        # the shortest execution at the smallest scale factor outlasts the horizon
+        spacing = min(SCALE_FACTORS) * length / max(mips) / (2 * tasks)
+        inputs = candidate_inputs(mips, weight=weight,
+                                  arrival_time=[i * spacing for i in range(tasks)],
+                                  length_mi=length, duration_s=(tasks - 1) * spacing)
+        base = pykernel.run(inputs)
+        k = rng.choice(SCALE_FACTORS)
+        scaled = pykernel.run(replace(inputs, length_mi=length * k))
+        for out in (base, scaled):
+            assert min(out.exec_end) > inputs.duration_s, "an execution ended within the horizon"
+        queued = [0] * n
+        for node, node_scaled in zip(base.node_of, scaled.node_of):
+            oracle = min(((queued[c] + 1) * weight[c] * length / mips[c], c) for c in range(n))[1]
+            argmin_ok += node == oracle
+            scale_ok += node_scaled == node
+            queued[node] += 1
+        decisions += tasks
+        runs += 1
+    ok = argmin_ok == decisions and scale_ok == decisions
     report("C8 scheduler-properties", ok,
-           f"argmin vs exhaustive oracle {argmin_ok}/{cases}, "
-           f"scale invariance {scale_ok}/{cases}")
+           f"kernel placements vs exhaustive oracle {argmin_ok}/{decisions}, "
+           f"scale invariance {scale_ok}/{decisions}, over {runs} runs")
 
 
 def test_c9_poisson_interarrival_means():

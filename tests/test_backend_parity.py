@@ -11,6 +11,7 @@ from ponedge._kernel import available_backends
 from ponedge._kernel.pykernel import (PH_DELIVERED, PH_DOWN, PH_NO_PLACEMENT, PH_QUEUED,
                                       PH_RUNNING, PH_UP)
 from ponedge.config import DEFAULT_CALIBRATION, cpu_grid, topology_preset
+from ponedge.network import ConfigurationError
 from ponedge.simulation import RunParams, build_kernel_inputs, run_simulation
 from ponedge.workload import scenario_preset
 
@@ -208,5 +209,5 @@ def test_backend_env_selection(monkeypatch):
     assert resolve_backend("auto") == "python"
     for name in ("qpu", "cython"):
         monkeypatch.setenv("PONEDGE_BACKEND", name)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             resolve_backend("auto")

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import ponedge
-from ponedge import simulation, sweep
+from ponedge import _kernel, simulation, sweep
 from ponedge.cli import main
 from ponedge.config import DEFAULT_CALIBRATION
 from ponedge.metrics import read_summary_csv
@@ -57,6 +57,19 @@ def test_run_unknown_scenario_exits_2(tmp_path, capsys):
 def test_run_requires_cpu(tmp_path, capsys):
     code = main(["run", "--scenario", "e-health", "--out-dir", str(tmp_path)])
     assert code == 2
+
+
+def test_run_unknown_backend_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("PONEDGE_BACKEND", "qpu")
+    assert main(RUN_FLAGS + ["--out-dir", str(tmp_path)]) == 2
+    assert "qpu" in capsys.readouterr().err
+
+
+def test_run_unbuilt_c_backend_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(_kernel, "_crun", None)
+    monkeypatch.setenv("PONEDGE_BACKEND", "c")
+    assert main(RUN_FLAGS + ["--out-dir", str(tmp_path)]) == 2
+    assert "not built" in capsys.readouterr().err
 
 
 def test_run_trace_dump(tmp_path):

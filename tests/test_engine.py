@@ -1,120 +1,117 @@
-"""Event queue ordering, clock discipline, and seeded stream behavior."""
+"""Kernel event ordering and clock discipline, trace kinds and file bytes, seeded streams."""
 
 import io
 import random
 
 import pytest
 
-from ponedge._kernel.pykernel import (TR_EXECUTION_COMPLETE, TR_EXECUTION_START,
-                                      TR_RESULT_DELIVERED, TR_SIMULATION_END,
-                                      TR_TASK_ARRIVAL, TR_TRANSFER_COMPLETE)
+from ponedge._kernel import pykernel
+from ponedge._kernel.pykernel import (PH_DELIVERED, PH_PENDING, PH_RUNNING,
+                                      STRATEGY_ROUND_ROBIN, TR_EXECUTION_COMPLETE,
+                                      TR_EXECUTION_START, TR_RESULT_DELIVERED,
+                                      TR_SIMULATION_END, TR_TASK_ARRIVAL,
+                                      TR_TRANSFER_COMPLETE)
 from ponedge.config import topology_preset
-from ponedge.engine import Event, EventKind, EventQueue, SimulationError, Stream, random_stream
+from ponedge.engine import SimulationError, Stream
 from ponedge.simulation import write_trace
 from ponedge.workload import scenario_preset
 
-
-def drain(queue, t_end):
-    seen = []
-    queue.run_until(t_end, lambda time, seq, payload: seen.append((time, seq, payload)))
-    return seen
+from kernel_inputs import candidate_inputs, kernel_inputs
 
 
 def test_schedule_future_accepted():
-    q = EventQueue()
-    q.run_until(3.0, lambda *a: None)
-    q.schedule(5.0, "ok")
-    assert len(q) == 1
+    out = pykernel.run(kernel_inputs(arrival_time=[0.0, 3.0, 3.0, 5.0]))
+    assert out.final_phase == [PH_DELIVERED] * 4
 
 
 def test_schedule_past_is_fatal():
-    q = EventQueue()
-    q.run_until(3.0, lambda *a: None)
     with pytest.raises(SimulationError):
-        q.schedule(2.0, "late")
+        pykernel.run(kernel_inputs(arrival_time=[3.0, 2.0]))  # unsorted arrivals
+    with pytest.raises(SimulationError):
+        pykernel.run(kernel_inputs(arrival_time=[-1.0]))
 
 
 def test_same_time_fifo_tie_break():
-    q = EventQueue()
-    q.schedule(7.0, "A")
-    q.schedule(7.0, "B")
-    assert [p for _, _, p in drain(q, 10.0)] == ["A", "B"]
+    # two arrivals at t=7 on one 1 s core: the one listed first is served first
+    out = pykernel.run(kernel_inputs(arrival_time=[7.0, 7.0], length_mi=1e9,
+                                     collect_trace=True))
+    assert [task for _, _, kind, task, _ in out.trace if kind == TR_TASK_ARRIVAL] == [0, 1]
+    assert out.exec_start == [7.0, 8.0]
 
 
 def test_run_until_empty_queue():
-    q = EventQueue()
-    assert q.run_until(10.0, lambda *a: None) == 0
-    assert q.now == 10.0
+    out = pykernel.run(kernel_inputs(collect_trace=True))
+    assert out.processed_events == 1
+    assert out.trace == [(1e3, 0, TR_SIMULATION_END, -1, -1)]
 
 
 def test_run_until_stops_at_horizon():
-    q = EventQueue()
-    for t in (1.0, 2.0, 3.0):
-        q.schedule(t, t)
-    assert q.run_until(2.0, lambda *a: None) == 2
-    assert q.now == 2.0
-    assert q.run_until(3.0, lambda *a: None) == 1
+    out = pykernel.run(kernel_inputs(arrival_time=[1.0, 2.0, 3.0], duration_s=2.0,
+                                     collect_trace=True))
+    # task 1 starts at the horizon and ends after it; task 2 never arrives
+    assert out.final_phase == [PH_DELIVERED, PH_RUNNING, PH_PENDING]
+    assert max(time for time, *_ in out.trace) == 2.0
 
 
 def test_run_until_behind_clock_is_fatal():
-    q = EventQueue()
-    q.run_until(5.0, lambda *a: None)
     with pytest.raises(SimulationError):
-        q.run_until(4.0, lambda *a: None)
+        pykernel.run(kernel_inputs(duration_s=-1.0))
 
 
 def test_handler_scheduling_at_current_time_runs_before_clock_advances():
-    q = EventQueue()
-    order = []
-
-    def handler(time, seq, payload):
-        order.append(payload)
-        if payload == "first":
-            q.schedule(time, "chained")
-
-    q.schedule(7.0, "first")
-    q.schedule(8.0, "later")
-    q.run_until(10.0, handler)
-    assert order == ["first", "chained", "later"]
+    # with no link and no control delay, the uplink ends and execution starts at
+    # the arrival time itself, before the clock reaches the next arrival
+    out = pykernel.run(kernel_inputs(arrival_time=[7.0, 8.0], collect_trace=True))
+    assert [(time, kind, task) for time, _, kind, task, _ in out.trace[:4]] == [
+        (7.0, TR_TASK_ARRIVAL, 0), (7.0, TR_TRANSFER_COMPLETE, 0),
+        (7.0, TR_EXECUTION_START, 0), (7.0 + 1e-9, TR_EXECUTION_COMPLETE, 0),
+    ]
 
 
 def test_dequeue_order_is_lexicographic_over_random_interleavings():
+    # arrivals on a coarse time grid tie often; round-robin hands them out in
+    # the order they are taken, so node_of shows that order
     rng = random.Random(1234)
     for _ in range(300):
-        q = EventQueue()
-        expected = []
-        for _ in range(rng.randint(1, 40)):
-            t = rng.choice([0.0, 1.0, 1.5, 2.0, rng.random() * 3])
-            seq = q.schedule(t, None)
-            expected.append((t, seq))
-        got = [(t, s) for t, s, _ in drain(q, 10.0)]
-        assert got == sorted(expected)
+        times = sorted(rng.choice([0.0, 1.0, 1.5, 2.0, rng.random() * 3])
+                       for _ in range(rng.randint(1, 40)))
+        out = pykernel.run(candidate_inputs([1e9] * 3, arrival_time=times,
+                                            strategy=STRATEGY_ROUND_ROBIN, collect_trace=True))
+        assert out.node_of == [task % 3 for task in range(len(times))]
+        keys = [(time, seq) for time, seq, *_ in out.trace]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
 def test_clock_monotonic_over_processing():
+    # 200 tasks sharing one link in each direction: every task's lifecycle
+    # timestamps come out in order
     rng = random.Random(99)
-    q = EventQueue()
-    for _ in range(200):
-        q.schedule(rng.random() * 5, None)
-    times = [t for t, _, _ in drain(q, 10.0)]
-    assert all(a <= b for a, b in zip(times, times[1:]))
+    times = sorted(rng.random() * 5 for _ in range(200))
+    out = pykernel.run(kernel_inputs(
+        link_bandwidth=[1e6], link_hop_delay=[1e-3], route_hops=[[0]], arrival_time=times,
+        request_bits=1e4, result_bits=1e4, length_mi=1e7, duration_s=10.0))
+    delivered = [task for task, phase in enumerate(out.final_phase) if phase == PH_DELIVERED]
+    assert len(delivered) == 200
+    for task in delivered:
+        assert (times[task] <= out.uplink_done[task] <= out.exec_start[task]
+                <= out.exec_end[task] <= out.delivered_at[task])
 
 
 def test_stream_replay_is_identical():
-    a = random_stream(42, "arrivals")
-    b = random_stream(42, "arrivals")
+    a = Stream(42, "arrivals")
+    b = Stream(42, "arrivals")
     assert [a.uniform() for _ in range(50)] == [b.uniform() for _ in range(50)]
 
 
 def test_stream_labels_are_independent():
-    a = random_stream(42, "arrivals")
-    b = random_stream(42, "sizes")
+    a = Stream(42, "arrivals")
+    b = Stream(42, "sizes")
     assert [a.uniform() for _ in range(20)] != [b.uniform() for _ in range(20)]
 
 
 def test_stream_seeds_differ():
-    a = random_stream(42, "arrivals")
-    b = random_stream(43, "arrivals")
+    a = Stream(42, "arrivals")
+    b = Stream(43, "arrivals")
     assert [a.uniform() for _ in range(20)] != [b.uniform() for _ in range(20)]
 
 
@@ -127,15 +124,16 @@ def test_uniform_range_and_exponential_positive():
 
 
 def test_event_payload_kinds_are_closed():
-    assert [k.value for k in EventKind] == [
+    codes = (TR_TASK_ARRIVAL, TR_TRANSFER_COMPLETE, TR_EXECUTION_START,
+             TR_EXECUTION_COMPLETE, TR_RESULT_DELIVERED, TR_SIMULATION_END)
+    assert [pykernel.TRACE_KINDS[code] for code in codes] == [
         "TaskArrival", "TransferComplete", "ExecutionStart",
         "ExecutionComplete", "ResultDelivered", "SimulationEnd",
     ]
+    assert len(pykernel.TRACE_KINDS) == len(codes)
 
 
 def test_trace_line_format_and_file_bytes():
-    ev = Event(1.5, 3, EventKind.TASK_ARRIVAL, ("task=t0", "src=n0000-dev"))
-    assert ev.trace_line() == "1.5\t3\tTaskArrival\ttask=t0 src=n0000-dev"
     # one kernel trace entry of each kind: (time, seq, kind, task, extra)
     topo = topology_preset("genio", scenario_preset("smart-city"), 43_000.0)
     edge = [node.id for node in topo.nodes].index("n0257-edge")
