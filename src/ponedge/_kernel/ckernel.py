@@ -2,7 +2,9 @@
 
 Python allocates every column the kernel reads or writes as an `array`, and
 passes their addresses in one `_Run` struct; the C code holds no Python
-object and allocates only run-local state.
+object and allocates only run-local state. The trace columns are allocated
+for the most entries a run can record, trimmed to the kernel's `trace_len`
+and handed over as they are in a `Trace`.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import ctypes
 from array import array
 
 from ..engine import SimulationError
-from .pykernel import KernelInputs, KernelOutputs, _past
+from .pykernel import KernelInputs, KernelOutputs, Trace, _past
 
 # return codes of ponedge_run
 _PAST = 1
@@ -45,11 +47,11 @@ class _Run(ctypes.Structure):
     ]
 
 
-# task and trace columns the kernel writes, with their array type codes
+# task columns the kernel writes, with their array type codes
 _OUTPUTS = {"node_of": "i", "uplink_done": "d", "exec_start": "d", "exec_end": "d",
             "delivered_at": "d", "final_phase": "i"}
-_TRACE = {"trace_time": "d", "trace_seq": "q", "trace_kind": "i", "trace_task": "i",
-          "trace_extra": "i"}
+# the struct fields of the trace columns, in Trace field order
+_TRACE = ["trace_" + name for name in Trace._fields]
 
 
 def _within(values, low: int, high: int) -> bool:
@@ -105,11 +107,12 @@ def load(path: str):
         _check(inp, route_hops, columns["up_route"])
         for name, code in _OUTPUTS.items():
             columns[name] = array(code, [0]) * n_tasks
+        trace = None
         if inp.collect_trace:
             # at most arrival, two transfers, execution start and end, and
             # delivery per task, plus the simulation end
-            for name, code in _TRACE.items():
-                columns[name] = array(code, [0]) * (6 * n_tasks + 1)
+            trace = Trace.allocate(6 * n_tasks + 1)
+            columns.update(zip(_TRACE, trace))
         # `columns` keeps every buffer alive until the call returns
         run = _Run(
             n_nodes=len(inp.cores), n_candidates=len(inp.candidate_nodes),
@@ -127,10 +130,9 @@ def load(path: str):
             raise SimulationError(f"transfer token {run.error_task} already on link")
         if status == _NO_MEMORY:
             raise MemoryError("the C kernel could not allocate its run state")
-        trace = None
-        if inp.collect_trace:
-            length = run.trace_len
-            trace = list(zip(*(columns[name][:length] for name in _TRACE)))
+        if trace is not None:
+            for column in trace:
+                del column[run.trace_len:]
         return KernelOutputs(
             **{name: columns[name].tolist() for name in _OUTPUTS},
             processed_events=run.processed_events,

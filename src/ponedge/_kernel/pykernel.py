@@ -9,11 +9,14 @@ smallest (eta, seq); the sequence counter advances by the member count, so
 that event carries the seq it would have had if every member's end were
 queued. Execution starts and deliveries are recorded where they are
 scheduled, under the seq their events would have had; an execution start
-counts as processed only when it falls within the horizon, and the trace is
-sorted once at the end, which is the processing order because (time, seq)
-is unique. Drained bits are clamped at zero. Any change to the semantics
-here must be made in kernel.c too, or the two backends stop being
-bit-identical.
+counts as processed only when it falls within the horizon. The trace comes
+out in (time, seq) order, which is the processing order because (time, seq)
+is unique, from a merge of two streams: the entries recorded as their event
+is processed arrive in that order, and the execution starts and deliveries,
+recorded ahead of their (time, seq), wait in a small heap until an entry
+that sorts after them is recorded. Drained bits are clamped at zero. Any
+change to the semantics here must be made in kernel.c too, or the two
+backends stop being bit-identical.
 
 All run state lives in lists local to `run`: per link direction, the
 fair-share members in join order, their bits left as of the last update and
@@ -24,8 +27,10 @@ placement and restored when execution ends.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from heapq import heappop, heappush, heappushpop
+from typing import NamedTuple
 
 from ..engine import SimulationError
 
@@ -95,6 +100,21 @@ class KernelInputs:
     collect_trace: bool
 
 
+class Trace(NamedTuple):
+    """The trace as five flat columns in (time, seq) order; zip(*trace) gives the rows."""
+
+    time: array
+    seq: array
+    kind: array  # a TR_* code
+    task: array  # -1 for the simulation end
+    extra: array  # source device, leg (0 up, 1 down) or node; -1 at the end
+
+    @classmethod
+    def allocate(cls, length: int = 0) -> Trace:
+        """Columns of `length` zeroed entries each."""
+        return cls(*(array(code, [0]) * length for code in ("d", "q", "i", "i", "i")))
+
+
 @dataclass
 class KernelOutputs:
     node_of: list[int]  # -1 when never placed
@@ -104,7 +124,7 @@ class KernelOutputs:
     delivered_at: list[float]
     final_phase: list[int]
     processed_events: int
-    trace: list[tuple[float, int, int, int, int]] | None
+    trace: Trace | None
 
 
 def _past(time: float, now: float) -> SimulationError:
@@ -138,6 +158,11 @@ def run(inputs: KernelInputs) -> KernelOutputs:
     recognised as superseded because its seq is no longer the one recorded
     in `pending_seq`. Execution start and delivery are recorded when they
     are scheduled, each under the seq its event would have had.
+
+    The trace columns are filled in (time, seq) order as the run goes. An
+    entry recorded as its event is processed is appended at once, after the
+    waiting execution starts and deliveries that sort before it are released
+    from their heap; the ones still waiting when the loop ends follow.
 
     The event a handler schedules last is held back in `held` and merged into
     the next pop with heappushpop, which returns it without touching the heap
@@ -179,7 +204,24 @@ def run(inputs: KernelInputs) -> KernelOutputs:
     queued = [0] * len(inp.cores)
     free_ram = list(inp.ram_capacity)
     free_storage = list(inp.storage_capacity)
-    trace: list | None = [] if inp.collect_trace else None
+    trace = None
+    if inp.collect_trace:
+        trace = Trace.allocate()
+        add_time, add_seq, add_kind, add_task, add_extra = (column.append for column in trace)
+        # execution starts and deliveries, recorded ahead of their (time, seq)
+        waiting: list[tuple[float, int, int, int, int]] = []
+
+        def record(time: float, ev_seq: int, kind: int, task: int, extra: int) -> None:
+            """Append an entry whose event is being processed, after every
+            waiting entry that sorts before it (nothing waiting sorts before
+            a released one)."""
+            while waiting and waiting[0] < (time, ev_seq):
+                record(*heappop(waiting))
+            add_time(time)
+            add_seq(ev_seq)
+            add_kind(kind)
+            add_task(task)
+            add_extra(extra)
 
     t_node = [-1] * n_tasks
     t_phase = [PH_PENDING] * n_tasks
@@ -256,7 +298,7 @@ def run(inputs: KernelInputs) -> KernelOutputs:
             elif t_phase[task] == PH_UP:  # uplink complete: queue on the chosen node
                 uplink_done[task] = now
                 if trace is not None:
-                    trace.append((now, ev_seq, TR_TRANSFER_COMPLETE, task, 0))
+                    record(now, ev_seq, TR_TRANSFER_COMPLETE, task, 0)
                 node = t_node[task]
                 # the core that frees up earliest, ties to the lowest index
                 free = core_free_at[node]
@@ -270,7 +312,7 @@ def run(inputs: KernelInputs) -> KernelOutputs:
                 if start <= duration_s:  # the execution start falls within the horizon
                     t_phase[task] = PH_RUNNING
                     if trace is not None:
-                        trace.append((start, seq, TR_EXECUTION_START, task, node))
+                        heappush(waiting, (start, seq, TR_EXECUTION_START, task, node))
                     processed += 1
                 else:
                     t_phase[task] = PH_QUEUED
@@ -282,8 +324,8 @@ def run(inputs: KernelInputs) -> KernelOutputs:
                 delivered_at[task] = now
                 t_phase[task] = PH_DELIVERED
                 if trace is not None:
-                    trace.append((now, ev_seq, TR_TRANSFER_COMPLETE, task, 1))
-                    trace.append((now, seq, TR_RESULT_DELIVERED, task, t_node[task]))
+                    record(now, ev_seq, TR_TRANSFER_COMPLETE, task, 1)
+                    heappush(waiting, (now, seq, TR_RESULT_DELIVERED, task, t_node[task]))
                 processed += 1
                 seq += 1
         elif code == EV_EXEC_END:
@@ -292,7 +334,7 @@ def run(inputs: KernelInputs) -> KernelOutputs:
             free_ram[node] += task_ram_mb
             free_storage[node] += task_storage_mb
             if trace is not None:
-                trace.append((now, ev_seq, TR_EXECUTION_COMPLETE, task, node))
+                record(now, ev_seq, TR_EXECUTION_COMPLETE, task, node)
             t_phase[task] = PH_DOWN
             path = t_path[task] = down_hops[t_route[task]]
             if path:
@@ -305,7 +347,7 @@ def run(inputs: KernelInputs) -> KernelOutputs:
         elif code == EV_ARRIVAL:
             device = arrival_device[task]
             if trace is not None:
-                trace.append((now, ev_seq, TR_TASK_ARRIVAL, task, device))
+                record(now, ev_seq, TR_TASK_ARRIVAL, task, device)
             if next_arrival < n_tasks:
                 if arrival_time[next_arrival] < now:
                     raise _past(arrival_time[next_arrival], now)
@@ -353,7 +395,7 @@ def run(inputs: KernelInputs) -> KernelOutputs:
                 else:
                     join = path[0]
         elif trace is not None:  # EV_SIM_END
-            trace.append((now, ev_seq, TR_SIMULATION_END, task, -1))
+            record(now, ev_seq, TR_SIMULATION_END, task, -1)
         if join >= 0:
             bits = request_bits if t_phase[task] == PH_UP else result_bits
             tokens = members[join]
@@ -390,7 +432,8 @@ def run(inputs: KernelInputs) -> KernelOutputs:
         processed += 1
 
     if trace is not None:
-        trace.sort()  # into (time, seq) order, which is the processing order
+        while waiting:
+            record(*heappop(waiting))
     return KernelOutputs(
         node_of=t_node,
         uplink_done=uplink_done,

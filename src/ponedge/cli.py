@@ -7,6 +7,7 @@ import os
 import sys
 from dataclasses import replace
 
+from . import _kernel
 from .config import (DEFAULT_ARRIVALS, DEFAULT_CALIBRATION, DEFAULT_DURATION_S,
                      DEFAULT_SEEDS, DEFAULT_STRATEGY, STRATEGIES, ExperimentSpec,
                      cpu_label, parse_experiment, parse_seeds)
@@ -196,6 +197,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handler = {"run": cmd_run, "sweep": cmd_sweep, "compare": cmd_compare}[args.command]
     try:
+        # checked before any cell is reused, so that a bad PONEDGE_BACKEND is
+        # refused even when every cell the command needs is cached
+        _kernel.resolve_backend()
         return handler(args)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

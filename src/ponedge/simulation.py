@@ -229,8 +229,9 @@ def node_utilization(topo: TopologySpec, busy: list[float],
     )
 
 
-def _trace_lines(topo: TopologySpec, trace) -> list[str]:
-    """One line per kernel trace entry: time, seq, kind name and subject, tab-separated."""
+def _trace_lines(topo: TopologySpec, rows) -> list[str]:
+    """One line per kernel trace row (time, seq, kind, task, extra): time, seq,
+    kind name and subject, tab-separated."""
     kinds = pykernel.TRACE_KINDS
     nodes = [node.id for node in topo.nodes]
     device = lru_cache(maxsize=None)(device_node_id)
@@ -238,7 +239,7 @@ def _trace_lines(topo: TopologySpec, trace) -> list[str]:
                               pykernel.TR_SIMULATION_END)
     lines = []
     append = lines.append
-    for time, seq, kind, task, extra in trace:
+    for time, seq, kind, task, extra in rows:
         if kind == arrival:
             append(f"{time:.17g}\t{seq}\t{kinds[kind]}\ttask=t{task} src={device(extra)}")
         elif kind == transfer:
@@ -251,15 +252,17 @@ def _trace_lines(topo: TopologySpec, trace) -> list[str]:
     return lines
 
 
-def write_trace(fh, topo: TopologySpec, trace) -> None:
+def write_trace(fh, topo: TopologySpec, trace: pykernel.Trace) -> None:
     """Write the event-trace file to the binary file `fh`.
 
     One newline-terminated ASCII line per kernel trace entry, formatted and
-    written TRACE_CHUNK entries at a time, so the text of at most one chunk
-    is held at once.
+    written TRACE_CHUNK entries at a time, each chunk's rows zipped from
+    slices of the trace columns, so the text of at most one chunk is held at
+    once.
     """
-    for start in range(0, len(trace), TRACE_CHUNK):
-        lines = _trace_lines(topo, trace[start:start + TRACE_CHUNK])
+    for start in range(0, len(trace.time), TRACE_CHUNK):
+        lines = _trace_lines(topo, zip(*(column[start:start + TRACE_CHUNK]
+                                         for column in trace)))
         lines.append("")  # the join then ends the chunk with a newline
         fh.write("\n".join(lines).encode("ascii"))
 
@@ -268,7 +271,7 @@ def run_simulation(params: RunParams, backend: str | None = "auto",
                    collect_trace: bool = False) -> RunResult:
     """Execute one deterministic run and summarize it.
 
-    With collect_trace the kernel's trace entries are kept in
+    With collect_trace the kernel's trace columns are kept in
     `outputs.trace`, for write_trace. Raises SimulationError when a
     run-level invariant breaks; that is a bug, not a data point.
     """

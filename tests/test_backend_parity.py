@@ -1,13 +1,14 @@
 """The C kernel must be bit-identical to the pure-Python reference."""
 
 import random
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
 import pytest
 
 from ponedge import _kernel
-from ponedge._kernel import available_backends
+from ponedge._kernel import available_backends, pykernel
 from ponedge._kernel.pykernel import (PH_DELIVERED, PH_DOWN, PH_NO_PLACEMENT, PH_QUEUED,
                                       PH_RUNNING, PH_UP)
 from ponedge.config import DEFAULT_CALIBRATION, cpu_grid, topology_preset
@@ -163,21 +164,40 @@ def _random_params(rng: random.Random) -> RunParams:
     )
 
 
+def _random_inputs(rng: random.Random):
+    """(params, traced kernel inputs) of a random calibration, on the 0.25 s
+    time grid half of the time."""
+    params = _random_params(rng)
+    topo = topology_preset(params.topology, params.scenario, params.cpu_mips,
+                           params.calibration)
+    inputs = build_kernel_inputs(params, topo, collect_trace=True)
+    if rng.random() < 0.5:
+        # random phases almost never make two float times equal; on a
+        # 0.25 s grid, tasks arrive together, join links at the same
+        # instant, tie on etas and start exactly at the horizon
+        inputs = replace(inputs, arrival_time=[round(t * 4) / 4 for t in inputs.arrival_time],
+                         duration_s=round(inputs.duration_s * 4) / 4)
+    return params, inputs
+
+
+def test_trace_merge_keeps_time_seq_order_on_random_calibrations():
+    # execution starts and deliveries are recorded ahead of their (time, seq)
+    # and merged into the processed entries; on coinciding times the merge
+    # must still give strictly increasing (time, seq), as one sort would
+    rng = random.Random(20260418)
+    for _ in range(200):
+        params, inputs = _random_inputs(rng)
+        rows = list(zip(*pykernel.run(inputs).trace))
+        assert all(a[:2] < b[:2] for a, b in zip(rows, rows[1:])), params
+        assert rows == sorted(rows), params
+
+
 @needs_c
 def test_backends_bit_identical_on_random_calibrations():
     rng = random.Random(20260418)
     phases = Counter()
     for _ in range(200):
-        params = _random_params(rng)
-        topo = topology_preset(params.topology, params.scenario, params.cpu_mips,
-                               params.calibration)
-        inputs = build_kernel_inputs(params, topo, collect_trace=True)
-        if rng.random() < 0.5:
-            # random phases almost never make two float times equal; on a
-            # 0.25 s grid, tasks arrive together, join links at the same
-            # instant, tie on etas and start exactly at the horizon
-            inputs = replace(inputs, arrival_time=[round(t * 4) / 4 for t in inputs.arrival_time],
-                             duration_s=round(inputs.duration_s * 4) / 4)
+        params, inputs = _random_inputs(rng)
         py = _kernel.run(inputs, backend="python")
         c = _kernel.run(inputs, backend="c")
         # repr round-trips every float exactly, NaN included
@@ -185,6 +205,27 @@ def test_backends_bit_identical_on_random_calibrations():
         phases.update(set(py.final_phase))
     # the draws reach refusals, queues behind the horizon and deliveries
     assert phases[PH_NO_PLACEMENT] and phases[PH_QUEUED] and phases[PH_DELIVERED]
+
+
+@pytest.mark.parametrize("backend", ["python", pytest.param("c", marks=needs_c)])
+def test_trace_costs_at_most_40_bytes_per_entry(backend):
+    # the largest trace among the contention-heavy cells: five columns cost
+    # about 28 bytes an entry, a list of one tuple per entry about 126
+    params = _params(("smart-building", "baseline", 440_000.0), dict(duration_s=600.0))
+    topo = topology_preset(params.topology, params.scenario, params.cpu_mips,
+                           params.calibration)
+    peaks = {}
+    for collect_trace in (False, True):
+        inputs = build_kernel_inputs(params, topo, collect_trace)
+        tracemalloc.start()
+        try:
+            out = _kernel.run(inputs, backend=backend)
+            _, peaks[collect_trace] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    entries = len(out.trace.time)
+    assert entries == 72_951
+    assert peaks[True] - peaks[False] <= 40 * entries, (peaks[True] - peaks[False]) / entries
 
 
 @needs_c

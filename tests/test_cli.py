@@ -72,6 +72,17 @@ def test_run_unbuilt_c_backend_exits_2(tmp_path, monkeypatch, capsys):
     assert "not built" in capsys.readouterr().err
 
 
+def test_bad_backend_exits_2_when_every_cell_is_cached(tmp_path, monkeypatch, capsys):
+    argv = ["compare", "--scenario", "aigc", "--duration", "1", "--seeds", "1",
+            "--out-dir", str(tmp_path), "--jobs", "1"]
+    assert main(argv) == 0
+    files = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+    monkeypatch.setenv("PONEDGE_BACKEND", "qpu")
+    assert main(argv) == 2
+    assert "qpu" in capsys.readouterr().err
+    assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == files
+
+
 def test_run_trace_dump(tmp_path):
     trace = tmp_path / "events.tsv"
     assert main(RUN_FLAGS + ["--out-dir", str(tmp_path / "r"),
@@ -94,11 +105,12 @@ def test_run_trace_is_published_atomically(tmp_path, monkeypatch):
     format_chunk = simulation._trace_lines
     calls = []
 
-    def fail_on_second_chunk(topo, entries):
-        calls.append(len(entries))
+    def fail_on_second_chunk(topo, rows):
+        rows = list(rows)
+        calls.append(len(rows))
         if len(calls) == 2:
             raise OSError("no space left on device")
-        return format_chunk(topo, entries)
+        return format_chunk(topo, rows)
 
     monkeypatch.setattr(simulation, "_trace_lines", fail_on_second_chunk)
     with pytest.raises(OSError):

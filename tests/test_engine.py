@@ -35,14 +35,14 @@ def test_same_time_fifo_tie_break():
     # two arrivals at t=7 on one 1 s core: the one listed first is served first
     out = pykernel.run(kernel_inputs(arrival_time=[7.0, 7.0], length_mi=1e9,
                                      collect_trace=True))
-    assert [task for _, _, kind, task, _ in out.trace if kind == TR_TASK_ARRIVAL] == [0, 1]
+    assert [task for _, _, kind, task, _ in zip(*out.trace) if kind == TR_TASK_ARRIVAL] == [0, 1]
     assert out.exec_start == [7.0, 8.0]
 
 
 def test_run_until_empty_queue():
     out = pykernel.run(kernel_inputs(collect_trace=True))
     assert out.processed_events == 1
-    assert out.trace == [(1e3, 0, TR_SIMULATION_END, -1, -1)]
+    assert list(zip(*out.trace)) == [(1e3, 0, TR_SIMULATION_END, -1, -1)]
 
 
 def test_run_until_stops_at_horizon():
@@ -50,7 +50,7 @@ def test_run_until_stops_at_horizon():
                                      collect_trace=True))
     # task 1 starts at the horizon and ends after it; task 2 never arrives
     assert out.final_phase == [PH_DELIVERED, PH_RUNNING, PH_PENDING]
-    assert max(time for time, *_ in out.trace) == 2.0
+    assert max(out.trace.time) == 2.0
 
 
 def test_run_until_behind_clock_is_fatal():
@@ -62,7 +62,7 @@ def test_handler_scheduling_at_current_time_runs_before_clock_advances():
     # with no link and no control delay, the uplink ends and execution starts at
     # the arrival time itself, before the clock reaches the next arrival
     out = pykernel.run(kernel_inputs(arrival_time=[7.0, 8.0], collect_trace=True))
-    assert [(time, kind, task) for time, _, kind, task, _ in out.trace[:4]] == [
+    assert [(time, kind, task) for time, _, kind, task, _ in list(zip(*out.trace))[:4]] == [
         (7.0, TR_TASK_ARRIVAL, 0), (7.0, TR_TRANSFER_COMPLETE, 0),
         (7.0, TR_EXECUTION_START, 0), (7.0 + 1e-9, TR_EXECUTION_COMPLETE, 0),
     ]
@@ -78,7 +78,7 @@ def test_dequeue_order_is_lexicographic_over_random_interleavings():
         out = pykernel.run(candidate_inputs([1e9] * 3, arrival_time=times,
                                             strategy=STRATEGY_ROUND_ROBIN, collect_trace=True))
         assert out.node_of == [task % 3 for task in range(len(times))]
-        keys = [(time, seq) for time, seq, *_ in out.trace]
+        keys = list(zip(out.trace.time, out.trace.seq))
         assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
@@ -137,7 +137,7 @@ def test_trace_line_format_and_file_bytes():
     # one kernel trace entry of each kind: (time, seq, kind, task, extra)
     topo = topology_preset("genio", scenario_preset("smart-city"), 43_000.0)
     edge = [node.id for node in topo.nodes].index("n0257-edge")
-    trace = [
+    rows = [
         (1.5, 3, TR_TASK_ARRIVAL, 0, 7),
         (0.1 + 0.2, 4, TR_TRANSFER_COMPLETE, 0, 0),
         (2.0, 5, TR_EXECUTION_START, 0, edge),
@@ -147,7 +147,7 @@ def test_trace_line_format_and_file_bytes():
         (600.0, 0, TR_SIMULATION_END, -1, -1),
     ]
     sink = io.BytesIO()
-    write_trace(sink, topo, trace)
+    write_trace(sink, topo, pykernel.Trace(*zip(*rows)))
     assert sink.getvalue() == (
         b"1.5\t3\tTaskArrival\ttask=t0 src=n0007-dev\n"
         b"0.30000000000000004\t4\tTransferComplete\ttask=t0 leg=up\n"

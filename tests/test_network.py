@@ -187,6 +187,6 @@ def test_pool_eta_ties_go_to_the_earliest_joiner():
         strategy=STRATEGY_ROUND_ROBIN, collect_trace=True)
     out = pykernel.run(inputs)
     assert out.exec_end[0] == 1.0 and out.uplink_done[1] == out.delivered_at[0] == 1.0
-    transfers = [(task, leg) for time, _, kind, task, leg in out.trace
+    transfers = [(task, leg) for time, _, kind, task, leg in zip(*out.trace)
                  if kind == pykernel.TR_TRANSFER_COMPLETE and time == 1.0]
     assert transfers == [(1, 0), (0, 1)]

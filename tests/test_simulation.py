@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from ponedge._kernel.pykernel import PH_DOWN, TR_SIMULATION_END, TR_TASK_ARRIVAL
+from ponedge._kernel.pykernel import PH_DOWN, TR_SIMULATION_END, TR_TASK_ARRIVAL, Trace
 from ponedge.config import DEFAULT_CALIBRATION, topology_preset
 from ponedge.engine import SimulationError
 from ponedge.simulation import (TRACE_CHUNK, RunParams, _trace_lines, assert_run_invariants,
@@ -56,13 +56,13 @@ def test_trace_replay_hash_stable():
 
 def test_write_trace_streams_chunks():
     topo = run_simulation(single_task_params()).topology
-    trace = [(0.5 * i, i + 1, TR_TASK_ARRIVAL, i, 0) for i in range(2 * TRACE_CHUNK + 5)]
-    trace.append((1e4, 0, TR_SIMULATION_END, -1, -1))
+    rows = [(0.5 * i, i + 1, TR_TASK_ARRIVAL, i, 0) for i in range(2 * TRACE_CHUNK + 5)]
+    rows.append((1e4, 0, TR_SIMULATION_END, -1, -1))
     pieces = []
-    write_trace(SimpleNamespace(write=pieces.append), topo, trace)
+    write_trace(SimpleNamespace(write=pieces.append), topo, Trace(*zip(*rows)))
     assert len(pieces) == 3
     assert b"".join(pieces) == "".join(
-        line + "\n" for line in _trace_lines(topo, trace)).encode("ascii")
+        line + "\n" for line in _trace_lines(topo, rows)).encode("ascii")
     assert all(piece.endswith(b"\n") for piece in pieces)
 
 
@@ -70,7 +70,7 @@ def test_write_trace_holds_one_chunk_of_text():
     params = RunParams(scenario=scenario_preset("smart-building"), topology="baseline",
                        cpu_mips=440_000.0, seed=5, duration_s=600.0)
     result = run_simulation(params, collect_trace=True)
-    assert len(result.outputs.trace) == 72_951
+    assert len(result.outputs.trace.time) == 72_951
     sizes = []  # of each write; the bytes themselves are discarded
     sink = SimpleNamespace(write=lambda data: sizes.append(len(data)))
     tracemalloc.start()
