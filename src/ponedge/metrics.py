@@ -99,7 +99,7 @@ def summarize(generated_at: Sequence[float], delivered_at: Sequence[float], *,
     hit = bisect_right(latencies, deadline_s)  # latencies <= deadline_s
     succeeded = hit if strict_deadline else delivered
     if delivered:
-        mean_latency = sum(latencies) / delivered
+        mean_latency = math.fsum(latencies) / delivered
         p95 = percentile_95(latencies)
         deadline_hit_pct = 100.0 * hit / delivered
     else:
@@ -136,8 +136,8 @@ def compare(genio: RunSummary, baseline: RunSummary) -> float:
 
 def _mean_std(values: list[float]) -> tuple[float, float]:
     n = len(values)
-    mean = sum(values) / n
-    var = sum((v - mean) ** 2 for v in values) / n  # population std: one seed -> 0
+    mean = math.fsum(values) / n
+    var = math.fsum((v - mean) ** 2 for v in values) / n  # population std: one seed -> 0
     return mean, math.sqrt(var)
 
 

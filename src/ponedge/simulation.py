@@ -17,7 +17,9 @@ from .workload import ScenarioSpec, generate_arrivals
 from ._kernel import pykernel
 
 DECOMPOSITION_TOLERANCE_S = 1e-12
-TRACE_CHUNK = 4096  # trace entries formatted per write: about 270 KB of text
+# Trace entries formatted per write: about 70 KB of text. Its lines, their join
+# and its encoding are the largest transient memory of a traced run.
+TRACE_CHUNK = 1024
 
 
 @dataclass(frozen=True)

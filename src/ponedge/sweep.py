@@ -100,7 +100,7 @@ def _published_summary(directory: str, config_text: str,
 
 def run_cell(cell: CellSpec, backend: str | None = "auto",
              trace_path: str | None = None, *, tasks_csv: bool) -> RunSummary:
-    """Run one cell and publish its files atomically.
+    """Run one cell, publish its files atomically, and return its summary as published.
 
     The cell gets summary.csv and config.json, plus the per-task tasks.csv
     when tasks_csv is set. A published cell is reused only when its
@@ -126,6 +126,9 @@ def run_cell(cell: CellSpec, backend: str | None = "auto",
                             deadline_s=cell.scenario.deadline_s, scenario=cell.scenario.name,
                             topology=cell.topology, cpu=cell.cpu, seed=cell.seed)
         write_summary_csv(os.path.join(staging, "summary.csv"), [result.summary])
+        # what a later invocation reusing this cell reads, so that aggregates
+        # are computed from the same numbers whether the cell is fresh or not
+        (summary,) = read_summary_csv(os.path.join(staging, "summary.csv"))
         with open(os.path.join(staging, "config.json"), "w") as fh:
             fh.write(config_text)
         if os.path.isdir(final_dir):
@@ -144,7 +147,7 @@ def run_cell(cell: CellSpec, backend: str | None = "auto",
         finally:
             if os.path.exists(staged_trace):
                 os.remove(staged_trace)
-    return result.summary
+    return summary
 
 
 def _run_cell_job(cell: CellSpec) -> RunSummary:

@@ -39,19 +39,19 @@ CASES = [
 # still queued behind the horizon, whose execution start is never processed.
 GOLDEN = {
     CASES[0]: ("0b84a32da3d19c45db3272fd93231427616016f75257b29b083cdc4daf16a488",
-               3905, 481, 481, 0.01199225271961618, 0.011716906976744212,
+               3905, 481, 481, 0.011992252719616181, 0.011716906976744212,
                {PH_DELIVERED: 481}),
     CASES[1]: ("d0a06e810051d38c30ded2a99dece5161dedb432d0f46a1c8375a56a426e0710",
-               5769, 481, 480, 0.021844890087815528, 0.02184466666666829,
+               5769, 481, 480, 0.02184489008781553, 0.02184466666666829,
                {PH_DOWN: 1, PH_DELIVERED: 480}),
     CASES[2]: ("c12dc9fae11a5cd3b586ba5e3123059dbf0faef3a73517526675bfc33a6b57d1",
                9217, 1152, 1152, 0.00179083521937469, 0.0017739032258088372,
                {PH_DELIVERED: 1152}),
     CASES[3]: ("c89cabd5652209ff0864d2408e3acac6ee3d3cf9ed90fc4b9774760c4a1a1c26",
-               28083, 2341, 2339, 0.05374156719585584, 0.0652664803322125,
+               28083, 2341, 2339, 0.05374156719585558, 0.0652664803322125,
                {PH_RUNNING: 1, PH_DOWN: 1, PH_DELIVERED: 2339}),
     CASES[4]: ("b00d50767b1ae5492b378f0ab4d1959ea3fa399718647dae413b7a8627d397b0",
-               25214, 2023, 2006, 1.0300526330181692, 1.4886102252801336,
+               25214, 2023, 2006, 1.0300526330181672, 1.4886102252801336,
                {PH_UP: 6, PH_QUEUED: 9, PH_RUNNING: 1, PH_DOWN: 1, PH_DELIVERED: 2006}),
 }
 # Variants of the cases above, each pinned the same way: round-robin
@@ -69,13 +69,13 @@ VARIANTS = {
         dict(strategy="round-robin", arrivals="fixed",
              calibration=replace(DEFAULT_CALIBRATION, control_plane_delay_s=0.002)),
         ("6dcae3ad1d18ad1ecbba9461d60684d514ec5245aabe9f45eaec65da58fbeaba",
-         29944, 2000, 1995, 0.3262741266745424, 0.4564965839815418,
+         29944, 2000, 1995, 0.3262741266745431, 0.4564965839815418,
          {PH_UP: 5, PH_DELIVERED: 1995})),
     "smart-building-baseline-440000-two-cores-small-ram": (
         CASES[3],
         dict(calibration=replace(DEFAULT_CALIBRATION, edge_cores=2, edge_ram_mb=2.0)),
         ("24e1302cee5458dfc6455436916f2173732bc37624778dff30046645867c3c03",
-         29346, 2341, 2311, 0.06589177509805753, 0.07850507118045869,
+         29346, 2341, 2311, 0.06589177509805696, 0.07850507118045869,
          {PH_RUNNING: 1, PH_DOWN: 2, PH_DELIVERED: 2311, PH_NO_PLACEMENT: 27})),
     "aigc-genio-700000-round-robin-far-edge-small-ram": (
         ("aigc", "genio", 700_000.0),
@@ -83,7 +83,7 @@ VARIANTS = {
              calibration=replace(DEFAULT_CALIBRATION, far_edge_execution=True,
                                  edge_ram_mb=2.0)),
         ("ccd45265a73c6d4f52711e3426e6c86d4d2947ca7c47d519fb408bfabc11e327",
-         14567, 2023, 688, 41.33525956493809, 82.90581605991389,
+         14567, 2023, 688, 41.335259564938106, 82.90581605991389,
          {PH_UP: 2, PH_QUEUED: 1282, PH_RUNNING: 51, PH_DELIVERED: 688})),
     # fractional footprints: room for five 0.1 MB tasks on the edge server,
     # whose free capacity is decremented on each placement
@@ -91,13 +91,13 @@ VARIANTS = {
         CASES[4],
         dict(calibration=replace(DEFAULT_CALIBRATION, task_ram_mb=0.1, edge_ram_mb=0.5)),
         ("37b5955142fb1d58d75f4fac97fe9e35991120d6621ca343c2e1c181a043a482",
-         25500, 2023, 1970, 0.3398144330931947, 0.4883358072374193,
+         25500, 2023, 1970, 0.33981443309319515, 0.4883358072374193,
          {PH_UP: 6, PH_RUNNING: 1, PH_DELIVERED: 1970, PH_NO_PLACEMENT: 46})),
     "aigc-baseline-800000-three-cores-clamp": (
         ("aigc", "baseline", 800_000.0),
         dict(seed=1, calibration=replace(DEFAULT_CALIBRATION, edge_cores=3)),
         ("916da158586003e14b3251f94e4d40dbd7ec882f1aa2eb2c9442cf67a664ea35",
-         26233, 2075, 2069, 0.49372328054576875, 0.8836749898537768,
+         26233, 2075, 2069, 0.49372328054576814, 0.8836749898537768,
          {PH_UP: 3, PH_RUNNING: 2, PH_DOWN: 1, PH_DELIVERED: 2069})),
 }
 RUNS = [(case, {}, GOLDEN[case]) for case in CASES] + list(VARIANTS.values())
@@ -245,6 +245,7 @@ def test_c_kernel_rejects_inputs_out_of_bounds(fields):
 @needs_c
 def test_backend_env_selection(monkeypatch):
     from ponedge._kernel import resolve_backend
+    monkeypatch.delenv("PONEDGE_BACKEND", raising=False)
     assert resolve_backend("auto") == "c"
     monkeypatch.setenv("PONEDGE_BACKEND", "python")
     assert resolve_backend("auto") == "python"

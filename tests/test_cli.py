@@ -1,26 +1,20 @@
 """CLI surfaces: flags, exit codes, file layout, determinism, env override."""
 
 import json
-import os
-import subprocess
-import sys
+import shutil
 
 import pytest
 
-import ponedge
-from ponedge import _kernel, simulation, sweep
+from ponedge import simulation, sweep
 from ponedge.cli import main
 from ponedge.config import DEFAULT_CALIBRATION
 from ponedge.metrics import read_summary_csv
 from ponedge.workload import scenario_preset
 
+from fresh_process import path_finds_compiler, ponedge_env, run_cli, run_python
+
 RUN_FLAGS = ["run", "--scenario", "e-health", "--topology", "genio",
              "--cpu-mips", "220000", "--seed", "1", "--duration", "20"]
-
-
-def run_cli(argv, capsys=None):
-    code = main(argv)
-    return code
 
 
 def test_run_writes_cell_files(tmp_path, capsys):
@@ -65,11 +59,17 @@ def test_run_unknown_backend_exits_2(tmp_path, monkeypatch, capsys):
     assert "qpu" in capsys.readouterr().err
 
 
-def test_run_unbuilt_c_backend_exits_2(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(_kernel, "_crun", None)
-    monkeypatch.setenv("PONEDGE_BACKEND", "c")
-    assert main(RUN_FLAGS + ["--out-dir", str(tmp_path)]) == 2
-    assert "not built" in capsys.readouterr().err
+@path_finds_compiler
+def test_run_unbuilt_c_backend_exits_2(tmp_path):
+    # no compiler on PATH and no library in the cache: auto runs on pure
+    # Python, and asking for the C kernel is a configuration error
+    argv = RUN_FLAGS + ["--out-dir", str(tmp_path / "out")]
+    auto = run_cli(argv, ponedge_env(tmp_path, compiler=False))
+    assert (auto.returncode, auto.stderr) == (0, "")
+    c = run_cli(argv, ponedge_env(tmp_path, compiler=False, backend="c"))
+    assert c.returncode == 2
+    assert "no C compiler" in c.stderr
+    assert not (tmp_path / "cache").exists()
 
 
 def test_bad_backend_exits_2_when_every_cell_is_cached(tmp_path, monkeypatch, capsys):
@@ -120,14 +120,12 @@ def test_run_trace_is_published_atomically(tmp_path, monkeypatch):
     assert sorted(path.name for path in tmp_path.iterdir()) == ["events.tsv", "out"]
 
 
-def test_cli_import_starts_no_process_pool_machinery():
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ponedge.__file__)))
+def test_cli_import_starts_no_process_pool_machinery(tmp_path):
+    # importing the CLI starts no compiler and loads no C kernel
     code = ("import sys, ponedge.cli; "
-            "print('multiprocessing' in sys.modules, 'ctypes' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    # ctypes is loaded only to call a built C kernel
-    assert out == f"False {'c' in ponedge.available_backends()}\n"
+            "print(sorted({'ctypes', 'multiprocessing', 'subprocess'} & set(sys.modules)))")
+    assert run_python(code, ponedge_env(tmp_path)).stdout == "[]\n"
+    assert not (tmp_path / "cache").exists()
 
 
 def test_env_seed_override(tmp_path, monkeypatch, capsys):
@@ -244,6 +242,29 @@ def test_run_republishes_compare_cell_with_tasks(tmp_path, capsys):
     assert (cell / "tasks.csv").read_bytes() == (fresh_cell / "tasks.csv").read_bytes()
     for name, data in published.items():
         assert (cell / name).read_bytes() == data
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare", "--all", "--seeds", "1", "--duration", "30"],
+    ["sweep", "--scenario", "aigc", "--seeds", "1..2", "--duration", "30"],
+], ids=["compare", "sweep"])
+def test_cached_cells_report_what_fresh_ones_do(tmp_path, capsys, argv):
+    # aggregates computed from fresh cells, cached cells and a mix of both
+    # must be the same bytes: every path reads the summaries as published
+    out = tmp_path / "out"
+
+    def outputs():
+        assert main(argv + ["--out-dir", str(out), "--jobs", "1"]) == 0
+        tables = {path.relative_to(out): path.read_bytes() for path in out.rglob("*.csv")
+                  if path.name in ("aggregate.csv", "comparison.csv", "plot_data.csv")}
+        return capsys.readouterr().out, tables
+
+    fresh = outputs()
+    assert fresh[1]
+    assert outputs() == fresh
+    for cell in sorted(out.glob("*/*/*/*"))[::2]:
+        shutil.rmtree(cell)
+    assert outputs() == fresh
 
 
 def test_compare_all_in_one_pool_matches_serial(tmp_path, capsys):
