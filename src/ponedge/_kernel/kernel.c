@@ -8,9 +8,9 @@
  * semantics there must be made here too, and the other way round.
  *
  * No CPython API is used. ckernel.py fills one struct kernel_run with the
- * addresses of the input, output and trace columns it allocated, and calls
- * ponedge_run() through ctypes. Every array allocated here is run-local and
- * freed before the call returns.
+ * addresses of the input columns, as they are, and of the output and trace
+ * columns it allocated, and calls ponedge_run() through ctypes. Every array
+ * allocated here is run-local and freed before the call returns.
  */
 
 #include <math.h>
@@ -34,7 +34,10 @@ enum {
 enum { STRATEGY_TRADE_OFF, STRATEGY_ROUND_ROBIN };
 
 /* return codes, turned into exceptions by ckernel.py */
-enum { KERNEL_OK, KERNEL_PAST, KERNEL_DUPLICATE_MEMBER, KERNEL_NO_MEMORY };
+enum {
+    KERNEL_OK, KERNEL_PAST, KERNEL_DUPLICATE_MEMBER, KERNEL_NO_MEMORY,
+    KERNEL_DECOMPOSITION, KERNEL_ORDER, KERNEL_CONSERVATION
+};
 
 /* One run: the KernelInputs columns, the KernelOutputs columns and the
  * trace columns. ckernel.py declares the same fields in the same order. */
@@ -71,6 +74,7 @@ struct kernel_run {
     int strategy;
     double control_delay_s;
     double duration_s;
+    double tolerance; /* pykernel.DECOMPOSITION_TOLERANCE_S */
     /* outputs, n_tasks entries each */
     int *node_of;
     double *uplink_done;
@@ -78,6 +82,11 @@ struct kernel_run {
     double *exec_end;
     double *delivered_at;
     int *final_phase;
+    /* from the post-run pass: busy core-time per node (n_nodes entries), and
+     * the n_latencies delivered latencies, ascending (room for n_tasks) */
+    double *busy;
+    double *latencies;
+    int n_latencies;
     long long processed_events;
     /* trace columns with room for 6 entries per task plus the simulation
      * end, in (time, seq) order; trace_time is NULL for an untraced run */
@@ -87,10 +96,13 @@ struct kernel_run {
     int *trace_task;
     int *trace_extra;
     long long trace_len;
-    /* KERNEL_PAST: the event time and the clock;
-     * KERNEL_DUPLICATE_MEMBER: the task already on the link */
-    double error_time;
-    double error_now;
+    /* KERNEL_PAST: a the event time, b the clock;
+     * KERNEL_DUPLICATE_MEMBER: the task already on the link;
+     * KERNEL_DECOMPOSITION: the task, a its components, b its latency;
+     * KERNEL_ORDER: the task;
+     * KERNEL_CONSERVATION: a the tasks delivered, b the tasks unfinished */
+    double error_a;
+    double error_b;
     int error_task;
 };
 
@@ -249,35 +261,121 @@ static int entry_order(const void *a, const void *b)
     return entry_before(a, b) ? -1 : entry_before(b, a);
 }
 
-/* Insertion sort for the entries recorded when their event is processed:
- * they are in processing order, except that a delivery, recorded under a
- * fresh seq, can precede events processed later at the same time. */
-static void settle(struct entry *e, long long n)
+static struct entry trace_get(const struct kernel_run *run, long long k)
+{
+    struct entry e = {run->trace_time[k], run->trace_seq[k], run->trace_kind[k],
+                      run->trace_task[k], run->trace_extra[k]};
+    return e;
+}
+
+static void trace_put(struct kernel_run *run, long long k, const struct entry *e)
+{
+    run->trace_time[k] = e->time;
+    run->trace_seq[k] = e->seq;
+    run->trace_kind[k] = e->kind;
+    run->trace_task[k] = e->task;
+    run->trace_extra[k] = e->extra;
+}
+
+/* Insertion sort of the first n trace entries, those recorded when their
+ * event is processed: they are in processing order, except that a delivery,
+ * recorded under a fresh seq, can precede events processed later at the
+ * same time. */
+static void settle(struct kernel_run *run, long long n)
 {
     long long i, j;
     for (i = 1; i < n; i++) {
-        struct entry item = e[i];
-        for (j = i; j > 0 && entry_before(&item, &e[j - 1]); j--)
-            e[j] = e[j - 1];
-        e[j] = item;
+        struct entry item = trace_get(run, i);
+        for (j = i; j > 0; j--) {
+            struct entry prev = trace_get(run, j - 1);
+            if (!entry_before(&item, &prev))
+                break;
+            trace_put(run, j, &prev);
+        }
+        trace_put(run, j, &item);
     }
 }
 
-/* Merge two sorted entry arrays into the run's trace columns. */
-static void write_trace(struct kernel_run *run, const struct entry *a, long long n_a,
-                        const struct entry *b, long long n_b)
+/* Merge the sorted execution starts into the trace, whose first n entries
+ * are sorted, from the back, so that each entry is moved at most once. */
+static void merge_starts(struct kernel_run *run, long long n, const struct entry *starts,
+                         long long n_starts)
 {
-    long long i = 0, j = 0, k;
-    for (k = 0; k < n_a + n_b; k++) {
-        const struct entry *e =
-            j == n_b || (i < n_a && entry_before(&a[i], &b[j])) ? &a[i++] : &b[j++];
-        run->trace_time[k] = e->time;
-        run->trace_seq[k] = e->seq;
-        run->trace_kind[k] = e->kind;
-        run->trace_task[k] = e->task;
-        run->trace_extra[k] = e->extra;
+    long long k = n + n_starts;
+    run->trace_len = k;
+    while (n_starts > 0) {
+        k--;
+        if (n > 0) {
+            struct entry last = trace_get(run, n - 1);
+            if (entry_before(&starts[n_starts - 1], &last)) {
+                trace_put(run, k, &last);
+                n--;
+                continue;
+            }
+        }
+        trace_put(run, k, &starts[--n_starts]);
     }
-    run->trace_len = n_a + n_b;
+}
+
+static int double_order(const void *a, const void *b)
+{
+    double x = *(const double *)a;
+    double y = *(const double *)b;
+    return (x > y) - (x < y);
+}
+
+/*
+ * pykernel.post_run: check the run's identities in one walk over its task
+ * columns, fill busy with each node's busy core-time over the horizon,
+ * clipped at the cutoff and summed in task order, and latencies with the
+ * delivered tasks' latencies, ascending. Returns KERNEL_OK, or the code of
+ * the first identity broken, in the order pykernel checks them.
+ */
+static int post_run(struct kernel_run *run)
+{
+    const double duration_s = run->duration_s;
+    int phase_delivered = 0;
+    int n = 0;
+    int node, task;
+    for (node = 0; node < run->n_nodes; node++)
+        run->busy[node] = 0.0;
+    for (task = 0; task < run->n_tasks; task++) {
+        double created = run->arrival_time[task];
+        double uplink = run->uplink_done[task];
+        double start = run->exec_start[task];
+        double end = run->exec_end[task];
+        double delivered = run->delivered_at[task];
+        double latency, parts;
+        if (run->final_phase[task] == PH_DELIVERED)
+            phase_delivered++;
+        if (start == start) /* not NaN: the task reached a core */
+            run->busy[run->node_of[task]] += (end < duration_s ? end : duration_s)
+                                             - (start < duration_s ? start : duration_s);
+        if (delivered != delivered) /* NaN: not delivered */
+            continue;
+        latency = delivered - created;
+        parts = (uplink - created) + (start - uplink) + (end - start) + (delivered - end);
+        if (fabs(parts - latency) > run->tolerance) {
+            run->error_task = task;
+            run->error_a = parts;
+            run->error_b = latency;
+            return KERNEL_DECOMPOSITION;
+        }
+        if (!(created <= uplink && uplink <= start && start <= end && end <= delivered)) {
+            run->error_task = task;
+            return KERNEL_ORDER;
+        }
+        run->latencies[n++] = latency;
+    }
+    if (n != phase_delivered) {
+        run->error_a = n;
+        run->error_b = run->n_tasks - phase_delivered;
+        return KERNEL_CONSERVATION;
+    }
+    if (n > 0)
+        qsort(run->latencies, (size_t)n, sizeof *run->latencies, double_order);
+    run->n_latencies = n;
+    return KERNEL_OK;
 }
 
 static void *zeroed(size_t count, size_t size)
@@ -287,8 +385,8 @@ static void *zeroed(size_t count, size_t size)
 
 #define PAST(time_, now_)                                                      \
     do {                                                                       \
-        run->error_time = (time_);                                             \
-        run->error_now = (now_);                                               \
+        run->error_a = (time_);                                                \
+        run->error_b = (now_);                                                 \
         status = KERNEL_PAST;                                                  \
         goto done;                                                             \
     } while (0)
@@ -307,15 +405,12 @@ static void *zeroed(size_t count, size_t size)
         has_held = 1;                                                          \
     } while (0)
 
-#define RECORD(stream_, time_, seq_, kind_, task_, extra_)                     \
+/* an entry recorded as its event is processed, straight into the trace */
+#define RECORD(time_, seq_, kind_, task_, extra_)                              \
     do {                                                                       \
-        if (trace != NULL) {                                                   \
-            struct entry *e_ = &stream_[n_##stream_++];                        \
-            e_->time = (time_);                                                \
-            e_->seq = (seq_);                                                  \
-            e_->kind = (kind_);                                                \
-            e_->task = (task_);                                                \
-            e_->extra = (extra_);                                              \
+        if (traced) {                                                          \
+            struct entry e_ = {(time_), (seq_), (kind_), (task_), (extra_)};   \
+            trace_put(run, n_trace++, &e_);                                    \
         }                                                                      \
     } while (0)
 
@@ -327,7 +422,8 @@ static void *zeroed(size_t count, size_t size)
  * seq it would have had if every member's end were queued. Execution start
  * and delivery are recorded when they are scheduled, under the seq their
  * event would have had. The event a handler schedules last is held back and
- * merged into the next pop.
+ * merged into the next pop. After the loop, the post-run pass checks the
+ * run and reduces it.
  */
 int ponedge_run(struct kernel_run *run)
 {
@@ -366,9 +462,10 @@ int ponedge_run(struct kernel_run *run)
     /* tasks: route and hop index on the current leg */
     int *t_route = zeroed((size_t)n_tasks, sizeof *t_route);
     int *t_hop = zeroed((size_t)n_tasks, sizeof *t_hop);
-    /* trace entries: those recorded as their event is processed, and the
-     * execution starts, recorded ahead when they are scheduled */
-    struct entry *trace = NULL;
+    /* trace entries: those recorded as their event is processed go straight
+     * into the trace columns; the execution starts, recorded ahead when they
+     * are scheduled, wait here until the loop ends */
+    const int traced = run->trace_time != NULL;
     long long n_trace = 0;
     struct entry *starts = NULL;
     long long n_starts = 0;
@@ -385,12 +482,9 @@ int ponedge_run(struct kernel_run *run)
         || core_start == NULL || queued == NULL || free_ram == NULL
         || free_storage == NULL || t_route == NULL || t_hop == NULL || heap.items == NULL)
         goto no_memory;
-    if (run->trace_time != NULL) {
-        /* per task: arrival, two transfers, execution end and delivery,
-         * plus the simulation end; and one execution start per task */
-        trace = zeroed(5 * (size_t)n_tasks + 1, sizeof *trace);
-        starts = zeroed((size_t)n_tasks, sizeof *starts);
-        if (trace == NULL || starts == NULL)
+    if (traced) {
+        starts = zeroed((size_t)n_tasks, sizeof *starts); /* one per task at most */
+        if (starts == NULL)
             goto no_memory;
     }
     for (i = 0; i < run->n_routes; i++) {
@@ -501,7 +595,7 @@ int ponedge_run(struct kernel_run *run)
                 int k;
                 double start, end;
                 run->uplink_done[task] = now;
-                RECORD(trace, now, ev.seq, TR_TRANSFER_COMPLETE, task, 0);
+                RECORD(now, ev.seq, TR_TRANSFER_COMPLETE, task, 0);
                 /* the core that frees up earliest, ties to the lowest index */
                 for (k = 1; k < run->cores[node]; k++)
                     if (free_at[k] < free_at[core])
@@ -514,7 +608,10 @@ int ponedge_run(struct kernel_run *run)
                 run->exec_end[task] = end;
                 if (start <= duration_s) { /* the execution start falls within the horizon */
                     t_phase[task] = PH_RUNNING;
-                    RECORD(starts, start, seq, TR_EXECUTION_START, task, node);
+                    if (traced) {
+                        struct entry e = {start, seq, TR_EXECUTION_START, task, node};
+                        starts[n_starts++] = e;
+                    }
                     processed++;
                 } else {
                     t_phase[task] = PH_QUEUED;
@@ -526,8 +623,8 @@ int ponedge_run(struct kernel_run *run)
             } else { /* downlink complete: the result is delivered now */
                 run->delivered_at[task] = now;
                 t_phase[task] = PH_DELIVERED;
-                RECORD(trace, now, ev.seq, TR_TRANSFER_COMPLETE, task, 1);
-                RECORD(trace, now, seq, TR_RESULT_DELIVERED, task, t_node[task]);
+                RECORD(now, ev.seq, TR_TRANSFER_COMPLETE, task, 1);
+                RECORD(now, seq, TR_RESULT_DELIVERED, task, t_node[task]);
                 processed++;
                 seq++;
             }
@@ -537,7 +634,7 @@ int ponedge_run(struct kernel_run *run)
             queued[node]--;
             free_ram[node] += task_ram_mb;
             free_storage[node] += task_storage_mb;
-            RECORD(trace, now, ev.seq, TR_EXECUTION_COMPLETE, task, node);
+            RECORD(now, ev.seq, TR_EXECUTION_COMPLETE, task, node);
             t_phase[task] = PH_DOWN;
             if (route_start[route + 1] > route_start[route]) {
                 t_hop[task] = 0;
@@ -550,7 +647,7 @@ int ponedge_run(struct kernel_run *run)
         } else if (ev.code == EV_ARRIVAL) {
             int device = run->arrival_device[task];
             int chosen_slot = -1;
-            RECORD(trace, now, ev.seq, TR_TASK_ARRIVAL, task, device);
+            RECORD(now, ev.seq, TR_TASK_ARRIVAL, task, device);
             if (next_arrival < n_tasks) {
                 if (arrival_time[next_arrival] < now)
                     PAST(arrival_time[next_arrival], now);
@@ -609,7 +706,7 @@ int ponedge_run(struct kernel_run *run)
                 }
             }
         } else { /* EV_SIM_END */
-            RECORD(trace, now, ev.seq, TR_SIMULATION_END, task, -1);
+            RECORD(now, ev.seq, TR_SIMULATION_END, task, -1);
         }
         if (join >= 0) {
             double bits = t_phase[task] == PH_UP ? run->request_bits : run->result_bits;
@@ -654,12 +751,13 @@ int ponedge_run(struct kernel_run *run)
     }
 
     run->processed_events = processed;
-    if (trace != NULL) {
+    if (traced) {
         /* into (time, seq) order, which is the processing order */
-        settle(trace, n_trace);
+        settle(run, n_trace);
         qsort(starts, (size_t)n_starts, sizeof *starts, entry_order);
-        write_trace(run, trace, n_trace, starts, n_starts);
+        merge_starts(run, n_trace, starts, n_starts);
     }
+    status = post_run(run);
     goto done;
 
 no_memory:
@@ -685,7 +783,6 @@ done:
     free(free_storage);
     free(t_route);
     free(t_hop);
-    free(trace);
     free(starts);
     free(heap.items);
     return status;

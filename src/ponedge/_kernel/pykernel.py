@@ -14,9 +14,15 @@ out in (time, seq) order, which is the processing order because (time, seq)
 is unique, from a merge of two streams: the entries recorded as their event
 is processed arrive in that order, and the execution starts and deliveries,
 recorded ahead of their (time, seq), wait in a small heap until an entry
-that sorts after them is recorded. Drained bits are clamped at zero. Any
+that sorts after them is recorded. Drained bits are clamped at zero. After
+the loop, one post-run pass over the task columns checks the run's
+identities and returns per-node busy time and the sorted latencies. Any
 change to the semantics here must be made in kernel.c too, or the two
 backends stop being bit-identical.
+
+Inputs and outputs are `array` columns, which the C kernel reads and writes
+in place; `run` copies the input columns into local lists once, since
+indexing an array boxes each value anew.
 
 All run state lives in lists local to `run`: per link direction, the
 fair-share members in join order, their bits left as of the last update and
@@ -63,30 +69,36 @@ PH_NO_PLACEMENT = 6
 STRATEGY_TRADE_OFF = 0
 STRATEGY_ROUND_ROBIN = 1
 
+# How far a delivered task's stage durations may sum from its latency.
+DECOMPOSITION_TOLERANCE_S = 1e-12
+
 NAN = float("nan")
 
 
 @dataclass
 class KernelInputs:
-    """Flat, index-based description of one run (cheap to hand to C)."""
+    """Flat, index-based description of one run: `array` columns of the
+    INPUT_TYPECODES types, which the C kernel reads without a copy."""
 
     # nodes, index-aligned
-    mips_per_core: list[float]
-    cores: list[int]
-    weight: list[float]
-    ram_capacity: list[float]
-    storage_capacity: list[float]
+    mips_per_core: array
+    cores: array
+    weight: array
+    ram_capacity: array
+    storage_capacity: array
     # scheduler candidates as node indices, in node-id order
-    candidate_nodes: list[int]
+    candidate_nodes: array
     # links
-    link_bandwidth: list[float]
-    link_hop_delay: list[float]  # propagation + fixed, per traversal
-    # hop code = link_index * 2 + direction; uplink order, Local hops omitted
-    route_hops: list[list[int]]
-    up_route: list[list[int]]  # device -> candidate slot -> route id
+    link_bandwidth: array
+    link_hop_delay: array  # propagation + fixed, per traversal
+    # route r is route_hops[route_start[r]:route_start[r + 1]], hop codes
+    # (link_index * 2 + direction) in uplink order, Local hops omitted
+    route_start: array
+    route_hops: array
+    up_route: array  # device * len(candidate_nodes) + slot -> route id
     # arrivals, sorted by (time, device)
-    arrival_time: list[float]
-    arrival_device: list[int]
+    arrival_time: array
+    arrival_device: array
     # per-task constants for this scenario
     length_mi: float
     request_bits: float
@@ -115,20 +127,48 @@ class Trace(NamedTuple):
         return cls(*(array(code, [0]) * length for code in ("d", "q", "i", "i", "i")))
 
 
+# The array type codes of the KernelInputs and the KernelOutputs columns, in
+# field order; both backends read and write exactly these.
+INPUT_TYPECODES = {"mips_per_core": "d", "cores": "i", "weight": "d", "ram_capacity": "d",
+                   "storage_capacity": "d", "candidate_nodes": "i", "link_bandwidth": "d",
+                   "link_hop_delay": "d", "route_start": "i", "route_hops": "i",
+                   "up_route": "i", "arrival_time": "d", "arrival_device": "i"}
+OUTPUT_TYPECODES = {"node_of": "i", "uplink_done": "d", "exec_start": "d", "exec_end": "d",
+                    "delivered_at": "d", "final_phase": "i", "busy": "d", "latencies": "d"}
+
+
 @dataclass
 class KernelOutputs:
-    node_of: list[int]  # -1 when never placed
-    uplink_done: list[float]  # NaN when the phase was not reached
-    exec_start: list[float]
-    exec_end: list[float]
-    delivered_at: list[float]
-    final_phase: list[int]
+    # per task, `array` columns
+    node_of: array  # -1 when never placed
+    uplink_done: array  # NaN when the phase was not reached
+    exec_start: array
+    exec_end: array
+    delivered_at: array
+    final_phase: array
+    # from the post-run pass
+    busy: array  # per node: busy core-time, clipped at the horizon
+    latencies: array  # delivered - created of each delivered task, ascending
     processed_events: int
     trace: Trace | None
 
 
 def _past(time: float, now: float) -> SimulationError:
     return SimulationError(f"scheduled event at t={time!r} in the past (clock={now!r})")
+
+
+def _undecomposed(task: int, parts: float, latency: float) -> SimulationError:
+    return SimulationError(f"latency decomposition violated for task {task}: "
+                           f"components {parts!r} vs latency {latency!r}")
+
+
+def _out_of_order(task: int) -> SimulationError:
+    return SimulationError(f"lifecycle timestamps out of order for task {task}")
+
+
+def _unconserved(generated: int, delivered: int, unfinished: int) -> SimulationError:
+    return SimulationError(f"conservation violated: {generated} generated != "
+                           f"{delivered} delivered + {unfinished} unfinished")
 
 
 def _drain(bits_left: list[float], rate: float, elapsed: float) -> list[float]:
@@ -147,6 +187,46 @@ def _next_completion(bits_left: list[float], rate: float, now: float) -> tuple[f
     etas = [now + bits / rate for bits in bits_left]
     eta = min(etas)
     return eta, etas.index(eta)
+
+
+def post_run(arrival_time, node_of, uplink_done, exec_start, exec_end, delivered_at,
+             final_phase, duration_s: float, n_nodes: int) -> tuple[list[float], list[float]]:
+    """Check a run's identities in one walk over its task columns.
+
+    Conservation: every task is delivered or unfinished, and a task has a
+    delivery time exactly when its final phase is delivered. Every delivered
+    task's latency decomposes into its stages within DECOMPOSITION_TOLERANCE_S,
+    and its stage timestamps are in order. Returns each node's busy core-time
+    over the horizon, clipped at the cutoff and summed in task order, and the
+    delivered tasks' latencies, ascending.
+    """
+    busy = [0.0] * n_nodes
+    latencies = []
+    for task, (node, created, uplink, start, end, delivered) in enumerate(zip(
+            node_of, arrival_time, uplink_done, exec_start, exec_end, delivered_at)):
+        if start == start:  # not NaN: the task reached a core
+            busy[node] += ((end if end < duration_s else duration_s)
+                           - (start if start < duration_s else duration_s))
+        if delivered != delivered:  # NaN: not delivered
+            continue
+        latency = delivered - created
+        parts = (
+            (uplink - created)
+            + (start - uplink)
+            + (end - start)
+            + (delivered - end)
+        )
+        if abs(parts - latency) > DECOMPOSITION_TOLERANCE_S:
+            raise _undecomposed(task, parts, latency)
+        if not (created <= uplink <= start <= end <= delivered):
+            raise _out_of_order(task)
+        latencies.append(latency)
+    generated = len(arrival_time)
+    unfinished = generated - final_phase.count(PH_DELIVERED)
+    if generated != len(latencies) + unfinished:
+        raise _unconserved(generated, len(latencies), unfinished)
+    latencies.sort()
+    return busy, latencies
 
 
 def run(inputs: KernelInputs) -> KernelOutputs:
@@ -170,8 +250,8 @@ def run(inputs: KernelInputs) -> KernelOutputs:
     """
     inp = inputs
     n_tasks = len(inp.arrival_time)
-    arrival_time = inp.arrival_time
-    arrival_device = inp.arrival_device
+    arrival_time = inp.arrival_time.tolist()
+    arrival_device = inp.arrival_device.tolist()
     length_mi = inp.length_mi
     task_ram_mb = inp.task_ram_mb
     task_storage_mb = inp.task_storage_mb
@@ -179,13 +259,15 @@ def run(inputs: KernelInputs) -> KernelOutputs:
     duration_s = inp.duration_s
     request_bits = inp.request_bits
     result_bits = inp.result_bits
-    candidates = inp.candidate_nodes
+    candidates = inp.candidate_nodes.tolist()
     n_candidates = len(candidates)
     trade_off = inp.strategy == STRATEGY_TRADE_OFF
-    weights = inp.weight
-    mips_per_core = inp.mips_per_core
-    up_route = inp.up_route
-    up_hops = inp.route_hops
+    weights = inp.weight.tolist()
+    mips_per_core = inp.mips_per_core.tolist()
+    up_route = inp.up_route.tolist()
+    route_start = inp.route_start.tolist()
+    route_hops = inp.route_hops.tolist()
+    up_hops = [route_hops[start:end] for start, end in zip(route_start, route_start[1:])]
     # the downlink walks the uplink route backwards with flipped direction
     down_hops = [[code ^ 1 for code in reversed(route)] for route in up_hops]
 
@@ -382,7 +464,7 @@ def run(inputs: KernelInputs) -> KernelOutputs:
                 free_ram[node] -= task_ram_mb
                 free_storage[node] -= task_storage_mb
                 t_node[task] = node
-                route_id = t_route[task] = up_route[device][chosen_slot]
+                route_id = t_route[task] = up_route[device * n_candidates + chosen_slot]
                 path = t_path[task] = up_hops[route_id]
                 t_phase[task] = PH_UP
                 if control_delay_s > 0.0 or not path:
@@ -434,13 +516,12 @@ def run(inputs: KernelInputs) -> KernelOutputs:
     if trace is not None:
         while waiting:
             record(*heappop(waiting))
+    busy, latencies = post_run(arrival_time, t_node, uplink_done, exec_start, exec_end,
+                               delivered_at, t_phase, duration_s, len(inp.cores))
+    columns = (t_node, uplink_done, exec_start, exec_end, delivered_at, t_phase, busy,
+               latencies)  # in KernelOutputs field order
     return KernelOutputs(
-        node_of=t_node,
-        uplink_done=uplink_done,
-        exec_start=exec_start,
-        exec_end=exec_end,
-        delivered_at=delivered_at,
-        final_phase=t_phase,
+        *(array(code, column) for code, column in zip(OUTPUT_TYPECODES.values(), columns)),
         processed_events=processed,
         trace=trace,
     )

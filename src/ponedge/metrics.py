@@ -70,7 +70,7 @@ class RunSummary:
     node_utilization: tuple[tuple[str, float], ...] = ()
 
 
-def percentile_95(sorted_values: list[float]) -> float:
+def percentile_95(sorted_values: Sequence[float]) -> float:
     """Nearest-rank 95th percentile over an ascending list."""
     if not sorted_values:
         return math.nan
@@ -78,23 +78,20 @@ def percentile_95(sorted_values: list[float]) -> float:
     return sorted_values[rank - 1]
 
 
-def summarize(generated_at: Sequence[float], delivered_at: Sequence[float], *,
+def summarize(generated: int, latencies: Sequence[float], *,
               deadline_s: float, scenario: str, topology: str, cpu: str, mips: float,
               seed: int, strict_deadline: bool = False,
               node_utilization: tuple[tuple[str, float], ...] = ()) -> RunSummary:
-    """Aggregate one completed run from its per-task columns.
+    """Aggregate one completed run of `generated` tasks.
 
-    delivered_at is NaN for a task that was not delivered. Latency statistics
-    cover Delivered tasks only (unfinished tasks have no latency). By default
-    success means delivered within the simulation time; strict_deadline
-    additionally requires the deadline to be met.
+    latencies holds the latency of each delivered task, ascending, as the
+    kernel's post-run pass returns them; statistics cover Delivered tasks only
+    (unfinished tasks have no latency). By default success means delivered
+    within the simulation time; strict_deadline additionally requires the
+    deadline to be met.
     """
-    if not generated_at:
+    if not generated:
         raise EmptyRunError("empty-run: zero generated tasks")
-    generated = len(generated_at)
-    latencies = sorted([delivered - created
-                        for created, delivered in zip(generated_at, delivered_at)
-                        if not math.isnan(delivered)])
     delivered = len(latencies)
     hit = bisect_right(latencies, deadline_s)  # latencies <= deadline_s
     succeeded = hit if strict_deadline else delivered
@@ -204,7 +201,7 @@ def _task_lines(generated_at: Sequence[float], out: KernelOutputs, node_ids: Seq
         if math.isnan(delivered):
             yield (f"t{task},{cell},{nodes[node]},{created:.12g},{_timestamp(uplink)},"
                    f"{_timestamp(start)},{_timestamp(end)},,Unfinished,,false\r\n")
-        else:  # a delivered task reached every phase (see assert_run_invariants)
+        else:  # a delivered task reached every phase (the kernels' post-run pass checks it)
             latency = delivered - created
             yield (f"t{task},{cell},{nodes[node]},{created:.12g},{uplink:.12g},{start:.12g},"
                    f"{end:.12g},{delivered:.12g},Delivered,{latency:.12g},"

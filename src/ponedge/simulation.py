@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -10,13 +11,11 @@ from . import _kernel
 from .compute import NodeLayer
 from .config import (Calibration, DEFAULT_CALIBRATION, TopologySpec, cpu_label,
                      device_node_id, topology_preset)
-from .engine import SimulationError
 from .metrics import RunSummary, TaskRecord, summarize
 from .network import BITS_PER_KB, LinkKind, route_between
 from .workload import ScenarioSpec, generate_arrivals
 from ._kernel import pykernel
 
-DECOMPOSITION_TOLERANCE_S = 1e-12
 # Trace entries formatted per write: about 70 KB of text. Its lines, their join
 # and its encoding are the largest transient memory of a traced run.
 TRACE_CHUNK = 1024
@@ -79,8 +78,8 @@ def build_kernel_inputs(params: RunParams, topo: TopologySpec,
     candidate_ids = eligible_nodes(topo.nodes, cal.far_edge_execution)
     candidate_nodes = [node_index[nid] for nid in candidate_ids]
 
-    link_bandwidth = []
-    link_hop_delay = []
+    link_bandwidth = array("d")
+    link_hop_delay = array("d")
     for link in topo.links:
         if link.spec.kind is LinkKind.LOCAL:
             link_bandwidth.append(math.inf)
@@ -91,11 +90,11 @@ def build_kernel_inputs(params: RunParams, topo: TopologySpec,
 
     links_by_id = {link.id: link for link in topo.links}
     route_ids: dict[tuple[int, ...], int] = {}
-    route_hops: list[list[int]] = []
-    up_route: list[list[int]] = []
+    route_start = array("i", [0])
+    route_hops = array("i")
+    up_route = array("i")  # device * len(candidate_ids) + slot -> route id
     for device in range(scenario.users):
         device_id = device_node_id(device)
-        slots = []
         for target_id in candidate_ids:
             hops = []
             for hop in route_between(topo, device_id, target_id):
@@ -106,28 +105,29 @@ def build_kernel_inputs(params: RunParams, topo: TopologySpec,
                 hops.append(hop.link_id * 2 + direction)
             key = tuple(hops)
             if key not in route_ids:
-                route_ids[key] = len(route_hops)
-                route_hops.append(list(key))
-            slots.append(route_ids[key])
-        up_route.append(slots)
+                route_ids[key] = len(route_start) - 1
+                route_hops.extend(key)
+                route_start.append(len(route_hops))
+            up_route.append(route_ids[key])
 
     arrival_time, arrival_device = _cached_arrivals(
         scenario, params.duration_s, params.seed, params.arrivals
     )
 
     return pykernel.KernelInputs(
-        mips_per_core=[node.mips_per_core for node in topo.nodes],
-        cores=[node.cores for node in topo.nodes],
-        weight=[weights[node.layer] for node in topo.nodes],
-        ram_capacity=[node.ram_mb for node in topo.nodes],
-        storage_capacity=[node.storage_mb for node in topo.nodes],
-        candidate_nodes=candidate_nodes,
+        mips_per_core=array("d", [node.mips_per_core for node in topo.nodes]),
+        cores=array("i", [node.cores for node in topo.nodes]),
+        weight=array("d", [weights[node.layer] for node in topo.nodes]),
+        ram_capacity=array("d", [node.ram_mb for node in topo.nodes]),
+        storage_capacity=array("d", [node.storage_mb for node in topo.nodes]),
+        candidate_nodes=array("i", candidate_nodes),
         link_bandwidth=link_bandwidth,
         link_hop_delay=link_hop_delay,
+        route_start=route_start,
         route_hops=route_hops,
         up_route=up_route,
-        arrival_time=list(arrival_time),
-        arrival_device=list(arrival_device),
+        arrival_time=arrival_time,
+        arrival_device=arrival_device,
         length_mi=scenario.length_mi,
         request_bits=scenario.request_kb * BITS_PER_KB,
         result_bits=scenario.result_kb * BITS_PER_KB,
@@ -143,9 +143,11 @@ def build_kernel_inputs(params: RunParams, topo: TopologySpec,
 
 @lru_cache(maxsize=64)
 def _cached_arrivals(scenario: ScenarioSpec, duration_s: float, seed: int,
-                     mode: str) -> tuple[tuple[float, ...], tuple[int, ...]]:
-    # the arrival process is identical for every topology/CPU cell of a sweep
-    return generate_arrivals(scenario, duration_s, seed, mode)
+                     mode: str) -> tuple[array, array]:
+    # the arrival process is identical for every topology/CPU cell of a sweep;
+    # the kernels only read these columns, so every cell shares them
+    times, devices = generate_arrivals(scenario, duration_s, seed, mode)
+    return array("d", times), array("i", devices)
 
 
 def _maybe(value: float) -> float | None:
@@ -176,52 +178,7 @@ def _build_records(params: RunParams, topo: TopologySpec,
     return records
 
 
-def assert_run_invariants(generated_at: list[float], out: pykernel.KernelOutputs,
-                          duration_s: float, n_nodes: int) -> list[float]:
-    """Check a run's identities in one walk over its task columns.
-
-    Conservation: every task is delivered or unfinished, and a task has a
-    delivery time exactly when its final phase is delivered. Every delivered
-    task's latency decomposes into its stages, whose timestamps are in order.
-    Returns each node's busy core-time over the horizon, clipped at the
-    cutoff and summed in task order.
-    """
-    busy = [0.0] * n_nodes
-    delivered_count = 0
-    for task, (node, created, uplink, start, end, delivered) in enumerate(zip(
-            out.node_of, generated_at, out.uplink_done, out.exec_start, out.exec_end,
-            out.delivered_at)):
-        if start == start:  # not NaN: the task reached a core
-            busy[node] += ((end if end < duration_s else duration_s)
-                           - (start if start < duration_s else duration_s))
-        if delivered != delivered:  # NaN: not delivered
-            continue
-        delivered_count += 1
-        latency = delivered - created
-        parts = (
-            (uplink - created)
-            + (start - uplink)
-            + (end - start)
-            + (delivered - end)
-        )
-        if abs(parts - latency) > DECOMPOSITION_TOLERANCE_S:
-            raise SimulationError(
-                f"latency decomposition violated for task {task}: "
-                f"components {parts!r} vs latency {latency!r}"
-            )
-        if not (created <= uplink <= start <= end <= delivered):
-            raise SimulationError(f"lifecycle timestamps out of order for task {task}")
-    generated = len(generated_at)
-    unfinished = generated - out.final_phase.count(pykernel.PH_DELIVERED)
-    if generated != delivered_count + unfinished:
-        raise SimulationError(
-            f"conservation violated: {generated} generated != "
-            f"{delivered_count} delivered + {unfinished} unfinished"
-        )
-    return busy
-
-
-def node_utilization(topo: TopologySpec, busy: list[float],
+def node_utilization(topo: TopologySpec, busy: array,
                      duration_s: float) -> tuple[tuple[str, float], ...]:
     """Busy core-time per node as a share of its core-time over the horizon."""
     return tuple(
@@ -274,17 +231,17 @@ def run_simulation(params: RunParams, backend: str | None = "auto",
     """Execute one deterministic run and summarize it.
 
     With collect_trace the kernel's trace columns are kept in
-    `outputs.trace`, for write_trace. Raises SimulationError when a
-    run-level invariant breaks; that is a bug, not a data point.
+    `outputs.trace`, for write_trace. The kernel checks the run's invariants
+    and raises SimulationError when one breaks; that is a bug, not a data
+    point.
     """
     topo = topology_preset(params.topology, params.scenario, params.cpu_mips,
                            params.calibration)
     inputs = build_kernel_inputs(params, topo, collect_trace)
     out = _kernel.run(inputs, topo.nodes, backend=backend)
-    busy = assert_run_invariants(inputs.arrival_time, out, params.duration_s, len(topo.nodes))
     summary = summarize(
-        inputs.arrival_time,
-        out.delivered_at,
+        len(inputs.arrival_time),
+        out.latencies,
         deadline_s=params.scenario.deadline_s,
         scenario=params.scenario.name,
         topology=params.topology,
@@ -292,7 +249,7 @@ def run_simulation(params: RunParams, backend: str | None = "auto",
         mips=params.cpu_mips,
         seed=params.seed,
         strict_deadline=params.calibration.strict_deadline_tsr,
-        node_utilization=node_utilization(topo, busy, params.duration_s),
+        node_utilization=node_utilization(topo, out.busy, params.duration_s),
     )
     return RunResult(params=params, topology=topo, inputs=inputs, outputs=out,
                      summary=summary)

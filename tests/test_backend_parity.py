@@ -1,21 +1,26 @@
 """The C kernel must be bit-identical to the pure-Python reference."""
 
+import math
 import random
+import subprocess
 import tracemalloc
+from array import array
 from collections import Counter
 from dataclasses import replace
 
 import pytest
 
 from ponedge import _kernel
-from ponedge._kernel import available_backends, pykernel
-from ponedge._kernel.pykernel import (PH_DELIVERED, PH_DOWN, PH_NO_PLACEMENT, PH_QUEUED,
-                                      PH_RUNNING, PH_UP)
+from ponedge._kernel import available_backends, ckernel, compiler_argv, pykernel
+from ponedge._kernel.pykernel import (OUTPUT_TYPECODES, PH_DELIVERED, PH_DOWN,
+                                      PH_NO_PLACEMENT, PH_QUEUED, PH_RUNNING, PH_UP)
 from ponedge.config import DEFAULT_CALIBRATION, cpu_grid, topology_preset
+from ponedge.engine import SimulationError
 from ponedge.network import ConfigurationError
 from ponedge.simulation import RunParams, build_kernel_inputs, run_simulation
 from ponedge.workload import scenario_preset
 
+from fresh_process import needs_compiler
 from kernel_inputs import kernel_inputs
 from trace_files import trace_digest
 
@@ -137,6 +142,22 @@ def test_backends_bit_identical(case, extra, expected):
     assert py.summary == cy.summary
 
 
+@needs_c
+@pytest.mark.parametrize("case,extra,expected", RUNS, ids=RUN_IDS)
+def test_post_run_outputs_bit_identical(case, extra, expected):
+    # busy time and the sorted latencies come from each kernel's own post-run
+    # pass; every output column is an array of the same type on both
+    params = _params(case, extra)
+    py, c = (run_simulation(params, backend=backend).outputs for backend in ("python", "c"))
+    for name, code in OUTPUT_TYPECODES.items():
+        columns = getattr(py, name), getattr(c, name)
+        assert all(type(column) is array and column.typecode == code for column in columns)
+    assert py.busy.tobytes() == c.busy.tobytes()
+    assert py.latencies.tobytes() == c.latencies.tobytes()
+    assert py.latencies.tolist() == sorted(py.latencies)
+    assert len(py.latencies) == expected[3]  # one per delivered task
+
+
 def _random_params(rng: random.Random) -> RunParams:
     """A short run on a random calibration: 1-4 cores, fractional footprints
     that make nodes refuse tasks, with or without a control-plane delay and
@@ -175,7 +196,8 @@ def _random_inputs(rng: random.Random):
         # random phases almost never make two float times equal; on a
         # 0.25 s grid, tasks arrive together, join links at the same
         # instant, tie on etas and start exactly at the horizon
-        inputs = replace(inputs, arrival_time=[round(t * 4) / 4 for t in inputs.arrival_time],
+        inputs = replace(inputs,
+                         arrival_time=array("d", [round(t * 4) / 4 for t in inputs.arrival_time]),
                          duration_s=round(inputs.duration_s * 4) / 4)
     return params, inputs
 
@@ -234,12 +256,21 @@ def test_trace_costs_at_most_40_bytes_per_entry(backend):
     dict(candidate_nodes=[1]),  # no such node
     dict(cores=[0]),
     dict(up_route=[[1]]),  # no such route
-    dict(route_hops=[[0]]),  # no such link
+    dict(routes=[[0]]),  # no such link
     dict(weight=[]),
 ])
 def test_c_kernel_rejects_inputs_out_of_bounds(fields):
     with pytest.raises(ValueError):
         _kernel.run(kernel_inputs(**fields), backend="c")
+
+
+@needs_c
+@pytest.mark.parametrize("column", [[0.0], array("f", [0.0])])
+def test_c_kernel_rejects_columns_of_another_type(column):
+    # the C kernel reads each column in place, as the C type its type code names
+    with pytest.raises(TypeError, match="arrival_time"):
+        _kernel.run(replace(kernel_inputs(arrival_time=[0.0]), arrival_time=column),
+                    backend="c")
 
 
 @needs_c
@@ -253,3 +284,52 @@ def test_backend_env_selection(monkeypatch):
         monkeypatch.setenv("PONEDGE_BACKEND", name)
         with pytest.raises(ConfigurationError):
             resolve_backend("auto")
+
+
+# One identity of the run broken in a copy of kernel.c, and the same break
+# applied to the reference kernel's task columns: a stage timestamp never
+# recorded, a delivery that leaves the task's phase unchanged, and execution
+# ends recorded 1e300 s late, so that the stage durations no longer sum to the
+# latency.
+MUTANTS = {
+    "lost-uplink-timestamp": (
+        "run->uplink_done[task] = now;", "",
+        lambda out: dict(uplink_done=array("d", [math.nan]) * len(out.uplink_done)),
+        "lifecycle timestamps out of order for task 0"),
+    "delivered-phase-not-set": (
+        "t_phase[task] = PH_DELIVERED;", "",
+        lambda out: dict(final_phase=array("i", [PH_DOWN if phase == PH_DELIVERED else phase
+                                                 for phase in out.final_phase])),
+        "conservation violated: 3 generated != 3 delivered + 3 unfinished"),
+    "latency-does-not-decompose": (
+        "run->exec_end[task] = end;", "run->exec_end[task] = end + 1e300;",
+        lambda out: dict(exec_end=array("d", [end + 1e300 for end in out.exec_end])),
+        "latency decomposition violated for task 0: components 0.0 vs latency "
+        "0.09999999999999998"),
+}
+
+
+@needs_compiler
+@pytest.mark.parametrize("mutant", MUTANTS)
+def test_c_post_run_pass_raises_what_the_reference_raises(mutant, tmp_path):
+    original, broken, break_columns, message = MUTANTS[mutant]
+    with open(_kernel.SOURCE) as fh:
+        source = fh.read()
+    assert source.count(original) == 1
+    (tmp_path / "kernel.c").write_text(source.replace(original, broken))
+    library = tmp_path / "kernel.so"
+    subprocess.run([*compiler_argv(), "-o", str(library), str(tmp_path / "kernel.c")],
+                   check=True)
+    # three tasks on one node, one at a time
+    inputs = kernel_inputs(arrival_time=[0.5, 1.0, 1.5], length_mi=1e8)
+    out = pykernel.run(inputs)
+    columns = dict(node_of=out.node_of, uplink_done=out.uplink_done,
+                   exec_start=out.exec_start, exec_end=out.exec_end,
+                   delivered_at=out.delivered_at, final_phase=out.final_phase)
+    columns.update(break_columns(out))
+    with pytest.raises(SimulationError) as reference:
+        pykernel.post_run(inputs.arrival_time, *columns.values(), inputs.duration_s,
+                          len(inputs.cores))
+    with pytest.raises(SimulationError) as compiled:
+        ckernel.load(str(library))(inputs)
+    assert str(compiled.value) == str(reference.value) == message

@@ -21,7 +21,7 @@ from kernel_inputs import candidate_inputs, kernel_inputs
 
 def test_schedule_future_accepted():
     out = pykernel.run(kernel_inputs(arrival_time=[0.0, 3.0, 3.0, 5.0]))
-    assert out.final_phase == [PH_DELIVERED] * 4
+    assert out.final_phase.tolist() == [PH_DELIVERED] * 4
 
 
 def test_schedule_past_is_fatal():
@@ -36,7 +36,7 @@ def test_same_time_fifo_tie_break():
     out = pykernel.run(kernel_inputs(arrival_time=[7.0, 7.0], length_mi=1e9,
                                      collect_trace=True))
     assert [task for _, _, kind, task, _ in zip(*out.trace) if kind == TR_TASK_ARRIVAL] == [0, 1]
-    assert out.exec_start == [7.0, 8.0]
+    assert out.exec_start.tolist() == [7.0, 8.0]
 
 
 def test_run_until_empty_queue():
@@ -49,7 +49,7 @@ def test_run_until_stops_at_horizon():
     out = pykernel.run(kernel_inputs(arrival_time=[1.0, 2.0, 3.0], duration_s=2.0,
                                      collect_trace=True))
     # task 1 starts at the horizon and ends after it; task 2 never arrives
-    assert out.final_phase == [PH_DELIVERED, PH_RUNNING, PH_PENDING]
+    assert out.final_phase.tolist() == [PH_DELIVERED, PH_RUNNING, PH_PENDING]
     assert max(out.trace.time) == 2.0
 
 
@@ -77,7 +77,7 @@ def test_dequeue_order_is_lexicographic_over_random_interleavings():
                        for _ in range(rng.randint(1, 40)))
         out = pykernel.run(candidate_inputs([1e9] * 3, arrival_time=times,
                                             strategy=STRATEGY_ROUND_ROBIN, collect_trace=True))
-        assert out.node_of == [task % 3 for task in range(len(times))]
+        assert out.node_of.tolist() == [task % 3 for task in range(len(times))]
         keys = list(zip(out.trace.time, out.trace.seq))
         assert all(a < b for a, b in zip(keys, keys[1:]))
 
@@ -88,7 +88,7 @@ def test_clock_monotonic_over_processing():
     rng = random.Random(99)
     times = sorted(rng.random() * 5 for _ in range(200))
     out = pykernel.run(kernel_inputs(
-        link_bandwidth=[1e6], link_hop_delay=[1e-3], route_hops=[[0]], arrival_time=times,
+        link_bandwidth=[1e6], link_hop_delay=[1e-3], routes=[[0]], arrival_time=times,
         request_bits=1e4, result_bits=1e4, length_mi=1e7, duration_s=10.0))
     delivered = [task for task, phase in enumerate(out.final_phase) if phase == PH_DELIVERED]
     assert len(delivered) == 200

@@ -1,10 +1,12 @@
 """The C kernel is compiled on first use into the kernel cache, and reused after."""
 
 import hashlib
+import os
 import stat
 import subprocess
 import sys
 import sysconfig
+import tempfile
 
 from ponedge import _kernel
 
@@ -91,3 +93,12 @@ def test_concurrent_cold_cache_runs_agree(tmp_path):
         files[name] = {path.relative_to(root): path.read_bytes()
                        for path in sorted(root.rglob("*")) if path.is_file()}
     assert len(files["a"]) == 3 and files["a"] == files["b"]
+
+
+@needs_compiler
+def test_tests_use_a_kernel_cache_of_their_own():
+    # conftest points XDG_CACHE_HOME at a temporary directory of this session's own
+    cache = os.environ["XDG_CACHE_HOME"]
+    assert os.path.dirname(cache) == tempfile.gettempdir()
+    assert os.path.basename(cache).startswith("ponedge-test-cache-")
+    assert _kernel._library_path().startswith(os.path.join(cache, "ponedge", ""))

@@ -1,10 +1,11 @@
 """Summaries, comparison arithmetic, aggregation, and the CSV surfaces."""
 
 import csv
+from array import array
 
 import pytest
 
-from ponedge._kernel.pykernel import PH_DELIVERED, PH_NO_PLACEMENT, KernelOutputs
+from ponedge._kernel.pykernel import PH_DELIVERED, PH_NO_PLACEMENT, KernelOutputs, post_run
 from ponedge.metrics import (AGGREGATE_METRICS, EmptyRunError, IncomparableRunsError,
                              RunSummary, SUMMARY_CSV_COLUMNS, TASKS_CSV_COLUMNS,
                              aggregate, compare, format_number, percentile_95,
@@ -18,19 +19,22 @@ def run_columns(latencies, generated=1.0):
     """(generated_at, kernel outputs) for tasks placed on node 0 and delivered
     after the given latencies; None marks a task that was never placed."""
     def column(value):
-        return [NAN if lat is None else value(lat) for lat in latencies]
+        return array("d", [NAN if lat is None else value(lat) for lat in latencies])
 
-    out = KernelOutputs(
-        node_of=[-1 if lat is None else 0 for lat in latencies],
+    generated_at = array("d", [generated] * len(latencies))
+    tasks = dict(
+        node_of=array("i", [-1 if lat is None else 0 for lat in latencies]),
         uplink_done=column(lambda lat: generated + 1e-5),
         exec_start=column(lambda lat: generated + 1e-5),
         exec_end=column(lambda lat: generated + lat - 1e-5),
         delivered_at=column(lambda lat: generated + lat),
-        final_phase=[PH_NO_PLACEMENT if lat is None else PH_DELIVERED for lat in latencies],
-        processed_events=0,
-        trace=None,
+        final_phase=array("i", [PH_NO_PLACEMENT if lat is None else PH_DELIVERED
+                                for lat in latencies]),
     )
-    return [generated] * len(latencies), out
+    busy, delivered = post_run(generated_at, *tasks.values(), 1e3, 1)
+    out = KernelOutputs(**tasks, busy=array("d", busy), latencies=array("d", delivered),
+                        processed_events=0, trace=None)
+    return generated_at, out
 
 
 def make_summary(**kw):
@@ -47,7 +51,7 @@ def _summarize(latencies, **kw):
     args = dict(deadline_s=0.5, scenario="e-health", topology="genio", cpu="x",
                 mips=220_000.0, seed=1)
     args.update(kw)
-    return summarize(generated_at, out.delivered_at, **args)
+    return summarize(len(generated_at), out.latencies, **args)
 
 
 def test_all_delivered_within_deadline():

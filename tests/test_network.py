@@ -114,7 +114,7 @@ def drive_pool(bandwidth_bps, starts, size_bits, hop_const=0.0):
     """
     order = sorted(range(len(starts)), key=starts.__getitem__)  # arrivals in time order
     inputs = kernel_inputs(link_bandwidth=[bandwidth_bps], link_hop_delay=[hop_const],
-                           route_hops=[[0]], arrival_time=[starts[i] for i in order],
+                           routes=[[0]], arrival_time=[starts[i] for i in order],
                            request_bits=size_bits)
     uplink_done = pykernel.run(inputs).uplink_done
     done = [0.0] * len(starts)
@@ -181,7 +181,7 @@ def test_pool_eta_ties_go_to_the_earliest_joiner():
     inputs = kernel_inputs(
         mips_per_core=[1e9, 2.0], cores=[1, 1], weight=[1.0, 1.0],
         ram_capacity=[1e3, 1e3], storage_capacity=[1e3, 1e3], candidate_nodes=[1, 0],
-        link_bandwidth=[2.0], link_hop_delay=[0.0], route_hops=[[0], [1]],
+        link_bandwidth=[2.0], link_hop_delay=[0.0], routes=[[0], [1]],
         up_route=[[0, 0], [1, 1]], arrival_time=[0.5, 1.0], arrival_device=[0, 1],
         request_bits=2e-17, result_bits=1e-17, task_ram_mb=0.0, task_storage_mb=0.0,
         strategy=STRATEGY_ROUND_ROBIN, collect_trace=True)

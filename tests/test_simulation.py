@@ -8,11 +8,12 @@ from types import SimpleNamespace
 
 import pytest
 
+from ponedge._kernel import pykernel
 from ponedge._kernel.pykernel import PH_DOWN, TR_SIMULATION_END, TR_TASK_ARRIVAL, Trace
 from ponedge.config import DEFAULT_CALIBRATION, topology_preset
 from ponedge.engine import SimulationError
-from ponedge.simulation import (TRACE_CHUNK, RunParams, _trace_lines, assert_run_invariants,
-                                build_kernel_inputs, run_simulation, write_trace)
+from ponedge.simulation import (TRACE_CHUNK, RunParams, _trace_lines, build_kernel_inputs,
+                                run_simulation, write_trace)
 from ponedge.workload import ScenarioSpec, scenario_preset
 
 from trace_files import trace_digest
@@ -130,19 +131,28 @@ def test_conservation_and_decomposition_hold():
 
 
 def test_run_invariants_reject_broken_columns():
-    result = run_simulation(single_task_params())
+    # the post-run pass of the reference kernel, on the task columns of a
+    # one-task run with one identity broken at a time
+    result = run_simulation(single_task_params(), backend="python")
     out = result.outputs
+    names = ("node_of", "uplink_done", "exec_start", "exec_end", "delivered_at", "final_phase")
 
-    def check(columns):
-        return assert_run_invariants(result.inputs.arrival_time, columns, 30.0,
-                                     len(result.topology.nodes))
+    def check(**broken):
+        return pykernel.post_run(result.inputs.arrival_time,
+                                 *(broken.get(name, getattr(out, name)) for name in names),
+                                 30.0, len(result.topology.nodes))
 
-    assert check(out)[out.node_of[0]] == out.exec_end[0] - out.exec_start[0]
+    busy, latencies = check()
+    assert (busy, latencies) == (out.busy.tolist(), out.latencies.tolist())
+    assert busy[out.node_of[0]] == out.exec_end[0] - out.exec_start[0]
+    assert latencies == [out.delivered_at[0] - result.inputs.arrival_time[0]]
     for column in ("uplink_done", "exec_start", "exec_end"):  # a stage lost on delivery
-        with pytest.raises(SimulationError, match="out of order"):
-            check(replace(out, **{column: [math.nan]}))
+        with pytest.raises(SimulationError, match="out of order for task 0"):
+            check(**{column: [math.nan]})
+    with pytest.raises(SimulationError, match="decomposition violated for task 0"):
+        check(exec_end=[out.exec_end[0] + 1e300])  # the stages no longer sum to the latency
     with pytest.raises(SimulationError, match="conservation"):  # delivered, phase says not
-        check(replace(out, final_phase=[PH_DOWN]))
+        check(final_phase=[PH_DOWN])
 
 
 def test_control_plane_delay_shifts_latency():
