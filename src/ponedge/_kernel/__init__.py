@@ -4,7 +4,8 @@ The first request that may use the C kernel compiles the shipped kernel.c
 with the C compiler this interpreter was built with, into
 `$XDG_CACHE_HOME/ponedge` (default `~/.cache/ponedge`), and loads it through
 ctypes. Later processes find the library there and only hash, stat and load
-it. Importing this package compiles and loads nothing.
+it. Importing this package compiles and loads nothing. The same library
+writes the text of a run resolved to `c` (see c_library).
 """
 
 from __future__ import annotations
@@ -90,24 +91,24 @@ def _library_path() -> str:
     return path
 
 
-_crun = None  # run() of the C kernel, once built and loaded
+_clib = None  # the C kernel's ckernel.Library, once built and loaded
 _cerror: ConfigurationError | None = None  # why it could not be, once that failed
 
 
 def _c_kernel(warn: bool = False):
-    """run() of the C kernel, built and loaded on first call; None if it cannot be.
+    """The C kernel's library, built and loaded on first call; None if it cannot be.
 
     With warn, a failed build (not a missing compiler) is reported on stderr
     in one line, since the caller then falls back to pure Python.
     """
-    global _crun, _cerror
-    if _crun is None and _cerror is None:
+    global _clib, _cerror
+    if _clib is None and _cerror is None:
         try:
             path = _library_path()
             from .ckernel import load  # ctypes, once there is a library to load
 
             try:
-                _crun = load(path)
+                _clib = load(path)
             except OSError as exc:
                 raise ConfigurationError(f"cannot load the C kernel {path}: {exc}") from None
         except ConfigurationError as exc:
@@ -115,7 +116,17 @@ def _c_kernel(warn: bool = False):
             if warn and not isinstance(exc, _NoCompiler):
                 print("ponedge: the C kernel could not be built, so the pure-Python kernel runs "
                       "(PONEDGE_BACKEND=c shows why)", file=sys.stderr)
-    return _crun
+    return _clib
+
+
+def c_library():
+    """The C kernel's ckernel.Library: its run and its text writers.
+
+    Resolves backend `c`, so it builds the library if needed, and raises
+    ConfigurationError when it cannot be built.
+    """
+    resolve_backend("c")
+    return _clib
 
 
 def available_backends() -> list[str]:
@@ -150,5 +161,5 @@ def run(inputs: KernelInputs, node_specs=None, backend: str | None = "auto") -> 
     as `(inputs, node_specs)`.
     """
     if resolve_backend(backend) == "c":
-        return _crun(inputs)
+        return _clib.run(inputs)
     return pykernel.run(inputs)

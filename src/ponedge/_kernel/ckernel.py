@@ -1,4 +1,6 @@
-"""ctypes binding of the C kernel in kernel.c, a mirror of pykernel.run.
+"""ctypes binding of the C kernel in kernel.c, a mirror of pykernel.run, and
+of its text writers, the mirrors of simulation._trace_lines and
+metrics._task_lines.
 
 The kernel reads the `array` columns of KernelInputs where they are, and
 writes the output and trace columns Python allocates as `array`s; one `_Run`
@@ -6,17 +8,22 @@ struct passes their addresses, so no column is copied either way. The C code
 holds no Python object and allocates only run-local state. The trace columns
 are allocated for the most entries a run can record, and the latency column
 for one latency per task; both are trimmed to what the kernel wrote.
+
+The text writers format those columns into one reused buffer and write it to
+a binary file a buffer at a time, with no Python string per line.
 """
 
 from __future__ import annotations
 
 import ctypes
 from array import array
+from collections.abc import Sequence
+from typing import Callable, NamedTuple
 
 from ..engine import SimulationError
 from .pykernel import (DECOMPOSITION_TOLERANCE_S, INPUT_TYPECODES, OUTPUT_TYPECODES,
-                       KernelInputs, KernelOutputs, Trace, _out_of_order, _past,
-                       _unconserved, _undecomposed)
+                       TRACE_TYPECODES, KernelInputs, KernelOutputs, Trace, _out_of_order,
+                       _past, _unconserved, _undecomposed)
 
 # return codes of ponedge_run
 _PAST = 1
@@ -25,6 +32,13 @@ _NO_MEMORY = 3
 _DECOMPOSITION = 4
 _ORDER = 5
 _CONSERVATION = 6
+_BAD_INDEX = 7
+
+_BAD_INPUTS = "kernel inputs have mismatched sizes or out-of-range indices"
+
+# Bytes of text formatted per write: about 900 trace lines. The buffer grows
+# when one line alone does not fit.
+TEXT_CAPACITY = 1 << 16
 
 _int, _double, _long, _address = (ctypes.c_int, ctypes.c_double, ctypes.c_longlong,
                                   ctypes.c_void_p)
@@ -38,8 +52,8 @@ class _Run(ctypes.Structure):
         ("weight", _address), ("ram_capacity", _address), ("storage_capacity", _address),
         ("n_candidates", _int), ("candidate_nodes", _address),
         ("n_links", _int), ("link_bandwidth", _address), ("link_hop_delay", _address),
-        ("n_routes", _int), ("route_start", _address), ("route_hops", _address),
-        ("up_route", _address),
+        ("n_routes", _int), ("route_start", _address), ("n_route_hops", _int),
+        ("route_hops", _address), ("n_up_route", _int), ("up_route", _address),
         ("n_tasks", _int), ("arrival_time", _address), ("arrival_device", _address),
         ("length_mi", _double), ("request_bits", _double), ("result_bits", _double),
         ("task_ram_mb", _double), ("task_storage_mb", _double),
@@ -59,34 +73,22 @@ class _Run(ctypes.Structure):
 _TRACE = ["trace_" + name for name in Trace._fields]
 
 
-def _within(values, low: int, high: int) -> bool:
-    return not values or (min(values) >= low and max(values) < high)
-
-
 def _check(inp: KernelInputs) -> None:
-    """Reject inputs whose column types, sizes or indices would take the C
-    kernel out of bounds."""
+    """Reject inputs whose column types or sizes would take the C kernel out of
+    bounds; ponedge_run checks that every index lies within these sizes."""
     for name, code in INPUT_TYPECODES.items():
         column = getattr(inp, name)
         if not (isinstance(column, array) and column.typecode == code):
             raise TypeError(f"kernel input {name} must be an array of type code {code!r}")
     n_nodes = len(inp.cores)
     n_slots = len(inp.candidate_nodes)
-    # with no candidate, no task is placed and no device's routes are read
-    n_devices = len(inp.up_route) // n_slots if n_slots else 2**31
     if not (all(len(column) == n_nodes for column in (inp.mips_per_core, inp.weight,
                                                        inp.ram_capacity, inp.storage_capacity))
             and len(inp.link_hop_delay) == len(inp.link_bandwidth)
             and len(inp.arrival_device) == len(inp.arrival_time)
             and (len(inp.up_route) % n_slots == 0 if n_slots else not inp.up_route)
-            and len(inp.route_start) > 0
-            and _within(inp.cores, 1, 2**31)
-            and _within(inp.candidate_nodes, 0, n_nodes)
-            and _within(inp.route_start, 0, len(inp.route_hops) + 1)
-            and _within(inp.route_hops, 0, 2 * len(inp.link_bandwidth))
-            and _within(inp.up_route, 0, len(inp.route_start) - 1)
-            and _within(inp.arrival_device, 0, n_devices)):
-        raise ValueError("kernel inputs have mismatched sizes or out-of-range indices")
+            and len(inp.route_start) > 0):
+        raise ValueError(_BAD_INPUTS)
 
 
 def _error(status: int, run: _Run) -> Exception:
@@ -101,14 +103,66 @@ def _error(status: int, run: _Run) -> Exception:
         return _out_of_order(run.error_task)
     if status == _CONSERVATION:
         return _unconserved(run.n_tasks, int(run.error_a), int(run.error_b))
+    if status == _BAD_INDEX:
+        return ValueError(_BAD_INPUTS)
     return MemoryError("the C kernel could not allocate its run state")
 
 
-def load(path: str):
-    """The `run(inputs) -> KernelOutputs` of the kernel library at `path`."""
-    kernel = ctypes.CDLL(path).ponedge_run
+class _TraceText(ctypes.Structure):
+    """struct trace_text in kernel.c, field for field."""
+
+    _fields_ = [("n_rows", _long), ("time", _address), ("seq", _address), ("kind", _address),
+                ("task", _address), ("extra", _address), ("n_nodes", _int),
+                ("node_text", ctypes.c_char_p), ("node_start", _address)]
+
+
+class _TasksText(ctypes.Structure):
+    """struct tasks_text in kernel.c, field for field."""
+
+    _fields_ = [("n_tasks", _int), ("created", _address), ("node_of", _address),
+                ("uplink_done", _address), ("exec_start", _address), ("exec_end", _address),
+                ("delivered_at", _address), ("deadline_s", _double),
+                ("cell", ctypes.c_char_p), ("cell_len", _int), ("n_nodes", _int),
+                ("node_text", ctypes.c_char_p), ("node_start", _address)]
+
+
+def _columns(named: dict[str, tuple[array, str]], length: int) -> dict[str, int]:
+    """The address of each column, once it is checked to be an array of its
+    type code with `length` entries."""
+    for name, (column, code) in named.items():
+        if not (isinstance(column, array) and column.typecode == code):
+            raise TypeError(f"text column {name} must be an array of type code {code!r}")
+        if len(column) != length:
+            raise ValueError(f"text column {name} has {len(column)} entries, not {length}")
+    return {name: column.buffer_info()[0] for name, (column, _) in named.items()}
+
+
+def _labels(labels: Sequence[bytes]) -> tuple[bytes, array]:
+    """The labels concatenated, and the offset of each in it plus the end."""
+    start = array("i", [0])
+    for label in labels:
+        start.append(start[-1] + len(label))
+    return b"".join(labels), start
+
+
+class Library(NamedTuple):
+    """The C kernel library: its run, and its trace and tasks.csv writers."""
+
+    run: Callable[[KernelInputs], KernelOutputs]
+    write_trace: Callable[..., None]
+    write_tasks: Callable[..., None]
+
+
+def load(path: str) -> Library:
+    """The run and the text writers of the kernel library at `path`."""
+    library = ctypes.CDLL(path)
+    kernel = library.ponedge_run
     kernel.argtypes = [ctypes.POINTER(_Run)]
     kernel.restype = _int
+    trace_text, tasks_text = library.ponedge_trace_text, library.ponedge_tasks_text
+    for writer in (trace_text, tasks_text):
+        writer.argtypes = [_address, _long, _address, _long, ctypes.POINTER(_long)]
+        writer.restype = _long
 
     def run(inputs: KernelInputs) -> KernelOutputs:
         inp = inputs
@@ -127,6 +181,7 @@ def load(path: str):
         run = _Run(
             n_nodes=len(inp.cores), n_candidates=len(inp.candidate_nodes),
             n_links=len(inp.link_bandwidth), n_routes=len(inp.route_start) - 1,
+            n_route_hops=len(inp.route_hops), n_up_route=len(inp.up_route),
             n_tasks=n_tasks, length_mi=inp.length_mi, request_bits=inp.request_bits,
             result_bits=inp.result_bits, task_ram_mb=inp.task_ram_mb,
             task_storage_mb=inp.task_storage_mb, strategy=inp.strategy,
@@ -143,4 +198,47 @@ def load(path: str):
                 del column[run.trace_len:]
         return KernelOutputs(**outputs, processed_events=run.processed_events, trace=trace)
 
-    return run
+    def write_text(fh, fill, text, rows: int, capacity: int) -> None:
+        # `text` holds the addresses of columns its caller keeps alive
+        buffer = ctypes.create_string_buffer(capacity)
+        done = _long()
+        start = 0
+        while start < rows:
+            size = fill(ctypes.addressof(text), start, ctypes.addressof(buffer), len(buffer),
+                        ctypes.byref(done))
+            if size < 0:
+                raise ValueError("a text row has a kind or node index with no text")
+            if done.value == 0:  # the next line alone is longer than the buffer
+                buffer = ctypes.create_string_buffer(max(2 * len(buffer), 256))
+                continue
+            fh.write(memoryview(buffer)[:size])
+            start += done.value
+
+    def write_trace(fh, trace: Trace, node_ids: Sequence[bytes], *,
+                    capacity: int = TEXT_CAPACITY) -> None:
+        """Write the trace file's lines to the binary file `fh`; node_ids maps
+        a node index to its ASCII id."""
+        rows = len(trace.time)
+        node_text, node_start = _labels(node_ids)
+        text = _TraceText(n_rows=rows, n_nodes=len(node_ids), node_text=node_text,
+                          node_start=node_start.buffer_info()[0],
+                          **_columns({name: (column, code) for name, column, code
+                                      in zip(Trace._fields, trace, TRACE_TYPECODES)}, rows))
+        write_text(fh, trace_text, text, rows, capacity)
+
+    def write_tasks(fh, generated_at: array, out: KernelOutputs, node_cells: Sequence[bytes],
+                    deadline_s: float, cell: bytes, *, capacity: int = TEXT_CAPACITY) -> None:
+        """Write the tasks.csv rows to the binary file `fh`. node_cells maps a
+        node index to its id as a quoted, encoded cell, and `cell` is the
+        scenario, topology, cpu and seed cells, quoted and encoded."""
+        rows = len(generated_at)
+        node_text, node_start = _labels(node_cells)
+        named = {"created": (generated_at, "d")} | {
+            name: (getattr(out, name), OUTPUT_TYPECODES[name])
+            for name in ("node_of", "uplink_done", "exec_start", "exec_end", "delivered_at")}
+        text = _TasksText(n_tasks=rows, deadline_s=deadline_s, cell=cell, cell_len=len(cell),
+                          n_nodes=len(node_cells), node_text=node_text,
+                          node_start=node_start.buffer_info()[0], **_columns(named, rows))
+        write_text(fh, tasks_text, text, rows, capacity)
+
+    return Library(run, write_trace, write_tasks)

@@ -11,10 +11,16 @@
  * addresses of the input columns, as they are, and of the output and trace
  * columns it allocated, and calls ponedge_run() through ctypes. Every array
  * allocated here is run-local and freed before the call returns.
+ *
+ * The file also writes a run's text: ponedge_trace_text() and
+ * ponedge_tasks_text() are the mirrors of simulation._trace_lines and
+ * metrics._task_lines, and write the same bytes.
  */
 
 #include <math.h>
+#include <stdio.h>
 #include <stdlib.h>
+#include <string.h>
 
 /* internal event codes */
 enum { EV_ARRIVAL, EV_SER_END, EV_HOP_ARRIVE, EV_EXEC_END, EV_SIM_END };
@@ -36,7 +42,7 @@ enum { STRATEGY_TRADE_OFF, STRATEGY_ROUND_ROBIN };
 /* return codes, turned into exceptions by ckernel.py */
 enum {
     KERNEL_OK, KERNEL_PAST, KERNEL_DUPLICATE_MEMBER, KERNEL_NO_MEMORY,
-    KERNEL_DECOMPOSITION, KERNEL_ORDER, KERNEL_CONSERVATION
+    KERNEL_DECOMPOSITION, KERNEL_ORDER, KERNEL_CONSERVATION, KERNEL_BAD_INDEX
 };
 
 /* One run: the KernelInputs columns, the KernelOutputs columns and the
@@ -58,8 +64,10 @@ struct kernel_run {
     const double *link_hop_delay;
     /* route r is route_hops[route_start[r] .. route_start[r + 1]) */
     int n_routes;
-    const int *route_start;
+    const int *route_start; /* n_routes + 1 entries */
+    int n_route_hops;
     const int *route_hops;
+    int n_up_route;
     const int *up_route; /* device * n_candidates + slot -> route id */
     /* arrivals, sorted by (time, device) */
     int n_tasks;
@@ -425,7 +433,7 @@ static void *zeroed(size_t count, size_t size)
  * merged into the next pop. After the loop, the post-run pass checks the
  * run and reduces it.
  */
-int ponedge_run(struct kernel_run *run)
+static int simulate(struct kernel_run *run)
 {
     const int n_tasks = run->n_tasks;
     const int n_candidates = run->n_candidates;
@@ -786,4 +794,366 @@ done:
     free(starts);
     free(heap.items);
     return status;
+}
+
+/* every values[i] in [low, high) */
+static int within(const int *values, int count, long long low, long long high)
+{
+    int i;
+    for (i = 0; i < count; i++)
+        if (values[i] < low || values[i] >= high)
+            return 0;
+    return 1;
+}
+
+/*
+ * One run of the kernel: KERNEL_BAD_INDEX, before anything is read through
+ * them, when an index column points outside the lengths it is given (ckernel.py
+ * has checked the column types and the lengths that must agree); otherwise
+ * what simulate() returns.
+ */
+int ponedge_run(struct kernel_run *run)
+{
+    /* with no candidate, no task is placed and no device's routes are read */
+    const long long n_devices = run->n_candidates ? run->n_up_route / run->n_candidates
+                                                  : 1LL << 31;
+    if (!within(run->cores, run->n_nodes, 1, 1LL << 31)
+        || !within(run->candidate_nodes, run->n_candidates, 0, run->n_nodes)
+        || !within(run->route_start, run->n_routes + 1, 0, run->n_route_hops + 1LL)
+        || !within(run->route_hops, run->n_route_hops, 0, 2LL * run->n_links)
+        || !within(run->up_route, run->n_up_route, 0, run->n_routes)
+        || !within(run->arrival_device, run->n_tasks, 0, n_devices))
+        return KERNEL_BAD_INDEX;
+    return simulate(run);
+}
+
+/*
+ * The run's text. A writer formats rows [start, n) into a caller buffer of
+ * `capacity` bytes, whole lines only, stops at the first line that does not
+ * fit, stores the rows it wrote in *rows and returns the bytes it wrote. It
+ * returns -1 instead when it reaches a row whose kind or node index has no
+ * text.
+ */
+
+/* the caller's buffer; a piece that does not fit marks it full */
+struct sink {
+    char *pos;
+    char *end;
+    int full;
+};
+
+static void put(struct sink *s, const char *text, size_t len)
+{
+    if (s->full || len > (size_t)(s->end - s->pos)) {
+        s->full = 1;
+        return;
+    }
+    memcpy(s->pos, text, len);
+    s->pos += len;
+}
+
+#define PUT_LITERAL(s_, text_) put((s_), (text_), sizeof(text_) - 1)
+
+/* v in decimal, at least `width` characters, zero-padded after any sign:
+ * Python's format(v, "0{width}d") */
+static size_t int_text(char *dst, long long v, int width)
+{
+    char digits[20];
+    unsigned long long u = v < 0 ? 0ULL - (unsigned long long)v : (unsigned long long)v;
+    int n = 0;
+    int pad;
+    size_t len = 0;
+    do {
+        digits[n++] = (char)('0' + u % 10);
+        u /= 10;
+    } while (u);
+    if (v < 0)
+        dst[len++] = '-';
+    for (pad = width - (int)len - n; pad > 0; pad--)
+        dst[len++] = '0';
+    while (n > 0)
+        dst[len++] = digits[--n];
+    return len;
+}
+
+static void put_int(struct sink *s, long long v)
+{
+    char text[24];
+    put(s, text, int_text(text, v, 0));
+}
+
+#ifdef __SIZEOF_INT128__
+static const unsigned long long POW10[20] = {
+    1ULL, 10ULL, 100ULL, 1000ULL, 10000ULL, 100000ULL, 1000000ULL, 10000000ULL,
+    100000000ULL, 1000000000ULL, 10000000000ULL, 100000000000ULL, 1000000000000ULL,
+    10000000000000ULL, 100000000000000ULL, 1000000000000000ULL, 10000000000000000ULL,
+    100000000000000000ULL, 1000000000000000000ULL, 10000000000000000000ULL,
+};
+
+/*
+ * v rounded to `precision` (<= 17) significant digits, half to even on its
+ * exact binary value: *digits holds them as an integer in
+ * [10^(precision-1), 10^precision) and *exponent the decimal exponent of the
+ * first. For v in [1e-6, 2^53), v = m * 2^-shift with m < 2^53 and
+ * shift <= 72, so m * 10^k, k <= 22, is exact in 128 bits; the digits are its
+ * quotient by 2^shift, rounded on the remainder (Ryu printf, restricted to this
+ * range). Returns 0, with nothing stored, where k would leave [0, 22].
+ */
+static int exact_digits(double v, int precision, unsigned long long *digits, int *exponent)
+{
+    int binary;
+    const unsigned long long m = (unsigned long long)ldexp(frexp(v, &binary), 53);
+    const int shift = 53 - binary;
+    /* v is in [2^(binary-1), 2^binary), so floor(log10(v)) is
+     * floor((binary - 1) * log10(2)) or one more; log10(2) is about
+     * 78913 / 2^18, exact in that floor for every binary in range. Start at
+     * the larger, and step down once if v is below 10^x. */
+    const int scaled = (binary - 1) * 78913;
+    int x = (scaled >= 0 ? scaled / 262144 : -((-scaled + 262143) / 262144)) + 1;
+    for (;;) {
+        const int k = precision - 1 - x;
+        unsigned __int128 n, rest, half;
+        unsigned long long d;
+        if (k < 0 || k > 22)
+            return 0;
+        n = (unsigned __int128)m * POW10[k < 19 ? k : 19];
+        if (k > 19)
+            n *= POW10[k - 19];
+        d = (unsigned long long)(n >> shift);
+        if (d < POW10[precision - 1]) { /* v < 10^x */
+            x--;
+            continue;
+        }
+        if (shift > 0) {
+            rest = n - ((unsigned __int128)d << shift);
+            half = (unsigned __int128)1 << (shift - 1);
+            if (rest > half || (rest == half && (d & 1)))
+                d++;
+            if (d == POW10[precision]) { /* rounded up to the next power of ten */
+                d = POW10[precision - 1];
+                x++;
+            }
+        }
+        *digits = d;
+        *exponent = x;
+        return 1;
+    }
+}
+
+/* the %g layout of digits * 10^(exponent - precision + 1): trailing zeros
+ * stripped, fixed notation for -4 <= exponent < precision, else scientific
+ * with an exponent of at least two digits */
+static size_t g_layout(char *dst, unsigned long long digits, int exponent, int precision)
+{
+    char text[20];
+    int n = precision;
+    int i;
+    size_t len = 0;
+    for (i = precision - 1; i >= 0; i--) {
+        text[i] = (char)('0' + digits % 10);
+        digits /= 10;
+    }
+    while (text[n - 1] == '0') /* text[0] is not */
+        n--;
+    if (exponent < -4 || exponent >= precision) {
+        dst[len++] = text[0];
+        if (n > 1) {
+            dst[len++] = '.';
+            memcpy(dst + len, text + 1, (size_t)n - 1);
+            len += (size_t)n - 1;
+        }
+        dst[len++] = 'e';
+        dst[len++] = exponent < 0 ? '-' : '+';
+        len += int_text(dst + len, exponent < 0 ? -exponent : exponent, 2);
+    } else if (exponent >= 0) {
+        memcpy(dst, text, (size_t)exponent + 1);
+        len = (size_t)exponent + 1;
+        if (n > exponent + 1) {
+            dst[len++] = '.';
+            memcpy(dst + len, text + exponent + 1, (size_t)(n - exponent - 1));
+            len += (size_t)(n - exponent - 1);
+        }
+    } else {
+        dst[len++] = '0';
+        dst[len++] = '.';
+        for (i = -1; i > exponent; i--)
+            dst[len++] = '0';
+        memcpy(dst + len, text, (size_t)n);
+        len += (size_t)n;
+    }
+    return len;
+}
+#endif
+
+/* Python's format(v, ".{precision}g"), which is C's %.{precision}g except
+ * that every NaN is "nan"; at most 24 characters */
+static void put_g(struct sink *s, double v, int precision)
+{
+    char text[32];
+#ifdef __SIZEOF_INT128__
+    unsigned long long digits;
+    int exponent;
+    if (v >= 1e-6 && v < 9007199254740992.0 && exact_digits(v, precision, &digits, &exponent)) {
+        put(s, text, g_layout(text, digits, exponent, precision));
+        return;
+    }
+#endif
+    if (v != v)
+        PUT_LITERAL(s, "nan");
+    else
+        put(s, text, (size_t)snprintf(text, sizeof text, "%.*g", precision, v));
+}
+
+/* node label i: text[start[i] .. start[i + 1]) */
+static void put_label(struct sink *s, const char *text, const int *start, int i)
+{
+    put(s, text + start[i], (size_t)(start[i + 1] - start[i]));
+}
+
+/* pykernel.TRACE_KINDS */
+static const char *const TRACE_KIND_NAMES[] = {
+    "TaskArrival", "TransferComplete", "ExecutionStart", "ExecutionComplete",
+    "ResultDelivered", "SimulationEnd",
+};
+
+/* The trace columns, in (time, seq) order, and the node ids, ASCII. */
+struct trace_text {
+    long long n_rows;
+    const double *time;
+    const long long *seq;
+    const int *kind;
+    const int *task;
+    const int *extra;
+    int n_nodes;
+    const char *node_text;
+    const int *node_start; /* n_nodes + 1 entries */
+};
+
+/* simulation._trace_lines: time, seq, kind and subject, tab-separated */
+long long ponedge_trace_text(const struct trace_text *t, long long start, char *buffer,
+                             long long capacity, long long *rows)
+{
+    struct sink s = {buffer, buffer + capacity, 0};
+    long long row;
+    for (row = start; row < t->n_rows; row++) {
+        char *line = s.pos;
+        const int kind = t->kind[row];
+        const int extra = t->extra[row];
+        if (kind < TR_TASK_ARRIVAL || kind > TR_SIMULATION_END
+            || (kind >= TR_EXECUTION_START && kind <= TR_RESULT_DELIVERED
+                && (extra < 0 || extra >= t->n_nodes)))
+            return -1;
+        put_g(&s, t->time[row], 17);
+        PUT_LITERAL(&s, "\t");
+        put_int(&s, t->seq[row]);
+        PUT_LITERAL(&s, "\t");
+        put(&s, TRACE_KIND_NAMES[kind], strlen(TRACE_KIND_NAMES[kind]));
+        if (kind == TR_SIMULATION_END) {
+            PUT_LITERAL(&s, "\t-\n");
+        } else {
+            PUT_LITERAL(&s, "\ttask=t");
+            put_int(&s, t->task[row]);
+            if (kind == TR_TASK_ARRIVAL) { /* config.device_node_id */
+                char device[24];
+                PUT_LITERAL(&s, " src=n");
+                put(&s, device, int_text(device, extra, 4));
+                PUT_LITERAL(&s, "-dev\n");
+            } else if (kind == TR_TRANSFER_COMPLETE) {
+                if (extra == 0)
+                    PUT_LITERAL(&s, " leg=up\n");
+                else
+                    PUT_LITERAL(&s, " leg=down\n");
+            } else {
+                PUT_LITERAL(&s, " node=");
+                put_label(&s, t->node_text, t->node_start, extra);
+                PUT_LITERAL(&s, "\n");
+            }
+        }
+        if (s.full) {
+            s.pos = line;
+            break;
+        }
+    }
+    *rows = row - start;
+    return s.pos - buffer;
+}
+
+/* The task columns, the cell's quoted scenario, topology, cpu and seed
+ * fields, and each node's quoted id, in the file's encoding. */
+struct tasks_text {
+    int n_tasks;
+    const double *created;
+    const int *node_of; /* -1: never placed, an empty node id */
+    const double *uplink_done;
+    const double *exec_start;
+    const double *exec_end;
+    const double *delivered_at;
+    double deadline_s;
+    const char *cell;
+    int cell_len;
+    int n_nodes;
+    const char *node_text;
+    const int *node_start; /* n_nodes + 1 entries */
+};
+
+/* metrics._timestamp: blank for a phase never reached */
+static void put_timestamp(struct sink *s, double v)
+{
+    if (v == v)
+        put_g(s, v, 12);
+}
+
+/* metrics._task_lines: one tasks.csv row, \r\n-terminated */
+long long ponedge_tasks_text(const struct tasks_text *t, long long start, char *buffer,
+                             long long capacity, long long *rows)
+{
+    struct sink s = {buffer, buffer + capacity, 0};
+    long long task;
+    for (task = start; task < t->n_tasks; task++) {
+        char *line = s.pos;
+        const int node = t->node_of[task];
+        const double created = t->created[task];
+        const double delivered = t->delivered_at[task];
+        if (node < -1 || node >= t->n_nodes)
+            return -1;
+        PUT_LITERAL(&s, "t");
+        put_int(&s, task);
+        PUT_LITERAL(&s, ",");
+        put(&s, t->cell, (size_t)t->cell_len);
+        PUT_LITERAL(&s, ",");
+        if (node >= 0)
+            put_label(&s, t->node_text, t->node_start, node);
+        PUT_LITERAL(&s, ",");
+        put_g(&s, created, 12);
+        PUT_LITERAL(&s, ",");
+        if (delivered != delivered) {
+            put_timestamp(&s, t->uplink_done[task]);
+            PUT_LITERAL(&s, ",");
+            put_timestamp(&s, t->exec_start[task]);
+            PUT_LITERAL(&s, ",");
+            put_timestamp(&s, t->exec_end[task]);
+            PUT_LITERAL(&s, ",,Unfinished,,false\r\n");
+        } else { /* a delivered task reached every phase */
+            const double latency = delivered - created;
+            put_g(&s, t->uplink_done[task], 12);
+            PUT_LITERAL(&s, ",");
+            put_g(&s, t->exec_start[task], 12);
+            PUT_LITERAL(&s, ",");
+            put_g(&s, t->exec_end[task], 12);
+            PUT_LITERAL(&s, ",");
+            put_g(&s, delivered, 12);
+            PUT_LITERAL(&s, ",Delivered,");
+            put_g(&s, latency, 12);
+            if (latency <= t->deadline_s)
+                PUT_LITERAL(&s, ",true\r\n");
+            else
+                PUT_LITERAL(&s, ",false\r\n");
+        }
+        if (s.full) {
+            s.pos = line;
+            break;
+        }
+    }
+    *rows = task - start;
+    return s.pos - buffer;
 }

@@ -124,17 +124,18 @@ class Trace(NamedTuple):
     @classmethod
     def allocate(cls, length: int = 0) -> Trace:
         """Columns of `length` zeroed entries each."""
-        return cls(*(array(code, [0]) * length for code in ("d", "q", "i", "i", "i")))
+        return cls(*(array(code, [0]) * length for code in TRACE_TYPECODES))
 
 
-# The array type codes of the KernelInputs and the KernelOutputs columns, in
-# field order; both backends read and write exactly these.
+# The array type codes of the KernelInputs, the KernelOutputs and the Trace
+# columns, in field order; both backends read and write exactly these.
 INPUT_TYPECODES = {"mips_per_core": "d", "cores": "i", "weight": "d", "ram_capacity": "d",
                    "storage_capacity": "d", "candidate_nodes": "i", "link_bandwidth": "d",
                    "link_hop_delay": "d", "route_start": "i", "route_hops": "i",
                    "up_route": "i", "arrival_time": "d", "arrival_device": "i"}
 OUTPUT_TYPECODES = {"node_of": "i", "uplink_done": "d", "exec_start": "d", "exec_end": "d",
                     "delivered_at": "d", "final_phase": "i", "busy": "d", "latencies": "d"}
+TRACE_TYPECODES = ("d", "q", "i", "i", "i")
 
 
 @dataclass

@@ -10,6 +10,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from ._kernel import c_library
+
 if TYPE_CHECKING:
     from ._kernel.pykernel import KernelOutputs
 
@@ -210,16 +212,27 @@ def _task_lines(generated_at: Sequence[float], out: KernelOutputs, node_ids: Seq
 
 def write_tasks_csv(path, generated_at: Sequence[float], out: KernelOutputs,
                     node_ids: Sequence[str], *, deadline_s: float, scenario: str,
-                    topology: str, cpu: str, seed: int) -> None:
+                    topology: str, cpu: str, seed: int, backend: str = "python") -> None:
     """One lifecycle row per task, streamed from the kernel's columns.
 
     node_ids maps a node index in out.node_of to its id. The bytes are those
-    csv.writer produces for rows of format_number cells.
+    csv.writer produces for rows of format_number cells. For a run the C
+    kernel made (`backend` "c"), the C library formats the rows into one
+    reused buffer and writes it a buffer at a time; otherwise _task_lines, the
+    reference formatter, yields them line by line. The quoted cell and node id
+    fields are encoded as the text file encodes them, so the bytes are the same.
     """
     cell = _csv_line([scenario, topology, cpu, seed])
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(TASKS_CSV_COLUMNS)
-        fh.writelines(_task_lines(generated_at, out, node_ids, deadline_s, cell))
+        if backend == "c":
+            fh.flush()  # the header, before the rows go to the binary buffer
+            c_library().write_tasks(
+                fh.buffer, generated_at, out,
+                [_csv_line([node_id]).encode(fh.encoding) for node_id in node_ids],
+                deadline_s, cell.encode(fh.encoding))
+        else:
+            fh.writelines(_task_lines(generated_at, out, node_ids, deadline_s, cell))
 
 
 def write_summary_csv(path, summaries: list[RunSummary]) -> None:

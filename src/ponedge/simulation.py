@@ -16,8 +16,9 @@ from .network import BITS_PER_KB, LinkKind, route_between
 from .workload import ScenarioSpec, generate_arrivals
 from ._kernel import pykernel
 
-# Trace entries formatted per write: about 70 KB of text. Its lines, their join
-# and its encoding are the largest transient memory of a traced run.
+# Trace entries the pure-Python path formats per write: about 70 KB of text.
+# Its lines, their join and its encoding are the largest transient memory of
+# a traced run on that path.
 TRACE_CHUNK = 1024
 
 
@@ -48,6 +49,7 @@ class RunResult:
     inputs: pykernel.KernelInputs
     outputs: pykernel.KernelOutputs
     summary: RunSummary
+    backend: str  # the kernel that ran: "c" or "python"
 
     @property
     def processed_events(self) -> int:
@@ -211,14 +213,21 @@ def _trace_lines(topo: TopologySpec, rows) -> list[str]:
     return lines
 
 
-def write_trace(fh, topo: TopologySpec, trace: pykernel.Trace) -> None:
+def write_trace(fh, topo: TopologySpec, trace: pykernel.Trace,
+                backend: str = "python") -> None:
     """Write the event-trace file to the binary file `fh`.
 
-    One newline-terminated ASCII line per kernel trace entry, formatted and
-    written TRACE_CHUNK entries at a time, each chunk's rows zipped from
-    slices of the trace columns, so the text of at most one chunk is held at
-    once.
+    One newline-terminated ASCII line per kernel trace entry. For a run the C
+    kernel made (`backend` "c"), the C library formats the lines into one
+    reused buffer and writes it a buffer at a time. Otherwise _trace_lines,
+    the reference formatter, formats them TRACE_CHUNK entries at a time, each
+    chunk's rows zipped from slices of the trace columns. Either way the text
+    of at most one buffer or chunk is held at once, and the bytes are the same.
     """
+    if backend == "c":
+        _kernel.c_library().write_trace(fh, trace,
+                                        [node.id.encode("ascii") for node in topo.nodes])
+        return
     for start in range(0, len(trace.time), TRACE_CHUNK):
         lines = _trace_lines(topo, zip(*(column[start:start + TRACE_CHUNK]
                                          for column in trace)))
@@ -238,6 +247,7 @@ def run_simulation(params: RunParams, backend: str | None = "auto",
     topo = topology_preset(params.topology, params.scenario, params.cpu_mips,
                            params.calibration)
     inputs = build_kernel_inputs(params, topo, collect_trace)
+    backend = _kernel.resolve_backend(backend)
     out = _kernel.run(inputs, topo.nodes, backend=backend)
     summary = summarize(
         len(inputs.arrival_time),
@@ -252,4 +262,4 @@ def run_simulation(params: RunParams, backend: str | None = "auto",
         node_utilization=node_utilization(topo, out.busy, params.duration_s),
     )
     return RunResult(params=params, topology=topo, inputs=inputs, outputs=out,
-                     summary=summary)
+                     summary=summary, backend=backend)

@@ -124,7 +124,8 @@ def run_cell(cell: CellSpec, backend: str | None = "auto",
             write_tasks_csv(os.path.join(staging, "tasks.csv"), result.inputs.arrival_time,
                             result.outputs, [node.id for node in result.topology.nodes],
                             deadline_s=cell.scenario.deadline_s, scenario=cell.scenario.name,
-                            topology=cell.topology, cpu=cell.cpu, seed=cell.seed)
+                            topology=cell.topology, cpu=cell.cpu, seed=cell.seed,
+                            backend=result.backend)
         write_summary_csv(os.path.join(staging, "summary.csv"), [result.summary])
         # what a later invocation reusing this cell reads, so that aggregates
         # are computed from the same numbers whether the cell is fresh or not
@@ -142,7 +143,7 @@ def run_cell(cell: CellSpec, backend: str | None = "auto",
         staged_trace = trace_path + f".tmp-{os.getpid()}"
         try:
             with open(staged_trace, "wb") as fh:
-                write_trace(fh, result.topology, result.outputs.trace)
+                write_trace(fh, result.topology, result.outputs.trace, result.backend)
             os.replace(staged_trace, trace_path)
         finally:
             if os.path.exists(staged_trace):

@@ -1,12 +1,16 @@
 """The C kernel must be bit-identical to the pure-Python reference."""
 
+import csv
+import io
 import math
+import os
 import random
 import subprocess
 import tracemalloc
 from array import array
 from collections import Counter
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,10 +18,13 @@ from ponedge import _kernel
 from ponedge._kernel import available_backends, ckernel, compiler_argv, pykernel
 from ponedge._kernel.pykernel import (OUTPUT_TYPECODES, PH_DELIVERED, PH_DOWN,
                                       PH_NO_PLACEMENT, PH_QUEUED, PH_RUNNING, PH_UP)
+from ponedge.cli import main
 from ponedge.config import DEFAULT_CALIBRATION, cpu_grid, topology_preset
 from ponedge.engine import SimulationError
+from ponedge.metrics import _csv_line, _task_lines
 from ponedge.network import ConfigurationError
-from ponedge.simulation import RunParams, build_kernel_inputs, run_simulation
+from ponedge.simulation import (RunParams, _trace_lines, build_kernel_inputs, run_simulation,
+                                write_trace)
 from ponedge.workload import scenario_preset
 
 from fresh_process import needs_compiler
@@ -331,5 +338,216 @@ def test_c_post_run_pass_raises_what_the_reference_raises(mutant, tmp_path):
         pykernel.post_run(inputs.arrival_time, *columns.values(), inputs.duration_s,
                           len(inputs.cores))
     with pytest.raises(SimulationError) as compiled:
-        ckernel.load(str(library))(inputs)
+        ckernel.load(str(library)).run(inputs)
     assert str(compiled.value) == str(reference.value) == message
+
+
+# The C text writers against the reference formatters, on synthetic columns.
+TEXT_VALUES = 1_000_000
+TEXT_NODES = ["n0000-cloud", "n0257-edge", "n0001-olt", "n12345678-onu-with-a-long-id"]
+
+
+def _ulps(value: float, steps: int) -> list[float]:
+    """value and its neighbours up to `steps` ulps away on either side."""
+    out = [value]
+    for toward in (math.inf, -math.inf):
+        x = value
+        for _ in range(steps):
+            x = math.nextafter(x, toward)
+            out.append(x)
+    return out
+
+
+def _text_doubles(rng: random.Random, count: int) -> array:
+    """`count` doubles from the classes a %.17g or %.12g formatter can get
+    wrong: the edges of the exact fast path, powers of ten, zeros, subnormals,
+    infinities and NaN, random bit patterns, uniform and log-uniform draws, and
+    exact decimal ties at 12 and 17 significant digits, shuffled."""
+    values = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324,
+              2.2250738585072009e-308, 2.2250738585072014e-308, 1.7976931348623157e308]
+    for edge in (1e-6, 1e-4, 2.0**53, 1e11, 1e12, 1e16, 1e17, 0.5, 1.0, 600.0):
+        values += _ulps(edge, 4)
+    for exponent in range(-12, 23):
+        values += _ulps(10.0**exponent, 2)
+    values += [rng.uniform(0.0, 5e-308) for _ in range(2000)]  # subnormals and tiny normals
+    # ties: m / 2^s with m odd and as many significant digits as the precision
+    # plus one, so that the exact value ends in a 5 right after the last digit kept
+    for precision in (12, 17):
+        for digits in range(-6, 16):
+            shift = precision - digits
+            if shift < 0:
+                continue
+            low = math.ceil(10.0**digits * 2.0**shift)
+            high = min(math.floor(10.0**(digits + 1) * 2.0**shift), 2**53)
+            for _ in range(1500):
+                values.append(math.ldexp(rng.randrange(low, high) | 1, -shift))
+    rest = count - len(values)
+    values += array("d", rng.randbytes(8 * (rest // 4)))  # random bit patterns
+    values += [10.0 ** rng.uniform(-7.0, 17.0) for _ in range(rest // 4)]
+    values += [rng.uniform(0.0, 600.0) for _ in range(rest // 4)]
+    values += [rng.random() for _ in range(count - len(values))]
+    rng.shuffle(values)
+    return array("d", values)
+
+
+@pytest.fixture(scope="module")
+def text_doubles():
+    return _text_doubles(random.Random(20261018), TEXT_VALUES)
+
+
+def _synthetic_trace(rng: random.Random, times: array) -> pykernel.Trace:
+    """Trace rows of every kind at the given times, with random seqs, tasks and
+    subjects, negative ones included."""
+    n = len(times)
+    kind = array("i", (draw % 6 for draw in rng.randbytes(n)))
+    extra = array("i", array("H", rng.randbytes(2 * n)))
+    for row, k in enumerate(kind):
+        if k == pykernel.TR_TASK_ARRIVAL:
+            extra[row] = extra[row] % 20_020 - 20  # a device, zero-padded to four digits
+        elif k == pykernel.TR_TRANSFER_COMPLETE:
+            extra[row] = (0, 1, 7)[extra[row] % 3]  # any leg but 0 is down
+        elif k == pykernel.TR_SIMULATION_END:
+            extra[row] = -1
+        else:
+            extra[row] %= len(TEXT_NODES)
+    seq = array("q", rng.randbytes(8 * n))
+    for row in range(0, n, 2):
+        seq[row] >>= 40
+    return pykernel.Trace(times, seq, kind, array("i", rng.randbytes(4 * n)), extra)
+
+
+def _synthetic_tasks(rng: random.Random, values: array):
+    """(generated_at, outputs) of len(values) // 5 tasks: the values fill the
+    five timestamp columns; a third of the tasks are unfinished, some with
+    phases never reached, and some were never placed."""
+    n = len(values) // 5
+    columns = [values[i * n:(i + 1) * n] for i in range(5)]
+    created, uplink, start, end, delivered = columns
+    for task in range(n):
+        if rng.random() < 1 / 3:
+            delivered[task] = math.nan
+            for column in (uplink, start, end):
+                if rng.random() < 0.3:
+                    column[task] = math.nan
+    node_of = array("i", (rng.randrange(-1, len(TEXT_NODES)) for _ in range(n)))
+    out = SimpleNamespace(node_of=node_of, uplink_done=uplink, exec_start=start,
+                          exec_end=end, delivered_at=delivered)
+    return created, out
+
+
+def _written(write, *args, **kwargs) -> tuple[bytes, list[int]]:
+    """The bytes `write` writes, and the size of each write."""
+    sink = io.BytesIO()
+    sizes = []
+
+    def record(data):
+        sizes.append(len(data))
+        return sink.write(data)
+
+    write(SimpleNamespace(write=record), *args, **kwargs)
+    return sink.getvalue(), sizes
+
+
+def _one_line_capacity(text: bytes, terminator: bytes) -> int:
+    return max(len(line) for line in text.split(terminator)) + len(terminator)
+
+
+@needs_c
+def test_c_trace_text_matches_reference(text_doubles):
+    trace = _synthetic_trace(random.Random(1), text_doubles)
+    topo = SimpleNamespace(nodes=[SimpleNamespace(id=node_id) for node_id in TEXT_NODES])
+    node_ids = [node_id.encode("ascii") for node_id in TEXT_NODES]
+    write_trace = _kernel.c_library().write_trace
+    step = 100_000
+    for start in range(0, len(text_doubles), step):
+        chunk = pykernel.Trace(*(column[start:start + step] for column in trace))
+        expected = "".join(line + "\n" for line in _trace_lines(topo, zip(*chunk)))
+        assert _written(write_trace, chunk, node_ids)[0] == expected.encode("ascii")
+    # a buffer that fits the longest line once: every write is whole lines
+    chunk = pykernel.Trace(*(column[:3000] for column in trace))
+    expected = "".join(line + "\n" for line in _trace_lines(topo, zip(*chunk))).encode()
+    capacity = _one_line_capacity(expected, b"\n")
+    text, sizes = _written(write_trace, chunk, node_ids, capacity=capacity)
+    assert text == expected
+    assert len(sizes) > 1500 and max(sizes) <= capacity
+
+
+@needs_c
+def test_c_tasks_text_matches_reference(text_doubles):
+    generated_at, out = _synthetic_tasks(random.Random(2), text_doubles)
+    cell = _csv_line(["a,b", 'say "hi"', "Zürich – 1", 7])
+    node_cells = [_csv_line([node_id]).encode("utf-8") for node_id in TEXT_NODES]
+    write_tasks = _kernel.c_library().write_tasks
+    expected = "".join(_task_lines(generated_at, out, TEXT_NODES, 0.5, cell)).encode("utf-8")
+    text, _ = _written(write_tasks, generated_at, out, node_cells, 0.5, cell.encode("utf-8"))
+    assert text == expected
+    assert b",7,," in text and b",,,Unfinished" in text  # never placed; phases not reached
+    # a buffer that fits the longest line once
+    head = SimpleNamespace(**{name: getattr(out, name)[:3000] for name in vars(out)})
+    expected = "".join(_task_lines(generated_at[:3000], head, TEXT_NODES, 0.5,
+                                   cell)).encode("utf-8")
+    capacity = _one_line_capacity(expected, b"\r\n")
+    text, sizes = _written(write_tasks, generated_at[:3000], head, node_cells, 0.5,
+                           cell.encode("utf-8"), capacity=capacity)
+    assert text == expected
+    assert len(sizes) > 1500 and max(sizes) <= capacity
+
+
+@needs_c
+def test_c_write_trace_holds_one_buffer_of_text():
+    # the largest trace among the contention-heavy cells, about 4.4 MB of text
+    params = _params(("smart-building", "baseline", 440_000.0), dict(duration_s=600.0))
+    result = run_simulation(params, backend="c", collect_trace=True)
+    sizes = []  # of each write; the bytes themselves are discarded
+    sink = SimpleNamespace(write=lambda data: sizes.append(len(data)))
+    tracemalloc.start()
+    try:
+        write_trace(sink, result.topology, result.outputs.trace, result.backend)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(sizes) > 60 and max(sizes) <= ckernel.TEXT_CAPACITY
+    assert peak < 2 * ckernel.TEXT_CAPACITY
+
+
+@needs_c
+def test_c_text_writers_reject_rows_with_no_text():
+    library = _kernel.c_library()
+    for kind, extra in ((6, 0), (-1, 0), (pykernel.TR_EXECUTION_START, len(TEXT_NODES)),
+                        (pykernel.TR_RESULT_DELIVERED, -1)):
+        trace = pykernel.Trace(array("d", [1.0]), array("q", [1]), array("i", [kind]),
+                               array("i", [0]), array("i", [extra]))
+        with pytest.raises(ValueError):
+            library.write_trace(io.BytesIO(), trace, [b"n0"] * len(TEXT_NODES))
+    out = SimpleNamespace(node_of=array("i", [-2]), uplink_done=array("d", [1.0]),
+                          exec_start=array("d", [1.0]), exec_end=array("d", [1.0]),
+                          delivered_at=array("d", [1.0]))
+    with pytest.raises(ValueError):
+        library.write_tasks(io.BytesIO(), array("d", [0.5]), out, [b"n0"], 1.0, b"c")
+    with pytest.raises(TypeError, match="created"):
+        library.write_tasks(io.BytesIO(), [0.5], out, [b"n0"], 1.0, b"c")
+
+
+AWKWARD_LABELS = os.path.join(os.path.dirname(__file__), "experiments", "awkward-labels.json")
+
+
+@needs_c
+def test_tasks_csv_identical_on_both_backends_with_awkward_labels(tmp_path, monkeypatch):
+    # a CPU label with a comma, a double quote and non-ASCII text, and edge
+    # servers with room for two tasks: some tasks are never placed and some
+    # are unfinished
+    written = {}
+    for backend in ("python", "c"):
+        monkeypatch.setenv("PONEDGE_BACKEND", backend)
+        trace = tmp_path / f"{backend}.tsv"
+        assert main(["run", "--config", AWKWARD_LABELS, "--trace", str(trace),
+                     "--out-dir", str(tmp_path / backend)]) == 0
+        cell = tmp_path / backend / "smart-building" / "baseline" / "440000" / "5"
+        written[backend] = (cell / "tasks.csv").read_bytes(), trace.read_bytes()
+    assert written["python"] == written["c"]
+    with open(cell / "tasks.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert {row["cpu"] for row in rows} == {'Lab rig, "Zürich" – 440k'}
+    unfinished = [row for row in rows if row["status"] == "Unfinished"]
+    assert any(row["node_id"] == "" for row in unfinished)
+    assert any(row["node_id"] and row["delivered_at"] == "" for row in unfinished)

@@ -2,10 +2,11 @@
 
 import json
 import shutil
+from types import SimpleNamespace
 
 import pytest
 
-from ponedge import simulation, sweep
+from ponedge import sweep
 from ponedge.cli import main
 from ponedge.config import DEFAULT_CALIBRATION
 from ponedge.metrics import read_summary_csv
@@ -97,25 +98,28 @@ def test_run_trace_dump(tmp_path):
 
 
 def test_run_trace_is_published_atomically(tmp_path, monkeypatch):
-    # a trace of several chunks whose second chunk fails to format
+    # a trace of several writes, on the path of the kernel that ran, whose
+    # second write fails
     cell = sweep.CellSpec(scenario_preset("e-health"), "genio", "", 220_000.0, 1, 120.0,
                           "trade-off", "poisson", DEFAULT_CALIBRATION, str(tmp_path / "out"))
     trace = tmp_path / "events.tsv"
     trace.write_bytes(b"an earlier trace\n")
-    format_chunk = simulation._trace_lines
-    calls = []
+    write_trace = sweep.write_trace
+    writes = []
 
-    def fail_on_second_chunk(topo, rows):
-        rows = list(rows)
-        calls.append(len(rows))
-        if len(calls) == 2:
-            raise OSError("no space left on device")
-        return format_chunk(topo, rows)
+    def fail_on_second_write(fh, *args):
+        def write(data):
+            writes.append(len(data))
+            if len(writes) == 2:
+                raise OSError("no space left on device")
+            return fh.write(data)
 
-    monkeypatch.setattr(simulation, "_trace_lines", fail_on_second_chunk)
+        return write_trace(SimpleNamespace(write=write), *args)
+
+    monkeypatch.setattr(sweep, "write_trace", fail_on_second_write)
     with pytest.raises(OSError):
         sweep.run_cell(cell, trace_path=str(trace), tasks_csv=True)
-    assert len(calls) == 2 and calls[0] == simulation.TRACE_CHUNK
+    assert len(writes) == 2
     assert trace.read_bytes() == b"an earlier trace\n"
     assert sorted(path.name for path in tmp_path.iterdir()) == ["events.tsv", "out"]
 
