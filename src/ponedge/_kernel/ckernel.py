@@ -1,6 +1,6 @@
-"""ctypes binding of the C kernel in kernel.c, a mirror of pykernel.run, and
-of its text writers, the mirrors of simulation._trace_lines and
-metrics._task_lines.
+"""ctypes binding of the C kernel in kernel.c, a mirror of pykernel.run, of
+its arrival draw, the mirror of workload.generate_arrivals, and of its text
+writers, the mirrors of simulation._trace_lines and metrics._task_lines.
 
 The kernel reads the `array` columns of KernelInputs where they are, and
 writes the output and trace columns Python allocates as `array`s; one `_Run`
@@ -8,6 +8,10 @@ struct passes their addresses, so no column is copied either way. The C code
 holds no Python object and allocates only run-local state. The trace columns
 are allocated for the most entries a run can record, and the latency column
 for one latency per task; both are trimmed to what the kernel wrote.
+
+The arrival draw continues each device's engine.Stream from the state Python
+seeded, so seeding has one implementation. It counts the arrivals first, then
+fills `array` columns of that length, sorted by (time, device).
 
 The text writers format those columns into one reused buffer and write it to
 a binary file a buffer at a time, with no Python string per line.
@@ -145,20 +149,32 @@ def _labels(labels: Sequence[bytes]) -> tuple[bytes, array]:
     return b"".join(labels), start
 
 
+class _Arrivals(ctypes.Structure):
+    """struct arrivals in kernel.c, field for field."""
+
+    _fields_ = [("n_devices", _int), ("state", _address), ("interval_s", _double),
+                ("duration_s", _double), ("poisson", _int)]
+
+
 class Library(NamedTuple):
-    """The C kernel library: its run, and its trace and tasks.csv writers."""
+    """The C kernel library: its run, its arrival draw, and its trace and
+    tasks.csv writers."""
 
     run: Callable[[KernelInputs], KernelOutputs]
+    arrivals: Callable[..., tuple[array, array]]
     write_trace: Callable[..., None]
     write_tasks: Callable[..., None]
 
 
 def load(path: str) -> Library:
-    """The run and the text writers of the kernel library at `path`."""
+    """The run, the arrival draw and the text writers of the kernel library at `path`."""
     library = ctypes.CDLL(path)
     kernel = library.ponedge_run
     kernel.argtypes = [ctypes.POINTER(_Run)]
     kernel.restype = _int
+    draw = library.ponedge_arrivals
+    draw.argtypes = [ctypes.POINTER(_Arrivals), _address, _address, _long]
+    draw.restype = _long
     trace_text, tasks_text = library.ponedge_trace_text, library.ponedge_tasks_text
     for writer in (trace_text, tasks_text):
         writer.argtypes = [_address, _long, _address, _long, ctypes.POINTER(_long)]
@@ -197,6 +213,22 @@ def load(path: str) -> Library:
             for column in trace:
                 del column[run.trace_len:]
         return KernelOutputs(**outputs, processed_events=run.processed_events, trace=trace)
+
+    def arrivals(states: Sequence[int], interval_s: float, duration_s: float,
+                 mode: str) -> tuple[array, array]:
+        """generate_arrivals' (times, devices) columns as `array("d")` and
+        `array("i")`: device d draws from the stream in state states[d],
+        "poisson" or "fixed", every interval_s on average or exactly."""
+        state = array("Q", states)
+        spec = _Arrivals(n_devices=len(state), state=state.buffer_info()[0],
+                         interval_s=interval_s, duration_s=duration_s,
+                         poisson=mode == "poisson")
+        n = draw(ctypes.byref(spec), None, None, 0)
+        times, devices = array("d", [0.0]) * n, array("i", [0]) * n
+        if n and draw(ctypes.byref(spec), times.buffer_info()[0],
+                      devices.buffer_info()[0], n) != n:
+            raise MemoryError("the C kernel could not allocate the arrivals")
+        return times, devices
 
     def write_text(fh, fill, text, rows: int, capacity: int) -> None:
         # `text` holds the addresses of columns its caller keeps alive
@@ -241,4 +273,4 @@ def load(path: str) -> Library:
                           node_start=node_start.buffer_info()[0], **_columns(named, rows))
         write_text(fh, tasks_text, text, rows, capacity)
 
-    return Library(run, write_trace, write_tasks)
+    return Library(run, arrivals, write_trace, write_tasks)

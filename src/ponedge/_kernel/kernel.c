@@ -12,9 +12,11 @@
  * columns it allocated, and calls ponedge_run() through ctypes. Every array
  * allocated here is run-local and freed before the call returns.
  *
- * The file also writes a run's text: ponedge_trace_text() and
- * ponedge_tasks_text() are the mirrors of simulation._trace_lines and
- * metrics._task_lines, and write the same bytes.
+ * The file also draws a run's arrivals and writes its text:
+ * ponedge_arrivals() is the mirror of workload.generate_arrivals and draws
+ * the same floats, and ponedge_trace_text() and ponedge_tasks_text() are the
+ * mirrors of simulation._trace_lines and metrics._task_lines, and write the
+ * same bytes.
  */
 
 #include <math.h>
@@ -825,6 +827,92 @@ int ponedge_run(struct kernel_run *run)
         || !within(run->arrival_device, run->n_tasks, 0, n_devices))
         return KERNEL_BAD_INDEX;
     return simulate(run);
+}
+
+/*
+ * Task arrivals: the mirror of workload.generate_arrivals. Device d continues
+ * the SplitMix64 stream (engine.Stream) whose state Python seeded, state[d].
+ */
+struct arrivals {
+    int n_devices;
+    const unsigned long long *state;
+    double interval_s;
+    double duration_s;
+    int poisson; /* 1: exponential inter-arrivals; 0: fixed, after a drawn phase */
+};
+
+struct arrival {
+    double time;
+    int device;
+};
+
+/* engine.Stream.uniform */
+static double uniform(unsigned long long *state)
+{
+    unsigned long long z = *state += 0x9E3779B97F4A7C15ULL;
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+    z ^= z >> 31;
+    return (double)(z >> 11) * 0x1p-53;
+}
+
+/* the number of device d's arrivals before the horizon, the first `room` of
+ * them stored into out in time order */
+static long long draw(const struct arrivals *a, int d, struct arrival *out, long long room)
+{
+    unsigned long long state = a->state[d];
+    const double interval = a->interval_s;
+    long long n = 0;
+    /* engine.Stream.exponential is -mean * log1p(-uniform()) */
+    double t = a->poisson ? -interval * log1p(-uniform(&state)) : uniform(&state) * interval;
+    while (t < a->duration_s) {
+        if (n < room) {
+            out[n].time = t;
+            out[n].device = d;
+        }
+        n++;
+        t += a->poisson ? -interval * log1p(-uniform(&state)) : interval;
+    }
+    return n;
+}
+
+static int arrival_order(const void *a, const void *b)
+{
+    const struct arrival *x = a, *y = b;
+    if (x->time != y->time)
+        return x->time < y->time ? -1 : 1;
+    return (x->device > y->device) - (x->device < y->device);
+}
+
+/*
+ * The number of arrivals before the horizon, over every device. With
+ * capacity > 0, also writes the first `capacity` of them, sorted by (time,
+ * device) as generate_arrivals returns them, into time[] and device[]; a
+ * caller that counted first passes that count. Returns -1 when out of memory.
+ */
+long long ponedge_arrivals(const struct arrivals *a, double *time, int *device,
+                           long long capacity)
+{
+    struct arrival *all = NULL;
+    long long n = 0;
+    long long k;
+    int d;
+    if (capacity > 0 && (all = malloc((size_t)capacity * sizeof *all)) == NULL)
+        return -1;
+    for (d = 0; d < a->n_devices; d++) {
+        k = n < capacity ? n : capacity; /* arrivals stored so far */
+        n += draw(a, d, all == NULL ? NULL : all + k, capacity - k);
+    }
+    if (all != NULL) {
+        k = n < capacity ? n : capacity;
+        qsort(all, (size_t)k, sizeof *all, arrival_order);
+        while (k-- > 0) {
+            time[k] = all[k].time;
+            device[k] = all[k].device;
+        }
+        free(all);
+    }
+    return n;
 }
 
 /*

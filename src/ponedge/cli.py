@@ -12,7 +12,7 @@ from .config import (DEFAULT_ARRIVALS, DEFAULT_CALIBRATION, DEFAULT_DURATION_S,
                      DEFAULT_SEEDS, DEFAULT_STRATEGY, STRATEGIES, ExperimentSpec,
                      cpu_label, parse_experiment, parse_seeds)
 from .engine import SimulationError
-from .metrics import format_number
+from .metrics import EmptyRunError, format_number
 from .network import ConfigurationError
 from .sweep import CellSpec, compare_scenarios, run_cell, sweep_scenario, write_comparison
 from .workload import ARRIVAL_MODES, SCENARIOS
@@ -67,12 +67,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _seeds_from_text(raw: str) -> tuple[int, ...]:
-    raw = raw.strip()
-    if "," in raw:
-        return tuple(int(part) for part in raw.split(","))
-    if ".." in raw:
-        return parse_seeds(raw)
-    return (int(raw),)
+    text = raw.strip()
+    if ".." in text and "," not in text:
+        return parse_seeds(text)
+    try:
+        return tuple(int(part) for part in text.split(","))
+    except ValueError:
+        raise ConfigurationError(
+            f"seeds: cannot parse {raw!r} (use e.g. \"1..5\" or \"1,2,3\")") from None
 
 
 def _experiment(args) -> ExperimentSpec:
@@ -206,6 +208,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except SimulationError as exc:
         print(f"simulation failure: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except EmptyRunError as exc:
+        print(f"empty run: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)

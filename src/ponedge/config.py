@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields, replace
+from functools import lru_cache
 
 from .compute import DEFAULT_TASK_RAM_MB, DEFAULT_TASK_STORAGE_MB, NodeLayer, NodeSpec
 from .network import ConfigurationError, LinkKind, LinkSpec
@@ -173,13 +174,15 @@ class TopologySpec:
         if sum(parent == "" for parent, _, _ in self.tree().values()) != 1:
             raise ConfigurationError("topology is not connected")
         links_by_id = {link.id: link for link in self.links}
+        # the first node of an id wins, as in node()
+        layer_of = {node.id: node.layer for node in reversed(self.nodes)}
         for node in self.nodes:
             if node.layer is NodeLayer.FAR_EDGE_DEVICE:
                 attached = adj[node.id]
                 onu_local = [
                     other for other, link_id in attached
                     if links_by_id[link_id].spec.kind is LinkKind.LOCAL
-                    and self.node(other).layer is NodeLayer.ONU
+                    and layer_of[other] is NodeLayer.ONU
                 ]
                 if len(attached) != 1 or len(onu_local) != 1:
                     raise ConfigurationError(
@@ -192,16 +195,33 @@ class TopologySpec:
 
 def topology_preset(name: str, scenario: ScenarioSpec, edge_mips: float,
                     calibration: Calibration = DEFAULT_CALIBRATION) -> TopologySpec:
-    """Build the tree for one preset.
+    """The tree of one preset, with an edge server of edge_mips.
 
     genio: device -Local- ONU -Fiber- OLT -Local- edge -WAN(50 km)- cloud.
     baseline: identical, except the edge server sits behind a WAN hop
     (100 m) from the OLT instead of the Local attachment.
+
+    The tree is preset_shape's, shared; only the node list is the caller's
+    own, with the edge server's node built anew for edge_mips.
+    """
+    shape = preset_shape(name, scenario.users, calibration)
+    nodes = list(shape.nodes)
+    edge = 2 * scenario.users + 1
+    nodes[edge] = replace(nodes[edge], mips=edge_mips)
+    return TopologySpec(preset=name, nodes=nodes, links=shape.links,
+                        _adjacency=shape.adjacency(), _tree=shape.tree())
+
+
+@lru_cache(maxsize=16)
+def preset_shape(name: str, users: int, calibration: Calibration) -> TopologySpec:
+    """The validated tree of one preset for `users` devices, built once per
+    shape and process. Its links, adjacency and tree are shared read-only by
+    every topology_preset of the shape. Its edge server's 1 MIPS is a
+    placeholder: topology_preset sets the cell's.
     """
     if name not in TOPOLOGY_PRESETS:
         raise ConfigurationError(f"unknown topology preset {name!r} (valid: genio, baseline)")
     cal = calibration
-    users = scenario.users
     nodes: list[NodeSpec] = []
     small = dict(ram_mb=cal.small_node_ram_mb, storage_mb=cal.small_node_storage_mb)
     for i in range(users):
@@ -214,7 +234,7 @@ def topology_preset(name: str, scenario: ScenarioSpec, edge_mips: float,
     # The OLT itself is a forwarding point; compute capacity lives in the
     # attached edge server. Give it device-class numbers so it stays inert.
     nodes.append(NodeSpec(olt_id, NodeLayer.ONU, cal.onu_mips, **small))
-    nodes.append(NodeSpec(edge_id, NodeLayer.EDGE_SERVER, edge_mips, cores=cal.edge_cores,
+    nodes.append(NodeSpec(edge_id, NodeLayer.EDGE_SERVER, 1.0, cores=cal.edge_cores,
                           ram_mb=cal.edge_ram_mb, storage_mb=cal.edge_storage_mb))
     nodes.append(NodeSpec(cloud_id, NodeLayer.CLOUD, cal.cloud_mips, cores=cal.cloud_cores,
                           ram_mb=cal.edge_ram_mb, storage_mb=cal.edge_storage_mb))

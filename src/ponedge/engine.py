@@ -26,16 +26,18 @@ class Stream:
     SplitMix64 under the hood: the same (seed, label) always replays the same
     sequence, and different labels give streams that do not interact, so one
     module consuming more numbers cannot perturb another module's draws.
+    `state` is the generator's whole state: the C library's arrival draw
+    continues a stream from it.
     """
 
     def __init__(self, seed: int, label: str):
         self.seed = seed
         self.label = label
-        self._state = (_fnv1a64(label) ^ ((seed * _GOLDEN) & _MASK64)) & _MASK64
+        self.state = (_fnv1a64(label) ^ ((seed * _GOLDEN) & _MASK64)) & _MASK64
 
     def next_u64(self) -> int:
-        self._state = (self._state + _GOLDEN) & _MASK64
-        z = self._state
+        self.state = (self.state + _GOLDEN) & _MASK64
+        z = self.state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         return z ^ (z >> 31)

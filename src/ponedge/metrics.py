@@ -93,7 +93,7 @@ def summarize(generated: int, latencies: Sequence[float], *,
     deadline to be met.
     """
     if not generated:
-        raise EmptyRunError("empty-run: zero generated tasks")
+        raise EmptyRunError(f"zero tasks generated ({scenario}, {topology}, {cpu}, seed {seed})")
     delivered = len(latencies)
     hit = bisect_right(latencies, deadline_s)  # latencies <= deadline_s
     succeeded = hit if strict_deadline else delivered
@@ -147,7 +147,7 @@ def aggregate(summaries: list[RunSummary], keys: tuple[str, ...]) -> list[dict]:
     byte-stable.
     """
     if not summaries:
-        raise EmptyRunError("empty-run: no summaries to aggregate")
+        raise EmptyRunError("no summaries to aggregate")
     groups: dict[tuple, list[RunSummary]] = {}
     for summary in summaries:
         groups.setdefault(tuple(getattr(summary, k) for k in keys), []).append(summary)

@@ -10,10 +10,10 @@ from functools import lru_cache
 from . import _kernel
 from .compute import NodeLayer
 from .config import (Calibration, DEFAULT_CALIBRATION, TopologySpec, cpu_label,
-                     device_node_id, topology_preset)
+                     device_node_id, preset_shape, topology_preset)
 from .metrics import RunSummary, TaskRecord, summarize
 from .network import BITS_PER_KB, LinkKind, route_between
-from .workload import ScenarioSpec, generate_arrivals
+from .workload import ScenarioSpec, arrival_streams, check_arrivals, generate_arrivals
 from ._kernel import pykernel
 
 # Trace entries the pure-Python path formats per write: about 70 KB of text.
@@ -70,15 +70,48 @@ def eligible_nodes(node_specs, far_edge_execution: bool) -> list[str]:
     return sorted(spec.id for spec in node_specs if spec.layer in layers)
 
 
-def build_kernel_inputs(params: RunParams, topo: TopologySpec,
-                        collect_trace: bool) -> pykernel.KernelInputs:
+def build_kernel_inputs(params: RunParams, topo: TopologySpec, collect_trace: bool,
+                        backend: str = "python") -> pykernel.KernelInputs:
+    """The kernel inputs of one run on `topo`, the topology_preset of params.
+
+    The columns of its shape and its arrivals, drawn by `backend`'s library,
+    are cached and shared by every run of this process that has them:
+    both kernels only read their input columns.
+    """
     cal = params.calibration
     scenario = params.scenario
     weights = cal.layer_weights()
-    node_index = {node.id: idx for idx, node in enumerate(topo.nodes)}
+    arrival_time, arrival_device = _cached_arrivals(
+        scenario, params.duration_s, params.seed, params.arrivals, backend
+    )
+    return pykernel.KernelInputs(
+        mips_per_core=array("d", [node.mips_per_core for node in topo.nodes]),
+        cores=array("i", [node.cores for node in topo.nodes]),
+        weight=array("d", [weights[node.layer] for node in topo.nodes]),
+        ram_capacity=array("d", [node.ram_mb for node in topo.nodes]),
+        storage_capacity=array("d", [node.storage_mb for node in topo.nodes]),
+        **_shape_inputs(params.topology, scenario.users, cal),
+        arrival_time=arrival_time,
+        arrival_device=arrival_device,
+        length_mi=scenario.length_mi,
+        request_bits=scenario.request_kb * BITS_PER_KB,
+        result_bits=scenario.result_kb * BITS_PER_KB,
+        task_ram_mb=cal.task_ram_mb,
+        task_storage_mb=cal.task_storage_mb,
+        strategy=pykernel.STRATEGY_TRADE_OFF if params.strategy == "trade-off"
+        else pykernel.STRATEGY_ROUND_ROBIN,
+        control_delay_s=cal.control_plane_delay_s,
+        duration_s=params.duration_s,
+        collect_trace=collect_trace,
+    )
 
-    candidate_ids = eligible_nodes(topo.nodes, cal.far_edge_execution)
-    candidate_nodes = [node_index[nid] for nid in candidate_ids]
+
+@lru_cache(maxsize=16)
+def _shape_inputs(preset: str, users: int, calibration: Calibration) -> dict[str, array]:
+    """The placement candidates, link and route columns of one preset_shape."""
+    topo = preset_shape(preset, users, calibration)
+    node_index = {node.id: idx for idx, node in enumerate(topo.nodes)}
+    candidate_ids = eligible_nodes(topo.nodes, calibration.far_edge_execution)
 
     link_bandwidth = array("d")
     link_hop_delay = array("d")
@@ -95,7 +128,7 @@ def build_kernel_inputs(params: RunParams, topo: TopologySpec,
     route_start = array("i", [0])
     route_hops = array("i")
     up_route = array("i")  # device * len(candidate_ids) + slot -> route id
-    for device in range(scenario.users):
+    for device in range(users):
         device_id = device_node_id(device)
         for target_id in candidate_ids:
             hops = []
@@ -111,43 +144,21 @@ def build_kernel_inputs(params: RunParams, topo: TopologySpec,
                 route_hops.extend(key)
                 route_start.append(len(route_hops))
             up_route.append(route_ids[key])
-
-    arrival_time, arrival_device = _cached_arrivals(
-        scenario, params.duration_s, params.seed, params.arrivals
-    )
-
-    return pykernel.KernelInputs(
-        mips_per_core=array("d", [node.mips_per_core for node in topo.nodes]),
-        cores=array("i", [node.cores for node in topo.nodes]),
-        weight=array("d", [weights[node.layer] for node in topo.nodes]),
-        ram_capacity=array("d", [node.ram_mb for node in topo.nodes]),
-        storage_capacity=array("d", [node.storage_mb for node in topo.nodes]),
-        candidate_nodes=array("i", candidate_nodes),
-        link_bandwidth=link_bandwidth,
-        link_hop_delay=link_hop_delay,
-        route_start=route_start,
-        route_hops=route_hops,
-        up_route=up_route,
-        arrival_time=arrival_time,
-        arrival_device=arrival_device,
-        length_mi=scenario.length_mi,
-        request_bits=scenario.request_kb * BITS_PER_KB,
-        result_bits=scenario.result_kb * BITS_PER_KB,
-        task_ram_mb=cal.task_ram_mb,
-        task_storage_mb=cal.task_storage_mb,
-        strategy=pykernel.STRATEGY_TRADE_OFF if params.strategy == "trade-off"
-        else pykernel.STRATEGY_ROUND_ROBIN,
-        control_delay_s=cal.control_plane_delay_s,
-        duration_s=params.duration_s,
-        collect_trace=collect_trace,
-    )
+    return dict(candidate_nodes=array("i", [node_index[nid] for nid in candidate_ids]),
+                link_bandwidth=link_bandwidth, link_hop_delay=link_hop_delay,
+                route_start=route_start, route_hops=route_hops, up_route=up_route)
 
 
 @lru_cache(maxsize=64)
 def _cached_arrivals(scenario: ScenarioSpec, duration_s: float, seed: int,
-                     mode: str) -> tuple[array, array]:
+                     mode: str, backend: str) -> tuple[array, array]:
     # the arrival process is identical for every topology/CPU cell of a sweep;
     # the kernels only read these columns, so every cell shares them
+    if backend == "c":
+        check_arrivals(duration_s, mode)
+        return _kernel.c_library().arrivals(
+            [stream.state for stream in arrival_streams(scenario, seed)],
+            scenario.interval_s, duration_s, mode)
     times, devices = generate_arrivals(scenario, duration_s, seed, mode)
     return array("d", times), array("i", devices)
 
@@ -244,10 +255,10 @@ def run_simulation(params: RunParams, backend: str | None = "auto",
     and raises SimulationError when one breaks; that is a bug, not a data
     point.
     """
+    backend = _kernel.resolve_backend(backend)
     topo = topology_preset(params.topology, params.scenario, params.cpu_mips,
                            params.calibration)
-    inputs = build_kernel_inputs(params, topo, collect_trace)
-    backend = _kernel.resolve_backend(backend)
+    inputs = build_kernel_inputs(params, topo, collect_trace, backend)
     out = _kernel.run(inputs, topo.nodes, backend=backend)
     summary = summarize(
         len(inputs.arrival_time),

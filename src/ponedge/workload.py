@@ -25,6 +25,11 @@ class ScenarioSpec:
             if not getattr(self, fname) > 0:
                 raise ConfigurationError(f"scenario {self.name}: {fname} must be > 0")
 
+    @property
+    def interval_s(self) -> float:
+        """Mean seconds between two tasks of one user."""
+        return 60.0 / self.rate_per_min
+
 
 SCENARIOS = {
     "smart-city": ScenarioSpec("smart-city", users=128, rate_per_min=2, deadline_s=0.5,
@@ -49,6 +54,19 @@ def scenario_preset(name: str) -> ScenarioSpec:
 ARRIVAL_MODES = ("poisson", "fixed")
 
 
+def check_arrivals(duration_s: float, mode: str) -> None:
+    """Raise the ConfigurationError of an arrival process that cannot be drawn."""
+    if not duration_s > 0:
+        raise ConfigurationError("duration must be positive")
+    if mode not in ARRIVAL_MODES:
+        raise ConfigurationError(f"unknown arrival mode {mode!r} (valid: poisson, fixed)")
+
+
+def arrival_streams(spec: ScenarioSpec, seed: int) -> list[Stream]:
+    """Device d's arrival stream at index d, each under its own label."""
+    return [Stream(seed, f"arrivals/{spec.name}/{device}") for device in range(spec.users)]
+
+
 def generate_arrivals(spec: ScenarioSpec, duration_s: float, seed: int,
                       mode: str = "poisson") -> tuple[tuple[float, ...], tuple[int, ...]]:
     """One arrival process per device, merged and sorted by (time, device).
@@ -58,15 +76,12 @@ def generate_arrivals(spec: ScenarioSpec, duration_s: float, seed: int,
     [0, 60/rate). Each device consumes its own named stream, so the draw
     sequence of one device never shifts another's. Returns the columns
     (times, devices): task i arrives at times[i] from device devices[i].
+    This is the reference; the C library's draw is its mirror.
     """
-    if not duration_s > 0:
-        raise ConfigurationError("duration must be positive")
-    if mode not in ARRIVAL_MODES:
-        raise ConfigurationError(f"unknown arrival mode {mode!r} (valid: poisson, fixed)")
-    interval = 60.0 / spec.rate_per_min
+    check_arrivals(duration_s, mode)
+    interval = spec.interval_s
     times: list[tuple[float, int]] = []
-    for device in range(spec.users):
-        stream = Stream(seed, f"arrivals/{spec.name}/{device}")
+    for device, stream in enumerate(arrival_streams(spec, seed)):
         if mode == "poisson":
             t = stream.exponential(interval)
             while t < duration_s:

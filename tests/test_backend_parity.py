@@ -2,9 +2,11 @@
 
 import csv
 import io
+import itertools
 import math
 import os
 import random
+import re
 import subprocess
 import tracemalloc
 from array import array
@@ -19,13 +21,14 @@ from ponedge._kernel import available_backends, ckernel, compiler_argv, pykernel
 from ponedge._kernel.pykernel import (OUTPUT_TYPECODES, PH_DELIVERED, PH_DOWN,
                                       PH_NO_PLACEMENT, PH_QUEUED, PH_RUNNING, PH_UP)
 from ponedge.cli import main
-from ponedge.config import DEFAULT_CALIBRATION, cpu_grid, topology_preset
+from ponedge.compute import NodeLayer
+from ponedge.config import DEFAULT_CALIBRATION, cpu_grid, preset_shape, topology_preset
 from ponedge.engine import SimulationError
 from ponedge.metrics import _csv_line, _task_lines
 from ponedge.network import ConfigurationError
-from ponedge.simulation import (RunParams, _trace_lines, build_kernel_inputs, run_simulation,
-                                write_trace)
-from ponedge.workload import scenario_preset
+from ponedge.simulation import (RunParams, _cached_arrivals, _shape_inputs, _trace_lines,
+                                build_kernel_inputs, run_simulation, write_trace)
+from ponedge.workload import SCENARIOS, ScenarioSpec, generate_arrivals, scenario_preset
 
 from fresh_process import needs_compiler
 from kernel_inputs import kernel_inputs
@@ -551,3 +554,100 @@ def test_tasks_csv_identical_on_both_backends_with_awkward_labels(tmp_path, monk
     unfinished = [row for row in rows if row["status"] == "Unfinished"]
     assert any(row["node_id"] == "" for row in unfinished)
     assert any(row["node_id"] and row["delivered_at"] == "" for row in unfinished)
+
+
+# seeds 0, negative and past 2**64, whose stream states Python reduces mod 2**64
+ARRIVAL_SEEDS = (0, -5, 2**70)
+ARRIVAL_SCENARIOS = [*(scenario_preset(name) for name in sorted(SCENARIOS)),
+                     ScenarioSpec("custom", users=3, rate_per_min=7.5, deadline_s=0.1,
+                                  length_mi=10, request_kb=1, result_kb=1)]
+
+
+@needs_c
+@pytest.mark.parametrize("scenario", ARRIVAL_SCENARIOS, ids=lambda spec: spec.name)
+def test_c_arrivals_match_generate_arrivals(scenario):
+    # 1e-6 s is before every device's first arrival, so that draw has no task
+    for duration_s, mode, seed in itertools.product((600.0, 37.3, 1e-6), ("poisson", "fixed"),
+                                                    ARRIVAL_SEEDS):
+        times, devices = generate_arrivals(scenario, duration_s, seed, mode)
+        c_times, c_devices = _cached_arrivals.__wrapped__(scenario, duration_s, seed, mode, "c")
+        assert (c_times.typecode, c_devices.typecode) == ("d", "i")
+        assert c_times.tobytes() == array("d", times).tobytes(), (duration_s, mode, seed)
+        assert c_devices.tolist() == list(devices), (duration_s, mode, seed)
+        assert bool(times) == (duration_s > 1e-6)
+
+
+@needs_c
+@pytest.mark.parametrize("duration_s,mode", [(0.0, "poisson"), (-1.0, "fixed"),
+                                             (10.0, "bursty")])
+def test_c_arrivals_raise_what_generate_arrivals_raises(duration_s, mode):
+    scenario = scenario_preset("e-health")
+    with pytest.raises(ConfigurationError) as reference:
+        generate_arrivals(scenario, duration_s, 1, mode)
+    with pytest.raises(ConfigurationError, match=re.escape(str(reference.value))):
+        _cached_arrivals.__wrapped__(scenario, duration_s, 1, mode, "c")
+
+
+@pytest.mark.parametrize("name", ["genio", "baseline"])
+def test_cached_topology_preset_equals_a_fresh_build(name):
+    scenario = scenario_preset("e-health")
+    for far_edge in (False, True):
+        calibration = replace(DEFAULT_CALIBRATION, far_edge_execution=far_edge)
+        preset_shape.cache_clear()
+        fresh = topology_preset(name, scenario, 220_000.0, calibration)
+        other = topology_preset(name, scenario, 620_000.0, calibration)
+        cached = topology_preset(name, scenario, 220_000.0, calibration)
+        assert preset_shape.cache_info().hits == 2
+        assert cached.nodes == fresh.nodes and cached.nodes is not fresh.nodes
+        assert cached.links == fresh.links and cached.tree() == fresh.tree()
+        # the other cell's edge server did not leak into the shared shape
+        assert [(node.layer, node.mips) for node in other.nodes if node.mips > 100_000] == [
+            (NodeLayer.EDGE_SERVER, 620_000.0), (NodeLayer.CLOUD, 1e6)]
+        assert [node.mips for node in fresh.nodes if node.mips > 100_000] == [220_000.0, 1e6]
+
+
+def test_bad_shapes_raise_on_every_call():
+    # lru_cache does not cache exceptions, and the edge server's node is
+    # checked per call, after its shape is cached
+    scenario = scenario_preset("e-health")
+    bad = replace(DEFAULT_CALIBRATION, fiber_bandwidth_bps=0)
+    for _ in range(2):
+        with pytest.raises(ConfigurationError, match="fiber link needs bandwidth > 0"):
+            topology_preset("genio", scenario, 220_000.0, bad)
+        topology_preset("genio", scenario, 220_000.0)
+        for mips in (0.0, -1.0):
+            with pytest.raises(ConfigurationError, match="n0021-edge: mips must be > 0"):
+                topology_preset("genio", scenario, mips)
+
+
+@pytest.mark.parametrize("scenario", ["smart-city", "aigc"])
+def test_cached_route_columns_equal_freshly_built_ones(scenario):
+    shape_columns = ("candidate_nodes", "link_bandwidth", "link_hop_delay", "route_start",
+                     "route_hops", "up_route")
+    for far_edge, name in itertools.product((False, True), ("genio", "baseline")):
+        params = RunParams(scenario=scenario_preset(scenario), topology=name,
+                           cpu_mips=300_000.0, seed=1, duration_s=1.0,
+                           calibration=replace(DEFAULT_CALIBRATION,
+                                               far_edge_execution=far_edge))
+        inputs = [build_kernel_inputs(replace(params, cpu_mips=mips),
+                                      topology_preset(name, params.scenario, mips,
+                                                      params.calibration), False)
+                  for mips in (300_000.0, 800_000.0)]
+        preset_shape.cache_clear()
+        fresh = _shape_inputs.__wrapped__(name, params.scenario.users, params.calibration)
+        for column in shape_columns:
+            assert getattr(inputs[0], column) is getattr(inputs[1], column)  # shared
+            assert getattr(inputs[0], column) == fresh[column], (far_edge, name, column)
+        assert len(fresh["candidate_nodes"]) == (2 + 1 + params.scenario.users if far_edge else 2)
+
+
+@pytest.mark.parametrize("backend", ["python", pytest.param("c", marks=needs_c)])
+def test_empty_run_exits_1_and_leaves_no_files(backend, tmp_path, monkeypatch, capsys):
+    # no aigc device draws an arrival in its first millisecond
+    monkeypatch.setenv("PONEDGE_BACKEND", backend)
+    assert main(["run", "--scenario", "aigc", "--topology", "genio", "--cpu-mips", "700000",
+                 "--duration", "0.001", "--seed", "1", "--out-dir", str(tmp_path / "out"),
+                 "--trace", str(tmp_path / "trace.tsv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("empty run: zero tasks generated") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []

@@ -142,6 +142,26 @@ def test_env_seed_override(tmp_path, monkeypatch, capsys):
     assert summary.seed == 9
 
 
+# `run` has no --seeds: its --seed is an integer argparse checks
+@pytest.mark.parametrize("command,flag,env", [
+    ("run", None, "x"),
+    *((command, flag, env) for command in ("sweep", "compare")
+      for flag, env in ((None, "x"), ("abc", None), ("1,,2", None))),
+])
+def test_bad_seed_text_exits_2(tmp_path, monkeypatch, capsys, command, flag, env):
+    if env is not None:
+        monkeypatch.setenv("PONEDGE_SEED", env)
+    argv = [command, "--scenario", "e-health", "--duration", "1", "--out-dir", str(tmp_path)]
+    if command == "run":
+        argv += ["--topology", "genio", "--cpu-mips", "220000"]
+    if flag is not None:
+        argv += ["--seeds", flag]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and repr(flag or env) in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_grid_and_aggregate(tmp_path, capsys):
     out = tmp_path / "sweep"
     code = main(["sweep", "--scenario", "smart-city", "--seeds", "1..5",
