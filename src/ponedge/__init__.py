@@ -7,7 +7,7 @@ Two topology presets are compared across CPU grids and workload scenarios:
 
 from ._kernel import available_backends, resolve_backend
 from .config import Calibration, DEFAULT_CALIBRATION, cpu_grid, topology_preset
-from .metrics import RunSummary, TaskRecord, compare, summarize
+from .metrics import RunSummary, summarize
 from .simulation import RunParams, RunResult, run_simulation
 from .workload import ScenarioSpec, generate_arrivals, scenario_preset
 
@@ -20,9 +20,7 @@ __all__ = [
     "RunResult",
     "RunSummary",
     "ScenarioSpec",
-    "TaskRecord",
     "available_backends",
-    "compare",
     "cpu_grid",
     "generate_arrivals",
     "resolve_backend",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -14,7 +15,7 @@ from .config import (DEFAULT_ARRIVALS, DEFAULT_CALIBRATION, DEFAULT_DURATION_S,
 from .engine import SimulationError
 from .metrics import EmptyRunError, format_number
 from .network import ConfigurationError
-from .sweep import CellSpec, compare_scenarios, run_cell, sweep_scenario, write_comparison
+from .sweep import CellSpec, compare_scenarios, run_cell, sweep_scenarios, write_comparison
 from .workload import ARRIVAL_MODES, SCENARIOS
 
 EXIT_OK = 0
@@ -105,8 +106,8 @@ def _experiment(args) -> ExperimentSpec:
     if getattr(args, "topology", None):
         overrides["topologies"] = (args.topology,)
     if getattr(args, "cpu_mips", None) is not None:
-        if args.cpu_mips <= 0:
-            raise ConfigurationError("cpu-mips must be positive")
+        if not 0 < args.cpu_mips < math.inf:
+            raise ConfigurationError("cpu-mips must be positive and finite")
         overrides["cpus"] = ((cpu_label(args.cpu_mips), args.cpu_mips),)
     if getattr(args, "seed", None) is not None:
         overrides["seeds"] = (args.seed,)
@@ -115,8 +116,8 @@ def _experiment(args) -> ExperimentSpec:
     elif not args.config and os.environ.get("PONEDGE_SEED"):
         overrides["seeds"] = _seeds_from_text(os.environ["PONEDGE_SEED"])
     if args.duration is not None:
-        if args.duration <= 0:
-            raise ConfigurationError("duration must be positive")
+        if not 0 < args.duration < math.inf:
+            raise ConfigurationError("duration must be positive and finite")
         overrides["duration_s"] = args.duration
     if args.strategy:
         overrides["strategy"] = args.strategy
@@ -158,12 +159,12 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     spec = _experiment(args)
     scenario = spec.scenario_spec(_single(spec.scenarios, "scenario"))
-    summaries = sweep_scenario(
-        scenario, out_dir=args.out_dir, jobs=args.jobs,
+    summaries = sweep_scenarios(
+        [scenario], out_dir=args.out_dir, jobs=args.jobs,
         topologies=("genio", "baseline"), cpus=spec.cpus, seeds=spec.seeds,
         duration_s=spec.duration_s, strategy=spec.strategy, arrivals=spec.arrivals,
         calibration=spec.calibration,
-    )
+    )[0]
     print(f"swept {scenario.name}: {len(summaries)} runs "
           f"-> {os.path.join(args.out_dir, scenario.name, 'aggregate.csv')}")
     return EXIT_OK

@@ -5,6 +5,7 @@ Execution, per-core FIFO queueing and admission run in the kernel.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -35,8 +36,8 @@ class NodeSpec:
     def __post_init__(self):
         if self.cores < 1:
             raise ConfigurationError(f"node {self.id}: cores must be >= 1")
-        if self.mips <= 0:
-            raise ConfigurationError(f"node {self.id}: mips must be > 0")
+        if not 0 < self.mips < math.inf:
+            raise ConfigurationError(f"node {self.id}: mips must be > 0 and finite")
 
     @property
     def mips_per_core(self) -> float:

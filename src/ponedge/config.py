@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 
@@ -71,8 +72,6 @@ class Calibration:
     fiber_fixed_latency_s: float = 0.0
     wan_bandwidth_bps: float = 1e9
     wan_fixed_latency_s: float = 10e-3
-    man_bandwidth_bps: float = 1e9
-    man_fixed_latency_s: float = 1e-3
     pon_length_m: float = 100.0
     edge_cloud_length_m: float = 50_000.0
     baseline_olt_edge_length_m: float = 100.0
@@ -125,12 +124,6 @@ class TopologySpec:
     _adjacency: dict | None = field(default=None, repr=False, compare=False)
     _tree: dict | None = field(default=None, repr=False, compare=False)
 
-    def node(self, node_id: str) -> NodeSpec:
-        for node in self.nodes:
-            if node.id == node_id:
-                return node
-        raise ConfigurationError(f"unknown node id {node_id!r}")
-
     def adjacency(self) -> dict[str, list[tuple[str, int]]]:
         if self._adjacency is None:
             adj: dict[str, list[tuple[str, int]]] = {n.id: [] for n in self.nodes}
@@ -174,7 +167,7 @@ class TopologySpec:
         if sum(parent == "" for parent, _, _ in self.tree().values()) != 1:
             raise ConfigurationError("topology is not connected")
         links_by_id = {link.id: link for link in self.links}
-        # the first node of an id wins, as in node()
+        # of two nodes with one id, the first listed gives the layer
         layer_of = {node.id: node.layer for node in reversed(self.nodes)}
         for node in self.nodes:
             if node.layer is NodeLayer.FAR_EDGE_DEVICE:
@@ -375,15 +368,16 @@ def parse_experiment(document: str) -> ExperimentSpec:
                 parsed.append((entry.get("label", cpu_label(mips)), mips))
             else:
                 raise ConfigurationError("cpus entries must be MIPS numbers or {label, mips}")
-            if parsed[-1][1] <= 0:
-                raise ConfigurationError("cpu mips must be positive")
+            if not 0 < parsed[-1][1] < math.inf:
+                raise ConfigurationError("cpu mips must be positive and finite")
         cpus = tuple(parsed)
 
     seeds = parse_seeds(raw["seeds"]) if "seeds" in raw else DEFAULT_SEEDS
 
     duration = raw.get("duration", DEFAULT_DURATION_S)
-    if not isinstance(duration, (int, float)) or isinstance(duration, bool) or duration <= 0:
-        raise ConfigurationError("duration must be positive")
+    if (not isinstance(duration, (int, float)) or isinstance(duration, bool)
+            or not 0 < duration < math.inf):
+        raise ConfigurationError("duration must be positive and finite")
 
     strategy = raw.get("strategy", DEFAULT_STRATEGY)
     if strategy not in STRATEGIES:
@@ -414,29 +408,3 @@ def parse_experiment(document: str) -> ExperimentSpec:
         calibration=calibration,
         custom_scenarios=tuple(custom),
     )
-
-
-def experiment_document(spec: ExperimentSpec) -> dict:
-    """Inverse of parse_experiment: a JSON-ready document with all defaults echoed."""
-    doc = {
-        "scenario": list(spec.scenarios),
-        "topology": list(spec.topologies),
-        "cpus": None if spec.cpus is None else [
-            {"label": label, "mips": mips} for label, mips in spec.cpus
-        ],
-        "seeds": list(spec.seeds),
-        "duration": spec.duration_s,
-        "strategy": spec.strategy,
-        "arrivals": spec.arrivals,
-        "calibration": {f.name: getattr(spec.calibration, f.name) for f in fields(Calibration)},
-    }
-    if spec.custom_scenarios:
-        doc["custom_scenarios"] = [
-            {key: getattr(s, key) for key in sorted(_SCENARIO_KEYS)}
-            for s in spec.custom_scenarios
-        ]
-    return doc
-
-
-def serialize_experiment(spec: ExperimentSpec) -> str:
-    return json.dumps(experiment_document(spec), indent=2, sort_keys=True)

@@ -1,4 +1,4 @@
-"""Per-task lifecycle records, run aggregation, and topology comparison arithmetic."""
+"""Run summaries and their aggregation, and the tasks.csv and summary.csv files."""
 
 from __future__ import annotations
 
@@ -31,28 +31,6 @@ AGGREGATE_METRICS = ("tsr_pct", "mean_latency_s", "p95_latency_s", "deadline_hit
 
 class EmptyRunError(Exception):
     """A run produced no tasks; there is nothing to summarize."""
-
-
-class IncomparableRunsError(Exception):
-    """Tried to compare runs with different scenario, cpu, or seed."""
-
-
-@dataclass(frozen=True)
-class TaskRecord:
-    task_id: int
-    node_id: str | None
-    generated_at: float
-    uplink_done: float | None
-    exec_start: float | None
-    exec_end: float | None
-    delivered_at: float | None
-    status: str  # Delivered | Unfinished
-    latency_s: float | None
-    deadline_met: bool
-
-    @property
-    def delivered(self) -> bool:
-        return self.status == "Delivered"
 
 
 @dataclass(frozen=True)
@@ -120,17 +98,6 @@ def summarize(generated: int, latencies: Sequence[float], *,
         deadline_hit_pct=deadline_hit_pct,
         node_utilization=node_utilization,
     )
-
-
-def compare(genio: RunSummary, baseline: RunSummary) -> float:
-    """Latency reduction percent; negative means the first run is faster."""
-    for key in ("scenario", "cpu", "seed"):
-        if getattr(genio, key) != getattr(baseline, key):
-            raise IncomparableRunsError(
-                f"incomparable-runs: {key} differs "
-                f"({getattr(genio, key)!r} vs {getattr(baseline, key)!r})"
-            )
-    return 100.0 * (genio.mean_latency_s - baseline.mean_latency_s) / baseline.mean_latency_s
 
 
 def _mean_std(values: list[float]) -> tuple[float, float]:

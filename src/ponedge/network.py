@@ -15,7 +15,6 @@ BITS_PER_KB = 8000.0
 
 class LinkKind(Enum):
     FIBER = "fiber"
-    MAN = "man"
     WAN = "wan"
     LOCAL = "local"
 

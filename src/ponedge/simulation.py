@@ -11,7 +11,7 @@ from . import _kernel
 from .compute import NodeLayer
 from .config import (Calibration, DEFAULT_CALIBRATION, TopologySpec, cpu_label,
                      device_node_id, preset_shape, topology_preset)
-from .metrics import RunSummary, TaskRecord, summarize
+from .metrics import RunSummary, summarize
 from .network import BITS_PER_KB, LinkKind, route_between
 from .workload import ScenarioSpec, arrival_streams, check_arrivals, generate_arrivals
 from ._kernel import pykernel
@@ -42,7 +42,7 @@ class RunParams:
 
 @dataclass
 class RunResult:
-    """One run: the kernel's per-task columns are the record store."""
+    """One run: its kernel inputs, the kernel's per-task output columns and their summary."""
 
     params: RunParams
     topology: TopologySpec
@@ -50,15 +50,6 @@ class RunResult:
     outputs: pykernel.KernelOutputs
     summary: RunSummary
     backend: str  # the kernel that ran: "c" or "python"
-
-    @property
-    def processed_events(self) -> int:
-        return self.outputs.processed_events
-
-    @property
-    def records(self) -> list[TaskRecord]:
-        """Per-task records, built from the columns on each access."""
-        return _build_records(self.params, self.topology, self.inputs, self.outputs)
 
 
 def eligible_nodes(node_specs, far_edge_execution: bool) -> list[str]:
@@ -161,34 +152,6 @@ def _cached_arrivals(scenario: ScenarioSpec, duration_s: float, seed: int,
             scenario.interval_s, duration_s, mode)
     times, devices = generate_arrivals(scenario, duration_s, seed, mode)
     return array("d", times), array("i", devices)
-
-
-def _maybe(value: float) -> float | None:
-    return None if math.isnan(value) else value
-
-
-def _build_records(params: RunParams, topo: TopologySpec,
-                   inputs: pykernel.KernelInputs,
-                   out: pykernel.KernelOutputs) -> list[TaskRecord]:
-    records = []
-    deadline = params.scenario.deadline_s
-    for i in range(len(inputs.arrival_time)):
-        delivered_at = _maybe(out.delivered_at[i])
-        generated_at = inputs.arrival_time[i]
-        latency = delivered_at - generated_at if delivered_at is not None else None
-        records.append(TaskRecord(
-            task_id=i,
-            node_id=topo.nodes[out.node_of[i]].id if out.node_of[i] >= 0 else None,
-            generated_at=generated_at,
-            uplink_done=_maybe(out.uplink_done[i]),
-            exec_start=_maybe(out.exec_start[i]),
-            exec_end=_maybe(out.exec_end[i]),
-            delivered_at=delivered_at,
-            status="Delivered" if delivered_at is not None else "Unfinished",
-            latency_s=latency,
-            deadline_met=latency is not None and latency <= deadline,
-        ))
-    return records
 
 
 def node_utilization(topo: TopologySpec, busy: array,

@@ -231,12 +231,6 @@ def sweep_scenarios(scenarios: list[ScenarioSpec], *, out_dir: str, jobs: int = 
     return per_scenario
 
 
-def sweep_scenario(scenario: ScenarioSpec, *, out_dir: str, jobs: int = 0,
-                   **kwargs) -> list[RunSummary]:
-    """Both topologies x the scenario's CPU grid x seeds, plus the aggregate."""
-    return sweep_scenarios([scenario], out_dir=out_dir, jobs=jobs, **kwargs)[0]
-
-
 @dataclass(frozen=True)
 class ComparisonRow:
     scenario: str
@@ -267,12 +261,6 @@ def compare_scenarios(scenarios: list[ScenarioSpec], *, out_dir: str, jobs: int 
     per_scenario = sweep_scenarios(scenarios, out_dir=out_dir, jobs=jobs, **kwargs)
     return [_comparison(scenario, summaries)
             for scenario, summaries in zip(scenarios, per_scenario)]
-
-
-def compare_scenario(scenario: ScenarioSpec, *, out_dir: str, jobs: int = 0,
-                     **kwargs) -> ScenarioComparison:
-    """compare_scenarios for one scenario."""
-    return compare_scenarios([scenario], out_dir=out_dir, jobs=jobs, **kwargs)[0]
 
 
 def _comparison(scenario: ScenarioSpec, summaries: list[RunSummary]) -> ScenarioComparison:

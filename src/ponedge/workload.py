@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .engine import Stream
@@ -22,8 +23,8 @@ class ScenarioSpec:
 
     def __post_init__(self):
         for fname in ("users", "rate_per_min", "deadline_s", "length_mi", "request_kb", "result_kb"):
-            if not getattr(self, fname) > 0:
-                raise ConfigurationError(f"scenario {self.name}: {fname} must be > 0")
+            if not 0 < getattr(self, fname) < math.inf:
+                raise ConfigurationError(f"scenario {self.name}: {fname} must be > 0 and finite")
 
     @property
     def interval_s(self) -> float:
@@ -56,8 +57,8 @@ ARRIVAL_MODES = ("poisson", "fixed")
 
 def check_arrivals(duration_s: float, mode: str) -> None:
     """Raise the ConfigurationError of an arrival process that cannot be drawn."""
-    if not duration_s > 0:
-        raise ConfigurationError("duration must be positive")
+    if not 0 < duration_s < math.inf:
+        raise ConfigurationError("duration must be positive and finite")
     if mode not in ARRIVAL_MODES:
         raise ConfigurationError(f"unknown arrival mode {mode!r} (valid: poisson, fixed)")
 

@@ -21,7 +21,7 @@ from ponedge.config import cpu_grid
 from ponedge.engine import Stream
 from ponedge.network import BITS_PER_KB
 from ponedge.simulation import RunParams, run_simulation
-from ponedge.sweep import compare_scenario, sweep_scenario
+from ponedge.sweep import compare_scenarios, sweep_scenarios
 from ponedge.workload import SCENARIOS, ScenarioSpec, scenario_preset
 
 from kernel_inputs import candidate_inputs
@@ -49,15 +49,11 @@ def report(criterion: str, ok: bool, detail: str) -> None:
 def grid(tmp_path_factory):
     out = str(tmp_path_factory.mktemp("acceptance-sweep"))
     jobs = os.cpu_count() or 1
+    scenarios = [scenario_preset(name) for name in SCENARIO_ORDER]
     t0 = time.perf_counter()
-    summaries = {}
-    for name in SCENARIO_ORDER:
-        summaries[name] = sweep_scenario(scenario_preset(name), out_dir=out, jobs=jobs)
+    summaries = dict(zip(SCENARIO_ORDER, sweep_scenarios(scenarios, out_dir=out, jobs=jobs)))
     wall = time.perf_counter() - t0
-    comparisons = {
-        name: compare_scenario(scenario_preset(name), out_dir=out, jobs=1)
-        for name in SCENARIO_ORDER
-    }
+    comparisons = dict(zip(SCENARIO_ORDER, compare_scenarios(scenarios, out_dir=out, jobs=1)))
     return SimpleNamespace(out=out, wall=wall, summaries=summaries,
                            comparisons=comparisons)
 
@@ -68,14 +64,16 @@ def test_c1_single_task_analytic_oracle():
     params = RunParams(scenario=scenario, topology="genio", cpu_mips=43_000.0,
                        seed=1, duration_s=30.0, strategy="round-robin",
                        arrivals="fixed")
-    (rec,) = run_simulation(params).records
+    result = run_simulation(params)
+    (node,) = result.outputs.node_of
+    node_id = result.topology.nodes[node].id
+    (latency,) = result.outputs.latencies
     expected = 8.5e-6 + 500.0 / 43_000.0 + 8.05e-5  # 0.011716907 to 9 digits
-    ok = (rec.status == "Delivered"
-          and rec.node_id.endswith("-edge")
-          and math.isclose(rec.latency_s, expected, rel_tol=1e-9)
-          and float(f"{rec.latency_s:.9g}") == 0.011716907)
+    ok = (node_id.endswith("-edge")
+          and math.isclose(latency, expected, rel_tol=1e-9)
+          and float(f"{latency:.9g}") == 0.011716907)
     report("C1 single-task-analytic-oracle", ok,
-           f"latency {rec.latency_s:.12g} s vs uplink+exec+downlink {expected:.12g} s on {rec.node_id}")
+           f"latency {latency:.12g} s vs uplink+exec+downlink {expected:.12g} s on {node_id}")
 
 
 def test_c2_fair_share_oracle():
@@ -150,22 +148,25 @@ def test_c5_tsr_monotonicity(grid):
 
 def test_c6_conservation_and_decomposition(grid):
     # run_simulation asserts both identities on every run (the 200-cell sweep
-    # would have aborted otherwise); re-verify one run here from raw records
+    # would have aborted otherwise); re-verify one run here from its task columns
     params = RunParams(scenario=scenario_preset("smart-building"), topology="baseline",
                        cpu_mips=440_000.0, seed=2, duration_s=600.0)
     result = run_simulation(params)
     summary = result.summary
     conserved = summary.tasks_generated == summary.tasks_delivered + summary.tasks_unfinished
+    out = result.outputs
     worst = 0.0
-    for rec in result.records:
-        if rec.status != "Delivered":
+    delivered = 0
+    for i, generated_at in enumerate(result.inputs.arrival_time):
+        if math.isnan(out.delivered_at[i]):
             continue
-        parts = ((rec.uplink_done - rec.generated_at)
-                 + (rec.exec_start - rec.uplink_done)
-                 + (rec.exec_end - rec.exec_start)
-                 + (rec.delivered_at - rec.exec_end))
-        worst = max(worst, abs(parts - rec.latency_s))
-    ok = conserved and worst <= 1e-12
+        delivered += 1
+        parts = ((out.uplink_done[i] - generated_at)
+                 + (out.exec_start[i] - out.uplink_done[i])
+                 + (out.exec_end[i] - out.exec_start[i])
+                 + (out.delivered_at[i] - out.exec_end[i]))
+        worst = max(worst, abs(parts - (out.delivered_at[i] - generated_at)))
+    ok = conserved and delivered == summary.tasks_delivered and worst <= 1e-12
     report("C6 conservation-and-decomposition", ok,
            f"{summary.tasks_generated} = {summary.tasks_delivered} + "
            f"{summary.tasks_unfinished}; worst decomposition residual {worst:.2e} s "

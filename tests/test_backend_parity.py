@@ -127,7 +127,7 @@ def _params(case, extra):
 
 def _golden_view(result):
     s = result.summary
-    return (trace_digest(result), result.processed_events, s.tasks_generated,
+    return (trace_digest(result), result.outputs.processed_events, s.tasks_generated,
             s.tasks_delivered, s.mean_latency_s, s.p95_latency_s,
             dict(Counter(result.outputs.final_phase)))
 
@@ -145,8 +145,9 @@ def test_backends_bit_identical(case, extra, expected):
     py = run_simulation(params, backend="python", collect_trace=True)
     cy = run_simulation(params, backend="c", collect_trace=True)
     assert trace_digest(py) == trace_digest(cy)
-    assert py.records == cy.records
-    assert py.processed_events == cy.processed_events
+    for name in ("node_of", "uplink_done", "exec_start", "exec_end", "delivered_at"):
+        assert getattr(py.outputs, name).tobytes() == getattr(cy.outputs, name).tobytes(), name
+    assert py.outputs.processed_events == cy.outputs.processed_events
     assert py.outputs.final_phase == cy.outputs.final_phase
     assert py.outputs.trace == cy.outputs.trace
     assert py.summary == cy.summary

@@ -162,6 +162,43 @@ def test_bad_seed_text_exits_2(tmp_path, monkeypatch, capsys, command, flag, env
     assert list(tmp_path.iterdir()) == []
 
 
+NON_FINITE_DOCUMENT = ('{"scenario": "e-health", "cpus": [220000], "seeds": [1], '
+                       '"duration": %s}')
+NON_FINITE_SCENARIO = ('{"scenario": "lab", "cpus": [220000], "seeds": [1], "duration": 20, '
+                       '"custom_scenarios": [{"name": "lab", "users": 2, "rate_per_min": %s, '
+                       '"deadline_s": 0.1, "length_mi": 800, "request_kb": 20, '
+                       '"result_kb": 5}]}')
+
+
+# a non-finite horizon or rate never ends the arrival draw; a non-finite
+# MIPS rating breaks the kernel's arithmetic
+@pytest.mark.parametrize("flags,document", [
+    (["--duration", "inf"], None),
+    (["--duration", "nan"], None),
+    (["--cpu-mips", "inf"], None),
+    (["--cpu-mips", "nan"], None),
+    (None, NON_FINITE_DOCUMENT % "Infinity"),
+    (None, NON_FINITE_DOCUMENT % "1e999"),
+    (None, NON_FINITE_DOCUMENT % "NaN"),
+    (None, NON_FINITE_DOCUMENT.replace("220000", "1e999") % "20"),
+    (None, NON_FINITE_SCENARIO % "1e999"),
+], ids=["duration-inf", "duration-nan", "mips-inf", "mips-nan", "json-duration-infinity",
+        "json-duration-1e999", "json-duration-nan", "json-mips-1e999", "json-rate-1e999"])
+def test_non_finite_numbers_exit_2(tmp_path, capsys, flags, document):
+    out = tmp_path / "out"
+    out.mkdir()
+    if document is None:
+        argv = RUN_FLAGS + flags
+    else:
+        config = tmp_path / "exp.json"
+        config.write_text(document)
+        argv = ["run", "--config", str(config)]
+    assert main(argv + ["--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+    assert list(out.iterdir()) == []
+
+
 def test_sweep_grid_and_aggregate(tmp_path, capsys):
     out = tmp_path / "sweep"
     code = main(["sweep", "--scenario", "smart-city", "--seeds", "1..5",

@@ -1,14 +1,13 @@
 """CPU grids, topology presets, and strict experiment parsing."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from ponedge.compute import NodeLayer
-from ponedge.config import (Calibration, DEFAULT_CALIBRATION, LinkRecord,
-                            cpu_grid, cpu_label, experiment_document,
-                            parse_experiment, parse_seeds, serialize_experiment,
-                            topology_preset)
+from ponedge.config import (Calibration, DEFAULT_CALIBRATION, LinkRecord, cpu_grid,
+                            cpu_label, parse_experiment, parse_seeds, topology_preset)
 from ponedge.network import ConfigurationError, LinkKind
 from ponedge.workload import scenario_preset
 
@@ -94,11 +93,12 @@ def test_fiber_defaults_1gbps_100m():
 
 def test_edge_node_sizing_and_cpu():
     topo = topology_preset("genio", scenario_preset("e-health"), 220_000)
-    edge = topo.node("n0021-edge")
+    nodes = {node.id: node for node in topo.nodes}
+    edge = nodes["n0021-edge"]
     assert edge.mips == 220_000
     assert edge.ram_mb == 32_768.0  # 32 GB
     assert edge.storage_mb == 1_048_576.0  # 1 TB
-    cloud = topo.node("n0022-cloud")
+    cloud = nodes["n0022-cloud"]
     assert cloud.mips == 1_000_000.0
     assert cloud.layer is NodeLayer.CLOUD
 
@@ -194,19 +194,24 @@ def test_parse_custom_scenario_six_fields():
         }))
 
 
-def test_experiment_round_trip():
-    doc = json.dumps({
+def test_experiment_document_fields_parsed():
+    spec = parse_experiment(json.dumps({
         "scenario": ["aigc", "e-health"],
         "topology": ["genio", "baseline"],
         "seeds": "2..4",
         "duration": 120,
         "arrivals": "fixed",
         "calibration": {"cloud_mips": 2e6},
-    })
-    first = parse_experiment(doc)
-    second = parse_experiment(serialize_experiment(first))
-    assert first == second
-    assert experiment_document(first) == experiment_document(second)
+    }))
+    assert spec.scenarios == ("aigc", "e-health")
+    assert spec.topologies == ("genio", "baseline")
+    assert spec.cpus is None
+    assert spec.seeds == (2, 3, 4)
+    assert spec.duration_s == 120.0
+    assert spec.strategy == "trade-off"
+    assert spec.arrivals == "fixed"
+    assert spec.calibration == replace(DEFAULT_CALIBRATION, cloud_mips=2e6)
+    assert spec.custom_scenarios == ()
 
 
 def test_calibration_defaults_are_the_shipped_acceptance_calibration():

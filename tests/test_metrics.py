@@ -1,4 +1,4 @@
-"""Summaries, comparison arithmetic, aggregation, and the CSV surfaces."""
+"""Summaries, the comparison's reduction, aggregation, and the CSV surfaces."""
 
 import csv
 from array import array
@@ -6,11 +6,12 @@ from array import array
 import pytest
 
 from ponedge._kernel.pykernel import PH_DELIVERED, PH_NO_PLACEMENT, KernelOutputs, post_run
-from ponedge.metrics import (AGGREGATE_METRICS, EmptyRunError, IncomparableRunsError,
-                             RunSummary, SUMMARY_CSV_COLUMNS, TASKS_CSV_COLUMNS,
-                             aggregate, compare, format_number, percentile_95,
-                             read_summary_csv, summarize, write_summary_csv,
-                             write_tasks_csv)
+from ponedge.metrics import (AGGREGATE_METRICS, EmptyRunError, RunSummary,
+                             SUMMARY_CSV_COLUMNS, TASKS_CSV_COLUMNS, aggregate,
+                             format_number, percentile_95, read_summary_csv, summarize,
+                             write_summary_csv, write_tasks_csv)
+from ponedge.sweep import _comparison
+from ponedge.workload import scenario_preset
 
 NAN = float("nan")
 
@@ -101,33 +102,24 @@ def test_percentile_95_nearest_rank():
     assert percentile_95([3.0]) == 3.0
 
 
+def reduction_pct(genio_latency, baseline_latency):
+    """The comparison's reduction for one CPU of one seed."""
+    summaries = [make_summary(mean_latency_s=genio_latency),
+                 make_summary(topology="baseline", mean_latency_s=baseline_latency)]
+    (row,) = _comparison(scenario_preset("e-health"), summaries).rows
+    return row.reduction_pct
+
+
 def test_compare_reduction_example():
-    genio = make_summary(mean_latency_s=0.65)
-    baseline = make_summary(topology="baseline", mean_latency_s=1.0)
-    assert compare(genio, baseline) == pytest.approx(-35.0)
+    assert reduction_pct(0.65, 1.0) == pytest.approx(-35.0)
 
 
 def test_compare_equal_means_zero():
-    genio = make_summary(mean_latency_s=0.4)
-    baseline = make_summary(topology="baseline", mean_latency_s=0.4)
-    assert compare(genio, baseline) == 0.0
-
-
-def test_compare_guards_scenario_cpu_seed():
-    genio = make_summary(scenario="smart-city")
-    baseline = make_summary(topology="baseline")
-    with pytest.raises(IncomparableRunsError):
-        compare(genio, baseline)
-    with pytest.raises(IncomparableRunsError):
-        compare(make_summary(seed=1), make_summary(seed=2))
+    assert reduction_pct(0.4, 0.4) == 0.0
 
 
 def test_compare_sign_flips_when_swapped():
-    genio = make_summary(mean_latency_s=0.65)
-    baseline = make_summary(topology="baseline", mean_latency_s=1.0)
-    forward = compare(genio, baseline)
-    backward = compare(baseline, genio)
-    assert forward < 0 < backward
+    assert reduction_pct(0.65, 1.0) < 0 < reduction_pct(1.0, 0.65)
 
 
 def test_aggregate_one_row_per_config_mean_over_seeds():

@@ -9,9 +9,11 @@ from types import SimpleNamespace
 import pytest
 
 from ponedge._kernel import pykernel
-from ponedge._kernel.pykernel import PH_DOWN, TR_SIMULATION_END, TR_TASK_ARRIVAL, Trace
+from ponedge._kernel.pykernel import (PH_DOWN, PH_NO_PLACEMENT, TR_SIMULATION_END,
+                                      TR_TASK_ARRIVAL, Trace)
 from ponedge.config import DEFAULT_CALIBRATION, topology_preset
 from ponedge.engine import SimulationError
+from ponedge.metrics import write_tasks_csv
 from ponedge.simulation import (TRACE_CHUNK, RunParams, _trace_lines, build_kernel_inputs,
                                 run_simulation, write_trace)
 from ponedge.workload import ScenarioSpec, scenario_preset
@@ -35,18 +37,20 @@ def single_task_params(**kw):
 
 def test_single_task_runs_on_edge_with_analytic_latency():
     result = run_simulation(single_task_params())
-    (rec,) = result.records
-    assert rec.status == "Delivered"
-    assert rec.node_id.endswith("-edge")
-    uplink = rec.uplink_done - rec.generated_at
-    execution = rec.exec_end - rec.exec_start
-    downlink = rec.delivered_at - rec.exec_end
+    out = result.outputs
+    assert len(result.inputs.arrival_time) == 1
+    assert result.topology.nodes[out.node_of[0]].id.endswith("-edge")
+    uplink = out.uplink_done[0] - result.inputs.arrival_time[0]
+    execution = out.exec_end[0] - out.exec_start[0]
+    downlink = out.delivered_at[0] - out.exec_end[0]
     assert uplink == pytest.approx(8.5e-6, rel=1e-9)
     assert execution == pytest.approx(500.0 / 43_000.0, rel=1e-9)
     assert downlink == pytest.approx(8.05e-5, rel=1e-9)
-    assert rec.exec_start == rec.uplink_done  # idle node: no queue wait
-    assert rec.latency_s == pytest.approx(8.5e-6 + 500.0 / 43_000.0 + 8.05e-5, rel=1e-9)
-    assert float(f"{rec.latency_s:.9g}") == 0.011716907  # 9-significant-digit view
+    assert out.exec_start[0] == out.uplink_done[0]  # idle node: no queue wait
+    (latency,) = out.latencies
+    assert latency == out.delivered_at[0] - result.inputs.arrival_time[0]
+    assert latency == pytest.approx(8.5e-6 + 500.0 / 43_000.0 + 8.05e-5, rel=1e-9)
+    assert float(f"{latency:.9g}") == 0.011716907  # 9-significant-digit view
 
 
 def test_trace_replay_hash_stable():
@@ -84,13 +88,24 @@ def test_write_trace_holds_one_chunk_of_text():
     assert peak < sum(sizes) / 2
 
 
-def test_records_identical_across_repeats():
+def test_records_identical_across_repeats(tmp_path):
     params = RunParams(scenario=scenario_preset("e-health"), topology="baseline",
                        cpu_mips=300_000.0, seed=2, duration_s=60.0)
     a = run_simulation(params)
     b = run_simulation(params)
-    assert a.records == b.records
+    for name in pykernel.OUTPUT_TYPECODES:  # every output column
+        assert getattr(a.outputs, name).tobytes() == getattr(b.outputs, name).tobytes(), name
     assert a.summary == b.summary
+    tasks = []
+    for label, result in (("a", a), ("b", b)):
+        path = tmp_path / f"{label}.csv"
+        write_tasks_csv(path, result.inputs.arrival_time, result.outputs,
+                        [node.id for node in result.topology.nodes],
+                        deadline_s=params.scenario.deadline_s, scenario="e-health",
+                        topology="baseline", cpu=params.cpu_name(), seed=2, backend="python")
+        tasks.append(path.read_bytes())
+    assert tasks[0] == tasks[1]
+    assert tasks[0].count(b"\r\n") == len(a.inputs.arrival_time) + 1
 
 
 def test_trace_lines_shape():
@@ -120,14 +135,18 @@ def test_conservation_and_decomposition_hold():
     result = run_simulation(params)
     s = result.summary
     assert s.tasks_generated == s.tasks_delivered + s.tasks_unfinished
-    for rec in result.records:
-        if rec.status != "Delivered":
+    out = result.outputs
+    delivered = 0
+    for i, generated_at in enumerate(result.inputs.arrival_time):
+        if math.isnan(out.delivered_at[i]):
             continue
-        parts = ((rec.uplink_done - rec.generated_at)
-                 + (rec.exec_start - rec.uplink_done)
-                 + (rec.exec_end - rec.exec_start)
-                 + (rec.delivered_at - rec.exec_end))
-        assert abs(parts - rec.latency_s) <= 1e-12
+        delivered += 1
+        parts = ((out.uplink_done[i] - generated_at)
+                 + (out.exec_start[i] - out.uplink_done[i])
+                 + (out.exec_end[i] - out.exec_start[i])
+                 + (out.delivered_at[i] - out.exec_end[i]))
+        assert abs(parts - (out.delivered_at[i] - generated_at)) <= 1e-12
+    assert delivered == s.tasks_delivered
 
 
 def test_run_invariants_reject_broken_columns():
@@ -159,18 +178,20 @@ def test_control_plane_delay_shifts_latency():
     base = run_simulation(single_task_params())
     delayed = run_simulation(single_task_params(
         calibration=replace(DEFAULT_CALIBRATION, control_plane_delay_s=0.004)))
-    (b,) = base.records
-    (d,) = delayed.records
-    assert d.latency_s == pytest.approx(b.latency_s + 0.004, rel=1e-9)
+    (b,) = base.outputs.latencies
+    (d,) = delayed.outputs.latencies
+    assert d == pytest.approx(b + 0.004, rel=1e-9)
 
 
 def test_no_placement_when_footprint_exceeds_every_node():
     params = single_task_params(
         calibration=replace(DEFAULT_CALIBRATION, task_ram_mb=1e9))
     result = run_simulation(params)
-    (rec,) = result.records
-    assert rec.status == "Unfinished"
-    assert rec.node_id is None
+    out = result.outputs
+    assert len(result.inputs.arrival_time) == 1
+    assert out.node_of[0] == -1
+    assert math.isnan(out.delivered_at[0])
+    assert out.final_phase[0] == PH_NO_PLACEMENT
     assert result.summary.tsr_pct == 0.0
     assert math.isnan(result.summary.mean_latency_s)
 
@@ -196,8 +217,8 @@ def test_far_edge_execution_adds_onu_candidates():
 def test_trade_off_default_sends_single_smart_city_task_to_edge():
     # edge-dominant default calibration: the 43k edge undercuts the weighted cloud
     result = run_simulation(single_task_params(strategy="trade-off"))
-    (rec,) = result.records
-    assert rec.node_id.endswith("-edge")
+    (node,) = result.outputs.node_of
+    assert result.topology.nodes[node].id.endswith("-edge")
 
 
 def test_node_utilization_bounded():
@@ -213,4 +234,4 @@ def test_node_utilization_bounded():
 def test_processed_event_count_positive_and_stable():
     a = run_simulation(single_task_params())
     b = run_simulation(single_task_params())
-    assert a.processed_events == b.processed_events > 0
+    assert a.outputs.processed_events == b.outputs.processed_events > 0
