@@ -10,8 +10,9 @@ are allocated for the most entries a run can record, and the latency column
 for one latency per task; both are trimmed to what the kernel wrote.
 
 The arrival draw continues each device's engine.Stream from the state Python
-seeded, so seeding has one implementation. It counts the arrivals first, then
-fills `array` columns of that length, sorted by (time, device).
+seeded, so seeding has one implementation. It counts the arrivals first,
+refuses more than workload.MAX_TASKS, then fills `array` columns of that
+length, sorted by (time, device).
 
 The text writers format those columns into one reused buffer and write it to
 a binary file a buffer at a time, with no Python string per line.
@@ -25,6 +26,8 @@ from collections.abc import Sequence
 from typing import Callable, NamedTuple
 
 from ..engine import SimulationError
+from ..network import ConfigurationError
+from ..workload import MAX_TASKS
 from .pykernel import (DECOMPOSITION_TOLERANCE_S, INPUT_TYPECODES, OUTPUT_TYPECODES,
                        TRACE_TYPECODES, KernelInputs, KernelOutputs, Trace, _out_of_order,
                        _past, _unconserved, _undecomposed)
@@ -224,6 +227,8 @@ def load(path: str) -> Library:
                          interval_s=interval_s, duration_s=duration_s,
                          poisson=mode == "poisson")
         n = draw(ctypes.byref(spec), None, None, 0)
+        if n > MAX_TASKS:  # _Run.n_tasks is a C int
+            raise ConfigurationError(f"{n} arrivals exceed the limit of {MAX_TASKS} tasks")
         times, devices = array("d", [0.0]) * n, array("i", [0]) * n
         if n and draw(ctypes.byref(spec), times.buffer_info()[0],
                       devices.buffer_info()[0], n) != n:

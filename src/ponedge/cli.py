@@ -216,6 +216,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    except MemoryError as exc:
+        print("out of memory", *exc.args[:1], sep=": ", file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

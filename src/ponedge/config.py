@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from array import array
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 
 from .compute import DEFAULT_TASK_RAM_MB, DEFAULT_TASK_STORAGE_MB, NodeLayer, NodeSpec
@@ -55,8 +56,16 @@ def cpu_grid(scenario_name: str) -> list[tuple[str, float]]:
     return [(_MIPS_TO_LABEL[m], float(m)) for m in _SCENARIO_CPU_MIPS[scenario_name]]
 
 
+def mips_text(mips: float) -> str:
+    """A MIPS rating as cell directories and custom labels write it: `%g` when
+    that reads back as the same number, else all 17 significant digits, so
+    that no two ratings share a text."""
+    text = f"{mips:g}"
+    return text if float(text) == mips else f"{mips:.17g}"
+
+
 def cpu_label(mips: float) -> str:
-    return _MIPS_TO_LABEL.get(mips, f"custom-{mips:g}")
+    return _MIPS_TO_LABEL.get(mips, f"custom-{mips_text(mips)}")
 
 
 def device_node_id(index: int) -> str:
@@ -118,72 +127,8 @@ class LinkRecord:
 
 @dataclass
 class TopologySpec:
-    preset: str
     nodes: list[NodeSpec]
     links: list[LinkRecord]
-    _adjacency: dict | None = field(default=None, repr=False, compare=False)
-    _tree: dict | None = field(default=None, repr=False, compare=False)
-
-    def adjacency(self) -> dict[str, list[tuple[str, int]]]:
-        if self._adjacency is None:
-            adj: dict[str, list[tuple[str, int]]] = {n.id: [] for n in self.nodes}
-            for link in self.links:
-                adj[link.a].append((link.b, link.id))
-                adj[link.b].append((link.a, link.id))
-            self._adjacency = adj
-        return self._adjacency
-
-    def tree(self) -> dict[str, tuple[str, int, int]]:
-        """Each node's (parent, link to the parent, depth).
-
-        Every connected component is rooted at its first listed node, whose
-        parent is "" over link -1 at depth 0.
-        """
-        if self._tree is None:
-            adj = self.adjacency()
-            tree: dict[str, tuple[str, int, int]] = {}
-            for root in self.nodes:
-                if root.id in tree:
-                    continue
-                tree[root.id] = ("", -1, 0)
-                stack = [root.id]
-                while stack:
-                    node = stack.pop()
-                    depth = tree[node][2] + 1
-                    for neighbor, link_id in adj[node]:
-                        if neighbor not in tree:
-                            tree[neighbor] = (node, link_id, depth)
-                            stack.append(neighbor)
-            self._tree = tree
-        return self._tree
-
-    def validate(self) -> None:
-        """Connected tree; devices hang off exactly one ONU via a Local link."""
-        adj = self.adjacency()
-        if len(self.links) != len(self.nodes) - 1:
-            raise ConfigurationError(
-                f"not a tree: {len(self.nodes)} nodes but {len(self.links)} links"
-            )
-        if sum(parent == "" for parent, _, _ in self.tree().values()) != 1:
-            raise ConfigurationError("topology is not connected")
-        links_by_id = {link.id: link for link in self.links}
-        # of two nodes with one id, the first listed gives the layer
-        layer_of = {node.id: node.layer for node in reversed(self.nodes)}
-        for node in self.nodes:
-            if node.layer is NodeLayer.FAR_EDGE_DEVICE:
-                attached = adj[node.id]
-                onu_local = [
-                    other for other, link_id in attached
-                    if links_by_id[link_id].spec.kind is LinkKind.LOCAL
-                    and layer_of[other] is NodeLayer.ONU
-                ]
-                if len(attached) != 1 or len(onu_local) != 1:
-                    raise ConfigurationError(
-                        f"device {node.id} must attach to exactly one ONU via a Local link"
-                    )
-        clouds = [n for n in self.nodes if n.layer is NodeLayer.CLOUD]
-        if len(clouds) != 1:
-            raise ConfigurationError(f"presets require exactly one cloud node, got {len(clouds)}")
 
 
 def topology_preset(name: str, scenario: ScenarioSpec, edge_mips: float,
@@ -194,23 +139,29 @@ def topology_preset(name: str, scenario: ScenarioSpec, edge_mips: float,
     baseline: identical, except the edge server sits behind a WAN hop
     (100 m) from the OLT instead of the Local attachment.
 
-    The tree is preset_shape's, shared; only the node list is the caller's
+    The links are preset_shape's, shared; only the node list is the caller's
     own, with the edge server's node built anew for edge_mips.
     """
     shape = preset_shape(name, scenario.users, calibration)
     nodes = list(shape.nodes)
     edge = 2 * scenario.users + 1
     nodes[edge] = replace(nodes[edge], mips=edge_mips)
-    return TopologySpec(preset=name, nodes=nodes, links=shape.links,
-                        _adjacency=shape.adjacency(), _tree=shape.tree())
+    return TopologySpec(nodes=nodes, links=shape.links)
 
 
 @lru_cache(maxsize=16)
 def preset_shape(name: str, users: int, calibration: Calibration) -> TopologySpec:
-    """The validated tree of one preset for `users` devices, built once per
-    shape and process. Its links, adjacency and tree are shared read-only by
-    every topology_preset of the shape. Its edge server's 1 MIPS is a
-    placeholder: topology_preset sets the cell's.
+    """The tree of one preset for `users` devices, built once per shape and
+    process. Its links are shared read-only by every topology_preset of the
+    shape. Its edge server's 1 MIPS is a placeholder: topology_preset sets
+    the cell's.
+
+    With u users, device d is node d and its ONU node u + d; the OLT, the
+    edge server and the cloud are nodes 2u, 2u + 1 and 2u + 2. Link d
+    attaches device d to its ONU, link u + d is that ONU's fiber to the OLT,
+    link 2u joins the OLT to the edge server and link 2u + 1 the edge server
+    to the cloud. Each link's `a` is its end nearer the devices.
+    _shape_inputs writes the routes from this numbering.
     """
     if name not in TOPOLOGY_PRESETS:
         raise ConfigurationError(f"unknown topology preset {name!r} (valid: genio, baseline)")
@@ -249,9 +200,65 @@ def preset_shape(name: str, users: int, calibration: Calibration) -> TopologySpe
                             cal.baseline_olt_edge_length_m, cal.wan_fixed_latency_s)
         links.append(LinkRecord(len(links), wan_edge, olt_id, edge_id))
     links.append(LinkRecord(len(links), wan_cloud, edge_id, cloud_id))
-    topo = TopologySpec(preset=name, nodes=nodes, links=links)
-    topo.validate()
-    return topo
+    return TopologySpec(nodes=nodes, links=links)
+
+
+def eligible_nodes(node_specs, far_edge_execution: bool) -> list[str]:
+    """Ids of the nodes placement may choose, in id order: the edge servers and
+    the cloud, plus the ONU-class nodes (the ONUs and the OLT) when far-edge
+    execution is on."""
+    layers = {NodeLayer.EDGE_SERVER, NodeLayer.CLOUD}
+    if far_edge_execution:
+        layers.add(NodeLayer.ONU)
+    return sorted(spec.id for spec in node_specs if spec.layer in layers)
+
+
+@lru_cache(maxsize=16)
+def _shape_inputs(preset: str, users: int, calibration: Calibration) -> dict[str, array]:
+    """The placement candidates, link and route columns of one preset_shape.
+
+    A hop is 2 * link + direction, direction 0 from the link's `a` to its
+    `b`; Local links cost nothing and are left out. Device d goes up its
+    fiber, on baseline then over the OLT's WAN hop to the edge server, and
+    from there over the WAN link to the cloud. It reaches its own ONU with
+    no hop, and another ONU up its fiber and down that ONU's. Route ids
+    follow first appearance over devices and candidate slots.
+    """
+    topo = preset_shape(preset, users, calibration)
+    node_index = {node.id: idx for idx, node in enumerate(topo.nodes)}
+    candidates = [node_index[node_id]
+                  for node_id in eligible_nodes(topo.nodes, calibration.far_edge_execution)]
+    olt, edge, cloud = 2 * users, 2 * users + 1, 2 * users + 2
+    to_edge = (4 * users,) if preset == "baseline" else ()
+    to_cloud = (*to_edge, 4 * users + 2)
+
+    route_ids: dict[tuple[int, ...], int] = {}
+    route_start = array("i", [0])
+    route_hops = array("i")
+    up_route = array("i")  # device * len(candidates) + slot -> route id
+    for device in range(users):
+        up = 2 * (users + device)
+        for node in candidates:
+            if node == edge:
+                hops = (up, *to_edge)
+            elif node == cloud:
+                hops = (up, *to_cloud)
+            elif node == olt:
+                hops = (up,)
+            elif node == users + device:
+                hops = ()
+            else:  # another device's ONU
+                hops = (up, 2 * node + 1)
+            if hops not in route_ids:
+                route_ids[hops] = len(route_start) - 1
+                route_hops.extend(hops)
+                route_start.append(len(route_hops))
+            up_route.append(route_ids[hops])
+    return dict(candidate_nodes=array("i", candidates),
+                link_bandwidth=array("d", [math.inf if link.spec.kind is LinkKind.LOCAL
+                                           else link.spec.bandwidth_bps for link in topo.links]),
+                link_hop_delay=array("d", [link.spec.hop_delay_s for link in topo.links]),
+                route_start=route_start, route_hops=route_hops, up_route=up_route)
 
 
 @dataclass(frozen=True)
@@ -341,6 +348,8 @@ def parse_experiment(document: str) -> ExperimentSpec:
                 f"custom scenario: missing key(s): {', '.join(sorted(missing))}"
             )
         custom.append(ScenarioSpec(**entry))
+        if custom[-1].name in SCENARIOS:  # its cells would replace the preset's
+            raise ConfigurationError(f"custom scenario {custom[-1].name!r} reuses a preset's name")
 
     scenarios = _as_name_list(raw["scenario"], "scenario")
     known = set(SCENARIOS) | {s.name for s in custom}
@@ -370,6 +379,8 @@ def parse_experiment(document: str) -> ExperimentSpec:
                 raise ConfigurationError("cpus entries must be MIPS numbers or {label, mips}")
             if not 0 < parsed[-1][1] < math.inf:
                 raise ConfigurationError("cpu mips must be positive and finite")
+            if parsed[-1][1] in [mips for _, mips in parsed[:-1]]:
+                raise ConfigurationError(f"cpus name {mips_text(parsed[-1][1])} MIPS twice")
         cpus = tuple(parsed)
 
     seeds = parse_seeds(raw["seeds"]) if "seeds" in raw else DEFAULT_SEEDS

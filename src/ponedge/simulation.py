@@ -2,17 +2,15 @@
 
 from __future__ import annotations
 
-import math
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 
 from . import _kernel
-from .compute import NodeLayer
-from .config import (Calibration, DEFAULT_CALIBRATION, TopologySpec, cpu_label,
-                     device_node_id, preset_shape, topology_preset)
+from .config import (Calibration, DEFAULT_CALIBRATION, TopologySpec, _shape_inputs,
+                     cpu_label, device_node_id, topology_preset)
 from .metrics import RunSummary, summarize
-from .network import BITS_PER_KB, LinkKind, route_between
+from .network import BITS_PER_KB
 from .workload import ScenarioSpec, arrival_streams, check_arrivals, generate_arrivals
 from ._kernel import pykernel
 
@@ -52,15 +50,6 @@ class RunResult:
     backend: str  # the kernel that ran: "c" or "python"
 
 
-def eligible_nodes(node_specs, far_edge_execution: bool) -> list[str]:
-    """Ids of the nodes placement may choose, in id order: the edge servers and
-    the cloud, plus the ONUs when far-edge execution is on."""
-    layers = {NodeLayer.EDGE_SERVER, NodeLayer.CLOUD}
-    if far_edge_execution:
-        layers.add(NodeLayer.ONU)
-    return sorted(spec.id for spec in node_specs if spec.layer in layers)
-
-
 def build_kernel_inputs(params: RunParams, topo: TopologySpec, collect_trace: bool,
                         backend: str = "python") -> pykernel.KernelInputs:
     """The kernel inputs of one run on `topo`, the topology_preset of params.
@@ -97,56 +86,13 @@ def build_kernel_inputs(params: RunParams, topo: TopologySpec, collect_trace: bo
     )
 
 
-@lru_cache(maxsize=16)
-def _shape_inputs(preset: str, users: int, calibration: Calibration) -> dict[str, array]:
-    """The placement candidates, link and route columns of one preset_shape."""
-    topo = preset_shape(preset, users, calibration)
-    node_index = {node.id: idx for idx, node in enumerate(topo.nodes)}
-    candidate_ids = eligible_nodes(topo.nodes, calibration.far_edge_execution)
-
-    link_bandwidth = array("d")
-    link_hop_delay = array("d")
-    for link in topo.links:
-        if link.spec.kind is LinkKind.LOCAL:
-            link_bandwidth.append(math.inf)
-            link_hop_delay.append(0.0)
-        else:
-            link_bandwidth.append(link.spec.bandwidth_bps)
-            link_hop_delay.append(link.spec.hop_delay_s)
-
-    links_by_id = {link.id: link for link in topo.links}
-    route_ids: dict[tuple[int, ...], int] = {}
-    route_start = array("i", [0])
-    route_hops = array("i")
-    up_route = array("i")  # device * len(candidate_ids) + slot -> route id
-    for device in range(users):
-        device_id = device_node_id(device)
-        for target_id in candidate_ids:
-            hops = []
-            for hop in route_between(topo, device_id, target_id):
-                link = links_by_id[hop.link_id]
-                if link.spec.kind is LinkKind.LOCAL:
-                    continue  # zero-distance attachment, no event needed
-                direction = 0 if hop.head == link.a else 1
-                hops.append(hop.link_id * 2 + direction)
-            key = tuple(hops)
-            if key not in route_ids:
-                route_ids[key] = len(route_start) - 1
-                route_hops.extend(key)
-                route_start.append(len(route_hops))
-            up_route.append(route_ids[key])
-    return dict(candidate_nodes=array("i", [node_index[nid] for nid in candidate_ids]),
-                link_bandwidth=link_bandwidth, link_hop_delay=link_hop_delay,
-                route_start=route_start, route_hops=route_hops, up_route=up_route)
-
-
 @lru_cache(maxsize=64)
 def _cached_arrivals(scenario: ScenarioSpec, duration_s: float, seed: int,
                      mode: str, backend: str) -> tuple[array, array]:
     # the arrival process is identical for every topology/CPU cell of a sweep;
     # the kernels only read these columns, so every cell shares them
     if backend == "c":
-        check_arrivals(duration_s, mode)
+        check_arrivals(scenario, duration_s, mode)
         return _kernel.c_library().arrivals(
             [stream.state for stream in arrival_streams(scenario, seed)],
             scenario.interval_s, duration_s, mode)

@@ -17,7 +17,7 @@ import os
 import shutil
 from dataclasses import asdict, dataclass, fields
 
-from .config import Calibration, DEFAULT_CALIBRATION, cpu_grid
+from .config import Calibration, DEFAULT_CALIBRATION, cpu_grid, mips_text
 from .metrics import (RunSummary, aggregate, format_number, read_summary_csv,
                       write_summary_csv, write_tasks_csv)
 from .simulation import RunParams, run_simulation, write_trace
@@ -51,7 +51,7 @@ class CellSpec:
 
     def directory(self) -> str:
         return os.path.join(self.out_dir, self.scenario.name, self.topology,
-                            f"{self.cpu_mips:g}", str(self.seed))
+                            mips_text(self.cpu_mips), str(self.seed))
 
     def run_params(self) -> RunParams:
         return RunParams(

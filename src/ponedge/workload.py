@@ -3,10 +3,18 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 from .engine import Stream
 from .network import ConfigurationError
+
+# A scenario's name becomes a directory of its cells, so it is one plain path
+# component: no separator, and no leading dot.
+SCENARIO_NAME = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
+# The C kernel counts a run's tasks in a C int, and the trace's task column
+# holds 32-bit integers on both kernels.
+MAX_TASKS = 2**31 - 1
 
 
 @dataclass(frozen=True)
@@ -22,6 +30,9 @@ class ScenarioSpec:
     result_kb: float
 
     def __post_init__(self):
+        if not isinstance(self.name, str) or not SCENARIO_NAME.fullmatch(self.name):
+            raise ConfigurationError(
+                f"scenario name {self.name!r} must match {SCENARIO_NAME.pattern}")
         for fname in ("users", "rate_per_min", "deadline_s", "length_mi", "request_kb", "result_kb"):
             if not 0 < getattr(self, fname) < math.inf:
                 raise ConfigurationError(f"scenario {self.name}: {fname} must be > 0 and finite")
@@ -55,12 +66,18 @@ def scenario_preset(name: str) -> ScenarioSpec:
 ARRIVAL_MODES = ("poisson", "fixed")
 
 
-def check_arrivals(duration_s: float, mode: str) -> None:
-    """Raise the ConfigurationError of an arrival process that cannot be drawn."""
+def check_arrivals(spec: ScenarioSpec, duration_s: float, mode: str) -> None:
+    """Raise the ConfigurationError of an arrival process that cannot be drawn,
+    or whose expected task count exceeds MAX_TASKS."""
     if not 0 < duration_s < math.inf:
         raise ConfigurationError("duration must be positive and finite")
     if mode not in ARRIVAL_MODES:
         raise ConfigurationError(f"unknown arrival mode {mode!r} (valid: poisson, fixed)")
+    expected = spec.users * duration_s / spec.interval_s
+    if expected > MAX_TASKS:
+        raise ConfigurationError(
+            f"scenario {spec.name}: {expected:.4g} expected tasks over {duration_s:g} s "
+            f"exceed the limit of {MAX_TASKS}")
 
 
 def arrival_streams(spec: ScenarioSpec, seed: int) -> list[Stream]:
@@ -79,7 +96,7 @@ def generate_arrivals(spec: ScenarioSpec, duration_s: float, seed: int,
     (times, devices): task i arrives at times[i] from device devices[i].
     This is the reference; the C library's draw is its mirror.
     """
-    check_arrivals(duration_s, mode)
+    check_arrivals(spec, duration_s, mode)
     interval = spec.interval_s
     times: list[tuple[float, int]] = []
     for device, stream in enumerate(arrival_streams(spec, seed)):

@@ -22,12 +22,13 @@ from ponedge._kernel.pykernel import (OUTPUT_TYPECODES, PH_DELIVERED, PH_DOWN,
                                       PH_NO_PLACEMENT, PH_QUEUED, PH_RUNNING, PH_UP)
 from ponedge.cli import main
 from ponedge.compute import NodeLayer
-from ponedge.config import DEFAULT_CALIBRATION, cpu_grid, preset_shape, topology_preset
+from ponedge.config import (DEFAULT_CALIBRATION, _shape_inputs, cpu_grid, preset_shape,
+                            topology_preset)
 from ponedge.engine import SimulationError
 from ponedge.metrics import _csv_line, _task_lines
 from ponedge.network import ConfigurationError
-from ponedge.simulation import (RunParams, _cached_arrivals, _shape_inputs, _trace_lines,
-                                build_kernel_inputs, run_simulation, write_trace)
+from ponedge.simulation import (RunParams, _cached_arrivals, _trace_lines, build_kernel_inputs,
+                                run_simulation, write_trace)
 from ponedge.workload import SCENARIOS, ScenarioSpec, generate_arrivals, scenario_preset
 
 from fresh_process import needs_compiler
@@ -589,6 +590,17 @@ def test_c_arrivals_raise_what_generate_arrivals_raises(duration_s, mode):
         _cached_arrivals.__wrapped__(scenario, duration_s, 1, mode, "c")
 
 
+@needs_c
+def test_c_arrivals_refuse_more_tasks_than_the_kernel_counts(monkeypatch):
+    # the bound is lowered to keep the draw small: 10 devices at one task a
+    # second for 10 s draw about 100 arrivals
+    scenario = scenario_preset("e-health")
+    times, _ = _cached_arrivals.__wrapped__(scenario, 10.0, 1, "poisson", "c")
+    monkeypatch.setattr(ckernel, "MAX_TASKS", len(times) - 1)
+    with pytest.raises(ConfigurationError, match=f"{len(times)} arrivals exceed the limit"):
+        _cached_arrivals.__wrapped__(scenario, 10.0, 1, "poisson", "c")
+
+
 @pytest.mark.parametrize("name", ["genio", "baseline"])
 def test_cached_topology_preset_equals_a_fresh_build(name):
     scenario = scenario_preset("e-health")
@@ -600,7 +612,7 @@ def test_cached_topology_preset_equals_a_fresh_build(name):
         cached = topology_preset(name, scenario, 220_000.0, calibration)
         assert preset_shape.cache_info().hits == 2
         assert cached.nodes == fresh.nodes and cached.nodes is not fresh.nodes
-        assert cached.links == fresh.links and cached.tree() == fresh.tree()
+        assert cached.links == fresh.links
         # the other cell's edge server did not leak into the shared shape
         assert [(node.layer, node.mips) for node in other.nodes if node.mips > 100_000] == [
             (NodeLayer.EDGE_SERVER, 620_000.0), (NodeLayer.CLOUD, 1e6)]

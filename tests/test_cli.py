@@ -1,7 +1,11 @@
 """CLI surfaces: flags, exit codes, file layout, determinism, env override."""
 
 import json
+import os
+import resource
 import shutil
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -12,7 +16,8 @@ from ponedge.config import DEFAULT_CALIBRATION
 from ponedge.metrics import read_summary_csv
 from ponedge.workload import scenario_preset
 
-from fresh_process import path_finds_compiler, ponedge_env, run_cli, run_python
+from fresh_process import (SRC, needs_compiler, path_finds_compiler, ponedge_env, run_cli,
+                           run_python)
 
 RUN_FLAGS = ["run", "--scenario", "e-health", "--topology", "genio",
              "--cpu-mips", "220000", "--seed", "1", "--duration", "20"]
@@ -197,6 +202,79 @@ def test_non_finite_numbers_exit_2(tmp_path, capsys, flags, document):
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and err.count("\n") == 1
     assert list(out.iterdir()) == []
+
+
+def _custom(name):
+    return ('{"scenario": %s, "cpus": [220000], "seeds": [1], "duration": 20, '
+            '"custom_scenarios": [{"name": %s, "users": 2, "rate_per_min": 30, '
+            '"deadline_s": 0.1, "length_mi": 800, "request_kb": 20, "result_kb": 5}]}'
+            % (json.dumps(name), json.dumps(name)))
+
+
+# a scenario name is a directory of its cells, and a cell directory is named
+# by its MIPS: neither may leave --out-dir or land on another cell's
+@pytest.mark.parametrize("command,scenario,document", [
+    *(("run", name, _custom(name)) for name in ("../../x", "a/b", ".x", "", "aigc")),
+    ("sweep", "aigc", '{"scenario": "aigc", "cpus": [700000, {"label": "again", "mips": 7e5}], '
+                      '"seeds": [1], "duration": 1}'),
+], ids=["parent-dirs", "separator", "leading-dot", "empty", "preset-name", "mips-twice"])
+def test_names_that_are_not_a_cell_of_their_own_exit_2(tmp_path, capsys, command, scenario,
+                                                        document):
+    config = tmp_path / "exp.json"
+    config.write_text(document)
+    assert main([command, "--scenario", scenario, "--config", str(config), "--jobs", "1",
+                 "--out-dir", str(tmp_path / "out" / "a" / "b")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [config]
+
+
+def test_distinct_mips_get_distinct_cells_and_labels(tmp_path):
+    config = tmp_path / "exp.json"
+    config.write_text('{"scenario": "aigc", "topology": "genio", '
+                      '"cpus": [2350000, 2350001], "seeds": [1], "duration": 1}')
+    out = tmp_path / "out"
+    assert main(["sweep", "--scenario", "aigc", "--config", str(config), "--out-dir", str(out),
+                 "--jobs", "1"]) == 0
+    labels = {}
+    for directory in ("2.35e+06", "2350001"):
+        (summary,) = read_summary_csv(out / "aigc" / "genio" / directory / "1" / "summary.csv")
+        labels[directory] = (summary.cpu, summary.mips)
+    assert labels == {"2.35e+06": ("AMD Ryzen 3990X", 2_350_000.0),
+                      "2350001": ("custom-2350001", 2_350_001.0)}
+
+
+def _cap_address_space():
+    limit = 2**30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize("backend", ["python", pytest.param("c", marks=needs_compiler)])
+def test_huge_horizon_exits_2_before_any_draw(tmp_path, backend):
+    # 10 devices at one task a second for 1e12 s expect 1e13 tasks, past the
+    # kernels' 32-bit task count; the draw alone would run for hours. The
+    # child's address space is capped, so a draw that does start fails on
+    # memory instead of filling it.
+    argv = RUN_FLAGS[:-1] + ["1e12", "--out-dir", str(tmp_path / "out")]
+    done = subprocess.run([sys.executable, "-m", "ponedge.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=SRC, PONEDGE_BACKEND=backend),
+                          capture_output=True, text=True, timeout=10,
+                          preexec_fn=_cap_address_space)
+    assert done.returncode == 2
+    assert done.stderr.startswith("configuration error: scenario e-health: 1e+13 expected tasks")
+    assert done.stderr.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_out_of_memory_exits_1(tmp_path, monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("the C kernel could not allocate the arrivals")
+
+    monkeypatch.setattr(sweep, "run_simulation", exhausted)
+    assert main(RUN_FLAGS + ["--out-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        "out of memory: the C kernel could not allocate the arrivals\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_grid_and_aggregate(tmp_path, capsys):

@@ -6,8 +6,8 @@ from dataclasses import replace
 import pytest
 
 from ponedge.compute import NodeLayer
-from ponedge.config import (Calibration, DEFAULT_CALIBRATION, LinkRecord, cpu_grid,
-                            cpu_label, parse_experiment, parse_seeds, topology_preset)
+from ponedge.config import (Calibration, DEFAULT_CALIBRATION, cpu_grid, cpu_label,
+                            parse_experiment, parse_seeds, topology_preset)
 from ponedge.network import ConfigurationError, LinkKind
 from ponedge.workload import scenario_preset
 
@@ -101,14 +101,6 @@ def test_edge_node_sizing_and_cpu():
     cloud = nodes["n0022-cloud"]
     assert cloud.mips == 1_000_000.0
     assert cloud.layer is NodeLayer.CLOUD
-
-
-def test_validate_rejects_non_tree():
-    topo = topology_preset("genio", scenario_preset("e-health"), 220_000)
-    extra = LinkRecord(len(topo.links), topo.links[0].spec, "n0000-dev", "n0022-cloud")
-    broken = type(topo)(preset="genio", nodes=topo.nodes, links=topo.links + [extra])
-    with pytest.raises(ConfigurationError):
-        broken.validate()
 
 
 def test_unknown_preset_name():

@@ -1,17 +1,21 @@
-"""Link math, routing, and the fair-share transfer model against a fluid oracle."""
+"""Link math, the preset routes against a tree walk, and the fair-share transfer
+model against a fluid oracle."""
 
+import math
 import random
+from dataclasses import replace
 
 import pytest
 
 from ponedge._kernel import pykernel
 from ponedge._kernel.pykernel import STRATEGY_ROUND_ROBIN
-from ponedge.config import topology_preset
-from ponedge.network import (BITS_PER_KB, ConfigurationError, LinkKind, LinkSpec,
-                             route_between, single_transfer_time, transfer_schedule)
+from ponedge.compute import NodeLayer
+from ponedge.config import DEFAULT_CALIBRATION, _shape_inputs, preset_shape, topology_preset
+from ponedge.network import BITS_PER_KB, ConfigurationError, LinkKind, LinkSpec
 from ponedge.workload import scenario_preset
 
 from kernel_inputs import kernel_inputs
+from tree_oracles import route_between, transfer_schedule, tree, walked_route_columns
 
 FIBER = LinkSpec(LinkKind.FIBER, 1e9, 100.0, 0.0)
 WAN_50KM = LinkSpec(LinkKind.WAN, 1e9, 50_000.0, 10e-3)
@@ -20,17 +24,29 @@ LOCAL = LinkSpec(LinkKind.LOCAL, 0.0, 0.0, 0.0)
 
 def test_single_transfer_time_fiber_1kb():
     # 8000 bits / 1 Gbps + 100 m / 2e8 m/s = 8e-6 + 5e-7
-    assert single_transfer_time(1.0, FIBER) == pytest.approx(8.5e-6, rel=1e-12)
+    (done,) = drive_pool(FIBER.bandwidth_bps, [0.0], 1.0 * BITS_PER_KB, FIBER.hop_delay_s)
+    assert done == pytest.approx(8.5e-6, rel=1e-12)
 
 
 def test_single_transfer_time_empty_payload_wan():
     # propagation 2.5e-4 plus the 10 ms one-way latency
-    assert single_transfer_time(0.0, WAN_50KM) == pytest.approx(1.025e-2, rel=1e-12)
+    (done,) = drive_pool(WAN_50KM.bandwidth_bps, [0.0], 0.0, WAN_50KM.hop_delay_s)
+    assert done == pytest.approx(1.025e-2, rel=1e-12)
 
 
 def test_local_links_cost_nothing():
-    for size in (0.0, 1.0, 5000.0):
-        assert single_transfer_time(size, LOCAL) == 0.0
+    # a Local link has no delay, and no route crosses one
+    assert LOCAL.hop_delay_s == 0.0
+    calibration = replace(DEFAULT_CALIBRATION, far_edge_execution=True)
+    for preset in ("genio", "baseline"):
+        columns = _shape_inputs(preset, 10, calibration)
+        local = {link.id for link in preset_shape(preset, 10, calibration).links
+                 if link.spec.kind is LinkKind.LOCAL}
+        assert len(local) == 10 + (preset == "genio")
+        for link in local:
+            assert columns["link_bandwidth"][link] == math.inf
+            assert columns["link_hop_delay"][link] == 0.0
+        assert not {hop // 2 for hop in columns["route_hops"]} & local
 
 
 def test_link_invariants():
@@ -38,6 +54,42 @@ def test_link_invariants():
         LinkSpec(LinkKind.FIBER, 0.0, 100.0, 0.0)
     with pytest.raises(ConfigurationError):
         LinkSpec(LinkKind.WAN, 1e9, -1.0, 0.0)
+
+
+# Around 2u + 2 = 9999 the node ids grow a digit and their sort order, the
+# candidate order, leaves the index order. A far-edge walk visits every ONU
+# from every device, so it stops at 128 users.
+WALKED_USERS = [(users, False) for users in (1, 2, 3, 10, 20, 50, 128, 4998, 5000, 6000)] + [
+    (users, True) for users in (1, 2, 3, 10, 20, 50, 128)]
+
+
+@pytest.mark.parametrize("preset", ["genio", "baseline"])
+def test_closed_form_routes_equal_the_tree_walk(preset):
+    for users, far_edge in WALKED_USERS:
+        calibration = replace(DEFAULT_CALIBRATION, far_edge_execution=far_edge)
+        shape = preset_shape(preset, users, calibration)
+        # a connected tree with one cloud, each device attached to its ONU by
+        # one Local link
+        assert len(shape.links) == len(shape.nodes) - 1
+        parents = tree(shape)
+        assert [parent for parent, _, _ in parents.values()].count("") == 1
+        layers = {node.id: node.layer for node in shape.nodes}
+        assert list(layers.values()).count(NodeLayer.CLOUD) == 1
+        attached = {node_id: [] for node_id in layers}
+        for link in shape.links:
+            attached[link.a].append((link.b, link))
+            attached[link.b].append((link.a, link))
+        assert list(layers.values()).count(NodeLayer.FAR_EDGE_DEVICE) == users
+        for node_id, layer in layers.items():
+            if layer is NodeLayer.FAR_EDGE_DEVICE:
+                ((other, link),) = attached[node_id]
+                assert link.spec.kind is LinkKind.LOCAL and layers[other] is NodeLayer.ONU
+
+        columns = _shape_inputs.__wrapped__(preset, users, calibration)
+        walked = walked_route_columns(preset, users, calibration)
+        for name, column in walked.items():
+            assert columns[name] == column, (users, far_edge, name)
+        assert len(columns["candidate_nodes"]) == (2 + 1 + users if far_edge else 2)
 
 
 def _kinds(topo, route):
@@ -76,20 +128,6 @@ def test_route_symmetry():
     assert [h.head for h in rev] == [h.tail for h in fwd][::-1]
 
 
-def test_route_unknown_node():
-    topo = topology_preset("genio", scenario_preset("e-health"), 220_000)
-    with pytest.raises(ConfigurationError):
-        route_between(topo, "n0000-dev", "nowhere")
-
-
-def test_route_unreachable_node():
-    topo = topology_preset("genio", scenario_preset("e-health"), 220_000)
-    cut = type(topo)(preset="genio", nodes=topo.nodes, links=topo.links[:-1])
-    for src, dst in (("n0000-dev", "n0022-cloud"), ("n0022-cloud", "n0000-dev")):
-        with pytest.raises(ConfigurationError, match="no path"):
-            route_between(cut, src, dst)
-
-
 def test_route_is_the_tree_path_between_any_two_nodes():
     topo = topology_preset("baseline", scenario_preset("e-health"), 220_000)
     links = {link.id: link for link in topo.links}
@@ -126,9 +164,9 @@ def drive_pool(bandwidth_bps, starts, size_bits, hop_const=0.0):
 def test_uncontended_transfer_matches_analytic_time():
     size_kb = 321.5
     start = 2.25
-    hop_const = WAN_50KM.length_m / 2.0e8 + WAN_50KM.fixed_latency_s
-    (completed,) = drive_pool(1e9, [start], size_kb * BITS_PER_KB, hop_const)
-    assert abs(completed - (start + single_transfer_time(size_kb, WAN_50KM))) < 1e-12
+    (completed,) = drive_pool(1e9, [start], size_kb * BITS_PER_KB, WAN_50KM.hop_delay_s)
+    # serialization, propagation over 50 km, and the fixed latency
+    assert abs(completed - (start + size_kb * BITS_PER_KB / 1e9 + 50_000.0 / 2.0e8 + 10e-3)) < 1e-12
 
 
 def test_two_simultaneous_transfers_double_serialization():

@@ -4,8 +4,8 @@ and the candidate set."""
 from ponedge._kernel import pykernel
 from ponedge._kernel.pykernel import PH_NO_PLACEMENT, STRATEGY_ROUND_ROBIN, STRATEGY_TRADE_OFF
 from ponedge.compute import NodeLayer, NodeSpec
-from ponedge.config import topology_preset
-from ponedge.simulation import RunParams, build_kernel_inputs, eligible_nodes
+from ponedge.config import eligible_nodes, topology_preset
+from ponedge.simulation import RunParams, build_kernel_inputs
 from ponedge.workload import scenario_preset
 
 from kernel_inputs import candidate_inputs, kernel_inputs
