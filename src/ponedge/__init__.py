@@ -6,7 +6,7 @@ Two topology presets are compared across CPU grids and workload scenarios:
 """
 
 from ._kernel import available_backends, resolve_backend
-from .config import Calibration, DEFAULT_CALIBRATION, cpu_grid, topology_preset
+from .config import Calibration, DEFAULT_CALIBRATION, cpu_grid
 from .metrics import RunSummary, summarize
 from .simulation import RunParams, RunResult, run_simulation
 from .workload import ScenarioSpec, generate_arrivals, scenario_preset
@@ -27,6 +27,5 @@ __all__ = [
     "run_simulation",
     "scenario_preset",
     "summarize",
-    "topology_preset",
     "__version__",
 ]

@@ -1128,7 +1128,7 @@ long long ponedge_trace_text(const struct trace_text *t, long long start, char *
         const int kind = t->kind[row];
         const int extra = t->extra[row];
         if (kind < TR_TASK_ARRIVAL || kind > TR_SIMULATION_END
-            || (kind >= TR_EXECUTION_START && kind <= TR_RESULT_DELIVERED
+            || (kind != TR_TRANSFER_COMPLETE && kind != TR_SIMULATION_END
                 && (extra < 0 || extra >= t->n_nodes)))
             return -1;
         put_g(&s, t->time[row], 17);
@@ -1141,11 +1141,10 @@ long long ponedge_trace_text(const struct trace_text *t, long long start, char *
         } else {
             PUT_LITERAL(&s, "\ttask=t");
             put_int(&s, t->task[row]);
-            if (kind == TR_TASK_ARRIVAL) { /* config.device_node_id */
-                char device[24];
-                PUT_LITERAL(&s, " src=n");
-                put(&s, device, int_text(device, extra, 4));
-                PUT_LITERAL(&s, "-dev\n");
+            if (kind == TR_TASK_ARRIVAL) { /* device d is node d */
+                PUT_LITERAL(&s, " src=");
+                put_label(&s, t->node_text, t->node_start, extra);
+                PUT_LITERAL(&s, "\n");
             } else if (kind == TR_TRANSFER_COMPLETE) {
                 if (extra == 0)
                     PUT_LITERAL(&s, " leg=up\n");

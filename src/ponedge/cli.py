@@ -59,7 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sweep_p)
 
     cmp_p = sub.add_parser("compare", help="compare genio vs baseline per scenario")
-    group = cmp_p.add_mutually_exclusive_group(required=True)
+    # both optional with --config, which then names the scenarios
+    group = cmp_p.add_mutually_exclusive_group()
     group.add_argument("--scenario", default=None)
     group.add_argument("--all", action="store_true", help="all four scenario presets")
     cmp_p.add_argument("--seeds", default=None)
@@ -197,7 +198,10 @@ def cmd_compare(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "compare" and not (args.scenario or args.all or args.config):
+        parser.error("compare needs --scenario, --all or --config")
     handler = {"run": cmd_run, "sweep": cmd_sweep, "compare": cmd_compare}[args.command]
     try:
         # checked before any cell is reused, so that a bad PONEDGE_BACKEND is

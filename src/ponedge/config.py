@@ -7,9 +7,9 @@ import math
 from array import array
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
+from typing import NamedTuple
 
-from .compute import DEFAULT_TASK_RAM_MB, DEFAULT_TASK_STORAGE_MB, NodeLayer, NodeSpec
-from .network import ConfigurationError, LinkKind, LinkSpec
+from .network import PROPAGATION_SPEED_M_S, ConfigurationError, check_number
 from .workload import ARRIVAL_MODES, SCENARIOS, ScenarioSpec, scenario_preset
 
 TOPOLOGY_PRESETS = ("genio", "baseline")
@@ -68,14 +68,22 @@ def cpu_label(mips: float) -> str:
     return _MIPS_TO_LABEL.get(mips, f"custom-{mips_text(mips)}")
 
 
-def device_node_id(index: int) -> str:
-    """Node id of the index-th far-edge device in a preset topology."""
-    return f"n{index:04d}-dev"
+# Calibration fields that may be 0: lengths, fixed latencies, the control
+# delay and task footprints. Every other number must be greater than 0.
+_MAY_BE_ZERO = frozenset({
+    "fiber_fixed_latency_s", "wan_fixed_latency_s", "pon_length_m", "edge_cloud_length_m",
+    "baseline_olt_edge_length_m", "task_ram_mb", "task_storage_mb", "control_plane_delay_s",
+})
 
 
 @dataclass(frozen=True)
 class Calibration:
-    """Every tunable the presets rely on; ships with the acceptance defaults."""
+    """Every tunable the presets rely on; ships with the acceptance defaults.
+
+    Each field must have the type of its default, an int for a float field
+    included, and a number must be finite and greater than 0, or 0 or more
+    for the fields in _MAY_BE_ZERO.
+    """
 
     fiber_bandwidth_bps: float = 1e9
     fiber_fixed_latency_s: float = 0.0
@@ -99,139 +107,73 @@ class Calibration:
     # overflow once the edge queue has grown
     cloud_weight: float = 25.0
     far_edge_weight: float = 1.3
-    task_ram_mb: float = DEFAULT_TASK_RAM_MB
-    task_storage_mb: float = DEFAULT_TASK_STORAGE_MB
+    # what a task needs while on a node; sized so that admission is a
+    # non-binding check on the default 32 GB / 1 TB edge servers
+    task_ram_mb: float = 1.0
+    task_storage_mb: float = 100.0
     far_edge_execution: bool = False
     control_plane_delay_s: float = 0.0
     strict_deadline_tsr: bool = False
 
-    def layer_weights(self) -> dict[NodeLayer, float]:
-        return {
-            NodeLayer.EDGE_SERVER: self.edge_weight,
-            NodeLayer.CLOUD: self.cloud_weight,
-            NodeLayer.FAR_EDGE_DEVICE: self.far_edge_weight,
-            NodeLayer.ONU: self.far_edge_weight,
-        }
+    def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if type(field.default) is not bool:
+                check_number(f"calibration: {field.name}", value,
+                             integer=type(field.default) is int, zero=field.name in _MAY_BE_ZERO)
+            elif not isinstance(value, bool):
+                raise ConfigurationError(
+                    f"calibration: {field.name} must be true or false, not {value!r}")
 
 
 DEFAULT_CALIBRATION = Calibration()
 
 
-@dataclass(frozen=True)
-class LinkRecord:
-    id: int
-    spec: LinkSpec
-    a: str
-    b: str
+class Shape(NamedTuple):
+    """One preset for a number of users: its node ids, and the KernelInputs
+    columns every run on it shares."""
+
+    node_ids: tuple[str, ...]
+    columns: dict[str, array]
 
 
-@dataclass
-class TopologySpec:
-    nodes: list[NodeSpec]
-    links: list[LinkRecord]
-
-
-def topology_preset(name: str, scenario: ScenarioSpec, edge_mips: float,
-                    calibration: Calibration = DEFAULT_CALIBRATION) -> TopologySpec:
-    """The tree of one preset, with an edge server of edge_mips.
+@lru_cache(maxsize=16)
+def preset_shape(name: str, users: int, calibration: Calibration) -> Shape:
+    """The tree of one preset for `users` devices, written once per shape and
+    process.
 
     genio: device -Local- ONU -Fiber- OLT -Local- edge -WAN(50 km)- cloud.
     baseline: identical, except the edge server sits behind a WAN hop
     (100 m) from the OLT instead of the Local attachment.
-
-    The links are preset_shape's, shared; only the node list is the caller's
-    own, with the edge server's node built anew for edge_mips.
-    """
-    shape = preset_shape(name, scenario.users, calibration)
-    nodes = list(shape.nodes)
-    edge = 2 * scenario.users + 1
-    nodes[edge] = replace(nodes[edge], mips=edge_mips)
-    return TopologySpec(nodes=nodes, links=shape.links)
-
-
-@lru_cache(maxsize=16)
-def preset_shape(name: str, users: int, calibration: Calibration) -> TopologySpec:
-    """The tree of one preset for `users` devices, built once per shape and
-    process. Its links are shared read-only by every topology_preset of the
-    shape. Its edge server's 1 MIPS is a placeholder: topology_preset sets
-    the cell's.
 
     With u users, device d is node d and its ONU node u + d; the OLT, the
     edge server and the cloud are nodes 2u, 2u + 1 and 2u + 2. Link d
     attaches device d to its ONU, link u + d is that ONU's fiber to the OLT,
     link 2u joins the OLT to the edge server and link 2u + 1 the edge server
     to the cloud. Each link's `a` is its end nearer the devices.
-    _shape_inputs writes the routes from this numbering.
+
+    The placement candidates, in node id order, are the edge server and the
+    cloud, plus the ONUs and the OLT under far-edge execution. A hop is
+    2 * link + direction, direction 0 from the link's `a` to its `b`; Local
+    links cost nothing and are left out. Device d goes up its fiber, on
+    baseline then over the OLT's WAN hop to the edge server, and from there
+    over the WAN link to the cloud. It reaches its own ONU with no hop, and
+    another ONU up its fiber and down that ONU's. Route ids follow first
+    appearance over devices and candidate slots. The edge server's per-core
+    MIPS is 0 here: each run sets its own.
     """
     if name not in TOPOLOGY_PRESETS:
         raise ConfigurationError(f"unknown topology preset {name!r} (valid: genio, baseline)")
     cal = calibration
-    nodes: list[NodeSpec] = []
-    small = dict(ram_mb=cal.small_node_ram_mb, storage_mb=cal.small_node_storage_mb)
-    for i in range(users):
-        nodes.append(NodeSpec(device_node_id(i), NodeLayer.FAR_EDGE_DEVICE, cal.device_mips, **small))
-    for i in range(users):
-        nodes.append(NodeSpec(f"n{users + i:04d}-onu", NodeLayer.ONU, cal.onu_mips, **small))
-    olt_id = f"n{2 * users:04d}-olt"
-    edge_id = f"n{2 * users + 1:04d}-edge"
-    cloud_id = f"n{2 * users + 2:04d}-cloud"
-    # The OLT itself is a forwarding point; compute capacity lives in the
-    # attached edge server. Give it device-class numbers so it stays inert.
-    nodes.append(NodeSpec(olt_id, NodeLayer.ONU, cal.onu_mips, **small))
-    nodes.append(NodeSpec(edge_id, NodeLayer.EDGE_SERVER, 1.0, cores=cal.edge_cores,
-                          ram_mb=cal.edge_ram_mb, storage_mb=cal.edge_storage_mb))
-    nodes.append(NodeSpec(cloud_id, NodeLayer.CLOUD, cal.cloud_mips, cores=cal.cloud_cores,
-                          ram_mb=cal.edge_ram_mb, storage_mb=cal.edge_storage_mb))
-
-    local = LinkSpec(LinkKind.LOCAL, 0.0, 0.0, 0.0)
-    fiber = LinkSpec(LinkKind.FIBER, cal.fiber_bandwidth_bps, cal.pon_length_m,
-                     cal.fiber_fixed_latency_s)
-    wan_cloud = LinkSpec(LinkKind.WAN, cal.wan_bandwidth_bps, cal.edge_cloud_length_m,
-                         cal.wan_fixed_latency_s)
-    links: list[LinkRecord] = []
-    for i in range(users):
-        links.append(LinkRecord(len(links), local, device_node_id(i), f"n{users + i:04d}-onu"))
-    for i in range(users):
-        links.append(LinkRecord(len(links), fiber, f"n{users + i:04d}-onu", olt_id))
-    if name == "genio":
-        links.append(LinkRecord(len(links), local, olt_id, edge_id))
-    else:
-        wan_edge = LinkSpec(LinkKind.WAN, cal.wan_bandwidth_bps,
-                            cal.baseline_olt_edge_length_m, cal.wan_fixed_latency_s)
-        links.append(LinkRecord(len(links), wan_edge, olt_id, edge_id))
-    links.append(LinkRecord(len(links), wan_cloud, edge_id, cloud_id))
-    return TopologySpec(nodes=nodes, links=links)
-
-
-def eligible_nodes(node_specs, far_edge_execution: bool) -> list[str]:
-    """Ids of the nodes placement may choose, in id order: the edge servers and
-    the cloud, plus the ONU-class nodes (the ONUs and the OLT) when far-edge
-    execution is on."""
-    layers = {NodeLayer.EDGE_SERVER, NodeLayer.CLOUD}
-    if far_edge_execution:
-        layers.add(NodeLayer.ONU)
-    return sorted(spec.id for spec in node_specs if spec.layer in layers)
-
-
-@lru_cache(maxsize=16)
-def _shape_inputs(preset: str, users: int, calibration: Calibration) -> dict[str, array]:
-    """The placement candidates, link and route columns of one preset_shape.
-
-    A hop is 2 * link + direction, direction 0 from the link's `a` to its
-    `b`; Local links cost nothing and are left out. Device d goes up its
-    fiber, on baseline then over the OLT's WAN hop to the edge server, and
-    from there over the WAN link to the cloud. It reaches its own ONU with
-    no hop, and another ONU up its fiber and down that ONU's. Route ids
-    follow first appearance over devices and candidate slots.
-    """
-    topo = preset_shape(preset, users, calibration)
-    node_index = {node.id: idx for idx, node in enumerate(topo.nodes)}
-    candidates = [node_index[node_id]
-                  for node_id in eligible_nodes(topo.nodes, calibration.far_edge_execution)]
     olt, edge, cloud = 2 * users, 2 * users + 1, 2 * users + 2
-    to_edge = (4 * users,) if preset == "baseline" else ()
+    kinds = ["dev"] * users + ["onu"] * users + ["olt", "edge", "cloud"]
+    node_ids = tuple(f"n{node:04d}-{kind}" for node, kind in enumerate(kinds))
+    candidates = [edge, cloud]
+    if cal.far_edge_execution:
+        candidates += range(users, olt + 1)
+    candidates.sort(key=node_ids.__getitem__)
+    to_edge = (4 * users,) if name == "baseline" else ()
     to_cloud = (*to_edge, 4 * users + 2)
-
     route_ids: dict[tuple[int, ...], int] = {}
     route_start = array("i", [0])
     route_hops = array("i")
@@ -254,11 +196,31 @@ def _shape_inputs(preset: str, users: int, calibration: Calibration) -> dict[str
                 route_hops.extend(hops)
                 route_start.append(len(route_hops))
             up_route.append(route_ids[hops])
-    return dict(candidate_nodes=array("i", candidates),
-                link_bandwidth=array("d", [math.inf if link.spec.kind is LinkKind.LOCAL
-                                           else link.spec.bandwidth_bps for link in topo.links]),
-                link_hop_delay=array("d", [link.spec.hop_delay_s for link in topo.links]),
-                route_start=route_start, route_hops=route_hops, up_route=up_route)
+
+    def wan(length_m: float) -> tuple[float, float]:
+        return cal.wan_bandwidth_bps, length_m / PROPAGATION_SPEED_M_S + cal.wan_fixed_latency_s
+
+    local = (math.inf, 0.0)  # bandwidth and hop delay
+    fiber = (cal.fiber_bandwidth_bps,
+             cal.pon_length_m / PROPAGATION_SPEED_M_S + cal.fiber_fixed_latency_s)
+    links = ([local] * users + [fiber] * users
+             + [local if name == "genio" else wan(cal.baseline_olt_edge_length_m),
+                wan(cal.edge_cloud_length_m)])
+    # The OLT forwards and the edge server computes: the OLT gets the ONUs'
+    # numbers, and is a far-edge candidate with them.
+    small = olt + 1  # the devices, the ONUs and the OLT
+    return Shape(node_ids, dict(
+        mips_per_core=array("d", [cal.device_mips] * users + [cal.onu_mips] * (users + 1)
+                            + [0.0, cal.cloud_mips / cal.cloud_cores]),
+        cores=array("i", [1] * small + [cal.edge_cores, cal.cloud_cores]),
+        weight=array("d", [cal.far_edge_weight] * small + [cal.edge_weight, cal.cloud_weight]),
+        ram_capacity=array("d", [cal.small_node_ram_mb] * small + [cal.edge_ram_mb] * 2),
+        storage_capacity=array("d", [cal.small_node_storage_mb] * small
+                               + [cal.edge_storage_mb] * 2),
+        candidate_nodes=array("i", candidates),
+        link_bandwidth=array("d", [bandwidth for bandwidth, _ in links]),
+        link_hop_delay=array("d", [delay for _, delay in links]),
+        route_start=route_start, route_hops=route_hops, up_route=up_route))
 
 
 @dataclass(frozen=True)
@@ -350,6 +312,8 @@ def parse_experiment(document: str) -> ExperimentSpec:
         custom.append(ScenarioSpec(**entry))
         if custom[-1].name in SCENARIOS:  # its cells would replace the preset's
             raise ConfigurationError(f"custom scenario {custom[-1].name!r} reuses a preset's name")
+        if custom[-1].name in [spec.name for spec in custom[:-1]]:
+            raise ConfigurationError(f"custom scenario {custom[-1].name!r} is defined twice")
 
     scenarios = _as_name_list(raw["scenario"], "scenario")
     known = set(SCENARIOS) | {s.name for s in custom}
@@ -403,10 +367,7 @@ def parse_experiment(document: str) -> ExperimentSpec:
     unknown = set(cal_raw) - _CALIBRATION_KEYS
     if unknown:
         raise ConfigurationError(f"calibration: unknown key(s): {', '.join(sorted(unknown))}")
-    try:
-        calibration = replace(DEFAULT_CALIBRATION, **cal_raw)
-    except TypeError as exc:
-        raise ConfigurationError(f"calibration: {exc}") from None
+    calibration = replace(DEFAULT_CALIBRATION, **cal_raw)
 
     return ExperimentSpec(
         scenarios=scenarios,

@@ -47,7 +47,6 @@ class RunSummary:
     mean_latency_s: float
     p95_latency_s: float
     deadline_hit_pct: float
-    node_utilization: tuple[tuple[str, float], ...] = ()
 
 
 def percentile_95(sorted_values: Sequence[float]) -> float:
@@ -60,8 +59,7 @@ def percentile_95(sorted_values: Sequence[float]) -> float:
 
 def summarize(generated: int, latencies: Sequence[float], *,
               deadline_s: float, scenario: str, topology: str, cpu: str, mips: float,
-              seed: int, strict_deadline: bool = False,
-              node_utilization: tuple[tuple[str, float], ...] = ()) -> RunSummary:
+              seed: int, strict_deadline: bool = False) -> RunSummary:
     """Aggregate one completed run of `generated` tasks.
 
     latencies holds the latency of each delivered task, ascending, as the
@@ -96,7 +94,6 @@ def summarize(generated: int, latencies: Sequence[float], *,
         mean_latency_s=mean_latency,
         p95_latency_s=p95,
         deadline_hit_pct=deadline_hit_pct,
-        node_utilization=node_utilization,
     )
 
 

@@ -1,9 +1,8 @@
-"""Typed link model: link kinds, their per-traversal delay, and the unit constants."""
+"""Unit constants, and the configuration error with its check of numbers."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
+import math
 
 # Speed of light in fiber (refractive index ~1.5): 100 m ~ 0.5 us, 50 km ~ 0.25 ms.
 PROPAGATION_SPEED_M_S = 2.0e8
@@ -12,32 +11,16 @@ PROPAGATION_SPEED_M_S = 2.0e8
 BITS_PER_KB = 8000.0
 
 
-class LinkKind(Enum):
-    FIBER = "fiber"
-    WAN = "wan"
-    LOCAL = "local"
-
-
 class ConfigurationError(Exception):
     """Invalid topology/scenario/experiment description."""
 
 
-@dataclass(frozen=True)
-class LinkSpec:
-    kind: LinkKind
-    bandwidth_bps: float  # ignored for LOCAL (zero-distance attachment)
-    length_m: float
-    fixed_latency_s: float = 0.0
-
-    def __post_init__(self):
-        if self.kind is not LinkKind.LOCAL and not self.bandwidth_bps > 0:
-            raise ConfigurationError(f"{self.kind.value} link needs bandwidth > 0")
-        if self.length_m < 0 or self.fixed_latency_s < 0:
-            raise ConfigurationError("link length and fixed latency must be >= 0")
-
-    @property
-    def hop_delay_s(self) -> float:
-        """Per-traversal constant part: propagation plus fixed latency."""
-        if self.kind is LinkKind.LOCAL:
-            return 0.0
-        return self.length_m / PROPAGATION_SPEED_M_S + self.fixed_latency_s
+def check_number(what: str, value, *, integer: bool = False, zero: bool = False) -> None:
+    """Raise the ConfigurationError of a `value` that is not a finite JSON number
+    (an integer if `integer`; a bool is neither) greater than 0, or 0 or more
+    if `zero`."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        raise ConfigurationError(
+            f"{what} must be {'an integer' if integer else 'a number'}, not {value!r}")
+    if not (0 <= value if zero else 0 < value) or not value < math.inf:
+        raise ConfigurationError(f"{what} must be {'>= 0' if zero else '> 0'} and finite")

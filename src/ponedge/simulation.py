@@ -7,10 +7,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import _kernel
-from .config import (Calibration, DEFAULT_CALIBRATION, TopologySpec, _shape_inputs,
-                     cpu_label, device_node_id, topology_preset)
+from .config import Calibration, DEFAULT_CALIBRATION, cpu_label, preset_shape
 from .metrics import RunSummary, summarize
-from .network import BITS_PER_KB
+from .network import BITS_PER_KB, check_number
 from .workload import ScenarioSpec, arrival_streams, check_arrivals, generate_arrivals
 from ._kernel import pykernel
 
@@ -34,6 +33,10 @@ class RunParams:
     arrivals: str = "poisson"
     calibration: Calibration = DEFAULT_CALIBRATION
 
+    def __post_init__(self):
+        # the edge server's MIPS; the calibration checks every other node's
+        check_number("cpu_mips", self.cpu_mips)
+
     def cpu_name(self) -> str:
         return self.cpu or cpu_label(self.cpu_mips)
 
@@ -43,34 +46,32 @@ class RunResult:
     """One run: its kernel inputs, the kernel's per-task output columns and their summary."""
 
     params: RunParams
-    topology: TopologySpec
+    node_ids: tuple[str, ...]  # node index -> id
     inputs: pykernel.KernelInputs
     outputs: pykernel.KernelOutputs
     summary: RunSummary
     backend: str  # the kernel that ran: "c" or "python"
 
 
-def build_kernel_inputs(params: RunParams, topo: TopologySpec, collect_trace: bool,
+def build_kernel_inputs(params: RunParams, collect_trace: bool,
                         backend: str = "python") -> pykernel.KernelInputs:
-    """The kernel inputs of one run on `topo`, the topology_preset of params.
+    """The kernel inputs of one run.
 
-    The columns of its shape and its arrivals, drawn by `backend`'s library,
-    are cached and shared by every run of this process that has them:
-    both kernels only read their input columns.
+    The columns of its preset_shape and its arrivals, drawn by `backend`'s
+    library, are cached and shared by every run of this process that has
+    them: both kernels only read their input columns. The per-core MIPS
+    column is the run's own copy, with its edge server's entry set.
     """
     cal = params.calibration
     scenario = params.scenario
-    weights = cal.layer_weights()
+    columns = preset_shape(params.topology, scenario.users, cal).columns
+    mips_per_core = array("d", columns["mips_per_core"])
+    mips_per_core[2 * scenario.users + 1] = params.cpu_mips / cal.edge_cores  # the edge server
     arrival_time, arrival_device = _cached_arrivals(
         scenario, params.duration_s, params.seed, params.arrivals, backend
     )
     return pykernel.KernelInputs(
-        mips_per_core=array("d", [node.mips_per_core for node in topo.nodes]),
-        cores=array("i", [node.cores for node in topo.nodes]),
-        weight=array("d", [weights[node.layer] for node in topo.nodes]),
-        ram_capacity=array("d", [node.ram_mb for node in topo.nodes]),
-        storage_capacity=array("d", [node.storage_mb for node in topo.nodes]),
-        **_shape_inputs(params.topology, scenario.users, cal),
+        **(columns | {"mips_per_core": mips_per_core}),
         arrival_time=arrival_time,
         arrival_device=arrival_device,
         length_mi=scenario.length_mi,
@@ -100,42 +101,31 @@ def _cached_arrivals(scenario: ScenarioSpec, duration_s: float, seed: int,
     return array("d", times), array("i", devices)
 
 
-def node_utilization(topo: TopologySpec, busy: array,
-                     duration_s: float) -> tuple[tuple[str, float], ...]:
-    """Busy core-time per node as a share of its core-time over the horizon."""
-    return tuple(
-        (node.id, busy[idx] / (node.cores * duration_s))
-        for idx, node in enumerate(topo.nodes)
-        if node.layer.value in ("edge-server", "cloud") or busy[idx] > 0.0
-    )
-
-
-def _trace_lines(topo: TopologySpec, rows) -> list[str]:
+def _trace_lines(node_ids, rows) -> list[str]:
     """One line per kernel trace row (time, seq, kind, task, extra): time, seq,
-    kind name and subject, tab-separated."""
+    kind name and subject, tab-separated. An arrival's subject is its device,
+    and device d is node d."""
     kinds = pykernel.TRACE_KINDS
-    nodes = [node.id for node in topo.nodes]
-    device = lru_cache(maxsize=None)(device_node_id)
     arrival, transfer, end = (pykernel.TR_TASK_ARRIVAL, pykernel.TR_TRANSFER_COMPLETE,
                               pykernel.TR_SIMULATION_END)
     lines = []
     append = lines.append
     for time, seq, kind, task, extra in rows:
         if kind == arrival:
-            append(f"{time:.17g}\t{seq}\t{kinds[kind]}\ttask=t{task} src={device(extra)}")
+            append(f"{time:.17g}\t{seq}\t{kinds[kind]}\ttask=t{task} src={node_ids[extra]}")
         elif kind == transfer:
             append(f"{time:.17g}\t{seq}\t{kinds[kind]}\ttask=t{task} "
                    f"leg={'up' if extra == 0 else 'down'}")
         elif kind == end:
             append(f"{time:.17g}\t{seq}\t{kinds[kind]}\t-")
         else:
-            append(f"{time:.17g}\t{seq}\t{kinds[kind]}\ttask=t{task} node={nodes[extra]}")
+            append(f"{time:.17g}\t{seq}\t{kinds[kind]}\ttask=t{task} node={node_ids[extra]}")
     return lines
 
 
-def write_trace(fh, topo: TopologySpec, trace: pykernel.Trace,
-                backend: str = "python") -> None:
-    """Write the event-trace file to the binary file `fh`.
+def write_trace(fh, node_ids, trace: pykernel.Trace, backend: str = "python") -> None:
+    """Write the event-trace file to the binary file `fh`; node_ids maps a node
+    index to its id.
 
     One newline-terminated ASCII line per kernel trace entry. For a run the C
     kernel made (`backend` "c"), the C library formats the lines into one
@@ -146,11 +136,11 @@ def write_trace(fh, topo: TopologySpec, trace: pykernel.Trace,
     """
     if backend == "c":
         _kernel.c_library().write_trace(fh, trace,
-                                        [node.id.encode("ascii") for node in topo.nodes])
+                                        [node_id.encode("ascii") for node_id in node_ids])
         return
     for start in range(0, len(trace.time), TRACE_CHUNK):
-        lines = _trace_lines(topo, zip(*(column[start:start + TRACE_CHUNK]
-                                         for column in trace)))
+        lines = _trace_lines(node_ids, zip(*(column[start:start + TRACE_CHUNK]
+                                             for column in trace)))
         lines.append("")  # the join then ends the chunk with a newline
         fh.write("\n".join(lines).encode("ascii"))
 
@@ -165,10 +155,9 @@ def run_simulation(params: RunParams, backend: str | None = "auto",
     point.
     """
     backend = _kernel.resolve_backend(backend)
-    topo = topology_preset(params.topology, params.scenario, params.cpu_mips,
-                           params.calibration)
-    inputs = build_kernel_inputs(params, topo, collect_trace, backend)
-    out = _kernel.run(inputs, topo.nodes, backend=backend)
+    inputs = build_kernel_inputs(params, collect_trace, backend)
+    # perfbench replays _kernel.run's first two positional arguments
+    out = _kernel.run(inputs, None, backend=backend)
     summary = summarize(
         len(inputs.arrival_time),
         out.latencies,
@@ -179,7 +168,7 @@ def run_simulation(params: RunParams, backend: str | None = "auto",
         mips=params.cpu_mips,
         seed=params.seed,
         strict_deadline=params.calibration.strict_deadline_tsr,
-        node_utilization=node_utilization(topo, out.busy, params.duration_s),
     )
-    return RunResult(params=params, topology=topo, inputs=inputs, outputs=out,
+    node_ids = preset_shape(params.topology, params.scenario.users, params.calibration).node_ids
+    return RunResult(params=params, node_ids=node_ids, inputs=inputs, outputs=out,
                      summary=summary, backend=backend)

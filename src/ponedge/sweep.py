@@ -122,7 +122,7 @@ def run_cell(cell: CellSpec, backend: str | None = "auto",
     try:
         if tasks_csv:
             write_tasks_csv(os.path.join(staging, "tasks.csv"), result.inputs.arrival_time,
-                            result.outputs, [node.id for node in result.topology.nodes],
+                            result.outputs, result.node_ids,
                             deadline_s=cell.scenario.deadline_s, scenario=cell.scenario.name,
                             topology=cell.topology, cpu=cell.cpu, seed=cell.seed,
                             backend=result.backend)
@@ -143,7 +143,7 @@ def run_cell(cell: CellSpec, backend: str | None = "auto",
         staged_trace = trace_path + f".tmp-{os.getpid()}"
         try:
             with open(staged_trace, "wb") as fh:
-                write_trace(fh, result.topology, result.outputs.trace, result.backend)
+                write_trace(fh, result.node_ids, result.outputs.trace, result.backend)
             os.replace(staged_trace, trace_path)
         finally:
             if os.path.exists(staged_trace):

@@ -7,7 +7,7 @@ import re
 from dataclasses import dataclass
 
 from .engine import Stream
-from .network import ConfigurationError
+from .network import ConfigurationError, check_number
 
 # A scenario's name becomes a directory of its cells, so it is one plain path
 # component: no separator, and no leading dot.
@@ -34,8 +34,8 @@ class ScenarioSpec:
             raise ConfigurationError(
                 f"scenario name {self.name!r} must match {SCENARIO_NAME.pattern}")
         for fname in ("users", "rate_per_min", "deadline_s", "length_mi", "request_kb", "result_kb"):
-            if not 0 < getattr(self, fname) < math.inf:
-                raise ConfigurationError(f"scenario {self.name}: {fname} must be > 0 and finite")
+            check_number(f"scenario {self.name}: {fname}", getattr(self, fname),
+                         integer=fname == "users")
 
     @property
     def interval_s(self) -> float:

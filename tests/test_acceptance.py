@@ -66,7 +66,7 @@ def test_c1_single_task_analytic_oracle():
                        arrivals="fixed")
     result = run_simulation(params)
     (node,) = result.outputs.node_of
-    node_id = result.topology.nodes[node].id
+    node_id = result.node_ids[node]
     (latency,) = result.outputs.latencies
     expected = 8.5e-6 + 500.0 / 43_000.0 + 8.05e-5  # 0.011716907 to 9 digits
     ok = (node_id.endswith("-edge")

@@ -21,9 +21,7 @@ from ponedge._kernel import available_backends, ckernel, compiler_argv, pykernel
 from ponedge._kernel.pykernel import (OUTPUT_TYPECODES, PH_DELIVERED, PH_DOWN,
                                       PH_NO_PLACEMENT, PH_QUEUED, PH_RUNNING, PH_UP)
 from ponedge.cli import main
-from ponedge.compute import NodeLayer
-from ponedge.config import (DEFAULT_CALIBRATION, _shape_inputs, cpu_grid, preset_shape,
-                            topology_preset)
+from ponedge.config import DEFAULT_CALIBRATION, cpu_grid, preset_shape
 from ponedge.engine import SimulationError
 from ponedge.metrics import _csv_line, _task_lines
 from ponedge.network import ConfigurationError
@@ -201,9 +199,7 @@ def _random_inputs(rng: random.Random):
     """(params, traced kernel inputs) of a random calibration, on the 0.25 s
     time grid half of the time."""
     params = _random_params(rng)
-    topo = topology_preset(params.topology, params.scenario, params.cpu_mips,
-                           params.calibration)
-    inputs = build_kernel_inputs(params, topo, collect_trace=True)
+    inputs = build_kernel_inputs(params, collect_trace=True)
     if rng.random() < 0.5:
         # random phases almost never make two float times equal; on a
         # 0.25 s grid, tasks arrive together, join links at the same
@@ -246,11 +242,9 @@ def test_trace_costs_at_most_40_bytes_per_entry(backend):
     # the largest trace among the contention-heavy cells: five columns cost
     # about 28 bytes an entry, a list of one tuple per entry about 126
     params = _params(("smart-building", "baseline", 440_000.0), dict(duration_s=600.0))
-    topo = topology_preset(params.topology, params.scenario, params.cpu_mips,
-                           params.calibration)
     peaks = {}
     for collect_trace in (False, True):
-        inputs = build_kernel_inputs(params, topo, collect_trace)
+        inputs = build_kernel_inputs(params, collect_trace)
         tracemalloc.start()
         try:
             out = _kernel.run(inputs, backend=backend)
@@ -407,13 +401,11 @@ def _synthetic_trace(rng: random.Random, times: array) -> pykernel.Trace:
     kind = array("i", (draw % 6 for draw in rng.randbytes(n)))
     extra = array("i", array("H", rng.randbytes(2 * n)))
     for row, k in enumerate(kind):
-        if k == pykernel.TR_TASK_ARRIVAL:
-            extra[row] = extra[row] % 20_020 - 20  # a device, zero-padded to four digits
-        elif k == pykernel.TR_TRANSFER_COMPLETE:
+        if k == pykernel.TR_TRANSFER_COMPLETE:
             extra[row] = (0, 1, 7)[extra[row] % 3]  # any leg but 0 is down
         elif k == pykernel.TR_SIMULATION_END:
             extra[row] = -1
-        else:
+        else:  # an arrival's device, or the node of an execution or delivery
             extra[row] %= len(TEXT_NODES)
     seq = array("q", rng.randbytes(8 * n))
     for row in range(0, n, 2):
@@ -460,17 +452,16 @@ def _one_line_capacity(text: bytes, terminator: bytes) -> int:
 @needs_c
 def test_c_trace_text_matches_reference(text_doubles):
     trace = _synthetic_trace(random.Random(1), text_doubles)
-    topo = SimpleNamespace(nodes=[SimpleNamespace(id=node_id) for node_id in TEXT_NODES])
     node_ids = [node_id.encode("ascii") for node_id in TEXT_NODES]
     write_trace = _kernel.c_library().write_trace
     step = 100_000
     for start in range(0, len(text_doubles), step):
         chunk = pykernel.Trace(*(column[start:start + step] for column in trace))
-        expected = "".join(line + "\n" for line in _trace_lines(topo, zip(*chunk)))
+        expected = "".join(line + "\n" for line in _trace_lines(TEXT_NODES, zip(*chunk)))
         assert _written(write_trace, chunk, node_ids)[0] == expected.encode("ascii")
     # a buffer that fits the longest line once: every write is whole lines
     chunk = pykernel.Trace(*(column[:3000] for column in trace))
-    expected = "".join(line + "\n" for line in _trace_lines(topo, zip(*chunk))).encode()
+    expected = "".join(line + "\n" for line in _trace_lines(TEXT_NODES, zip(*chunk))).encode()
     capacity = _one_line_capacity(expected, b"\n")
     text, sizes = _written(write_trace, chunk, node_ids, capacity=capacity)
     assert text == expected
@@ -507,7 +498,7 @@ def test_c_write_trace_holds_one_buffer_of_text():
     sink = SimpleNamespace(write=lambda data: sizes.append(len(data)))
     tracemalloc.start()
     try:
-        write_trace(sink, result.topology, result.outputs.trace, result.backend)
+        write_trace(sink, result.node_ids, result.outputs.trace, result.backend)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -519,7 +510,8 @@ def test_c_write_trace_holds_one_buffer_of_text():
 def test_c_text_writers_reject_rows_with_no_text():
     library = _kernel.c_library()
     for kind, extra in ((6, 0), (-1, 0), (pykernel.TR_EXECUTION_START, len(TEXT_NODES)),
-                        (pykernel.TR_RESULT_DELIVERED, -1)):
+                        (pykernel.TR_RESULT_DELIVERED, -1), (pykernel.TR_TASK_ARRIVAL, -1),
+                        (pykernel.TR_TASK_ARRIVAL, len(TEXT_NODES))):
         trace = pykernel.Trace(array("d", [1.0]), array("q", [1]), array("i", [kind]),
                                array("i", [0]), array("i", [extra]))
         with pytest.raises(ValueError):
@@ -602,56 +594,65 @@ def test_c_arrivals_refuse_more_tasks_than_the_kernel_counts(monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["genio", "baseline"])
-def test_cached_topology_preset_equals_a_fresh_build(name):
+def test_cached_preset_shape_equals_a_fresh_build(name):
     scenario = scenario_preset("e-health")
     for far_edge in (False, True):
         calibration = replace(DEFAULT_CALIBRATION, far_edge_execution=far_edge)
         preset_shape.cache_clear()
-        fresh = topology_preset(name, scenario, 220_000.0, calibration)
-        other = topology_preset(name, scenario, 620_000.0, calibration)
-        cached = topology_preset(name, scenario, 220_000.0, calibration)
-        assert preset_shape.cache_info().hits == 2
-        assert cached.nodes == fresh.nodes and cached.nodes is not fresh.nodes
-        assert cached.links == fresh.links
-        # the other cell's edge server did not leak into the shared shape
-        assert [(node.layer, node.mips) for node in other.nodes if node.mips > 100_000] == [
-            (NodeLayer.EDGE_SERVER, 620_000.0), (NodeLayer.CLOUD, 1e6)]
-        assert [node.mips for node in fresh.nodes if node.mips > 100_000] == [220_000.0, 1e6]
+        fresh = preset_shape(name, scenario.users, calibration)
+        inputs = {mips: build_kernel_inputs(RunParams(scenario, name, mips, seed=1,
+                                                      duration_s=1.0, calibration=calibration),
+                                            collect_trace=False)
+                  for mips in (220_000.0, 620_000.0)}
+        cached = preset_shape(name, scenario.users, calibration)
+        assert preset_shape.cache_info().hits == 3
+        assert cached is fresh
+        assert preset_shape.__wrapped__(name, scenario.users, calibration) == fresh
+        # each cell's edge server is its own; the shared shape keeps none
+        assert [run.mips_per_core[21] for run in inputs.values()] == [220_000.0, 620_000.0]
+        assert fresh.columns["mips_per_core"][21:].tolist() == [0.0, 1e6]
 
 
 def test_bad_shapes_raise_on_every_call():
-    # lru_cache does not cache exceptions, and the edge server's node is
-    # checked per call, after its shape is cached
+    # lru_cache does not cache exceptions, and the edge server's MIPS is
+    # checked per run, after its shape is cached
     scenario = scenario_preset("e-health")
-    bad = replace(DEFAULT_CALIBRATION, fiber_bandwidth_bps=0)
     for _ in range(2):
-        with pytest.raises(ConfigurationError, match="fiber link needs bandwidth > 0"):
-            topology_preset("genio", scenario, 220_000.0, bad)
-        topology_preset("genio", scenario, 220_000.0)
-        for mips in (0.0, -1.0):
-            with pytest.raises(ConfigurationError, match="n0021-edge: mips must be > 0"):
-                topology_preset("genio", scenario, mips)
+        with pytest.raises(ConfigurationError, match="fiber_bandwidth_bps must be > 0"):
+            replace(DEFAULT_CALIBRATION, fiber_bandwidth_bps=0)
+        with pytest.raises(ConfigurationError, match="unknown topology preset 'mesh'"):
+            preset_shape("mesh", scenario.users, DEFAULT_CALIBRATION)
+        params = RunParams(scenario, "genio", 220_000.0, seed=1, duration_s=1.0)
+        build_kernel_inputs(params, collect_trace=False)
+        for mips in (0.0, -1.0, math.nan):
+            with pytest.raises(ConfigurationError, match="cpu_mips must be > 0"):
+                replace(params, cpu_mips=mips)
 
 
 @pytest.mark.parametrize("scenario", ["smart-city", "aigc"])
 def test_cached_route_columns_equal_freshly_built_ones(scenario):
-    shape_columns = ("candidate_nodes", "link_bandwidth", "link_hop_delay", "route_start",
-                     "route_hops", "up_route")
+    shape_columns = ("cores", "weight", "ram_capacity", "storage_capacity", "candidate_nodes",
+                     "link_bandwidth", "link_hop_delay", "route_start", "route_hops", "up_route")
     for far_edge, name in itertools.product((False, True), ("genio", "baseline")):
         params = RunParams(scenario=scenario_preset(scenario), topology=name,
                            cpu_mips=300_000.0, seed=1, duration_s=1.0,
                            calibration=replace(DEFAULT_CALIBRATION,
                                                far_edge_execution=far_edge))
-        inputs = [build_kernel_inputs(replace(params, cpu_mips=mips),
-                                      topology_preset(name, params.scenario, mips,
-                                                      params.calibration), False)
+        inputs = [build_kernel_inputs(replace(params, cpu_mips=mips), False)
                   for mips in (300_000.0, 800_000.0)]
         preset_shape.cache_clear()
-        fresh = _shape_inputs.__wrapped__(name, params.scenario.users, params.calibration)
+        fresh = preset_shape.__wrapped__(name, params.scenario.users, params.calibration)
         for column in shape_columns:
             assert getattr(inputs[0], column) is getattr(inputs[1], column)  # shared
-            assert getattr(inputs[0], column) == fresh[column], (far_edge, name, column)
-        assert len(fresh["candidate_nodes"]) == (2 + 1 + params.scenario.users if far_edge else 2)
+            assert getattr(inputs[0], column) == fresh.columns[column], (far_edge, name, column)
+        edge = 2 * params.scenario.users + 1
+        for run, mips in zip(inputs, (300_000.0, 800_000.0)):  # each run's own copy
+            assert run.mips_per_core is not fresh.columns["mips_per_core"]
+            assert run.mips_per_core[edge] == mips
+            assert run.mips_per_core[:edge] + run.mips_per_core[edge + 1:] == (
+                fresh.columns["mips_per_core"][:edge] + fresh.columns["mips_per_core"][edge + 1:])
+        assert len(fresh.columns["candidate_nodes"]) == (
+            2 + 1 + params.scenario.users if far_edge else 2)
 
 
 @pytest.mark.parametrize("backend", ["python", pytest.param("c", marks=needs_c)])

@@ -229,6 +229,39 @@ def test_names_that_are_not_a_cell_of_their_own_exit_2(tmp_path, capsys, command
     assert list(tmp_path.iterdir()) == [config]
 
 
+CALIBRATED = ('{"scenario": "e-health", "cpus": [220000], "seeds": [1], "duration": 5, '
+              '"calibration": {"%s": %s}}')
+
+
+# each calibration value of the wrong type or out of range, and each custom
+# scenario that cannot be one; every one names its key
+@pytest.mark.parametrize("key,document", [
+    *((key, CALIBRATED % (key, value)) for key, value in (
+        ("edge_cores", "1.5"), ("edge_ram_mb", '"big"'), ("pon_length_m", "NaN"),
+        ("cloud_weight", "-1"), ("control_plane_delay_s", "-1"), ("task_ram_mb", "-1"),
+        ("wan_fixed_latency_s", "NaN"), ("fiber_bandwidth_bps", "Infinity"),
+        ("edge_cores", "true"), ("far_edge_execution", '"no"'), ("edge_cores", "0"),
+        ("cloud_mips", "0"))),
+    ("users", _custom("lab").replace('"users": 2', '"users": 2.5')),
+    ("rate_per_min", _custom("lab").replace('"rate_per_min": 30', '"rate_per_min": "30"')),
+    ("'lab' is defined twice", _custom("lab").replace(
+        '"result_kb": 5}', '"result_kb": 5}, {"name": "lab", "users": 9, "rate_per_min": 600, '
+                           '"deadline_s": 0.1, "length_mi": 800, "request_kb": 20, '
+                           '"result_kb": 5}')),
+], ids=["cores-fraction", "ram-text", "length-nan", "weight-negative", "control-negative",
+        "footprint-negative", "latency-nan", "bandwidth-infinity", "cores-bool",
+        "far-edge-text", "cores-zero", "cloud-mips-zero", "users-fraction", "rate-text",
+        "scenario-twice"])
+def test_bad_calibration_and_scenarios_exit_2(tmp_path, capsys, key, document):
+    config = tmp_path / "exp.json"
+    config.write_text(document)
+    assert main(["run", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+    assert key in err
+    assert list(tmp_path.iterdir()) == [config]
+
+
 def test_distinct_mips_get_distinct_cells_and_labels(tmp_path):
     config = tmp_path / "exp.json"
     config.write_text('{"scenario": "aigc", "topology": "genio", '
@@ -471,6 +504,27 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.json"),
                  "--out-dir", str(tmp_path)]) == 2
     assert "not found" in capsys.readouterr().err
+
+
+def test_compare_config_compares_the_documents_scenarios(tmp_path, capsys):
+    scenario = {"users": 2, "rate_per_min": 30, "deadline_s": 0.1, "length_mi": 800,
+                "request_kb": 20, "result_kb": 5}
+    config = tmp_path / "exp.json"
+    config.write_text(json.dumps({
+        "scenario": ["lab", "office"], "cpus": [220000], "seeds": [1], "duration": 20,
+        "custom_scenarios": [dict(scenario, name="lab"),
+                             dict(scenario, name="office", users=3)]}))
+    out = tmp_path / "out"
+    assert main(["compare", "--config", str(config), "--out-dir", str(out), "--jobs", "1"]) == 0
+    stdout = capsys.readouterr().out
+    assert "lab: average latency reduction" in stdout
+    assert "office: average latency reduction" in stdout
+    with open(out / "comparison.csv", newline="") as fh:
+        assert [row.split(",")[0] for row in fh.read().splitlines()[1:]] == ["lab", "office"]
+    for name, users in (("lab", 2), ("office", 3)):
+        config_json = json.loads((out / name / "genio" / "220000" / "1" / "config.json")
+                                 .read_text())
+        assert config_json["scenario"]["users"] == users
 
 
 def test_compare_rejects_missing_selection(capsys):

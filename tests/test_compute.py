@@ -1,14 +1,16 @@
 """MIPS execution math, per-core FIFO, and admission, through kernel runs."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from ponedge._kernel import pykernel
 from ponedge._kernel.pykernel import PH_DELIVERED, PH_NO_PLACEMENT
-from ponedge.compute import (DEFAULT_TASK_RAM_MB, DEFAULT_TASK_STORAGE_MB,
-                             NodeLayer, NodeSpec)
+from ponedge.config import DEFAULT_CALIBRATION, Calibration
 from ponedge.network import ConfigurationError
+from ponedge.simulation import RunParams, build_kernel_inputs
+from ponedge.workload import scenario_preset
 
 from kernel_inputs import kernel_inputs
 
@@ -50,16 +52,25 @@ def test_least_available_core_with_tie_to_lowest_index():
 
 
 def test_mips_per_core():
-    spec = NodeSpec("x", NodeLayer.EDGE_SERVER, 300_000, cores=4)
-    assert spec.mips_per_core == 75_000
-    with pytest.raises(ConfigurationError):
-        NodeSpec("x", NodeLayer.EDGE_SERVER, 300_000, cores=0)
-    with pytest.raises(ConfigurationError):
-        NodeSpec("x", NodeLayer.EDGE_SERVER, 0.0)
+    # a chip's MIPS is shared evenly by its cores; e-health's edge server and
+    # cloud are nodes 21 and 22
+    params = RunParams(scenario=scenario_preset("e-health"), topology="genio",
+                       cpu_mips=300_000.0, seed=1, duration_s=1.0,
+                       calibration=Calibration(edge_cores=4, cloud_cores=2))
+    inputs = build_kernel_inputs(params, collect_trace=False)
+    assert inputs.mips_per_core[21:].tolist() == [75_000.0, 500_000.0]
+    assert inputs.cores[21:].tolist() == [4, 2]
+    with pytest.raises(ConfigurationError, match="edge_cores must be > 0"):
+        Calibration(edge_cores=0)
+    with pytest.raises(ConfigurationError, match="cloud_mips must be > 0"):
+        Calibration(cloud_mips=0.0)
+    with pytest.raises(ConfigurationError, match="cpu_mips must be > 0"):
+        replace(params, cpu_mips=0.0)
 
 
 def test_admission_default_footprint_always_fits_edge_sizing():
-    for footprint in ((DEFAULT_TASK_RAM_MB, DEFAULT_TASK_STORAGE_MB), (0.0, 0.0)):
+    for footprint in ((DEFAULT_CALIBRATION.task_ram_mb, DEFAULT_CALIBRATION.task_storage_mb),
+                      (0.0, 0.0)):
         out = edge_run(43_000, [0.0] * 50, 500.0, ram_capacity=[32_768.0],
                        storage_capacity=[1_048_576.0], task_ram_mb=footprint[0],
                        task_storage_mb=footprint[1])

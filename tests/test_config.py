@@ -1,14 +1,15 @@
 """CPU grids, topology presets, and strict experiment parsing."""
 
 import json
+import math
 from dataclasses import replace
 
 import pytest
 
-from ponedge.compute import NodeLayer
 from ponedge.config import (Calibration, DEFAULT_CALIBRATION, cpu_grid, cpu_label,
-                            parse_experiment, parse_seeds, topology_preset)
-from ponedge.network import ConfigurationError, LinkKind
+                            parse_experiment, parse_seeds, preset_shape)
+from ponedge.network import ConfigurationError
+from ponedge.simulation import RunParams, build_kernel_inputs
 from ponedge.workload import scenario_preset
 
 
@@ -56,56 +57,58 @@ def test_cpu_label_fallback():
     assert cpu_label(123_456.0) == "custom-123456"
 
 
+def _shape(preset, scenario):
+    return preset_shape(preset, scenario_preset(scenario).users, DEFAULT_CALIBRATION)
+
+
 def test_genio_topology_counts_smart_city():
-    topo = topology_preset("genio", scenario_preset("smart-city"), 43_000)
-    assert len(topo.nodes) == 259  # 128 devices + 128 ONUs + OLT + edge + cloud
-    assert len(topo.links) == 258  # a tree has nodes-1 links
-    layers = [n.layer for n in topo.nodes]
-    assert layers.count(NodeLayer.FAR_EDGE_DEVICE) == 128
-    assert layers.count(NodeLayer.EDGE_SERVER) == 1
-    assert layers.count(NodeLayer.CLOUD) == 1
+    shape = _shape("genio", "smart-city")
+    assert len(shape.node_ids) == 259  # 128 devices + 128 ONUs + OLT + edge + cloud
+    assert len(shape.columns["link_bandwidth"]) == 258  # a tree has nodes-1 links
+    for kind, count in (("-dev", 128), ("-onu", 128), ("-olt", 1), ("-edge", 1), ("-cloud", 1)):
+        assert sum(node_id.endswith(kind) for node_id in shape.node_ids) == count
+    assert all(len(column) == 259 for name, column in shape.columns.items()
+               if name in ("mips_per_core", "cores", "weight", "ram_capacity",
+                           "storage_capacity"))
 
 
 def test_genio_links_olt_edge_local_and_cloud_50km():
-    topo = topology_preset("genio", scenario_preset("e-health"), 220_000)
-    olt_edge = [l for l in topo.links if l.b == "n0021-edge"]
-    assert len(olt_edge) == 1 and olt_edge[0].spec.kind is LinkKind.LOCAL
-    edge_cloud = [l for l in topo.links if l.b == "n0022-cloud"]
-    assert len(edge_cloud) == 1
-    assert edge_cloud[0].spec.kind is LinkKind.WAN
-    assert edge_cloud[0].spec.length_m == 50_000.0
+    columns = _shape("genio", "e-health").columns  # link 20: OLT-edge, 21: edge-cloud
+    assert (columns["link_bandwidth"][20], columns["link_hop_delay"][20]) == (math.inf, 0.0)
+    assert columns["link_bandwidth"][21] == 1e9
+    assert columns["link_hop_delay"][21] == 50_000.0 / 2.0e8 + 10e-3
 
 
 def test_baseline_swaps_olt_edge_hop_to_wan_100m():
-    topo = topology_preset("baseline", scenario_preset("e-health"), 220_000)
-    olt_edge = [l for l in topo.links if l.b == "n0021-edge"][0]
-    assert olt_edge.spec.kind is LinkKind.WAN
-    assert olt_edge.spec.length_m == 100.0
-    assert olt_edge.spec.fixed_latency_s == DEFAULT_CALIBRATION.wan_fixed_latency_s
+    columns = _shape("baseline", "e-health").columns
+    assert columns["link_bandwidth"][20] == DEFAULT_CALIBRATION.wan_bandwidth_bps
+    assert columns["link_hop_delay"][20] == (100.0 / 2.0e8
+                                             + DEFAULT_CALIBRATION.wan_fixed_latency_s)
 
 
 def test_fiber_defaults_1gbps_100m():
-    topo = topology_preset("genio", scenario_preset("e-health"), 220_000)
-    fibers = [l for l in topo.links if l.spec.kind is LinkKind.FIBER]
-    assert len(fibers) == 10
-    assert all(l.spec.bandwidth_bps == 1e9 and l.spec.length_m == 100.0 for l in fibers)
+    columns = _shape("genio", "e-health").columns  # links 10..19: the ONUs' fibers
+    assert columns["link_bandwidth"][10:20].tolist() == [1e9] * 10
+    assert columns["link_hop_delay"][10:20].tolist() == [100.0 / 2.0e8] * 10
+    assert columns["link_bandwidth"][:10].tolist() == [math.inf] * 10  # device-ONU: Local
 
 
 def test_edge_node_sizing_and_cpu():
-    topo = topology_preset("genio", scenario_preset("e-health"), 220_000)
-    nodes = {node.id: node for node in topo.nodes}
-    edge = nodes["n0021-edge"]
-    assert edge.mips == 220_000
-    assert edge.ram_mb == 32_768.0  # 32 GB
-    assert edge.storage_mb == 1_048_576.0  # 1 TB
-    cloud = nodes["n0022-cloud"]
-    assert cloud.mips == 1_000_000.0
-    assert cloud.layer is NodeLayer.CLOUD
+    params = RunParams(scenario=scenario_preset("e-health"), topology="genio",
+                       cpu_mips=220_000.0, seed=1, duration_s=1.0)
+    inputs = build_kernel_inputs(params, collect_trace=False)
+    node_ids = _shape("genio", "e-health").node_ids
+    edge, cloud = node_ids.index("n0021-edge"), node_ids.index("n0022-cloud")
+    assert inputs.mips_per_core[edge] == 220_000
+    assert inputs.ram_capacity[edge] == 32_768.0  # 32 GB
+    assert inputs.storage_capacity[edge] == 1_048_576.0  # 1 TB
+    assert inputs.mips_per_core[cloud] == 1_000_000.0
+    assert inputs.weight[cloud] == DEFAULT_CALIBRATION.cloud_weight
 
 
 def test_unknown_preset_name():
     with pytest.raises(ConfigurationError):
-        topology_preset("mesh", scenario_preset("e-health"), 220_000)
+        preset_shape("mesh", 10, DEFAULT_CALIBRATION)
 
 
 def test_parse_minimal_document_gets_defaults():

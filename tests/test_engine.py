@@ -11,7 +11,7 @@ from ponedge._kernel.pykernel import (PH_DELIVERED, PH_PENDING, PH_RUNNING,
                                       TR_EXECUTION_START, TR_RESULT_DELIVERED,
                                       TR_SIMULATION_END, TR_TASK_ARRIVAL,
                                       TR_TRANSFER_COMPLETE)
-from ponedge.config import topology_preset
+from ponedge.config import DEFAULT_CALIBRATION, preset_shape
 from ponedge.engine import SimulationError, Stream
 from ponedge.simulation import write_trace
 from ponedge.workload import scenario_preset
@@ -135,8 +135,9 @@ def test_event_payload_kinds_are_closed():
 
 def test_trace_line_format_and_file_bytes():
     # one kernel trace entry of each kind: (time, seq, kind, task, extra)
-    topo = topology_preset("genio", scenario_preset("smart-city"), 43_000.0)
-    edge = [node.id for node in topo.nodes].index("n0257-edge")
+    node_ids = preset_shape("genio", scenario_preset("smart-city").users,
+                            DEFAULT_CALIBRATION).node_ids
+    edge = node_ids.index("n0257-edge")
     rows = [
         (1.5, 3, TR_TASK_ARRIVAL, 0, 7),
         (0.1 + 0.2, 4, TR_TRANSFER_COMPLETE, 0, 0),
@@ -147,7 +148,7 @@ def test_trace_line_format_and_file_bytes():
         (600.0, 0, TR_SIMULATION_END, -1, -1),
     ]
     sink = io.BytesIO()
-    write_trace(sink, topo, pykernel.Trace(*zip(*rows)))
+    write_trace(sink, node_ids, pykernel.Trace(*zip(*rows)))
     assert sink.getvalue() == (
         b"1.5\t3\tTaskArrival\ttask=t0 src=n0007-dev\n"
         b"0.30000000000000004\t4\tTransferComplete\ttask=t0 leg=up\n"

@@ -1,6 +1,7 @@
 """Link math, the preset routes against a tree walk, and the fair-share transfer
 model against a fluid oracle."""
 
+import itertools
 import math
 import random
 from dataclasses import replace
@@ -9,39 +10,44 @@ import pytest
 
 from ponedge._kernel import pykernel
 from ponedge._kernel.pykernel import STRATEGY_ROUND_ROBIN
-from ponedge.compute import NodeLayer
-from ponedge.config import DEFAULT_CALIBRATION, _shape_inputs, preset_shape, topology_preset
-from ponedge.network import BITS_PER_KB, ConfigurationError, LinkKind, LinkSpec
+from ponedge.config import DEFAULT_CALIBRATION, Calibration, preset_shape
+from ponedge.network import BITS_PER_KB, ConfigurationError
 from ponedge.workload import scenario_preset
 
 from kernel_inputs import kernel_inputs
-from tree_oracles import route_between, transfer_schedule, tree, walked_route_columns
+from tree_oracles import preset_tree, route_between, transfer_schedule, tree, walked_shape
 
-FIBER = LinkSpec(LinkKind.FIBER, 1e9, 100.0, 0.0)
-WAN_50KM = LinkSpec(LinkKind.WAN, 1e9, 50_000.0, 10e-3)
-LOCAL = LinkSpec(LinkKind.LOCAL, 0.0, 0.0, 0.0)
+E_HEALTH_USERS = scenario_preset("e-health").users  # 10: the edge is node 21, the cloud 22
+
+
+def _link(preset, link):
+    """(bandwidth, hop delay) of one link of the default e-health shape."""
+    columns = preset_shape(preset, E_HEALTH_USERS, DEFAULT_CALIBRATION).columns
+    return columns["link_bandwidth"][link], columns["link_hop_delay"][link]
+
+
+FIBER = _link("genio", E_HEALTH_USERS)  # link u: ONU 0's fiber
+WAN_50KM = _link("genio", 2 * E_HEALTH_USERS + 1)  # link 2u + 1: edge server to cloud
 
 
 def test_single_transfer_time_fiber_1kb():
     # 8000 bits / 1 Gbps + 100 m / 2e8 m/s = 8e-6 + 5e-7
-    (done,) = drive_pool(FIBER.bandwidth_bps, [0.0], 1.0 * BITS_PER_KB, FIBER.hop_delay_s)
+    (done,) = drive_pool(FIBER[0], [0.0], 1.0 * BITS_PER_KB, FIBER[1])
     assert done == pytest.approx(8.5e-6, rel=1e-12)
 
 
 def test_single_transfer_time_empty_payload_wan():
     # propagation 2.5e-4 plus the 10 ms one-way latency
-    (done,) = drive_pool(WAN_50KM.bandwidth_bps, [0.0], 0.0, WAN_50KM.hop_delay_s)
+    (done,) = drive_pool(WAN_50KM[0], [0.0], 0.0, WAN_50KM[1])
     assert done == pytest.approx(1.025e-2, rel=1e-12)
 
 
 def test_local_links_cost_nothing():
     # a Local link has no delay, and no route crosses one
-    assert LOCAL.hop_delay_s == 0.0
     calibration = replace(DEFAULT_CALIBRATION, far_edge_execution=True)
     for preset in ("genio", "baseline"):
-        columns = _shape_inputs(preset, 10, calibration)
-        local = {link.id for link in preset_shape(preset, 10, calibration).links
-                 if link.spec.kind is LinkKind.LOCAL}
+        columns = preset_shape(preset, 10, calibration).columns
+        local = {link.id for link in preset_tree(preset, 10)[1] if link.kind == "local"}
         assert len(local) == 10 + (preset == "genio")
         for link in local:
             assert columns["link_bandwidth"][link] == math.inf
@@ -50,91 +56,108 @@ def test_local_links_cost_nothing():
 
 
 def test_link_invariants():
-    with pytest.raises(ConfigurationError):
-        LinkSpec(LinkKind.FIBER, 0.0, 100.0, 0.0)
-    with pytest.raises(ConfigurationError):
-        LinkSpec(LinkKind.WAN, 1e9, -1.0, 0.0)
+    for field in ("fiber_bandwidth_bps", "wan_bandwidth_bps"):
+        with pytest.raises(ConfigurationError, match=f"calibration: {field} must be > 0"):
+            Calibration(**{field: 0.0})
+    for field in ("pon_length_m", "edge_cloud_length_m", "baseline_olt_edge_length_m",
+                  "fiber_fixed_latency_s", "wan_fixed_latency_s"):
+        with pytest.raises(ConfigurationError, match=f"calibration: {field} must be >= 0"):
+            Calibration(**{field: -1.0})
+        assert preset_shape("baseline", 2, Calibration(**{field: 0})).columns
 
 
 # Around 2u + 2 = 9999 the node ids grow a digit and their sort order, the
-# candidate order, leaves the index order. A far-edge walk visits every ONU
-# from every device, so it stops at 128 users.
-WALKED_USERS = [(users, False) for users in (1, 2, 3, 10, 20, 50, 128, 4998, 5000, 6000)] + [
-    (users, True) for users in (1, 2, 3, 10, 20, 50, 128)]
+# candidate order, leaves the index order: at 4999 users the cloud,
+# n10000-cloud, sorts before the edge server, n9999-edge. A far-edge walk
+# visits every ONU from every device, so it stops at 128 users.
+WALKED_USERS = [(users, False) for users in (1, 2, 3, 10, 20, 50, 128, 4998, 4999, 5000, 6000)
+                ] + [(users, True) for users in (1, 2, 3, 10, 20, 50, 128)]
+# every tunable of the shape its own value, so that a column reading the
+# wrong one shows
+DISTINCT = Calibration(
+    fiber_bandwidth_bps=2.5e9, fiber_fixed_latency_s=1e-5, wan_bandwidth_bps=3e8,
+    wan_fixed_latency_s=0.02, pon_length_m=123.0, edge_cloud_length_m=70_000.0,
+    baseline_olt_edge_length_m=250.0, cloud_mips=3e6, device_mips=1_500.0, onu_mips=2_500.0,
+    edge_cores=3, cloud_cores=4, edge_ram_mb=50_000.0, edge_storage_mb=2e6,
+    small_node_ram_mb=512.0, small_node_storage_mb=8_192.0, edge_weight=0.7, cloud_weight=3.0,
+    far_edge_weight=2.5)
 
 
 @pytest.mark.parametrize("preset", ["genio", "baseline"])
 def test_closed_form_routes_equal_the_tree_walk(preset):
-    for users, far_edge in WALKED_USERS:
-        calibration = replace(DEFAULT_CALIBRATION, far_edge_execution=far_edge)
-        shape = preset_shape(preset, users, calibration)
-        # a connected tree with one cloud, each device attached to its ONU by
-        # one Local link
-        assert len(shape.links) == len(shape.nodes) - 1
-        parents = tree(shape)
+    # every shape column and node id of the closed form against the oracle's
+    for (users, far_edge), base in itertools.product(WALKED_USERS,
+                                                     (DEFAULT_CALIBRATION, DISTINCT)):
+        calibration = replace(base, far_edge_execution=far_edge)
+        # the oracle's tree: connected, with one cloud, each device attached
+        # to its ONU by one Local link
+        nodes, links = preset_tree(preset, users)
+        assert len(links) == len(nodes) - 1
+        layers = dict(nodes)
+        parents = tree(list(layers), links)
         assert [parent for parent, _, _ in parents.values()].count("") == 1
-        layers = {node.id: node.layer for node in shape.nodes}
-        assert list(layers.values()).count(NodeLayer.CLOUD) == 1
+        assert list(layers.values()).count("cloud") == 1
         attached = {node_id: [] for node_id in layers}
-        for link in shape.links:
+        for link in links:
             attached[link.a].append((link.b, link))
             attached[link.b].append((link.a, link))
-        assert list(layers.values()).count(NodeLayer.FAR_EDGE_DEVICE) == users
+        assert list(layers.values()).count("device") == users
         for node_id, layer in layers.items():
-            if layer is NodeLayer.FAR_EDGE_DEVICE:
+            if layer == "device":
                 ((other, link),) = attached[node_id]
-                assert link.spec.kind is LinkKind.LOCAL and layers[other] is NodeLayer.ONU
+                assert link.kind == "local" and layers[other] == "onu"
 
-        columns = _shape_inputs.__wrapped__(preset, users, calibration)
-        walked = walked_route_columns(preset, users, calibration)
+        shape = preset_shape.__wrapped__(preset, users, calibration)
+        node_ids, walked = walked_shape(preset, users, calibration)
+        assert list(shape.node_ids) == node_ids
+        assert shape.columns.keys() == walked.keys()
         for name, column in walked.items():
-            assert columns[name] == column, (users, far_edge, name)
-        assert len(columns["candidate_nodes"]) == (2 + 1 + users if far_edge else 2)
+            assert shape.columns[name] == column, (users, far_edge, name)
+        assert len(shape.columns["candidate_nodes"]) == (2 + 1 + users if far_edge else 2)
 
 
-def _kinds(topo, route):
-    links = {link.id: link for link in topo.links}
-    return [links[hop.link_id].spec.kind for hop in route]
+def _route(preset, device, node_id):
+    """The hops of a device's route to a candidate in the default e-health shape."""
+    shape = preset_shape(preset, E_HEALTH_USERS, DEFAULT_CALIBRATION)
+    columns = shape.columns
+    slots = [shape.node_ids[node] for node in columns["candidate_nodes"]]
+    route = columns["up_route"][device * len(slots) + slots.index(node_id)]
+    return columns["route_hops"][columns["route_start"][route]:
+                                 columns["route_start"][route + 1]].tolist()
 
 
 def test_route_device_to_edge_genio():
-    topo = topology_preset("genio", scenario_preset("e-health"), 220_000)
-    route = route_between(topo, "n0000-dev", "n0021-edge")
-    assert _kinds(topo, route) == [LinkKind.LOCAL, LinkKind.FIBER, LinkKind.LOCAL]
+    # up ONU 0's fiber (link 10); the OLT reaches the edge server by a Local link
+    assert _route("genio", 0, "n0021-edge") == [2 * 10]
 
 
 def test_route_device_to_cloud_genio_appends_wan():
-    topo = topology_preset("genio", scenario_preset("e-health"), 220_000)
-    route = route_between(topo, "n0000-dev", "n0022-cloud")
-    assert _kinds(topo, route) == [
-        LinkKind.LOCAL, LinkKind.FIBER, LinkKind.LOCAL, LinkKind.WAN,
-    ]
+    assert _route("genio", 0, "n0022-cloud") == [2 * 10, 2 * 21]
+    assert WAN_50KM == (1e9, 50_000.0 / 2.0e8 + 10e-3)
 
 
 def test_route_device_to_edge_baseline_crosses_wan():
-    topo = topology_preset("baseline", scenario_preset("e-health"), 220_000)
-    route = route_between(topo, "n0000-dev", "n0021-edge")
-    kinds = _kinds(topo, route)
-    assert kinds == [LinkKind.LOCAL, LinkKind.FIBER, LinkKind.WAN]
-    links = {link.id: link for link in topo.links}
-    assert links[route[-1].link_id].spec.length_m == 100.0
+    # the fiber, then the 100 m WAN hop of link 20
+    assert _route("baseline", 3, "n0021-edge") == [2 * 13, 2 * 20]
+    assert _link("baseline", 20) == (1e9, 100.0 / 2.0e8 + DEFAULT_CALIBRATION.wan_fixed_latency_s)
 
 
 def test_route_symmetry():
-    topo = topology_preset("genio", scenario_preset("e-health"), 220_000)
-    fwd = route_between(topo, "n0003-dev", "n0022-cloud")
-    rev = route_between(topo, "n0022-cloud", "n0003-dev")
+    nodes, links = preset_tree("genio", E_HEALTH_USERS)
+    parents = tree([node_id for node_id, _ in nodes], links)
+    fwd = route_between(parents, "n0003-dev", "n0022-cloud")
+    rev = route_between(parents, "n0022-cloud", "n0003-dev")
     assert [h.link_id for h in rev] == [h.link_id for h in fwd][::-1]
     assert [h.head for h in rev] == [h.tail for h in fwd][::-1]
 
 
 def test_route_is_the_tree_path_between_any_two_nodes():
-    topo = topology_preset("baseline", scenario_preset("e-health"), 220_000)
-    links = {link.id: link for link in topo.links}
-    ids = [node.id for node in topo.nodes]
+    nodes, links = preset_tree("baseline", E_HEALTH_USERS)
+    ids = [node_id for node_id, _ in nodes]
+    parents = tree(ids, links)
     for src in ids:
         for dst in ids:
-            route = route_between(topo, src, dst)
+            route = route_between(parents, src, dst)
             at = src
             for hop in route:
                 link = links[hop.link_id]
@@ -164,7 +187,7 @@ def drive_pool(bandwidth_bps, starts, size_bits, hop_const=0.0):
 def test_uncontended_transfer_matches_analytic_time():
     size_kb = 321.5
     start = 2.25
-    (completed,) = drive_pool(1e9, [start], size_kb * BITS_PER_KB, WAN_50KM.hop_delay_s)
+    (completed,) = drive_pool(1e9, [start], size_kb * BITS_PER_KB, WAN_50KM[1])
     # serialization, propagation over 50 km, and the fixed latency
     assert abs(completed - (start + size_kb * BITS_PER_KB / 1e9 + 50_000.0 / 2.0e8 + 10e-3)) < 1e-12
 

@@ -3,20 +3,20 @@ and the candidate set."""
 
 from ponedge._kernel import pykernel
 from ponedge._kernel.pykernel import PH_NO_PLACEMENT, STRATEGY_ROUND_ROBIN, STRATEGY_TRADE_OFF
-from ponedge.compute import NodeLayer, NodeSpec
-from ponedge.config import eligible_nodes, topology_preset
+from dataclasses import replace
+
+from ponedge.config import DEFAULT_CALIBRATION, preset_shape
 from ponedge.simulation import RunParams, build_kernel_inputs
 from ponedge.workload import scenario_preset
 
 from kernel_inputs import candidate_inputs, kernel_inputs
 
-SPECS = [
-    NodeSpec("n1-dev", NodeLayer.FAR_EDGE_DEVICE, 5000.0),
-    NodeSpec("n2-onu", NodeLayer.ONU, 5000.0),
-    NodeSpec("n3-edge", NodeLayer.EDGE_SERVER, 220_000.0),
-    NodeSpec("n4-cloud", NodeLayer.CLOUD, 1_000_000.0),
-    NodeSpec("n5-edge", NodeLayer.EDGE_SERVER, 80_000.0, ram_mb=0.5),
-]
+FAR_EDGE = replace(DEFAULT_CALIBRATION, far_edge_execution=True)
+
+
+def candidate_ids(preset, users, calibration):
+    shape = preset_shape(preset, users, calibration)
+    return [shape.node_ids[node] for node in shape.columns["candidate_nodes"]]
 
 
 def place(mips, tasks=1, **fields):
@@ -28,17 +28,19 @@ def place(mips, tasks=1, **fields):
 def test_preset_eligible_layers():
     scenario = scenario_preset("smart-city")
     for topology in ("genio", "baseline"):
-        topo = topology_preset(topology, scenario, 43_000.0)
         params = RunParams(scenario=scenario, topology=topology, cpu_mips=43_000.0, seed=1,
                            duration_s=1.0)
-        inputs = build_kernel_inputs(params, topo, collect_trace=False)
-        layers = {topo.nodes[node].layer for node in inputs.candidate_nodes}
-        assert layers == {NodeLayer.EDGE_SERVER, NodeLayer.CLOUD}
+        inputs = build_kernel_inputs(params, collect_trace=False)
+        node_ids = preset_shape(topology, scenario.users, DEFAULT_CALIBRATION).node_ids
+        assert [node_ids[node] for node in inputs.candidate_nodes] == ["n0257-edge",
+                                                                       "n0258-cloud"]
 
 
 def test_far_edge_flag_adds_onu_layer():
-    assert "n2-onu" not in eligible_nodes(SPECS, far_edge_execution=False)
-    assert "n2-onu" in eligible_nodes(SPECS, far_edge_execution=True)
+    assert candidate_ids("genio", 2, DEFAULT_CALIBRATION) == ["n0005-edge", "n0006-cloud"]
+    # the ONUs and the OLT, which forwards for them
+    assert candidate_ids("genio", 2, FAR_EDGE) == ["n0002-onu", "n0003-onu", "n0004-olt",
+                                                  "n0005-edge", "n0006-cloud"]
 
 
 def test_trade_off_prefers_faster_idle_edge():
@@ -87,28 +89,29 @@ def test_round_robin_skips_unadmitted_and_continues():
 
 
 def test_candidates_filters_layer_and_admission():
-    # n5-edge has no room for the 1 MB footprint, so round-robin placement
-    # in the kernel skips it and cycles over the other eligible nodes
-    index = {spec.id: idx for idx, spec in enumerate(SPECS)}
+    # an edge server with no room for the 1 MB footprint: round-robin
+    # placement in the kernel skips it and cycles over the other candidates
+    def placed(calibration):
+        params = RunParams(scenario=scenario_preset("e-health"), topology="genio",
+                           cpu_mips=220_000.0, seed=1, duration_s=1.0, calibration=calibration)
+        inputs = build_kernel_inputs(params, collect_trace=False)
+        node_ids = preset_shape("genio", 10, calibration).node_ids
+        out = pykernel.run(kernel_inputs(**{
+            name: getattr(inputs, name).tolist() for name in (
+                "mips_per_core", "cores", "weight", "ram_capacity", "storage_capacity",
+                "candidate_nodes")},
+            up_route=[[0] * len(inputs.candidate_nodes)], arrival_time=[0.0] * 40,
+            length_mi=1000.0, strategy=STRATEGY_ROUND_ROBIN))
+        return {node_ids[node] for node in out.node_of}
 
-    def placed(far_edge_execution):
-        candidates = [index[node_id] for node_id in eligible_nodes(SPECS, far_edge_execution)]
-        out = pykernel.run(kernel_inputs(
-            mips_per_core=[spec.mips_per_core for spec in SPECS], cores=[1] * 5,
-            weight=[1.0] * 5, ram_capacity=[spec.ram_mb for spec in SPECS],
-            storage_capacity=[spec.storage_mb for spec in SPECS],
-            candidate_nodes=candidates, up_route=[[0] * len(candidates)],
-            arrival_time=[0.0] * 20, length_mi=1000.0, strategy=STRATEGY_ROUND_ROBIN))
-        return {SPECS[node].id for node in out.node_of}
-
-    assert eligible_nodes(SPECS, False) == ["n3-edge", "n4-cloud", "n5-edge"]
-    assert placed(False) == {"n3-edge", "n4-cloud"}
-    assert placed(True) == {"n2-onu", "n3-edge", "n4-cloud"}
+    assert placed(DEFAULT_CALIBRATION) == {"n0021-edge", "n0022-cloud"}
+    assert placed(replace(DEFAULT_CALIBRATION, edge_ram_mb=0.5)) == {"n0022-cloud"}
+    onus = {f"n{node:04d}-onu" for node in range(10, 20)}
+    assert placed(FAR_EDGE) == onus | {"n0020-olt", "n0021-edge", "n0022-cloud"}
+    assert placed(replace(FAR_EDGE, small_node_ram_mb=0.5)) == {"n0021-edge", "n0022-cloud"}
 
 
 def test_eligible_nodes_in_id_order():
-    specs = [
-        NodeSpec("n9-cloud", NodeLayer.CLOUD, 1e6),
-        NodeSpec("n1-edge", NodeLayer.EDGE_SERVER, 1e5),
-    ]
-    assert eligible_nodes(specs, False) == ["n1-edge", "n9-cloud"]
+    # at 4999 users the cloud, n10000-cloud, sorts before n9999-edge
+    assert candidate_ids("genio", 4998, DEFAULT_CALIBRATION) == ["n9997-edge", "n9998-cloud"]
+    assert candidate_ids("genio", 4999, DEFAULT_CALIBRATION) == ["n10000-cloud", "n9999-edge"]

@@ -11,11 +11,10 @@ import pytest
 from ponedge._kernel import pykernel
 from ponedge._kernel.pykernel import (PH_DOWN, PH_NO_PLACEMENT, TR_SIMULATION_END,
                                       TR_TASK_ARRIVAL, Trace)
-from ponedge.config import DEFAULT_CALIBRATION, topology_preset
+from ponedge.config import DEFAULT_CALIBRATION
 from ponedge.engine import SimulationError
 from ponedge.metrics import write_tasks_csv
-from ponedge.simulation import (TRACE_CHUNK, RunParams, _trace_lines, build_kernel_inputs,
-                                run_simulation, write_trace)
+from ponedge.simulation import TRACE_CHUNK, RunParams, _trace_lines, run_simulation, write_trace
 from ponedge.workload import ScenarioSpec, scenario_preset
 
 from trace_files import trace_digest
@@ -39,7 +38,7 @@ def test_single_task_runs_on_edge_with_analytic_latency():
     result = run_simulation(single_task_params())
     out = result.outputs
     assert len(result.inputs.arrival_time) == 1
-    assert result.topology.nodes[out.node_of[0]].id.endswith("-edge")
+    assert result.node_ids[out.node_of[0]].endswith("-edge")
     uplink = out.uplink_done[0] - result.inputs.arrival_time[0]
     execution = out.exec_end[0] - out.exec_start[0]
     downlink = out.delivered_at[0] - out.exec_end[0]
@@ -60,14 +59,14 @@ def test_trace_replay_hash_stable():
 
 
 def test_write_trace_streams_chunks():
-    topo = run_simulation(single_task_params()).topology
+    node_ids = run_simulation(single_task_params()).node_ids
     rows = [(0.5 * i, i + 1, TR_TASK_ARRIVAL, i, 0) for i in range(2 * TRACE_CHUNK + 5)]
     rows.append((1e4, 0, TR_SIMULATION_END, -1, -1))
     pieces = []
-    write_trace(SimpleNamespace(write=pieces.append), topo, Trace(*zip(*rows)))
+    write_trace(SimpleNamespace(write=pieces.append), node_ids, Trace(*zip(*rows)))
     assert len(pieces) == 3
     assert b"".join(pieces) == "".join(
-        line + "\n" for line in _trace_lines(topo, rows)).encode("ascii")
+        line + "\n" for line in _trace_lines(node_ids, rows)).encode("ascii")
     assert all(piece.endswith(b"\n") for piece in pieces)
 
 
@@ -80,7 +79,7 @@ def test_write_trace_holds_one_chunk_of_text():
     sink = SimpleNamespace(write=lambda data: sizes.append(len(data)))
     tracemalloc.start()
     try:
-        write_trace(sink, result.topology, result.outputs.trace)
+        write_trace(sink, result.node_ids, result.outputs.trace)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -100,7 +99,7 @@ def test_records_identical_across_repeats(tmp_path):
     for label, result in (("a", a), ("b", b)):
         path = tmp_path / f"{label}.csv"
         write_tasks_csv(path, result.inputs.arrival_time, result.outputs,
-                        [node.id for node in result.topology.nodes],
+                        result.node_ids,
                         deadline_s=params.scenario.deadline_s, scenario="e-health",
                         topology="baseline", cpu=params.cpu_name(), seed=2, backend="python")
         tasks.append(path.read_bytes())
@@ -111,7 +110,7 @@ def test_records_identical_across_repeats(tmp_path):
 def test_trace_lines_shape():
     result = run_simulation(single_task_params(), collect_trace=True)
     sink = io.BytesIO()
-    write_trace(sink, result.topology, result.outputs.trace)
+    write_trace(sink, result.node_ids, result.outputs.trace)
     text = sink.getvalue().decode("ascii")
     assert text.endswith("\n")
     lines = text.splitlines()
@@ -159,7 +158,7 @@ def test_run_invariants_reject_broken_columns():
     def check(**broken):
         return pykernel.post_run(result.inputs.arrival_time,
                                  *(broken.get(name, getattr(out, name)) for name in names),
-                                 30.0, len(result.topology.nodes))
+                                 30.0, len(result.node_ids))
 
     busy, latencies = check()
     assert (busy, latencies) == (out.busy.tolist(), out.latencies.tolist())
@@ -208,27 +207,29 @@ def test_strict_deadline_flag_gates_tsr():
 def test_far_edge_execution_adds_onu_candidates():
     params = single_task_params(
         calibration=replace(DEFAULT_CALIBRATION, far_edge_execution=True))
-    topo = topology_preset("genio", params.scenario, params.cpu_mips, params.calibration)
-    inputs = build_kernel_inputs(params, topo, collect_trace=False)
-    layers = [topo.nodes[i].layer.value for i in inputs.candidate_nodes]
-    assert "onu" in layers and "edge-server" in layers and "cloud" in layers
+    result = run_simulation(params)
+    kinds = [result.node_ids[i].split("-")[1] for i in result.inputs.candidate_nodes]
+    assert kinds == ["onu", "olt", "edge", "cloud"]
 
 
 def test_trade_off_default_sends_single_smart_city_task_to_edge():
     # edge-dominant default calibration: the 43k edge undercuts the weighted cloud
     result = run_simulation(single_task_params(strategy="trade-off"))
     (node,) = result.outputs.node_of
-    assert result.topology.nodes[node].id.endswith("-edge")
+    assert result.node_ids[node].endswith("-edge")
 
 
 def test_node_utilization_bounded():
+    # busy core-time per node within its core-time over the horizon
     params = RunParams(scenario=scenario_preset("aigc"), topology="genio",
-                       cpu_mips=700_000.0, seed=1, duration_s=90.0)
+                       cpu_mips=700_000.0, seed=1, duration_s=90.0,
+                       calibration=replace(DEFAULT_CALIBRATION, edge_cores=2))
     result = run_simulation(params)
-    utilization = dict(result.summary.node_utilization)
-    edge = [v for k, v in utilization.items() if k.endswith("-edge")]
-    assert edge and 0.0 < edge[0] <= 1.0
-    assert all(0.0 <= v <= 1.0 for v in utilization.values())
+    busy, cores = result.outputs.busy, result.inputs.cores
+    edge = result.node_ids.index("n0101-edge")
+    assert 0.0 < busy[edge] <= cores[edge] * params.duration_s
+    assert cores[edge] == 2 and busy[edge] > params.duration_s  # both cores worked
+    assert all(0.0 <= b <= n * params.duration_s for b, n in zip(busy, cores))
 
 
 def test_processed_event_count_positive_and_stable():

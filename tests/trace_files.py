@@ -10,5 +10,5 @@ def trace_digest(result) -> str:
     """SHA-256 of the trace file that write_trace produces for a traced run, on
     the path of the kernel that made it."""
     sink = io.BytesIO()
-    write_trace(sink, result.topology, result.outputs.trace, result.backend)
+    write_trace(sink, result.node_ids, result.outputs.trace, result.backend)
     return hashlib.sha256(sink.getvalue()).hexdigest()
