@@ -1,4 +1,4 @@
-"""Link math, the preset routes against a tree walk, and the fair-share transfer
+"""Link math, the preset shape columns against a tree walk, and the fair-share transfer
 model against a fluid oracle."""
 
 import itertools
