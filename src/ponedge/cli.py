@@ -21,6 +21,7 @@ from .workload import ARRIVAL_MODES, SCENARIOS
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a process it interrupted
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -34,7 +35,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", default=None,
                         help="JSON experiment document; explicit flags override it")
     parser.add_argument("--jobs", type=int, default=0,
-                        help="parallel worker processes (default: cpu count)")
+                        help="cells run at once: threads on the C kernel, worker "
+                             "processes on pure Python (default: cpu count)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -223,6 +225,9 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print("out of memory", *exc.args[:1], sep=": ", file=sys.stderr)
         return EXIT_RUNTIME
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -74,6 +74,8 @@ _MAY_BE_ZERO = frozenset({
     "fiber_fixed_latency_s", "wan_fixed_latency_s", "pon_length_m", "edge_cloud_length_m",
     "baseline_olt_edge_length_m", "task_ram_mb", "task_storage_mb", "control_plane_delay_s",
 })
+# The kernels hold core counts, the only integer fields, in a C int.
+MAX_CORES = 2**31 - 1
 
 
 @dataclass(frozen=True)
@@ -82,7 +84,7 @@ class Calibration:
 
     Each field must have the type of its default, an int for a float field
     included, and a number must be finite and greater than 0, or 0 or more
-    for the fields in _MAY_BE_ZERO.
+    for the fields in _MAY_BE_ZERO. Core counts are at most MAX_CORES.
     """
 
     fiber_bandwidth_bps: float = 1e9
@@ -119,8 +121,12 @@ class Calibration:
         for field in fields(self):
             value = getattr(self, field.name)
             if type(field.default) is not bool:
+                integer = type(field.default) is int
                 check_number(f"calibration: {field.name}", value,
-                             integer=type(field.default) is int, zero=field.name in _MAY_BE_ZERO)
+                             integer=integer, zero=field.name in _MAY_BE_ZERO)
+                if integer and value > MAX_CORES:
+                    raise ConfigurationError(
+                        f"calibration: {field.name} must be at most {MAX_CORES}")
             elif not isinstance(value, bool):
                 raise ConfigurationError(
                     f"calibration: {field.name} must be true or false, not {value!r}")
@@ -337,8 +343,12 @@ def parse_experiment(document: str) -> ExperimentSpec:
             if isinstance(entry, (int, float)) and not isinstance(entry, bool):
                 parsed.append((cpu_label(float(entry)), float(entry)))
             elif isinstance(entry, dict) and set(entry) <= {"label", "mips"} and "mips" in entry:
+                check_number("cpus: mips", entry["mips"])
                 mips = float(entry["mips"])
-                parsed.append((entry.get("label", cpu_label(mips)), mips))
+                label = entry.get("label", cpu_label(mips))
+                if not isinstance(label, str):
+                    raise ConfigurationError(f"cpus: label must be a string, not {label!r}")
+                parsed.append((label, mips))
             else:
                 raise ConfigurationError("cpus entries must be MIPS numbers or {label, mips}")
             if not 0 < parsed[-1][1] < math.inf:

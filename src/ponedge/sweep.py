@@ -17,9 +17,11 @@ import os
 import shutil
 from dataclasses import asdict, dataclass, fields
 
+from ._kernel import resolve_backend
 from .config import Calibration, DEFAULT_CALIBRATION, cpu_grid, mips_text
 from .metrics import (RunSummary, aggregate, format_number, read_summary_csv,
                       write_summary_csv, write_tasks_csv)
+from .network import ConfigurationError
 from .simulation import RunParams, run_simulation, write_trace
 from .workload import ScenarioSpec
 
@@ -118,8 +120,8 @@ def run_cell(cell: CellSpec, backend: str | None = "auto",
     result = run_simulation(cell.run_params(), backend=backend,
                             collect_trace=trace_path is not None)
     staging = final_dir + f".tmp-{os.getpid()}"
-    os.makedirs(staging, exist_ok=True)
     try:
+        os.makedirs(staging, exist_ok=True)
         if tasks_csv:
             write_tasks_csv(os.path.join(staging, "tasks.csv"), result.inputs.arrival_time,
                             result.outputs, result.node_ids,
@@ -159,21 +161,91 @@ def _run_cell_job(cell: CellSpec) -> RunSummary:
 def run_cells(cells: list[CellSpec], jobs: int = 0) -> list[RunSummary]:
     """Run independent cells, optionally in parallel; order follows `cells`.
 
-    Workers take one cell at a time, in the order given. A cell listed twice
-    runs once, so two workers never publish the same directory.
+    Up to `jobs` workers take one cell at a time, in the order given: threads
+    of this process on the C kernel, whose calls release the GIL, and worker
+    processes on the pure-Python kernel. A cell listed twice runs once, and
+    two distinct cells may not share a directory, so no two workers publish
+    the same one. On a failure, the failure of the lowest-indexed cell is
+    raised, as a serial run would raise it.
     """
     unique = list(dict.fromkeys(cells))
+    if len({cell.directory() for cell in unique}) < len(unique):
+        raise ConfigurationError("two distinct cells would publish one directory")
     if jobs <= 0:
         jobs = os.cpu_count() or 1
-    if jobs == 1 or len(unique) <= 1:
+    jobs = min(jobs, len(unique))
+    if jobs <= 1:
         summaries = [_run_cell_job(cell) for cell in unique]
+    elif resolve_backend() == "c":
+        summaries = _run_on_threads(unique, jobs)
     else:
         import multiprocessing  # only a pool needs it; keeps `import ponedge.cli` light
 
-        with multiprocessing.Pool(min(jobs, len(unique))) as pool:
-            summaries = pool.map(_run_cell_job, unique, chunksize=1)
+        with multiprocessing.Pool(jobs, initializer=_quiet_worker) as pool:
+            # imap hands results back in order, so its first error is the
+            # lowest-indexed cell's
+            summaries = list(pool.imap(_run_cell_job, unique, chunksize=1))
     by_cell = dict(zip(unique, summaries))
     return [by_cell[cell] for cell in cells]
+
+
+def _run_on_threads(cells: list[CellSpec], jobs: int) -> list[RunSummary]:
+    """The summaries of `cells`, run on `jobs` threads. After a failure or an
+    interrupt, each thread finishes the cell it holds and takes no more."""
+    import threading  # only threads need it; keeps `import ponedge.cli` light
+
+    summaries: list = [None] * len(cells)
+    failures: dict[int, BaseException] = {}
+    order = iter(range(len(cells)))
+    lock = threading.Lock()
+    stop = threading.Event()
+
+    def work(done) -> None:
+        try:
+            while not stop.is_set():
+                with lock:
+                    index = next(order, None)
+                if index is None:
+                    return
+                try:
+                    summaries[index] = _run_cell_job(cells[index])
+                except BaseException as exc:
+                    failures[index] = exc
+                    stop.set()
+        finally:
+            done.set()
+
+    # Waited on through events, not Thread.join: on Python 3.11, a join that
+    # an interrupt breaks can mark its thread stopped while it still runs.
+    finished = []
+    try:
+        for _ in range(jobs):
+            done = threading.Event()
+            threading.Thread(target=work, args=(done,)).start()
+            finished.append(done)
+        for done in finished:
+            done.wait()
+    finally:  # on an interrupt too, so that no cell is left half published
+        stop.set()
+        for done in finished:
+            done.wait()
+    if failures:
+        raise failures[min(failures)]
+    return summaries
+
+
+def _quiet_worker() -> None:
+    """Pool worker setup: SIGINT is left to the parent, which then ends the
+    pool with SIGTERM. That unwinds the worker's cell, which removes its
+    staging directory, and the worker exits without a word."""
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, _exit_worker)
+
+
+def _exit_worker(signum, frame) -> None:
+    raise SystemExit(128 + signum)
 
 
 def build_cells(scenario: ScenarioSpec, *, out_dir: str,
@@ -196,11 +268,15 @@ def build_cells(scenario: ScenarioSpec, *, out_dir: str,
 def _write_csv_atomic(path: str, header: list[str], rows: list[list]) -> None:
     os.makedirs(os.path.dirname(path), exist_ok=True)
     tmp = path + f".tmp-{os.getpid()}"
-    with open(tmp, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def write_aggregate(out_dir: str, scenario_name: str,
@@ -218,8 +294,8 @@ def sweep_scenarios(scenarios: list[ScenarioSpec], *, out_dir: str, jobs: int = 
                     **kwargs) -> list[list[RunSummary]]:
     """Each scenario's topologies x CPU grid x seeds, plus its aggregate.
 
-    The cells of every scenario go through one run_cells call, so one worker
-    pool serves the whole experiment; the aggregates are written after.
+    The cells of every scenario go through one run_cells call, so one set of
+    workers serves the whole experiment; the aggregates are written after.
     """
     grids = [build_cells(scenario, out_dir=out_dir, **kwargs) for scenario in scenarios]
     summaries = run_cells([cell for cells in grids for cell in cells], jobs=jobs)

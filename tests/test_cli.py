@@ -1,19 +1,24 @@
 """CLI surfaces: flags, exit codes, file layout, determinism, env override."""
 
 import json
+import multiprocessing
 import os
 import resource
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from types import SimpleNamespace
 
 import pytest
 
 from ponedge import sweep
 from ponedge.cli import main
-from ponedge.config import DEFAULT_CALIBRATION
+from ponedge.config import DEFAULT_CALIBRATION, preset_shape
+from ponedge.engine import SimulationError
 from ponedge.metrics import read_summary_csv
+from ponedge.simulation import _cached_arrivals
 from ponedge.workload import scenario_preset
 
 from fresh_process import (SRC, needs_compiler, path_finds_compiler, ponedge_env, run_cli,
@@ -231,27 +236,34 @@ def test_names_that_are_not_a_cell_of_their_own_exit_2(tmp_path, capsys, command
 
 CALIBRATED = ('{"scenario": "e-health", "cpus": [220000], "seeds": [1], "duration": 5, '
               '"calibration": {"%s": %s}}')
+CPU_ENTRY = '{"scenario": "e-health", "cpus": [%s], "seeds": [1], "duration": 5}'
 
 
-# each calibration value of the wrong type or out of range, and each custom
-# scenario that cannot be one; every one names its key
+# each calibration value of the wrong type or out of range (cores past a C
+# int included), each custom scenario that cannot be one, and each `cpus`
+# object whose MIPS is not a number or whose label is not a string; every one
+# names its key
 @pytest.mark.parametrize("key,document", [
     *((key, CALIBRATED % (key, value)) for key, value in (
         ("edge_cores", "1.5"), ("edge_ram_mb", '"big"'), ("pon_length_m", "NaN"),
         ("cloud_weight", "-1"), ("control_plane_delay_s", "-1"), ("task_ram_mb", "-1"),
         ("wan_fixed_latency_s", "NaN"), ("fiber_bandwidth_bps", "Infinity"),
         ("edge_cores", "true"), ("far_edge_execution", '"no"'), ("edge_cores", "0"),
-        ("cloud_mips", "0"))),
+        ("cloud_mips", "0"), ("edge_cores", "10000000000"), ("cloud_cores", "2147483648"))),
     ("users", _custom("lab").replace('"users": 2', '"users": 2.5')),
     ("rate_per_min", _custom("lab").replace('"rate_per_min": 30', '"rate_per_min": "30"')),
     ("'lab' is defined twice", _custom("lab").replace(
         '"result_kb": 5}', '"result_kb": 5}, {"name": "lab", "users": 9, "rate_per_min": 600, '
                            '"deadline_s": 0.1, "length_mi": 800, "request_kb": 20, '
                            '"result_kb": 5}')),
+    ("cpus: mips", CPU_ENTRY % '{"mips": "big"}'),
+    ("cpus: mips", CPU_ENTRY % '{"mips": "220000"}'),
+    ("cpus: label", CPU_ENTRY % '{"label": 7, "mips": 220000}'),
 ], ids=["cores-fraction", "ram-text", "length-nan", "weight-negative", "control-negative",
         "footprint-negative", "latency-nan", "bandwidth-infinity", "cores-bool",
-        "far-edge-text", "cores-zero", "cloud-mips-zero", "users-fraction", "rate-text",
-        "scenario-twice"])
+        "far-edge-text", "cores-zero", "cloud-mips-zero", "cores-past-c-int",
+        "cloud-cores-past-c-int", "users-fraction", "rate-text", "scenario-twice",
+        "cpu-mips-text", "cpu-mips-numeric-text", "cpu-label-number"])
 def test_bad_calibration_and_scenarios_exit_2(tmp_path, capsys, key, document):
     config = tmp_path / "exp.json"
     config.write_text(document)
@@ -440,8 +452,9 @@ def test_cached_cells_report_what_fresh_ones_do(tmp_path, capsys, argv):
 
 
 def test_compare_all_in_one_pool_matches_serial(tmp_path, capsys):
-    # every scenario's cells share one worker pool; files and tables must not
-    # depend on how many workers ran them
+    # every scenario's cells share one set of workers, threads on the C kernel
+    # and processes on pure Python; files and tables must not depend on how
+    # many workers ran them
     trees = {}
     for jobs in ("1", "2"):
         out = tmp_path / f"jobs{jobs}"
@@ -455,6 +468,99 @@ def test_compare_all_in_one_pool_matches_serial(tmp_path, capsys):
     assert trees["2"] == trees["1"]
 
 
+@pytest.mark.parametrize("backend", ["python", pytest.param("c", marks=needs_compiler)])
+def test_cells_run_in_this_process_on_c_only(tmp_path, monkeypatch, backend):
+    # the C kernel releases the GIL, so its cells run on threads of this
+    # process, which then holds each shape and arrival draw once; the
+    # pure-Python kernel's cells run in worker processes
+    monkeypatch.setenv("PONEDGE_BACKEND", backend)
+    # forked workers keep the recording patch below
+    monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context("fork").Pool)
+    pids = tmp_path / "pids"
+    run_simulation = sweep.run_simulation
+
+    def recording(*args, **kwargs):
+        with open(pids, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return run_simulation(*args, **kwargs)
+
+    monkeypatch.setattr(sweep, "run_simulation", recording)
+    preset_shape.cache_clear()
+    _cached_arrivals.cache_clear()
+    assert main(["compare", "--all", "--seeds", "1", "--duration", "5", "--jobs", "2",
+                 "--out-dir", str(tmp_path / "out")]) == 0
+    cell_pids = pids.read_text().split()
+    assert len(cell_pids) == 4 * 2 * 5
+    held = preset_shape.cache_info().currsize, _cached_arrivals.cache_info().currsize
+    if backend == "c":
+        assert set(cell_pids) == {str(os.getpid())}
+        assert held == (8, 4)
+    else:
+        assert str(os.getpid()) not in cell_pids
+        assert held == (0, 0)
+
+
+# e-health/baseline/440000, the 18th of 40 cells, fails; `compare` takes the
+# command line, and forked pool workers keep the patch
+FAILING_CELL = """
+import multiprocessing, sys
+from ponedge import sweep
+from ponedge.cli import main
+from ponedge.engine import SimulationError
+
+run_simulation = sweep.run_simulation
+
+def failing(params, **kwargs):
+    if (params.scenario.name, params.topology, params.cpu_mips) == ("e-health", "baseline",
+                                                                    440000.0):
+        raise SimulationError("conservation violated")
+    return run_simulation(params, **kwargs)
+
+sweep.run_simulation = failing
+multiprocessing.set_start_method("fork")
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("backend", ["python", pytest.param("c", marks=needs_compiler)])
+def test_failed_cell_under_two_jobs_exits_1_with_one_line(tmp_path, backend):
+    out = tmp_path / "out"
+    done = subprocess.run([sys.executable, "-c", FAILING_CELL, "compare", "--all", "--seeds", "1",
+                           "--duration", "60", "--jobs", "2", "--out-dir", str(out)],
+                          env=dict(os.environ, PYTHONPATH=SRC, PONEDGE_BACKEND=backend),
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        1, "", "simulation failure: conservation violated\n")
+    assert list(out.rglob("*.tmp-*")) == []
+    assert not (out / "e-health" / "baseline" / "440000").exists()
+
+
+@pytest.mark.parametrize("backend", ["python", pytest.param("c", marks=needs_compiler)])
+def test_interrupt_exits_130_with_one_line(tmp_path, backend):
+    # SIGINT to the whole process group, as a terminal's Ctrl-C sends it, once
+    # the first cell is published; the grid takes far longer than that
+    out = tmp_path / "out"
+    child = subprocess.Popen([sys.executable, "-m", "ponedge.cli", "compare", "--all",
+                              "--seeds", "1..5", "--duration", "1200", "--jobs", "2",
+                              "--out-dir", str(out)],
+                             env=dict(os.environ, PYTHONPATH=SRC, PONEDGE_BACKEND=backend),
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                             start_new_session=True)
+    try:
+        deadline = time.monotonic() + 60
+        while not any(out.glob("*/*/*/*/summary.csv")):
+            assert child.poll() is None and time.monotonic() < deadline
+            time.sleep(0.005)
+        os.killpg(child.pid, signal.SIGINT)
+        stdout, stderr = child.communicate(timeout=60)
+    finally:
+        if child.poll() is None:
+            os.killpg(child.pid, signal.SIGKILL)
+            child.wait()
+    assert (child.returncode, stdout, stderr) == (130, "", "interrupted\n")
+    assert list(out.rglob("*.tmp-*")) == []
+
+
 def test_run_cells_runs_a_repeated_cell_once(tmp_path, monkeypatch):
     # a cell listed twice (e.g. --seeds 1,1) must not be published by two workers
     cell = sweep.CellSpec(scenario_preset("e-health"), "genio", "", 220_000.0, 1, 5.0,
@@ -464,6 +570,38 @@ def test_run_cells_runs_a_repeated_cell_once(tmp_path, monkeypatch):
                         lambda c, *, tasks_csv: calls.append((c, tasks_csv)) or c.seed)
     assert sweep.run_cells([cell, cell], jobs=2) == [1, 1]
     assert calls == [(cell, False)]
+
+
+def test_run_cells_threads_take_each_cell_once_and_raise_the_first_failure(tmp_path,
+                                                                          monkeypatch):
+    # more threads than cores, switching as often as the interpreter allows: a
+    # lost update of the shared cell order would run a cell twice or skip one
+    monkeypatch.setattr(sweep, "resolve_backend", lambda: "c")
+    cells = [sweep.CellSpec(scenario_preset("e-health"), "genio", "", 220_000.0, seed, 5.0,
+                            "trade-off", "poisson", DEFAULT_CALIBRATION, str(tmp_path))
+             for seed in range(400)]
+    calls = []
+
+    def run_cell(cell, *, tasks_csv):
+        calls.append(cell.seed)
+        if cell.seed in failing:
+            time.sleep(failing[cell.seed])
+            raise SimulationError(f"cell {cell.seed}")
+        return cell.seed
+
+    monkeypatch.setattr(sweep, "run_cell", run_cell)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        failing = {}
+        assert sweep.run_cells(cells, jobs=8) == list(range(400))
+        assert sorted(calls) == list(range(400))
+        # cell 101 fails first, but a serial run would have raised cell 100's
+        failing = {100: 0.05, 101: 0.0}
+        with pytest.raises(SimulationError, match="^cell 100$"):
+            sweep.run_cells(cells, jobs=8)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_config_file_experiment(tmp_path):
