@@ -3,19 +3,19 @@
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from dataclasses import replace
 
 from . import _kernel
-from .config import (DEFAULT_ARRIVALS, DEFAULT_CALIBRATION, DEFAULT_DURATION_S,
-                     DEFAULT_SEEDS, DEFAULT_STRATEGY, STRATEGIES, ExperimentSpec,
-                     cpu_label, parse_experiment, parse_seeds)
+from .config import (DEFAULT_ARRIVALS, DEFAULT_DURATION_S, DEFAULT_STRATEGY, STRATEGIES,
+                     ExperimentSpec, parse_experiment, parse_seeds)
 from .engine import SimulationError
 from .metrics import EmptyRunError, format_number
 from .network import ConfigurationError
-from .sweep import CellSpec, compare_scenarios, run_cell, sweep_scenarios, write_comparison
+from .simulation import RunParams
+from .sweep import (cell_directory, compare_scenarios, run_cell, sweep_scenarios,
+                    write_comparison)
 from .workload import ARRIVAL_MODES, SCENARIOS
 
 EXIT_OK = 0
@@ -29,9 +29,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--duration", type=float, default=None,
                         help=f"simulated seconds (default {DEFAULT_DURATION_S:g})")
     parser.add_argument("--strategy", choices=STRATEGIES, default=None,
-                        help="scheduler strategy (default trade-off)")
+                        help=f"scheduler strategy (default {DEFAULT_STRATEGY})")
     parser.add_argument("--arrivals", choices=ARRIVAL_MODES, default=None,
-                        help="arrival process (default poisson)")
+                        help=f"arrival process (default {DEFAULT_ARRIVALS})")
     parser.add_argument("--config", default=None,
                         help="JSON experiment document; explicit flags override it")
     parser.add_argument("--jobs", type=int, default=0,
@@ -56,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(run_p)
 
     sweep_p = sub.add_parser("sweep", help="run both topologies x CPU grid x seeds")
-    sweep_p.add_argument("--scenario", required=True)
+    sweep_p.add_argument("--scenario", default=None)  # optional with --config
     sweep_p.add_argument("--seeds", default=None, help='e.g. "1..5" or "1,2,3"')
     _add_common(sweep_p)
 
@@ -75,10 +75,11 @@ def _seeds_from_text(raw: str) -> tuple[int, ...]:
     if ".." in text and "," not in text:
         return parse_seeds(text)
     try:
-        return tuple(int(part) for part in text.split(","))
+        seeds = [int(part) for part in text.split(",")]
     except ValueError:
         raise ConfigurationError(
             f"seeds: cannot parse {raw!r} (use e.g. \"1..5\" or \"1,2,3\")") from None
+    return parse_seeds(seeds)
 
 
 def _experiment(args) -> ExperimentSpec:
@@ -90,17 +91,7 @@ def _experiment(args) -> ExperimentSpec:
         except FileNotFoundError:
             raise ConfigurationError(f"config file not found: {args.config}") from None
     else:
-        scenario = getattr(args, "scenario", None)
-        if getattr(args, "all", False) or scenario is None:
-            names = sorted(SCENARIOS)
-        else:
-            names = [scenario]
-        spec = ExperimentSpec(
-            scenarios=tuple(names), topologies=("genio",), cpus=None,
-            seeds=DEFAULT_SEEDS, duration_s=DEFAULT_DURATION_S,
-            strategy=DEFAULT_STRATEGY, arrivals=DEFAULT_ARRIVALS,
-            calibration=DEFAULT_CALIBRATION,
-        )
+        spec = ExperimentSpec(scenarios=tuple(sorted(SCENARIOS)))
     overrides = {}
     if getattr(args, "scenario", None):
         overrides["scenarios"] = (args.scenario,)
@@ -109,9 +100,7 @@ def _experiment(args) -> ExperimentSpec:
     if getattr(args, "topology", None):
         overrides["topologies"] = (args.topology,)
     if getattr(args, "cpu_mips", None) is not None:
-        if not 0 < args.cpu_mips < math.inf:
-            raise ConfigurationError("cpu-mips must be positive and finite")
-        overrides["cpus"] = ((cpu_label(args.cpu_mips), args.cpu_mips),)
+        overrides["cpus"] = (("", args.cpu_mips),)  # the cell names the CPU
     if getattr(args, "seed", None) is not None:
         overrides["seeds"] = (args.seed,)
     elif getattr(args, "seeds", None):
@@ -119,8 +108,6 @@ def _experiment(args) -> ExperimentSpec:
     elif not args.config and os.environ.get("PONEDGE_SEED"):
         overrides["seeds"] = _seeds_from_text(os.environ["PONEDGE_SEED"])
     if args.duration is not None:
-        if not 0 < args.duration < math.inf:
-            raise ConfigurationError("duration must be positive and finite")
         overrides["duration_s"] = args.duration
     if args.strategy:
         overrides["strategy"] = args.strategy
@@ -144,10 +131,10 @@ def cmd_run(args) -> int:
     if spec.cpus is None:
         raise ConfigurationError("run needs --cpu-mips (or cpus in --config)")
     cpu, mips = _single(spec.cpus, "cpu")
-    seed = spec.seeds[0]
-    cell = CellSpec(scenario, topology, cpu, mips, seed, spec.duration_s,
-                    spec.strategy, spec.arrivals, spec.calibration, args.out_dir)
-    summary = run_cell(cell, trace_path=args.trace, tasks_csv=True)
+    params = RunParams(scenario, topology, mips, spec.seeds[0], cpu=cpu,
+                       duration_s=spec.duration_s, strategy=spec.strategy,
+                       arrivals=spec.arrivals, calibration=spec.calibration)
+    summary = run_cell(params, args.out_dir, trace_path=args.trace, tasks_csv=True)
     print(f"scenario={summary.scenario} topology={summary.topology} cpu={summary.cpu!r} "
           f"mips={summary.mips:g} seed={summary.seed}")
     print(f"  tasks: {summary.tasks_generated} generated, {summary.tasks_delivered} delivered, "
@@ -155,34 +142,23 @@ def cmd_run(args) -> int:
     print(f"  latency: mean {format_number(summary.mean_latency_s)} s, "
           f"p95 {format_number(summary.p95_latency_s)} s, "
           f"deadline hit {format_number(summary.deadline_hit_pct)}%")
-    print(f"  results: {cell.directory()}")
+    print(f"  results: {cell_directory(args.out_dir, params)}")
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
     spec = _experiment(args)
-    scenario = spec.scenario_spec(_single(spec.scenarios, "scenario"))
-    summaries = sweep_scenarios(
-        [scenario], out_dir=args.out_dir, jobs=args.jobs,
-        topologies=("genio", "baseline"), cpus=spec.cpus, seeds=spec.seeds,
-        duration_s=spec.duration_s, strategy=spec.strategy, arrivals=spec.arrivals,
-        calibration=spec.calibration,
-    )[0]
-    print(f"swept {scenario.name}: {len(summaries)} runs "
-          f"-> {os.path.join(args.out_dir, scenario.name, 'aggregate.csv')}")
+    scenario = _single(spec.scenarios, "scenario")
+    (summaries,) = sweep_scenarios(spec, out_dir=args.out_dir, jobs=args.jobs)
+    print(f"swept {scenario}: {len(summaries)} runs "
+          f"-> {os.path.join(args.out_dir, scenario, 'aggregate.csv')}")
     return EXIT_OK
 
 
 def cmd_compare(args) -> int:
     spec = _experiment(args)
-    scenarios = [spec.scenario_spec(name) for name in spec.scenarios]
-    deadlines = {scenario.name: scenario.deadline_s for scenario in scenarios}
-    comparisons = compare_scenarios(
-        scenarios, out_dir=args.out_dir, jobs=args.jobs,
-        topologies=("genio", "baseline"), cpus=spec.cpus, seeds=spec.seeds,
-        duration_s=spec.duration_s, strategy=spec.strategy,
-        arrivals=spec.arrivals, calibration=spec.calibration,
-    )
+    comparisons = compare_scenarios(spec, out_dir=args.out_dir, jobs=args.jobs)
+    deadlines = {name: spec.scenario_spec(name).deadline_s for name in spec.scenarios}
     comparison_path, plot_path = write_comparison(args.out_dir, comparisons, deadlines)
     print(f"{'scenario':<15} {'cpu':<22} {'genio lat (s)':>14} "
           f"{'baseline lat (s)':>17} {'reduction':>10} {'genio tsr':>10} "
@@ -204,6 +180,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "compare" and not (args.scenario or args.all or args.config):
         parser.error("compare needs --scenario, --all or --config")
+    if args.command == "sweep" and not (args.scenario or args.config):
+        parser.error("sweep needs --scenario or --config")
     handler = {"run": cmd_run, "sweep": cmd_sweep, "compare": cmd_compare}[args.command]
     try:
         # checked before any cell is reused, so that a bad PONEDGE_BACKEND is

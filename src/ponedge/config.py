@@ -5,12 +5,12 @@ from __future__ import annotations
 import json
 import math
 from array import array
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import NamedTuple
 
 from .network import PROPAGATION_SPEED_M_S, ConfigurationError, check_number
-from .workload import ARRIVAL_MODES, SCENARIOS, ScenarioSpec, scenario_preset
+from .workload import SCENARIOS, ScenarioSpec, scenario_preset
 
 TOPOLOGY_PRESETS = ("genio", "baseline")
 
@@ -231,16 +231,21 @@ def preset_shape(name: str, users: int, calibration: Calibration) -> Shape:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A fully validated experiment: what to run over which grid."""
+    """An experiment: what to run over which grid, with every default.
+
+    parse_experiment checks a document's keys, shapes and names; each cell's
+    RunParams checks its values.
+    """
 
     scenarios: tuple[str, ...]
-    topologies: tuple[str, ...]
-    cpus: tuple[tuple[str, float], ...] | None  # None -> per-scenario Table grid
-    seeds: tuple[int, ...]
-    duration_s: float
-    strategy: str
-    arrivals: str
-    calibration: Calibration
+    topologies: tuple[str, ...] = ("genio",)  # read by `run` only
+    # (label, mips), an empty label named by the cell; None -> per-scenario Table grid
+    cpus: tuple[tuple[str, float], ...] | None = None
+    seeds: tuple[int, ...] = DEFAULT_SEEDS
+    duration_s: float = DEFAULT_DURATION_S
+    strategy: str = DEFAULT_STRATEGY
+    arrivals: str = DEFAULT_ARRIVALS
+    calibration: Calibration = DEFAULT_CALIBRATION
     custom_scenarios: tuple[ScenarioSpec, ...] = ()
 
     def scenario_spec(self, name: str) -> ScenarioSpec:
@@ -260,7 +265,8 @@ _CALIBRATION_KEYS = {f.name for f in fields(Calibration)}
 
 
 def parse_seeds(value) -> tuple[int, ...]:
-    """Accepts [1, 2, 3] or the range shorthand "1..5"."""
+    """Accepts [1, 2, 3] or the range shorthand "1..5"; no seed twice, since
+    each seed names a cell."""
     if isinstance(value, str):
         lo, sep, hi = value.partition("..")
         if not sep or not lo.strip().lstrip("-").isdigit() or not hi.strip().lstrip("-").isdigit():
@@ -269,7 +275,9 @@ def parse_seeds(value) -> tuple[int, ...]:
         if stop < start:
             raise ConfigurationError(f"seeds: empty range {value!r}")
         return tuple(range(start, stop + 1))
-    if isinstance(value, list) and value and all(isinstance(s, int) for s in value):
+    if isinstance(value, list) and value and all(type(s) is int for s in value):  # no bool
+        if len(set(value)) < len(value):
+            raise ConfigurationError(f"seeds: {value} lists a seed twice")
         return tuple(value)
     raise ConfigurationError("seeds must be a non-empty list of integers or a range string")
 
@@ -278,12 +286,14 @@ def _as_name_list(value, key: str) -> tuple[str, ...]:
     if isinstance(value, str):
         return (value,)
     if isinstance(value, list) and value and all(isinstance(v, str) for v in value):
+        if len(set(value)) < len(value):
+            raise ConfigurationError(f"{key}: {value} lists a name twice")
         return tuple(value)
     raise ConfigurationError(f"{key} must be a name or a non-empty list of names")
 
 
 def parse_experiment(document: str) -> ExperimentSpec:
-    """Parse and validate a JSON experiment document, filling defaults.
+    """Parse a JSON experiment document, filling defaults.
 
     Unknown keys are rejected so typos cannot silently fall back to defaults.
     """
@@ -328,48 +338,39 @@ def parse_experiment(document: str) -> ExperimentSpec:
             raise ConfigurationError(
                 f"unknown scenario {name!r} (valid: {', '.join(sorted(known))})"
             )
+    values = {"scenarios": scenarios, "custom_scenarios": tuple(custom)}
 
-    topologies = _as_name_list(raw.get("topology", "genio"), "topology")
-    for name in topologies:
-        if name not in TOPOLOGY_PRESETS:
-            raise ConfigurationError(f"unknown topology preset {name!r} (valid: genio, baseline)")
+    if "topology" in raw:
+        values["topologies"] = _as_name_list(raw["topology"], "topology")
+        for name in values["topologies"]:
+            if name not in TOPOLOGY_PRESETS:
+                raise ConfigurationError(
+                    f"unknown topology preset {name!r} (valid: genio, baseline)")
 
-    cpus = None
-    if "cpus" in raw and raw["cpus"] is not None:
+    if raw.get("cpus") is not None:
         if not isinstance(raw["cpus"], list) or not raw["cpus"]:
             raise ConfigurationError("cpus must be a non-empty list")
         parsed = []
         for entry in raw["cpus"]:
-            if isinstance(entry, (int, float)) and not isinstance(entry, bool):
-                parsed.append((cpu_label(float(entry)), float(entry)))
-            elif isinstance(entry, dict) and set(entry) <= {"label", "mips"} and "mips" in entry:
-                check_number("cpus: mips", entry["mips"])
-                mips = float(entry["mips"])
-                label = entry.get("label", cpu_label(mips))
-                if not isinstance(label, str):
-                    raise ConfigurationError(f"cpus: label must be a string, not {label!r}")
-                parsed.append((label, mips))
-            else:
+            if not isinstance(entry, dict):
+                entry = {"mips": entry}
+            if not set(entry) <= {"label", "mips"} or "mips" not in entry:
                 raise ConfigurationError("cpus entries must be MIPS numbers or {label, mips}")
-            if not 0 < parsed[-1][1] < math.inf:
-                raise ConfigurationError("cpu mips must be positive and finite")
-            if parsed[-1][1] in [mips for _, mips in parsed[:-1]]:
-                raise ConfigurationError(f"cpus name {mips_text(parsed[-1][1])} MIPS twice")
-        cpus = tuple(parsed)
+            check_number("cpus: mips", entry["mips"])
+            label = entry.get("label", "")  # empty: the cell names it
+            if not isinstance(label, str):
+                raise ConfigurationError(f"cpus: label must be a string, not {label!r}")
+            if entry["mips"] in [mips for _, mips in parsed]:
+                raise ConfigurationError(f"cpus name {mips_text(entry['mips'])} MIPS twice")
+            parsed.append((label, entry["mips"]))
+        values["cpus"] = tuple(parsed)
 
-    seeds = parse_seeds(raw["seeds"]) if "seeds" in raw else DEFAULT_SEEDS
-
-    duration = raw.get("duration", DEFAULT_DURATION_S)
-    if (not isinstance(duration, (int, float)) or isinstance(duration, bool)
-            or not 0 < duration < math.inf):
-        raise ConfigurationError("duration must be positive and finite")
-
-    strategy = raw.get("strategy", DEFAULT_STRATEGY)
-    if strategy not in STRATEGIES:
-        raise ConfigurationError(f"unknown strategy {strategy!r} (valid: {', '.join(STRATEGIES)})")
-    arrivals = raw.get("arrivals", DEFAULT_ARRIVALS)
-    if arrivals not in ARRIVAL_MODES:
-        raise ConfigurationError(f"unknown arrivals mode {arrivals!r} (valid: poisson, fixed)")
+    if "seeds" in raw:
+        values["seeds"] = parse_seeds(raw["seeds"])
+    for key, field in (("duration", "duration_s"), ("strategy", "strategy"),
+                       ("arrivals", "arrivals")):
+        if key in raw:
+            values[field] = raw[key]
 
     cal_raw = raw.get("calibration", {})
     if not isinstance(cal_raw, dict):
@@ -377,16 +378,5 @@ def parse_experiment(document: str) -> ExperimentSpec:
     unknown = set(cal_raw) - _CALIBRATION_KEYS
     if unknown:
         raise ConfigurationError(f"calibration: unknown key(s): {', '.join(sorted(unknown))}")
-    calibration = replace(DEFAULT_CALIBRATION, **cal_raw)
-
-    return ExperimentSpec(
-        scenarios=scenarios,
-        topologies=topologies,
-        cpus=cpus,
-        seeds=seeds,
-        duration_s=float(duration),
-        strategy=strategy,
-        arrivals=arrivals,
-        calibration=calibration,
-        custom_scenarios=tuple(custom),
-    )
+    values["calibration"] = Calibration(**cal_raw)
+    return ExperimentSpec(**values)

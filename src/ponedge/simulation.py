@@ -7,9 +7,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import _kernel
-from .config import Calibration, DEFAULT_CALIBRATION, cpu_label, preset_shape
+from .config import (DEFAULT_ARRIVALS, DEFAULT_CALIBRATION, DEFAULT_DURATION_S,
+                     DEFAULT_STRATEGY, STRATEGIES, Calibration, cpu_label, preset_shape)
 from .metrics import RunSummary, summarize
-from .network import BITS_PER_KB, check_number
+from .network import BITS_PER_KB, ConfigurationError, check_number
 from .workload import ScenarioSpec, arrival_streams, check_arrivals, generate_arrivals
 from ._kernel import pykernel
 
@@ -21,24 +22,37 @@ TRACE_CHUNK = 1024
 
 @dataclass(frozen=True)
 class RunParams:
-    """Everything one simulation run depends on."""
+    """One cell: everything one simulation run depends on.
+
+    Every value is checked here, whichever command or document described the
+    cell. `cpu` is the CPU's label, cpu_label(cpu_mips) when left empty.
+    `cpu_mips` and `duration_s` are held as floats however they were given,
+    so that the cell's config.json reads the same either way.
+    """
 
     scenario: ScenarioSpec
     topology: str
     cpu_mips: float
     seed: int
     cpu: str = ""
-    duration_s: float = 600.0
-    strategy: str = "trade-off"
-    arrivals: str = "poisson"
+    duration_s: float = DEFAULT_DURATION_S
+    strategy: str = DEFAULT_STRATEGY
+    arrivals: str = DEFAULT_ARRIVALS
     calibration: Calibration = DEFAULT_CALIBRATION
 
     def __post_init__(self):
         # the edge server's MIPS; the calibration checks every other node's
         check_number("cpu_mips", self.cpu_mips)
-
-    def cpu_name(self) -> str:
-        return self.cpu or cpu_label(self.cpu_mips)
+        check_arrivals(self.scenario, self.duration_s, self.arrivals)
+        if self.strategy not in STRATEGIES:
+            raise ConfigurationError(
+                f"unknown strategy {self.strategy!r} (valid: {', '.join(STRATEGIES)})")
+        if type(self.seed) is not int:  # a bool is no seed
+            raise ConfigurationError(f"seed must be an integer, not {self.seed!r}")
+        object.__setattr__(self, "cpu_mips", float(self.cpu_mips))
+        object.__setattr__(self, "duration_s", float(self.duration_s))
+        if not self.cpu:
+            object.__setattr__(self, "cpu", cpu_label(self.cpu_mips))
 
 
 @dataclass
@@ -91,9 +105,9 @@ def build_kernel_inputs(params: RunParams, collect_trace: bool,
 def _cached_arrivals(scenario: ScenarioSpec, duration_s: float, seed: int,
                      mode: str, backend: str) -> tuple[array, array]:
     # the arrival process is identical for every topology/CPU cell of a sweep;
-    # the kernels only read these columns, so every cell shares them
+    # the kernels only read these columns, so every cell shares them. The
+    # cell's RunParams has checked the process.
     if backend == "c":
-        check_arrivals(scenario, duration_s, mode)
         return _kernel.c_library().arrivals(
             [stream.state for stream in arrival_streams(scenario, seed)],
             scenario.interval_s, duration_s, mode)
@@ -164,7 +178,7 @@ def run_simulation(params: RunParams, backend: str | None = "auto",
         deadline_s=params.scenario.deadline_s,
         scenario=params.scenario.name,
         topology=params.topology,
-        cpu=params.cpu_name(),
+        cpu=params.cpu,
         mips=params.cpu_mips,
         seed=params.seed,
         strict_deadline=params.calibration.strict_deadline_tsr,

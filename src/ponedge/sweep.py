@@ -12,18 +12,18 @@ later one would trust.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import os
 import shutil
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 from ._kernel import resolve_backend
-from .config import Calibration, DEFAULT_CALIBRATION, cpu_grid, mips_text
+from .config import TOPOLOGY_PRESETS, ExperimentSpec, cpu_grid, mips_text
 from .metrics import (RunSummary, aggregate, format_number, read_summary_csv,
                       write_summary_csv, write_tasks_csv)
 from .network import ConfigurationError
 from .simulation import RunParams, run_simulation, write_trace
-from .workload import ScenarioSpec
 
 COMPARISON_COLUMNS = [
     "scenario", "cpu", "mips", "genio_mean_latency_s", "baseline_mean_latency_s",
@@ -36,52 +36,22 @@ PLOT_COLUMNS = ["scenario", "cpu", "mips", "topology", "tsr_pct", "mean_latency_
 MODEL_REVISION = 1
 
 
-@dataclass(frozen=True)
-class CellSpec:
-    """One (scenario, topology, cpu, seed) simulation cell."""
-
-    scenario: ScenarioSpec
-    topology: str
-    cpu: str
-    cpu_mips: float
-    seed: int
-    duration_s: float
-    strategy: str
-    arrivals: str
-    calibration: Calibration
-    out_dir: str
-
-    def directory(self) -> str:
-        return os.path.join(self.out_dir, self.scenario.name, self.topology,
-                            mips_text(self.cpu_mips), str(self.seed))
-
-    def run_params(self) -> RunParams:
-        return RunParams(
-            scenario=self.scenario,
-            topology=self.topology,
-            cpu_mips=self.cpu_mips,
-            cpu=self.cpu,
-            seed=self.seed,
-            duration_s=self.duration_s,
-            strategy=self.strategy,
-            arrivals=self.arrivals,
-            calibration=self.calibration,
-        )
+def cell_directory(out_dir: str, params: RunParams) -> str:
+    return os.path.join(out_dir, params.scenario.name, params.topology,
+                        mips_text(params.cpu_mips), str(params.seed))
 
 
-def resolved_config(cell: CellSpec) -> dict:
+def _field_values(obj) -> dict:
+    # one level deep: dataclasses.asdict deep-copies, at several times the cost
+    return {field.name: getattr(obj, field.name) for field in fields(obj)}
+
+
+def resolved_config(params: RunParams) -> dict:
     """Everything the cell's outcome depends on, defaults and model included."""
-    return {
+    return _field_values(params) | {
         "model_revision": MODEL_REVISION,
-        "scenario": asdict(cell.scenario),
-        "topology": cell.topology,
-        "cpu": cell.cpu,
-        "cpu_mips": cell.cpu_mips,
-        "seed": cell.seed,
-        "duration_s": cell.duration_s,
-        "strategy": cell.strategy,
-        "arrivals": cell.arrivals,
-        "calibration": {f.name: getattr(cell.calibration, f.name) for f in fields(Calibration)},
+        "scenario": _field_values(params.scenario),
+        "calibration": _field_values(params.calibration),
     }
 
 
@@ -100,7 +70,7 @@ def _published_summary(directory: str, config_text: str,
         return None
 
 
-def run_cell(cell: CellSpec, backend: str | None = "auto",
+def run_cell(params: RunParams, out_dir: str, backend: str | None = "auto",
              trace_path: str | None = None, *, tasks_csv: bool) -> RunSummary:
     """Run one cell, publish its files atomically, and return its summary as published.
 
@@ -111,13 +81,13 @@ def run_cell(cell: CellSpec, backend: str | None = "auto",
     trace_path the cell is always recomputed, and its event trace is
     streamed into a staging file renamed onto trace_path when complete.
     """
-    final_dir = cell.directory()
-    config_text = json.dumps(resolved_config(cell), indent=2, sort_keys=True)
+    final_dir = cell_directory(out_dir, params)
+    config_text = json.dumps(resolved_config(params), indent=2, sort_keys=True)
     if trace_path is None:
         cached = _published_summary(final_dir, config_text, tasks_csv)
         if cached is not None:
             return cached
-    result = run_simulation(cell.run_params(), backend=backend,
+    result = run_simulation(params, backend=backend,
                             collect_trace=trace_path is not None)
     staging = final_dir + f".tmp-{os.getpid()}"
     try:
@@ -125,8 +95,9 @@ def run_cell(cell: CellSpec, backend: str | None = "auto",
         if tasks_csv:
             write_tasks_csv(os.path.join(staging, "tasks.csv"), result.inputs.arrival_time,
                             result.outputs, result.node_ids,
-                            deadline_s=cell.scenario.deadline_s, scenario=cell.scenario.name,
-                            topology=cell.topology, cpu=cell.cpu, seed=cell.seed,
+                            deadline_s=params.scenario.deadline_s,
+                            scenario=params.scenario.name, topology=params.topology,
+                            cpu=params.cpu, seed=params.seed,
                             backend=result.backend)
         write_summary_csv(os.path.join(staging, "summary.csv"), [result.summary])
         # what a later invocation reusing this cell reads, so that aggregates
@@ -153,45 +124,43 @@ def run_cell(cell: CellSpec, backend: str | None = "auto",
     return summary
 
 
-def _run_cell_job(cell: CellSpec) -> RunSummary:
+def _run_cell_job(params: RunParams, out_dir: str) -> RunSummary:
     # sweep cells publish summaries only; `ponedge run` gives a cell's tasks
-    return run_cell(cell, tasks_csv=False)
+    return run_cell(params, out_dir, tasks_csv=False)
 
 
-def run_cells(cells: list[CellSpec], jobs: int = 0) -> list[RunSummary]:
+def run_cells(cells: list[RunParams], out_dir: str, jobs: int) -> list[RunSummary]:
     """Run independent cells, optionally in parallel; order follows `cells`.
 
-    Up to `jobs` workers take one cell at a time, in the order given: threads
-    of this process on the C kernel, whose calls release the GIL, and worker
-    processes on the pure-Python kernel. A cell listed twice runs once, and
-    two distinct cells may not share a directory, so no two workers publish
-    the same one. On a failure, the failure of the lowest-indexed cell is
-    raised, as a serial run would raise it.
+    Up to `jobs` workers (the CPU count if 0 or less) take one cell at a
+    time, in the order given: threads of this process on the C kernel, whose
+    calls release the GIL, and worker processes on the pure-Python kernel. No
+    two cells may share a directory, so no two workers publish the same one.
+    On a failure, the failure of the lowest-indexed cell is raised, as a
+    serial run would raise it.
     """
-    unique = list(dict.fromkeys(cells))
-    if len({cell.directory() for cell in unique}) < len(unique):
-        raise ConfigurationError("two distinct cells would publish one directory")
+    if len({cell_directory(out_dir, params) for params in cells}) < len(cells):
+        raise ConfigurationError("two cells would publish one directory")
     if jobs <= 0:
         jobs = os.cpu_count() or 1
-    jobs = min(jobs, len(unique))
+    jobs = min(jobs, len(cells))
+    job = functools.partial(_run_cell_job, out_dir=out_dir)
     if jobs <= 1:
-        summaries = [_run_cell_job(cell) for cell in unique]
-    elif resolve_backend() == "c":
-        summaries = _run_on_threads(unique, jobs)
-    else:
-        import multiprocessing  # only a pool needs it; keeps `import ponedge.cli` light
+        return [job(params) for params in cells]
+    if resolve_backend() == "c":
+        return _run_on_threads(job, cells, jobs)
+    import multiprocessing  # only a pool needs it; keeps `import ponedge.cli` light
 
-        with multiprocessing.Pool(jobs, initializer=_quiet_worker) as pool:
-            # imap hands results back in order, so its first error is the
-            # lowest-indexed cell's
-            summaries = list(pool.imap(_run_cell_job, unique, chunksize=1))
-    by_cell = dict(zip(unique, summaries))
-    return [by_cell[cell] for cell in cells]
+    with multiprocessing.Pool(jobs, initializer=_quiet_worker) as pool:
+        # imap hands results back in order, so its first error is the
+        # lowest-indexed cell's
+        return list(pool.imap(job, cells, chunksize=1))
 
 
-def _run_on_threads(cells: list[CellSpec], jobs: int) -> list[RunSummary]:
-    """The summaries of `cells`, run on `jobs` threads. After a failure or an
-    interrupt, each thread finishes the cell it holds and takes no more."""
+def _run_on_threads(job, cells: list[RunParams], jobs: int) -> list[RunSummary]:
+    """The summaries `job` returns for `cells`, run on `jobs` threads. After a
+    failure or an interrupt, each thread finishes the cell it holds and takes
+    no more."""
     import threading  # only threads need it; keeps `import ponedge.cli` light
 
     summaries: list = [None] * len(cells)
@@ -208,7 +177,7 @@ def _run_on_threads(cells: list[CellSpec], jobs: int) -> list[RunSummary]:
                 if index is None:
                     return
                 try:
-                    summaries[index] = _run_cell_job(cells[index])
+                    summaries[index] = job(cells[index])
                 except BaseException as exc:
                     failures[index] = exc
                     stop.set()
@@ -248,20 +217,16 @@ def _exit_worker(signum, frame) -> None:
     raise SystemExit(128 + signum)
 
 
-def build_cells(scenario: ScenarioSpec, *, out_dir: str,
-                topologies: tuple[str, ...] = ("genio", "baseline"),
-                cpus: tuple[tuple[str, float], ...] | None = None,
-                seeds: tuple[int, ...] = (1, 2, 3, 4, 5),
-                duration_s: float = 600.0, strategy: str = "trade-off",
-                arrivals: str = "poisson",
-                calibration: Calibration = DEFAULT_CALIBRATION) -> list[CellSpec]:
-    grid = list(cpus) if cpus is not None else cpu_grid(scenario.name)
+def build_cells(spec: ExperimentSpec, scenario: str) -> list[RunParams]:
+    """One scenario's cells: both topology presets x its CPUs x its seeds."""
+    scenario_spec = spec.scenario_spec(scenario)
+    grid = spec.cpus if spec.cpus is not None else cpu_grid(scenario)
     return [
-        CellSpec(scenario, topology, label, mips, seed, duration_s, strategy,
-                 arrivals, calibration, out_dir)
-        for topology in topologies
+        RunParams(scenario_spec, topology, mips, seed, cpu=label, duration_s=spec.duration_s,
+                  strategy=spec.strategy, arrivals=spec.arrivals, calibration=spec.calibration)
+        for topology in TOPOLOGY_PRESETS
         for label, mips in grid
-        for seed in seeds
+        for seed in spec.seeds
     ]
 
 
@@ -290,19 +255,20 @@ def write_aggregate(out_dir: str, scenario_name: str,
     return path
 
 
-def sweep_scenarios(scenarios: list[ScenarioSpec], *, out_dir: str, jobs: int = 0,
-                    **kwargs) -> list[list[RunSummary]]:
-    """Each scenario's topologies x CPU grid x seeds, plus its aggregate.
+def sweep_scenarios(spec: ExperimentSpec, *, out_dir: str,
+                    jobs: int) -> list[list[RunSummary]]:
+    """Each of the experiment's scenarios' cells, plus its aggregate.
 
-    The cells of every scenario go through one run_cells call, so one set of
-    workers serves the whole experiment; the aggregates are written after.
+    Every cell is built, and so checked, before any runs. The cells of every
+    scenario go through one run_cells call, so one set of workers serves the
+    whole experiment; the aggregates are written after.
     """
-    grids = [build_cells(scenario, out_dir=out_dir, **kwargs) for scenario in scenarios]
-    summaries = run_cells([cell for cells in grids for cell in cells], jobs=jobs)
+    grids = [build_cells(spec, scenario) for scenario in spec.scenarios]
+    summaries = run_cells([cell for cells in grids for cell in cells], out_dir, jobs)
     per_scenario = []
-    for scenario, cells in zip(scenarios, grids):
+    for scenario, cells in zip(spec.scenarios, grids):
         mine, summaries = summaries[:len(cells)], summaries[len(cells):]
-        write_aggregate(out_dir, scenario.name, mine)
+        write_aggregate(out_dir, scenario, mine)
         per_scenario.append(mine)
     return per_scenario
 
@@ -327,19 +293,19 @@ class ScenarioComparison:
     seeds: tuple[int, ...]
 
 
-def compare_scenarios(scenarios: list[ScenarioSpec], *, out_dir: str, jobs: int = 0,
-                      **kwargs) -> list[ScenarioComparison]:
+def compare_scenarios(spec: ExperimentSpec, *, out_dir: str,
+                      jobs: int) -> list[ScenarioComparison]:
     """Per-CPU latency/TSR comparison on seed-averaged cells, both topologies.
 
     Missing cells are computed on demand (sweep results are reused through
     the on-disk cache), all scenarios' cells in one sweep_scenarios call.
     """
-    per_scenario = sweep_scenarios(scenarios, out_dir=out_dir, jobs=jobs, **kwargs)
+    per_scenario = sweep_scenarios(spec, out_dir=out_dir, jobs=jobs)
     return [_comparison(scenario, summaries)
-            for scenario, summaries in zip(scenarios, per_scenario)]
+            for scenario, summaries in zip(spec.scenarios, per_scenario)]
 
 
-def _comparison(scenario: ScenarioSpec, summaries: list[RunSummary]) -> ScenarioComparison:
+def _comparison(scenario: str, summaries: list[RunSummary]) -> ScenarioComparison:
     by_cell = aggregate(summaries, ("scenario", "topology", "cpu", "mips"))
     cells = {(row["topology"], row["mips"]): row for row in by_cell}
     mips_grid = sorted({row["mips"] for row in by_cell})
@@ -351,7 +317,7 @@ def _comparison(scenario: ScenarioSpec, summaries: list[RunSummary]) -> Scenario
             genio["mean_latency_s_mean"] - baseline["mean_latency_s_mean"]
         ) / baseline["mean_latency_s_mean"]
         rows.append(ComparisonRow(
-            scenario=scenario.name,
+            scenario=scenario,
             cpu=genio["cpu"],
             mips=mips,
             genio_mean_latency_s=genio["mean_latency_s_mean"],
@@ -362,7 +328,7 @@ def _comparison(scenario: ScenarioSpec, summaries: list[RunSummary]) -> Scenario
         ))
     average = sum(r.reduction_pct for r in rows) / len(rows)
     seeds = tuple(sorted({s.seed for s in summaries}))
-    return ScenarioComparison(scenario.name, tuple(rows), average, seeds)
+    return ScenarioComparison(scenario, tuple(rows), average, seeds)
 
 
 def write_comparison(out_dir: str, comparisons: list[ScenarioComparison],

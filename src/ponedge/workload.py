@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 
@@ -69,8 +68,7 @@ ARRIVAL_MODES = ("poisson", "fixed")
 def check_arrivals(spec: ScenarioSpec, duration_s: float, mode: str) -> None:
     """Raise the ConfigurationError of an arrival process that cannot be drawn,
     or whose expected task count exceeds MAX_TASKS."""
-    if not 0 < duration_s < math.inf:
-        raise ConfigurationError("duration must be positive and finite")
+    check_number("duration", duration_s)
     if mode not in ARRIVAL_MODES:
         raise ConfigurationError(f"unknown arrival mode {mode!r} (valid: poisson, fixed)")
     expected = spec.users * duration_s / spec.interval_s

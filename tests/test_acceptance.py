@@ -17,7 +17,7 @@ import pytest
 
 from ponedge._kernel import pykernel
 from ponedge.cli import main
-from ponedge.config import cpu_grid
+from ponedge.config import ExperimentSpec, cpu_grid
 from ponedge.engine import Stream
 from ponedge.network import BITS_PER_KB
 from ponedge.simulation import RunParams, run_simulation
@@ -49,11 +49,11 @@ def report(criterion: str, ok: bool, detail: str) -> None:
 def grid(tmp_path_factory):
     out = str(tmp_path_factory.mktemp("acceptance-sweep"))
     jobs = os.cpu_count() or 1
-    scenarios = [scenario_preset(name) for name in SCENARIO_ORDER]
+    spec = ExperimentSpec(scenarios=SCENARIO_ORDER)
     t0 = time.perf_counter()
-    summaries = dict(zip(SCENARIO_ORDER, sweep_scenarios(scenarios, out_dir=out, jobs=jobs)))
+    summaries = dict(zip(SCENARIO_ORDER, sweep_scenarios(spec, out_dir=out, jobs=jobs)))
     wall = time.perf_counter() - t0
-    comparisons = dict(zip(SCENARIO_ORDER, compare_scenarios(scenarios, out_dir=out, jobs=1)))
+    comparisons = dict(zip(SCENARIO_ORDER, compare_scenarios(spec, out_dir=out, jobs=1)))
     return SimpleNamespace(out=out, wall=wall, summaries=summaries,
                            comparisons=comparisons)
 

@@ -571,15 +571,15 @@ def test_c_arrivals_match_generate_arrivals(scenario):
         assert bool(times) == (duration_s > 1e-6)
 
 
-@needs_c
 @pytest.mark.parametrize("duration_s,mode", [(0.0, "poisson"), (-1.0, "fixed"),
                                              (10.0, "bursty")])
 def test_c_arrivals_raise_what_generate_arrivals_raises(duration_s, mode):
+    # the C library draws a cell's arrivals once its RunParams has checked them
     scenario = scenario_preset("e-health")
     with pytest.raises(ConfigurationError) as reference:
         generate_arrivals(scenario, duration_s, 1, mode)
     with pytest.raises(ConfigurationError, match=re.escape(str(reference.value))):
-        _cached_arrivals.__wrapped__(scenario, duration_s, 1, mode, "c")
+        RunParams(scenario, "genio", 220_000.0, 1, duration_s=duration_s, arrivals=mode)
 
 
 @needs_c

@@ -15,10 +15,11 @@ import pytest
 
 from ponedge import sweep
 from ponedge.cli import main
-from ponedge.config import DEFAULT_CALIBRATION, preset_shape
+from ponedge.config import preset_shape
 from ponedge.engine import SimulationError
 from ponedge.metrics import read_summary_csv
-from ponedge.simulation import _cached_arrivals
+from ponedge.network import ConfigurationError
+from ponedge.simulation import RunParams, _cached_arrivals
 from ponedge.workload import scenario_preset
 
 from fresh_process import (SRC, needs_compiler, path_finds_compiler, ponedge_env, run_cli,
@@ -110,8 +111,7 @@ def test_run_trace_dump(tmp_path):
 def test_run_trace_is_published_atomically(tmp_path, monkeypatch):
     # a trace of several writes, on the path of the kernel that ran, whose
     # second write fails
-    cell = sweep.CellSpec(scenario_preset("e-health"), "genio", "", 220_000.0, 1, 120.0,
-                          "trade-off", "poisson", DEFAULT_CALIBRATION, str(tmp_path / "out"))
+    params = RunParams(scenario_preset("e-health"), "genio", 220_000.0, 1, duration_s=120.0)
     trace = tmp_path / "events.tsv"
     trace.write_bytes(b"an earlier trace\n")
     write_trace = sweep.write_trace
@@ -128,7 +128,7 @@ def test_run_trace_is_published_atomically(tmp_path, monkeypatch):
 
     monkeypatch.setattr(sweep, "write_trace", fail_on_second_write)
     with pytest.raises(OSError):
-        sweep.run_cell(cell, trace_path=str(trace), tasks_csv=True)
+        sweep.run_cell(params, str(tmp_path / "out"), trace_path=str(trace), tasks_csv=True)
     assert len(writes) == 2
     assert trace.read_bytes() == b"an earlier trace\n"
     assert sorted(path.name for path in tmp_path.iterdir()) == ["events.tsv", "out"]
@@ -170,6 +170,63 @@ def test_bad_seed_text_exits_2(tmp_path, monkeypatch, capsys, command, flag, env
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and repr(flag or env) in err
     assert list(tmp_path.iterdir()) == []
+
+
+EHEALTH_DOCUMENT = '{"scenario": %s, "cpus": [220000], "seeds": %s, "duration": 5%s}'
+CROWD = (', "custom_scenarios": [{"name": "crowd", "users": 1000, "rate_per_min": 6e7, '
+         '"deadline_s": 0.1, "length_mi": 800, "request_kb": 20, "result_kb": 5}]')
+
+
+# a repeated seed or scenario would count a cell twice, a bool seed is no
+# seed, a strategy typo used to run round-robin, and an experiment past the
+# task limit is refused before any of its cells runs, whichever scenario holds it
+@pytest.mark.parametrize("argv,env,document,message", [
+    (["sweep", "--scenario", "e-health", "--seeds", "2,2,3"], None, None,
+     "seeds: [2, 2, 3] lists a seed twice"),
+    (["sweep", "--scenario", "e-health"], "1,1", None, "seeds: [1, 1] lists a seed twice"),
+    (["compare"], None, EHEALTH_DOCUMENT % ('["e-health", "e-health"]', "[1]", ""),
+     "scenario: ['e-health', 'e-health'] lists a name twice"),
+    (["run"], None, EHEALTH_DOCUMENT % ('"e-health"', "[true]", ""),
+     "seeds must be a non-empty list of integers"),
+    (["sweep"], None, EHEALTH_DOCUMENT % ('"e-health"', "[1]", ', "strategy": "tradeoff"'),
+     "unknown strategy 'tradeoff'"),
+    (["compare"], None, EHEALTH_DOCUMENT % ('["e-health", "crowd"]', "[1]", CROWD),
+     "scenario crowd: 5e+09 expected tasks"),
+], ids=["seeds-twice", "env-seeds-twice", "scenario-twice", "seed-bool", "strategy-typo",
+        "task-limit-in-a-later-scenario"])
+def test_repeats_and_values_no_cell_can_have_exit_2(tmp_path, monkeypatch, capsys, argv, env,
+                                                    document, message):
+    if env is not None:
+        monkeypatch.setenv("PONEDGE_SEED", env)
+    if document is not None:
+        config = tmp_path / "exp.json"
+        config.write_text(document)
+        argv = argv + ["--config", str(config)]
+    assert main(argv + ["--jobs", "1", "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {message}") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_config_takes_the_documents_one_scenario(tmp_path, capsys):
+    config = tmp_path / "exp.json"
+    config.write_text(EHEALTH_DOCUMENT % ('"e-health"', "[1, 2]", ""))
+    aggregates = []
+    for flags in ([], ["--scenario", "e-health"]):
+        out = tmp_path / f"out{len(flags)}"
+        assert main(["sweep", "--config", str(config), "--out-dir", str(out),
+                     "--jobs", "1"] + flags) == 0
+        aggregate = out / "e-health" / "aggregate.csv"
+        assert capsys.readouterr().out == f"swept e-health: 4 runs -> {aggregate}\n"
+        aggregates.append(aggregate.read_bytes())
+    assert aggregates[0] == aggregates[1]
+    config.write_text(EHEALTH_DOCUMENT % ('["e-health", "aigc"]', "[1]", ""))
+    assert main(["sweep", "--config", str(config), "--out-dir", str(tmp_path / "two")]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: this command needs exactly one scenario, got 2\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep"])
+    assert exc.value.code == 2
 
 
 NON_FINITE_DOCUMENT = ('{"scenario": "e-health", "cpus": [220000], "seeds": [1], '
@@ -561,15 +618,14 @@ def test_interrupt_exits_130_with_one_line(tmp_path, backend):
     assert list(out.rglob("*.tmp-*")) == []
 
 
-def test_run_cells_runs_a_repeated_cell_once(tmp_path, monkeypatch):
-    # a cell listed twice (e.g. --seeds 1,1) must not be published by two workers
-    cell = sweep.CellSpec(scenario_preset("e-health"), "genio", "", 220_000.0, 1, 5.0,
-                          "trade-off", "poisson", DEFAULT_CALIBRATION, str(tmp_path))
+def test_run_cells_refuses_a_repeated_cell(tmp_path, monkeypatch):
+    # two workers would publish a cell listed twice; no experiment lists one
+    cell = RunParams(scenario_preset("e-health"), "genio", 220_000.0, 1, duration_s=5.0)
     calls = []
-    monkeypatch.setattr(sweep, "run_cell",
-                        lambda c, *, tasks_csv: calls.append((c, tasks_csv)) or c.seed)
-    assert sweep.run_cells([cell, cell], jobs=2) == [1, 1]
-    assert calls == [(cell, False)]
+    monkeypatch.setattr(sweep, "run_cell", lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(ConfigurationError, match="^two cells would publish one directory$"):
+        sweep.run_cells([cell, cell], str(tmp_path), 2)
+    assert calls == []
 
 
 def test_run_cells_threads_take_each_cell_once_and_raise_the_first_failure(tmp_path,
@@ -577,29 +633,28 @@ def test_run_cells_threads_take_each_cell_once_and_raise_the_first_failure(tmp_p
     # more threads than cores, switching as often as the interpreter allows: a
     # lost update of the shared cell order would run a cell twice or skip one
     monkeypatch.setattr(sweep, "resolve_backend", lambda: "c")
-    cells = [sweep.CellSpec(scenario_preset("e-health"), "genio", "", 220_000.0, seed, 5.0,
-                            "trade-off", "poisson", DEFAULT_CALIBRATION, str(tmp_path))
+    cells = [RunParams(scenario_preset("e-health"), "genio", 220_000.0, seed, duration_s=5.0)
              for seed in range(400)]
     calls = []
 
-    def run_cell(cell, *, tasks_csv):
-        calls.append(cell.seed)
-        if cell.seed in failing:
-            time.sleep(failing[cell.seed])
-            raise SimulationError(f"cell {cell.seed}")
-        return cell.seed
+    def run_cell(params, out_dir, *, tasks_csv):
+        calls.append(params.seed)
+        if params.seed in failing:
+            time.sleep(failing[params.seed])
+            raise SimulationError(f"cell {params.seed}")
+        return params.seed
 
     monkeypatch.setattr(sweep, "run_cell", run_cell)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         failing = {}
-        assert sweep.run_cells(cells, jobs=8) == list(range(400))
+        assert sweep.run_cells(cells, str(tmp_path), 8) == list(range(400))
         assert sorted(calls) == list(range(400))
         # cell 101 fails first, but a serial run would have raised cell 100's
         failing = {100: 0.05, 101: 0.0}
         with pytest.raises(SimulationError, match="^cell 100$"):
-            sweep.run_cells(cells, jobs=8)
+            sweep.run_cells(cells, str(tmp_path), 8)
     finally:
         sys.setswitchinterval(interval)
 

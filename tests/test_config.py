@@ -10,6 +10,7 @@ from ponedge.config import (Calibration, DEFAULT_CALIBRATION, cpu_grid, cpu_labe
                             parse_experiment, parse_seeds, preset_shape)
 from ponedge.network import ConfigurationError
 from ponedge.simulation import RunParams, build_kernel_inputs
+from ponedge.sweep import build_cells
 from ponedge.workload import scenario_preset
 
 
@@ -123,9 +124,17 @@ def test_parse_minimal_document_gets_defaults():
     assert spec.calibration == DEFAULT_CALIBRATION
 
 
-def test_parse_rejects_negative_duration():
-    with pytest.raises(ConfigurationError, match="duration must be positive"):
-        parse_experiment('{"scenario": "smart-city", "duration": -5}')
+@pytest.mark.parametrize("key,value,message", [
+    ("duration", "-5", "duration must be > 0 and finite"),
+    ("duration", '"600"', "duration must be a number, not '600'"),
+    ("strategy", '"tradeoff"', "unknown strategy 'tradeoff'"),
+    ("arrivals", '"bursty"', "unknown arrival mode 'bursty'"),
+], ids=["duration-negative", "duration-text", "strategy-typo", "arrivals-typo"])
+def test_document_values_are_refused_by_its_cells(key, value, message):
+    # a document's values are checked where every cell's are, in RunParams
+    spec = parse_experiment('{"scenario": "smart-city", "%s": %s}' % (key, value))
+    with pytest.raises(ConfigurationError, match=f"^{message}"):
+        build_cells(spec, "smart-city")
 
 
 def test_parse_rejects_unknown_key_with_name():
@@ -154,9 +163,22 @@ def test_parse_seeds_forms():
         parse_seeds([])
 
 
+@pytest.mark.parametrize("document,message", [
+    ('{"scenario": "aigc", "seeds": [true]}', "seeds must be a non-empty list of integers"),
+    ('{"scenario": "aigc", "seeds": [2, 2, 3]}', r"seeds: \[2, 2, 3\] lists a seed twice"),
+    ('{"scenario": ["aigc", "aigc"]}', r"scenario: \['aigc', 'aigc'\] lists a name twice"),
+], ids=["seed-bool", "seed-twice", "scenario-twice"])
+def test_parse_refuses_bool_seeds_and_repeats(document, message):
+    # a repeated seed or scenario would be a cell counted twice
+    with pytest.raises(ConfigurationError, match=f"^{message}"):
+        parse_experiment(document)
+
+
 def test_parse_cpus_forms():
     spec = parse_experiment('{"scenario": "aigc", "cpus": [700000, {"mips": 1200000}]}')
-    assert spec.cpus == (("Intel i9-13900", 700_000.0), ("Intel i9-14900KF", 1_200_000.0))
+    assert spec.cpus == (("", 700_000), ("", 1_200_000))  # a cell names an unlabelled CPU
+    assert [(cell.cpu, cell.cpu_mips) for cell in build_cells(spec, "aigc")[::5]] == [
+        ("Intel i9-13900", 700_000.0), ("Intel i9-14900KF", 1_200_000.0)] * 2
     with pytest.raises(ConfigurationError):
         parse_experiment('{"scenario": "aigc", "cpus": []}')
 

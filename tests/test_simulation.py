@@ -14,6 +14,7 @@ from ponedge._kernel.pykernel import (PH_DOWN, PH_NO_PLACEMENT, TR_SIMULATION_EN
 from ponedge.config import DEFAULT_CALIBRATION
 from ponedge.engine import SimulationError
 from ponedge.metrics import write_tasks_csv
+from ponedge.network import ConfigurationError
 from ponedge.simulation import TRACE_CHUNK, RunParams, _trace_lines, run_simulation, write_trace
 from ponedge.workload import ScenarioSpec, scenario_preset
 
@@ -32,6 +33,27 @@ def single_task_params(**kw):
     )
     args.update(kw)
     return RunParams(**args)
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("strategy", "tradeoff", "unknown strategy 'tradeoff'"),
+    ("seed", True, "seed must be an integer, not True"),
+    ("seed", 1.0, "seed must be an integer, not 1.0"),
+    ("duration_s", True, "duration must be a number, not True"),
+    ("arrivals", "bursty", "unknown arrival mode 'bursty'"),
+], ids=["strategy-typo", "seed-bool", "seed-float", "duration-bool", "arrivals-typo"])
+def test_run_params_refuse_what_no_cell_can_be(field, value, message):
+    # a strategy typo used to run round-robin, and a bool seed to run seed 1
+    with pytest.raises(ConfigurationError, match=f"^{message}"):
+        single_task_params(**{field: value})
+
+
+def test_run_params_name_the_cpu_and_hold_floats():
+    params = single_task_params(cpu_mips=700_000, duration_s=30)
+    assert (params.cpu, params.cpu_mips, params.duration_s) == ("Intel i9-13900", 700_000.0, 30.0)
+    assert type(params.cpu_mips) is type(params.duration_s) is float
+    assert single_task_params(cpu="lab rig").cpu == "lab rig"
+    assert single_task_params(cpu_mips=43_001.5).cpu == "custom-43001.5"
 
 
 def test_single_task_runs_on_edge_with_analytic_latency():
@@ -101,7 +123,7 @@ def test_records_identical_across_repeats(tmp_path):
         write_tasks_csv(path, result.inputs.arrival_time, result.outputs,
                         result.node_ids,
                         deadline_s=params.scenario.deadline_s, scenario="e-health",
-                        topology="baseline", cpu=params.cpu_name(), seed=2, backend="python")
+                        topology="baseline", cpu=params.cpu, seed=2, backend="python")
         tasks.append(path.read_bytes())
     assert tasks[0] == tasks[1]
     assert tasks[0].count(b"\r\n") == len(a.inputs.arrival_time) + 1
