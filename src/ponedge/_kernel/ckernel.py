@@ -28,9 +28,9 @@ from typing import Callable, NamedTuple
 from ..engine import SimulationError
 from ..network import ConfigurationError
 from ..workload import MAX_TASKS
-from .pykernel import (DECOMPOSITION_TOLERANCE_S, INPUT_TYPECODES, OUTPUT_TYPECODES,
-                       TRACE_TYPECODES, KernelInputs, KernelOutputs, Trace, _out_of_order,
-                       _past, _unconserved, _undecomposed)
+from . import (DECOMPOSITION_TOLERANCE_S, INPUT_TYPECODES, OUTPUT_TYPECODES, TRACE_TYPECODES,
+               KernelInputs, KernelOutputs, Trace, _out_of_order, _past, _unconserved,
+               _undecomposed)
 
 # return codes of ponedge_run
 _PAST = 1

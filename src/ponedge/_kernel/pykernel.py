@@ -34,11 +34,16 @@ placement and restored when execution ends.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from heapq import heappop, heappush, heappushpop
-from typing import NamedTuple
 
 from ..engine import SimulationError
+# the kernel contract; the names this loop does not use are re-exported with it
+from . import (DECOMPOSITION_TOLERANCE_S, INPUT_TYPECODES, OUTPUT_TYPECODES,  # noqa: F401
+               PH_DELIVERED, PH_DOWN, PH_NO_PLACEMENT, PH_PENDING, PH_QUEUED, PH_RUNNING, PH_UP,
+               STRATEGY_ROUND_ROBIN, STRATEGY_TRADE_OFF, TR_EXECUTION_COMPLETE,
+               TR_EXECUTION_START, TR_RESULT_DELIVERED, TR_SIMULATION_END, TR_TASK_ARRIVAL,
+               TR_TRANSFER_COMPLETE, TRACE_KINDS, TRACE_TYPECODES, KernelInputs, KernelOutputs,
+               Trace, _out_of_order, _past, _unconserved, _undecomposed)
 
 # internal event codes
 EV_ARRIVAL = 0
@@ -47,129 +52,7 @@ EV_HOP_ARRIVE = 2
 EV_EXEC_END = 3
 EV_SIM_END = 4
 
-# trace kinds, and the name the trace file prints for each, indexed by code
-TR_TASK_ARRIVAL = 0
-TR_TRANSFER_COMPLETE = 1
-TR_EXECUTION_START = 2
-TR_EXECUTION_COMPLETE = 3
-TR_RESULT_DELIVERED = 4
-TR_SIMULATION_END = 5
-TRACE_KINDS = ("TaskArrival", "TransferComplete", "ExecutionStart", "ExecutionComplete",
-               "ResultDelivered", "SimulationEnd")
-
-# task phases
-PH_PENDING = 0
-PH_UP = 1
-PH_QUEUED = 2
-PH_RUNNING = 3
-PH_DOWN = 4
-PH_DELIVERED = 5
-PH_NO_PLACEMENT = 6
-
-STRATEGY_TRADE_OFF = 0
-STRATEGY_ROUND_ROBIN = 1
-
-# How far a delivered task's stage durations may sum from its latency.
-DECOMPOSITION_TOLERANCE_S = 1e-12
-
 NAN = float("nan")
-
-
-@dataclass
-class KernelInputs:
-    """Flat, index-based description of one run: `array` columns of the
-    INPUT_TYPECODES types, which the C kernel reads without a copy."""
-
-    # nodes, index-aligned
-    mips_per_core: array
-    cores: array
-    weight: array
-    ram_capacity: array
-    storage_capacity: array
-    # scheduler candidates as node indices, in node-id order
-    candidate_nodes: array
-    # links
-    link_bandwidth: array
-    link_hop_delay: array  # propagation + fixed, per traversal
-    # route r is route_hops[route_start[r]:route_start[r + 1]], hop codes
-    # (link_index * 2 + direction) in uplink order, Local hops omitted
-    route_start: array
-    route_hops: array
-    up_route: array  # device * len(candidate_nodes) + slot -> route id
-    # arrivals, sorted by (time, device)
-    arrival_time: array
-    arrival_device: array
-    # per-task constants for this scenario
-    length_mi: float
-    request_bits: float
-    result_bits: float
-    task_ram_mb: float
-    task_storage_mb: float
-    # control
-    strategy: int
-    control_delay_s: float
-    duration_s: float
-    collect_trace: bool
-
-
-class Trace(NamedTuple):
-    """The trace as five flat columns in (time, seq) order; zip(*trace) gives the rows."""
-
-    time: array
-    seq: array
-    kind: array  # a TR_* code
-    task: array  # -1 for the simulation end
-    extra: array  # source device, leg (0 up, 1 down) or node; -1 at the end
-
-    @classmethod
-    def allocate(cls, length: int = 0) -> Trace:
-        """Columns of `length` zeroed entries each."""
-        return cls(*(array(code, [0]) * length for code in TRACE_TYPECODES))
-
-
-# The array type codes of the KernelInputs, the KernelOutputs and the Trace
-# columns, in field order; both backends read and write exactly these.
-INPUT_TYPECODES = {"mips_per_core": "d", "cores": "i", "weight": "d", "ram_capacity": "d",
-                   "storage_capacity": "d", "candidate_nodes": "i", "link_bandwidth": "d",
-                   "link_hop_delay": "d", "route_start": "i", "route_hops": "i",
-                   "up_route": "i", "arrival_time": "d", "arrival_device": "i"}
-OUTPUT_TYPECODES = {"node_of": "i", "uplink_done": "d", "exec_start": "d", "exec_end": "d",
-                    "delivered_at": "d", "final_phase": "i", "busy": "d", "latencies": "d"}
-TRACE_TYPECODES = ("d", "q", "i", "i", "i")
-
-
-@dataclass
-class KernelOutputs:
-    # per task, `array` columns
-    node_of: array  # -1 when never placed
-    uplink_done: array  # NaN when the phase was not reached
-    exec_start: array
-    exec_end: array
-    delivered_at: array
-    final_phase: array
-    # from the post-run pass
-    busy: array  # per node: busy core-time, clipped at the horizon
-    latencies: array  # delivered - created of each delivered task, ascending
-    processed_events: int
-    trace: Trace | None
-
-
-def _past(time: float, now: float) -> SimulationError:
-    return SimulationError(f"scheduled event at t={time!r} in the past (clock={now!r})")
-
-
-def _undecomposed(task: int, parts: float, latency: float) -> SimulationError:
-    return SimulationError(f"latency decomposition violated for task {task}: "
-                           f"components {parts!r} vs latency {latency!r}")
-
-
-def _out_of_order(task: int) -> SimulationError:
-    return SimulationError(f"lifecycle timestamps out of order for task {task}")
-
-
-def _unconserved(generated: int, delivered: int, unfinished: int) -> SimulationError:
-    return SimulationError(f"conservation violated: {generated} generated != "
-                           f"{delivered} delivered + {unfinished} unfinished")
 
 
 def _drain(bits_left: list[float], rate: float, elapsed: float) -> list[float]:

@@ -5,14 +5,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 from . import _kernel
 from .config import (DEFAULT_ARRIVALS, DEFAULT_DURATION_S, DEFAULT_STRATEGY, STRATEGIES,
                      ExperimentSpec, parse_experiment, parse_seeds)
 from .engine import SimulationError
 from .metrics import EmptyRunError, format_number
-from .network import ConfigurationError
+from .network import ConfigurationError, replace
 from .simulation import RunParams
 from .sweep import (cell_directory, compare_scenarios, run_cell, sweep_scenarios,
                     write_comparison)

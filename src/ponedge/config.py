@@ -5,11 +5,10 @@ from __future__ import annotations
 import json
 import math
 from array import array
-from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import NamedTuple
 
-from .network import PROPAGATION_SPEED_M_S, ConfigurationError, check_number
+from .network import PROPAGATION_SPEED_M_S, ConfigurationError, Record, check_number, fields
 from .workload import SCENARIOS, ScenarioSpec, scenario_preset
 
 TOPOLOGY_PRESETS = ("genio", "baseline")
@@ -78,8 +77,7 @@ _MAY_BE_ZERO = frozenset({
 MAX_CORES = 2**31 - 1
 
 
-@dataclass(frozen=True)
-class Calibration:
+class Calibration(Record):
     """Every tunable the presets rely on; ships with the acceptance defaults.
 
     Each field must have the type of its default, an int for a float field
@@ -118,18 +116,17 @@ class Calibration:
     strict_deadline_tsr: bool = False
 
     def __post_init__(self):
-        for field in fields(self):
-            value = getattr(self, field.name)
-            if type(field.default) is not bool:
-                integer = type(field.default) is int
-                check_number(f"calibration: {field.name}", value,
-                             integer=integer, zero=field.name in _MAY_BE_ZERO)
-                if integer and value > MAX_CORES:
-                    raise ConfigurationError(
-                        f"calibration: {field.name} must be at most {MAX_CORES}")
+        for name in fields(self):
+            value = getattr(self, name)
+            kind = type(getattr(Calibration, name))  # its default's
+            if kind is not bool:
+                check_number(f"calibration: {name}", value,
+                             integer=kind is int, zero=name in _MAY_BE_ZERO)
+                if kind is int and value > MAX_CORES:
+                    raise ConfigurationError(f"calibration: {name} must be at most {MAX_CORES}")
             elif not isinstance(value, bool):
                 raise ConfigurationError(
-                    f"calibration: {field.name} must be true or false, not {value!r}")
+                    f"calibration: {name} must be true or false, not {value!r}")
 
 
 DEFAULT_CALIBRATION = Calibration()
@@ -229,8 +226,7 @@ def preset_shape(name: str, users: int, calibration: Calibration) -> Shape:
         route_start=route_start, route_hops=route_hops, up_route=up_route))
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
+class ExperimentSpec(Record):
     """An experiment: what to run over which grid, with every default.
 
     parse_experiment checks a document's keys, shapes and names; each cell's
@@ -261,7 +257,7 @@ _TOP_LEVEL_KEYS = {
 }
 _SCENARIO_KEYS = {"name", "users", "rate_per_min", "deadline_s", "length_mi",
                   "request_kb", "result_kb"}
-_CALIBRATION_KEYS = {f.name for f in fields(Calibration)}
+_CALIBRATION_KEYS = set(fields(Calibration))
 
 
 def parse_seeds(value) -> tuple[int, ...]:

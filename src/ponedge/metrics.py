@@ -7,13 +7,9 @@ import io
 import math
 from bisect import bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
-from ._kernel import c_library
-
-if TYPE_CHECKING:
-    from ._kernel.pykernel import KernelOutputs
+from ._kernel import KernelOutputs, c_library
+from .network import Record
 
 TASKS_CSV_COLUMNS = [
     "task_id", "scenario", "topology", "cpu", "seed", "node_id", "generated_at",
@@ -33,8 +29,7 @@ class EmptyRunError(Exception):
     """A run produced no tasks; there is nothing to summarize."""
 
 
-@dataclass(frozen=True)
-class RunSummary:
+class RunSummary(Record):
     scenario: str
     topology: str
     cpu: str

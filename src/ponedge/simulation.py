@@ -3,16 +3,14 @@
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import _kernel
 from .config import (DEFAULT_ARRIVALS, DEFAULT_CALIBRATION, DEFAULT_DURATION_S,
                      DEFAULT_STRATEGY, STRATEGIES, Calibration, cpu_label, preset_shape)
 from .metrics import RunSummary, summarize
-from .network import BITS_PER_KB, ConfigurationError, check_number
+from .network import BITS_PER_KB, ConfigurationError, Record, check_number
 from .workload import ScenarioSpec, arrival_streams, check_arrivals, generate_arrivals
-from ._kernel import pykernel
 
 # Trace entries the pure-Python path formats per write: about 70 KB of text.
 # Its lines, their join and its encoding are the largest transient memory of
@@ -20,8 +18,7 @@ from ._kernel import pykernel
 TRACE_CHUNK = 1024
 
 
-@dataclass(frozen=True)
-class RunParams:
+class RunParams(Record):
     """One cell: everything one simulation run depends on.
 
     Every value is checked here, whichever command or document described the
@@ -55,20 +52,19 @@ class RunParams:
             object.__setattr__(self, "cpu", cpu_label(self.cpu_mips))
 
 
-@dataclass
-class RunResult:
+class RunResult(Record, frozen=False):
     """One run: its kernel inputs, the kernel's per-task output columns and their summary."""
 
     params: RunParams
     node_ids: tuple[str, ...]  # node index -> id
-    inputs: pykernel.KernelInputs
-    outputs: pykernel.KernelOutputs
+    inputs: _kernel.KernelInputs
+    outputs: _kernel.KernelOutputs
     summary: RunSummary
     backend: str  # the kernel that ran: "c" or "python"
 
 
 def build_kernel_inputs(params: RunParams, collect_trace: bool,
-                        backend: str = "python") -> pykernel.KernelInputs:
+                        backend: str = "python") -> _kernel.KernelInputs:
     """The kernel inputs of one run.
 
     The columns of its preset_shape and its arrivals, drawn by `backend`'s
@@ -84,7 +80,7 @@ def build_kernel_inputs(params: RunParams, collect_trace: bool,
     arrival_time, arrival_device = _cached_arrivals(
         scenario, params.duration_s, params.seed, params.arrivals, backend
     )
-    return pykernel.KernelInputs(
+    return _kernel.KernelInputs(
         **(columns | {"mips_per_core": mips_per_core}),
         arrival_time=arrival_time,
         arrival_device=arrival_device,
@@ -93,8 +89,8 @@ def build_kernel_inputs(params: RunParams, collect_trace: bool,
         result_bits=scenario.result_kb * BITS_PER_KB,
         task_ram_mb=cal.task_ram_mb,
         task_storage_mb=cal.task_storage_mb,
-        strategy=pykernel.STRATEGY_TRADE_OFF if params.strategy == "trade-off"
-        else pykernel.STRATEGY_ROUND_ROBIN,
+        strategy=_kernel.STRATEGY_TRADE_OFF if params.strategy == "trade-off"
+        else _kernel.STRATEGY_ROUND_ROBIN,
         control_delay_s=cal.control_plane_delay_s,
         duration_s=params.duration_s,
         collect_trace=collect_trace,
@@ -119,9 +115,9 @@ def _trace_lines(node_ids, rows) -> list[str]:
     """One line per kernel trace row (time, seq, kind, task, extra): time, seq,
     kind name and subject, tab-separated. An arrival's subject is its device,
     and device d is node d."""
-    kinds = pykernel.TRACE_KINDS
-    arrival, transfer, end = (pykernel.TR_TASK_ARRIVAL, pykernel.TR_TRANSFER_COMPLETE,
-                              pykernel.TR_SIMULATION_END)
+    kinds = _kernel.TRACE_KINDS
+    arrival, transfer, end = (_kernel.TR_TASK_ARRIVAL, _kernel.TR_TRANSFER_COMPLETE,
+                              _kernel.TR_SIMULATION_END)
     lines = []
     append = lines.append
     for time, seq, kind, task, extra in rows:
@@ -137,7 +133,7 @@ def _trace_lines(node_ids, rows) -> list[str]:
     return lines
 
 
-def write_trace(fh, node_ids, trace: pykernel.Trace, backend: str = "python") -> None:
+def write_trace(fh, node_ids, trace: _kernel.Trace, backend: str = "python") -> None:
     """Write the event-trace file to the binary file `fh`; node_ids maps a node
     index to its id.
 

@@ -16,13 +16,12 @@ import functools
 import json
 import os
 import shutil
-from dataclasses import dataclass, fields
 
 from ._kernel import resolve_backend
 from .config import TOPOLOGY_PRESETS, ExperimentSpec, cpu_grid, mips_text
 from .metrics import (RunSummary, aggregate, format_number, read_summary_csv,
                       write_summary_csv, write_tasks_csv)
-from .network import ConfigurationError
+from .network import ConfigurationError, Record, fields
 from .simulation import RunParams, run_simulation, write_trace
 
 COMPARISON_COLUMNS = [
@@ -42,8 +41,9 @@ def cell_directory(out_dir: str, params: RunParams) -> str:
 
 
 def _field_values(obj) -> dict:
-    # one level deep: dataclasses.asdict deep-copies, at several times the cost
-    return {field.name: getattr(obj, field.name) for field in fields(obj)}
+    # a record's own fields, not copied: resolved_config turns the nested
+    # scenario and calibration into dicts itself
+    return {name: getattr(obj, name) for name in fields(obj)}
 
 
 def resolved_config(params: RunParams) -> dict:
@@ -273,8 +273,7 @@ def sweep_scenarios(spec: ExperimentSpec, *, out_dir: str,
     return per_scenario
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
+class ComparisonRow(Record):
     scenario: str
     cpu: str
     mips: float
@@ -285,8 +284,7 @@ class ComparisonRow:
     baseline_tsr_pct: float
 
 
-@dataclass(frozen=True)
-class ScenarioComparison:
+class ScenarioComparison(Record):
     scenario: str
     rows: tuple[ComparisonRow, ...]
     average_reduction_pct: float

@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .engine import Stream
-from .network import ConfigurationError, check_number
+from .network import ConfigurationError, Record, check_number
 
 # A scenario's name becomes a directory of its cells, so it is one plain path
 # component: no separator, and no leading dot.
@@ -16,8 +15,7 @@ SCENARIO_NAME = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
 MAX_TASKS = 2**31 - 1
 
 
-@dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(Record):
     """One application workload: who generates tasks, how often, how heavy."""
 
     name: str

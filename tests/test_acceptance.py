@@ -10,7 +10,6 @@ import math
 import os
 import random
 import time
-from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -19,7 +18,7 @@ from ponedge._kernel import pykernel
 from ponedge.cli import main
 from ponedge.config import ExperimentSpec, cpu_grid
 from ponedge.engine import Stream
-from ponedge.network import BITS_PER_KB
+from ponedge.network import BITS_PER_KB, replace
 from ponedge.simulation import RunParams, run_simulation
 from ponedge.sweep import compare_scenarios, sweep_scenarios
 from ponedge.workload import SCENARIOS, ScenarioSpec, scenario_preset

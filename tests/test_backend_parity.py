@@ -11,7 +11,6 @@ import subprocess
 import tracemalloc
 from array import array
 from collections import Counter
-from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -24,7 +23,7 @@ from ponedge.cli import main
 from ponedge.config import DEFAULT_CALIBRATION, cpu_grid, preset_shape
 from ponedge.engine import SimulationError
 from ponedge.metrics import _csv_line, _task_lines
-from ponedge.network import ConfigurationError
+from ponedge.network import ConfigurationError, replace
 from ponedge.simulation import (RunParams, _cached_arrivals, _trace_lines, build_kernel_inputs,
                                 run_simulation, write_trace)
 from ponedge.workload import SCENARIOS, ScenarioSpec, generate_arrivals, scenario_preset

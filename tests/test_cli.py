@@ -142,6 +142,26 @@ def test_cli_import_starts_no_process_pool_machinery(tmp_path):
     assert not (tmp_path / "cache").exists()
 
 
+# Modules a run on the C kernel never needs: dataclasses, with inspect, which
+# they import, and the pure-Python reference loop, which a Python run loads.
+START_UP_MODULES = ("dataclasses", "inspect", "ponedge._kernel.pykernel")
+
+
+@needs_compiler
+@pytest.mark.parametrize("backend,loaded", [("c", []), ("python", ["ponedge._kernel.pykernel"])])
+def test_a_run_loads_only_the_kernel_it_runs(tmp_path, backend, loaded):
+    # the session's kernel cache, so that the C kernel is not compiled again
+    env = dict(ponedge_env(tmp_path, backend=backend), XDG_CACHE_HOME=os.environ["XDG_CACHE_HOME"])
+    code = (f"import sys, ponedge, ponedge.cli; modules = {START_UP_MODULES!r}; "
+            "print(ponedge.resolve_backend(), sorted(set(modules) & set(sys.modules))); "
+            f"code = ponedge.cli.main({RUN_FLAGS + ['--out-dir', str(tmp_path / 'out')]!r}); "
+            "print(code, sorted(set(modules) & set(sys.modules)))")
+    done = run_python(code, env)
+    assert done.stderr == ""
+    assert done.stdout.splitlines()[0] == f"{backend} []"
+    assert done.stdout.splitlines()[-1] == f"0 {loaded}"
+
+
 def test_env_seed_override(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("PONEDGE_SEED", "9")
     out = tmp_path / "res"
@@ -328,6 +348,25 @@ def test_bad_calibration_and_scenarios_exit_2(tmp_path, capsys, key, document):
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and err.count("\n") == 1
     assert key in err
+
+
+HUGE = "1" + "0" * 400  # a JSON integer past the float range, though below math.inf
+
+
+# such an integer ended in an OverflowError traceback (exit 1) where it first
+# met float arithmetic
+@pytest.mark.parametrize("key,document", [
+    ("cpus: mips", CPU_ENTRY % HUGE),
+    ("calibration: pon_length_m", CALIBRATED % ("pon_length_m", HUGE)),
+    ("duration", NON_FINITE_DOCUMENT % HUGE),
+], ids=["cpu-mips", "pon-length", "duration"])
+def test_integers_past_the_float_range_exit_2(tmp_path, capsys, key, document):
+    config = tmp_path / "exp.json"
+    config.write_text(document)
+    assert main(["run", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: {key} must be at most 1.7976931348623157e+308\n")
+    assert not (tmp_path / "out").exists()
     assert list(tmp_path.iterdir()) == [config]
 
 

@@ -1,14 +1,13 @@
 """MIPS execution math, per-core FIFO, and admission, through kernel runs."""
 
 import random
-from dataclasses import replace
 
 import pytest
 
 from ponedge._kernel import pykernel
 from ponedge._kernel.pykernel import PH_DELIVERED, PH_NO_PLACEMENT
 from ponedge.config import DEFAULT_CALIBRATION, Calibration
-from ponedge.network import ConfigurationError
+from ponedge.network import ConfigurationError, replace
 from ponedge.simulation import RunParams, build_kernel_inputs
 from ponedge.workload import scenario_preset
 

@@ -2,13 +2,12 @@
 
 import json
 import math
-from dataclasses import replace
 
 import pytest
 
 from ponedge.config import (Calibration, DEFAULT_CALIBRATION, cpu_grid, cpu_label,
                             parse_experiment, parse_seeds, preset_shape)
-from ponedge.network import ConfigurationError
+from ponedge.network import ConfigurationError, replace
 from ponedge.simulation import RunParams, build_kernel_inputs
 from ponedge.sweep import build_cells
 from ponedge.workload import scenario_preset

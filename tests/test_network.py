@@ -4,14 +4,13 @@ model against a fluid oracle."""
 import itertools
 import math
 import random
-from dataclasses import replace
 
 import pytest
 
 from ponedge._kernel import pykernel
 from ponedge._kernel.pykernel import STRATEGY_ROUND_ROBIN
 from ponedge.config import DEFAULT_CALIBRATION, Calibration, preset_shape
-from ponedge.network import BITS_PER_KB, ConfigurationError
+from ponedge.network import BITS_PER_KB, ConfigurationError, replace
 from ponedge.workload import scenario_preset
 
 from kernel_inputs import kernel_inputs

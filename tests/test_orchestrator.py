@@ -3,9 +3,9 @@ and the candidate set."""
 
 from ponedge._kernel import pykernel
 from ponedge._kernel.pykernel import PH_NO_PLACEMENT, STRATEGY_ROUND_ROBIN, STRATEGY_TRADE_OFF
-from dataclasses import replace
 
 from ponedge.config import DEFAULT_CALIBRATION, preset_shape
+from ponedge.network import replace
 from ponedge.simulation import RunParams, build_kernel_inputs
 from ponedge.workload import scenario_preset
 

@@ -3,7 +3,6 @@
 import io
 import math
 import tracemalloc
-from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -14,7 +13,7 @@ from ponedge._kernel.pykernel import (PH_DOWN, PH_NO_PLACEMENT, TR_SIMULATION_EN
 from ponedge.config import DEFAULT_CALIBRATION
 from ponedge.engine import SimulationError
 from ponedge.metrics import write_tasks_csv
-from ponedge.network import ConfigurationError
+from ponedge.network import ConfigurationError, replace
 from ponedge.simulation import TRACE_CHUNK, RunParams, _trace_lines, run_simulation, write_trace
 from ponedge.workload import ScenarioSpec, scenario_preset
 
