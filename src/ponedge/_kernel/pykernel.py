@@ -37,13 +37,11 @@ from array import array
 from heapq import heappop, heappush, heappushpop
 
 from ..engine import SimulationError
-# the kernel contract; the names this loop does not use are re-exported with it
-from . import (DECOMPOSITION_TOLERANCE_S, INPUT_TYPECODES, OUTPUT_TYPECODES,  # noqa: F401
-               PH_DELIVERED, PH_DOWN, PH_NO_PLACEMENT, PH_PENDING, PH_QUEUED, PH_RUNNING, PH_UP,
-               STRATEGY_ROUND_ROBIN, STRATEGY_TRADE_OFF, TR_EXECUTION_COMPLETE,
-               TR_EXECUTION_START, TR_RESULT_DELIVERED, TR_SIMULATION_END, TR_TASK_ARRIVAL,
-               TR_TRANSFER_COMPLETE, TRACE_KINDS, TRACE_TYPECODES, KernelInputs, KernelOutputs,
-               Trace, _out_of_order, _past, _unconserved, _undecomposed)
+from . import (DECOMPOSITION_TOLERANCE_S, OUTPUT_TYPECODES, PH_DELIVERED, PH_DOWN,
+               PH_NO_PLACEMENT, PH_PENDING, PH_QUEUED, PH_RUNNING, PH_UP, STRATEGY_TRADE_OFF,
+               TR_EXECUTION_COMPLETE, TR_EXECUTION_START, TR_RESULT_DELIVERED,
+               TR_SIMULATION_END, TR_TASK_ARRIVAL, TR_TRANSFER_COMPLETE, KernelInputs,
+               KernelOutputs, Trace, _out_of_order, _past, _unconserved, _undecomposed)
 
 # internal event codes
 EV_ARRIVAL = 0

@@ -2,7 +2,7 @@
 
 from array import array
 
-from ponedge._kernel.pykernel import INPUT_TYPECODES, STRATEGY_TRADE_OFF, KernelInputs
+from ponedge._kernel import INPUT_TYPECODES, STRATEGY_TRADE_OFF, KernelInputs
 
 
 def kernel_inputs(*, routes=((),), up_route=((0,),), **fields) -> KernelInputs:

@@ -16,9 +16,9 @@ from types import SimpleNamespace
 import pytest
 
 from ponedge import _kernel
-from ponedge._kernel import available_backends, ckernel, compiler_argv, pykernel
-from ponedge._kernel.pykernel import (OUTPUT_TYPECODES, PH_DELIVERED, PH_DOWN,
-                                      PH_NO_PLACEMENT, PH_QUEUED, PH_RUNNING, PH_UP)
+from ponedge._kernel import (OUTPUT_TYPECODES, PH_DELIVERED, PH_DOWN, PH_NO_PLACEMENT, PH_QUEUED,
+                             PH_RUNNING, PH_UP, available_backends, ckernel, compiler_argv,
+                             pykernel)
 from ponedge.cli import main
 from ponedge.config import DEFAULT_CALIBRATION, cpu_grid, preset_shape
 from ponedge.engine import SimulationError
@@ -393,23 +393,23 @@ def text_doubles():
     return _text_doubles(random.Random(20261018), TEXT_VALUES)
 
 
-def _synthetic_trace(rng: random.Random, times: array) -> pykernel.Trace:
+def _synthetic_trace(rng: random.Random, times: array) -> _kernel.Trace:
     """Trace rows of every kind at the given times, with random seqs, tasks and
     subjects, negative ones included."""
     n = len(times)
     kind = array("i", (draw % 6 for draw in rng.randbytes(n)))
     extra = array("i", array("H", rng.randbytes(2 * n)))
     for row, k in enumerate(kind):
-        if k == pykernel.TR_TRANSFER_COMPLETE:
+        if k == _kernel.TR_TRANSFER_COMPLETE:
             extra[row] = (0, 1, 7)[extra[row] % 3]  # any leg but 0 is down
-        elif k == pykernel.TR_SIMULATION_END:
+        elif k == _kernel.TR_SIMULATION_END:
             extra[row] = -1
         else:  # an arrival's device, or the node of an execution or delivery
             extra[row] %= len(TEXT_NODES)
     seq = array("q", rng.randbytes(8 * n))
     for row in range(0, n, 2):
         seq[row] >>= 40
-    return pykernel.Trace(times, seq, kind, array("i", rng.randbytes(4 * n)), extra)
+    return _kernel.Trace(times, seq, kind, array("i", rng.randbytes(4 * n)), extra)
 
 
 def _synthetic_tasks(rng: random.Random, values: array):
@@ -455,11 +455,11 @@ def test_c_trace_text_matches_reference(text_doubles):
     write_trace = _kernel.c_library().write_trace
     step = 100_000
     for start in range(0, len(text_doubles), step):
-        chunk = pykernel.Trace(*(column[start:start + step] for column in trace))
+        chunk = _kernel.Trace(*(column[start:start + step] for column in trace))
         expected = "".join(line + "\n" for line in _trace_lines(TEXT_NODES, zip(*chunk)))
         assert _written(write_trace, chunk, node_ids)[0] == expected.encode("ascii")
     # a buffer that fits the longest line once: every write is whole lines
-    chunk = pykernel.Trace(*(column[:3000] for column in trace))
+    chunk = _kernel.Trace(*(column[:3000] for column in trace))
     expected = "".join(line + "\n" for line in _trace_lines(TEXT_NODES, zip(*chunk))).encode()
     capacity = _one_line_capacity(expected, b"\n")
     text, sizes = _written(write_trace, chunk, node_ids, capacity=capacity)
@@ -508,10 +508,10 @@ def test_c_write_trace_holds_one_buffer_of_text():
 @needs_c
 def test_c_text_writers_reject_rows_with_no_text():
     library = _kernel.c_library()
-    for kind, extra in ((6, 0), (-1, 0), (pykernel.TR_EXECUTION_START, len(TEXT_NODES)),
-                        (pykernel.TR_RESULT_DELIVERED, -1), (pykernel.TR_TASK_ARRIVAL, -1),
-                        (pykernel.TR_TASK_ARRIVAL, len(TEXT_NODES))):
-        trace = pykernel.Trace(array("d", [1.0]), array("q", [1]), array("i", [kind]),
+    for kind, extra in ((6, 0), (-1, 0), (_kernel.TR_EXECUTION_START, len(TEXT_NODES)),
+                        (_kernel.TR_RESULT_DELIVERED, -1), (_kernel.TR_TASK_ARRIVAL, -1),
+                        (_kernel.TR_TASK_ARRIVAL, len(TEXT_NODES))):
+        trace = _kernel.Trace(array("d", [1.0]), array("q", [1]), array("i", [kind]),
                                array("i", [0]), array("i", [extra]))
         with pytest.raises(ValueError):
             library.write_trace(io.BytesIO(), trace, [b"n0"] * len(TEXT_NODES))

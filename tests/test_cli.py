@@ -348,9 +348,10 @@ def test_bad_calibration_and_scenarios_exit_2(tmp_path, capsys, key, document):
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and err.count("\n") == 1
     assert key in err
+    assert list(tmp_path.iterdir()) == [config]
 
 
-HUGE = "1" + "0" * 400  # a JSON integer past the float range, though below math.inf
+HUGE ="1" + "0" * 400  # a JSON integer past the float range, though below math.inf
 
 
 # such an integer ended in an OverflowError traceback (exit 1) where it first

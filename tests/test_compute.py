@@ -4,8 +4,7 @@ import random
 
 import pytest
 
-from ponedge._kernel import pykernel
-from ponedge._kernel.pykernel import PH_DELIVERED, PH_NO_PLACEMENT
+from ponedge._kernel import PH_DELIVERED, PH_NO_PLACEMENT, pykernel
 from ponedge.config import DEFAULT_CALIBRATION, Calibration
 from ponedge.network import ConfigurationError, replace
 from ponedge.simulation import RunParams, build_kernel_inputs

@@ -5,12 +5,10 @@ import random
 
 import pytest
 
-from ponedge._kernel import pykernel
-from ponedge._kernel.pykernel import (PH_DELIVERED, PH_PENDING, PH_RUNNING,
-                                      STRATEGY_ROUND_ROBIN, TR_EXECUTION_COMPLETE,
-                                      TR_EXECUTION_START, TR_RESULT_DELIVERED,
-                                      TR_SIMULATION_END, TR_TASK_ARRIVAL,
-                                      TR_TRANSFER_COMPLETE)
+from ponedge._kernel import (PH_DELIVERED, PH_PENDING, PH_RUNNING, STRATEGY_ROUND_ROBIN,
+                             TR_EXECUTION_COMPLETE, TR_EXECUTION_START, TR_RESULT_DELIVERED,
+                             TR_SIMULATION_END, TR_TASK_ARRIVAL, TR_TRANSFER_COMPLETE,
+                             TRACE_KINDS, Trace, pykernel)
 from ponedge.config import DEFAULT_CALIBRATION, preset_shape
 from ponedge.engine import SimulationError, Stream
 from ponedge.simulation import write_trace
@@ -126,11 +124,11 @@ def test_uniform_range_and_exponential_positive():
 def test_event_payload_kinds_are_closed():
     codes = (TR_TASK_ARRIVAL, TR_TRANSFER_COMPLETE, TR_EXECUTION_START,
              TR_EXECUTION_COMPLETE, TR_RESULT_DELIVERED, TR_SIMULATION_END)
-    assert [pykernel.TRACE_KINDS[code] for code in codes] == [
+    assert [TRACE_KINDS[code] for code in codes] == [
         "TaskArrival", "TransferComplete", "ExecutionStart",
         "ExecutionComplete", "ResultDelivered", "SimulationEnd",
     ]
-    assert len(pykernel.TRACE_KINDS) == len(codes)
+    assert len(TRACE_KINDS) == len(codes)
 
 
 def test_trace_line_format_and_file_bytes():
@@ -148,7 +146,7 @@ def test_trace_line_format_and_file_bytes():
         (600.0, 0, TR_SIMULATION_END, -1, -1),
     ]
     sink = io.BytesIO()
-    write_trace(sink, node_ids, pykernel.Trace(*zip(*rows)))
+    write_trace(sink, node_ids, Trace(*zip(*rows)))
     assert sink.getvalue() == (
         b"1.5\t3\tTaskArrival\ttask=t0 src=n0007-dev\n"
         b"0.30000000000000004\t4\tTransferComplete\ttask=t0 leg=up\n"

@@ -5,7 +5,8 @@ from array import array
 
 import pytest
 
-from ponedge._kernel.pykernel import PH_DELIVERED, PH_NO_PLACEMENT, KernelOutputs, post_run
+from ponedge._kernel import PH_DELIVERED, PH_NO_PLACEMENT, KernelOutputs
+from ponedge._kernel.pykernel import post_run
 from ponedge.metrics import (AGGREGATE_METRICS, EmptyRunError, RunSummary,
                              SUMMARY_CSV_COLUMNS, TASKS_CSV_COLUMNS, aggregate,
                              format_number, percentile_95, read_summary_csv, summarize,

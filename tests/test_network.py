@@ -7,8 +7,7 @@ import random
 
 import pytest
 
-from ponedge._kernel import pykernel
-from ponedge._kernel.pykernel import STRATEGY_ROUND_ROBIN
+from ponedge._kernel import STRATEGY_ROUND_ROBIN, TR_TRANSFER_COMPLETE, pykernel
 from ponedge.config import DEFAULT_CALIBRATION, Calibration, preset_shape
 from ponedge.network import BITS_PER_KB, ConfigurationError, replace
 from ponedge.workload import scenario_preset
@@ -248,5 +247,5 @@ def test_pool_eta_ties_go_to_the_earliest_joiner():
     out = pykernel.run(inputs)
     assert out.exec_end[0] == 1.0 and out.uplink_done[1] == out.delivered_at[0] == 1.0
     transfers = [(task, leg) for time, _, kind, task, leg in zip(*out.trace)
-                 if kind == pykernel.TR_TRANSFER_COMPLETE and time == 1.0]
+                 if kind == TR_TRANSFER_COMPLETE and time == 1.0]
     assert transfers == [(1, 0), (0, 1)]

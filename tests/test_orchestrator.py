@@ -1,8 +1,7 @@
 """Placement as the kernel runs it: trade-off scoring, round-robin cycling, admission,
 and the candidate set."""
 
-from ponedge._kernel import pykernel
-from ponedge._kernel.pykernel import PH_NO_PLACEMENT, STRATEGY_ROUND_ROBIN, STRATEGY_TRADE_OFF
+from ponedge._kernel import PH_NO_PLACEMENT, STRATEGY_ROUND_ROBIN, STRATEGY_TRADE_OFF, pykernel
 
 from ponedge.config import DEFAULT_CALIBRATION, preset_shape
 from ponedge.network import replace

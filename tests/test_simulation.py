@@ -7,9 +7,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from ponedge._kernel import pykernel
-from ponedge._kernel.pykernel import (PH_DOWN, PH_NO_PLACEMENT, TR_SIMULATION_END,
-                                      TR_TASK_ARRIVAL, Trace)
+from ponedge._kernel import (OUTPUT_TYPECODES, PH_DOWN, PH_NO_PLACEMENT, TR_SIMULATION_END,
+                             TR_TASK_ARRIVAL, Trace, pykernel)
 from ponedge.config import DEFAULT_CALIBRATION
 from ponedge.engine import SimulationError
 from ponedge.metrics import write_tasks_csv
@@ -113,7 +112,7 @@ def test_records_identical_across_repeats(tmp_path):
                        cpu_mips=300_000.0, seed=2, duration_s=60.0)
     a = run_simulation(params)
     b = run_simulation(params)
-    for name in pykernel.OUTPUT_TYPECODES:  # every output column
+    for name in OUTPUT_TYPECODES:  # every output column
         assert getattr(a.outputs, name).tobytes() == getattr(b.outputs, name).tobytes(), name
     assert a.summary == b.summary
     tasks = []
