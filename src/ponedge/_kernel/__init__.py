@@ -54,7 +54,7 @@ STRATEGY_ROUND_ROBIN = 1
 DECOMPOSITION_TOLERANCE_S = 1e-12
 
 
-class KernelInputs(Record, frozen=False):
+class KernelInputs(Record):
     """Flat, index-based description of one run: `array` columns of the
     INPUT_TYPECODES types, which the C kernel reads without a copy."""
 
@@ -116,7 +116,7 @@ OUTPUT_TYPECODES = {"node_of": "i", "uplink_done": "d", "exec_start": "d", "exec
 TRACE_TYPECODES = ("d", "q", "i", "i", "i")
 
 
-class KernelOutputs(Record, frozen=False):
+class KernelOutputs(Record):
     # per task, `array` columns
     node_of: array  # -1 when never placed
     uplink_done: array  # NaN when the phase was not reached

@@ -4,8 +4,9 @@
  * pykernel.py is the reference. This file processes the same events in the
  * same (time, seq) order under the same sequence numbering, evaluates the
  * same float expressions in the same order, and records the same trace
- * entries, so both backends give bit-identical outputs. Any change to the
- * semantics there must be made here too, and the other way round.
+ * entries, each when its event pops, so both backends give bit-identical
+ * outputs. Any change to the semantics there must be made here too, and the
+ * other way round.
  *
  * No CPython API is used. ckernel.py fills one struct kernel_run with the
  * addresses of the input columns, as they are, and of the output and trace
@@ -24,8 +25,9 @@
 #include <stdlib.h>
 #include <string.h>
 
-/* internal event codes */
-enum { EV_ARRIVAL, EV_SER_END, EV_HOP_ARRIVE, EV_EXEC_END, EV_SIM_END };
+/* internal event codes; EV_TRACE_* are pushed in traced runs only */
+enum { EV_ARRIVAL, EV_SER_END, EV_HOP_ARRIVE, EV_EXEC_END, EV_SIM_END, EV_TRACE_START,
+       EV_TRACE_DELIVERED };
 
 /* trace kinds (the same codes as pykernel.TR_*) */
 enum {
@@ -121,14 +123,6 @@ struct event {
     long long seq;
     int code;
     int arg; /* the task, or the hop code for EV_SER_END */
-};
-
-struct entry {
-    double time;
-    long long seq;
-    int kind;
-    int task;
-    int extra;
 };
 
 /* the fair-share members of one link direction, in join order */
@@ -261,72 +255,6 @@ static int next_completion(const struct pool *p, double rate, double now, double
     return rank;
 }
 
-static int entry_before(const struct entry *a, const struct entry *b)
-{
-    return a->time < b->time || (a->time == b->time && a->seq < b->seq);
-}
-
-static int entry_order(const void *a, const void *b)
-{
-    return entry_before(a, b) ? -1 : entry_before(b, a);
-}
-
-static struct entry trace_get(const struct kernel_run *run, long long k)
-{
-    struct entry e = {run->trace_time[k], run->trace_seq[k], run->trace_kind[k],
-                      run->trace_task[k], run->trace_extra[k]};
-    return e;
-}
-
-static void trace_put(struct kernel_run *run, long long k, const struct entry *e)
-{
-    run->trace_time[k] = e->time;
-    run->trace_seq[k] = e->seq;
-    run->trace_kind[k] = e->kind;
-    run->trace_task[k] = e->task;
-    run->trace_extra[k] = e->extra;
-}
-
-/* Insertion sort of the first n trace entries, those recorded when their
- * event is processed: they are in processing order, except that a delivery,
- * recorded under a fresh seq, can precede events processed later at the
- * same time. */
-static void settle(struct kernel_run *run, long long n)
-{
-    long long i, j;
-    for (i = 1; i < n; i++) {
-        struct entry item = trace_get(run, i);
-        for (j = i; j > 0; j--) {
-            struct entry prev = trace_get(run, j - 1);
-            if (!entry_before(&item, &prev))
-                break;
-            trace_put(run, j, &prev);
-        }
-        trace_put(run, j, &item);
-    }
-}
-
-/* Merge the sorted execution starts into the trace, whose first n entries
- * are sorted, from the back, so that each entry is moved at most once. */
-static void merge_starts(struct kernel_run *run, long long n, const struct entry *starts,
-                         long long n_starts)
-{
-    long long k = n + n_starts;
-    run->trace_len = k;
-    while (n_starts > 0) {
-        k--;
-        if (n > 0) {
-            struct entry last = trace_get(run, n - 1);
-            if (entry_before(&starts[n_starts - 1], &last)) {
-                trace_put(run, k, &last);
-                n--;
-                continue;
-            }
-        }
-        trace_put(run, k, &starts[--n_starts]);
-    }
-}
-
 static int double_order(const void *a, const void *b)
 {
     double x = *(const double *)a;
@@ -415,12 +343,16 @@ static void *zeroed(size_t count, size_t size)
         has_held = 1;                                                          \
     } while (0)
 
-/* an entry recorded as its event is processed, straight into the trace */
+/* the entry of the event being processed, straight into the trace */
 #define RECORD(time_, seq_, kind_, task_, extra_)                              \
     do {                                                                       \
         if (traced) {                                                          \
-            struct entry e_ = {(time_), (seq_), (kind_), (task_), (extra_)};   \
-            trace_put(run, n_trace++, &e_);                                    \
+            run->trace_time[n_trace] = (time_);                                \
+            run->trace_seq[n_trace] = (seq_);                                  \
+            run->trace_kind[n_trace] = (kind_);                                \
+            run->trace_task[n_trace] = (task_);                                \
+            run->trace_extra[n_trace] = (extra_);                              \
+            n_trace++;                                                         \
         }                                                                      \
     } while (0)
 
@@ -429,11 +361,13 @@ static void *zeroed(size_t count, size_t size)
  * heap, as in pykernel.run. Each link direction keeps one live
  * serialization-end event, for the member with the smallest (eta, seq); the
  * sequence counter advances by the member count, so that event carries the
- * seq it would have had if every member's end were queued. Execution start
- * and delivery are recorded when they are scheduled, under the seq their
- * event would have had. The event a handler schedules last is held back and
- * merged into the next pop. After the loop, the post-run pass checks the
- * run and reduces it.
+ * seq it would have had if every member's end were queued. Every trace
+ * entry is recorded when its event is popped, so the trace columns fill in
+ * (time, seq) order; a traced run pushes each execution start and delivery
+ * as an EV_TRACE_* event under the seq it reserves, and popping one records
+ * it and counts nothing. The event a handler schedules last is held back
+ * and merged into the next pop. After the loop, the post-run pass checks
+ * the run and reduces it.
  */
 static int simulate(struct kernel_run *run)
 {
@@ -472,13 +406,8 @@ static int simulate(struct kernel_run *run)
     /* tasks: route and hop index on the current leg */
     int *t_route = zeroed((size_t)n_tasks, sizeof *t_route);
     int *t_hop = zeroed((size_t)n_tasks, sizeof *t_hop);
-    /* trace entries: those recorded as their event is processed go straight
-     * into the trace columns; the execution starts, recorded ahead when they
-     * are scheduled, wait here until the loop ends */
     const int traced = run->trace_time != NULL;
     long long n_trace = 0;
-    struct entry *starts = NULL;
-    long long n_starts = 0;
     struct heap heap = {zeroed(64, sizeof(struct event)), 0, 64};
     struct event held = {0.0, 0, 0, 0};
     int has_held = 0;
@@ -492,11 +421,6 @@ static int simulate(struct kernel_run *run)
         || core_start == NULL || queued == NULL || free_ram == NULL
         || free_storage == NULL || t_route == NULL || t_hop == NULL || heap.items == NULL)
         goto no_memory;
-    if (traced) {
-        starts = zeroed((size_t)n_tasks, sizeof *starts); /* one per task at most */
-        if (starts == NULL)
-            goto no_memory;
-    }
     for (i = 0; i < run->n_routes; i++) {
         int start = route_start[i];
         int end = route_start[i + 1];
@@ -618,10 +542,8 @@ static int simulate(struct kernel_run *run)
                 run->exec_end[task] = end;
                 if (start <= duration_s) { /* the execution start falls within the horizon */
                     t_phase[task] = PH_RUNNING;
-                    if (traced) {
-                        struct entry e = {start, seq, TR_EXECUTION_START, task, node};
-                        starts[n_starts++] = e;
-                    }
+                    if (traced)
+                        PUSH(start, seq, EV_TRACE_START, task);
                     processed++;
                 } else {
                     t_phase[task] = PH_QUEUED;
@@ -634,7 +556,8 @@ static int simulate(struct kernel_run *run)
                 run->delivered_at[task] = now;
                 t_phase[task] = PH_DELIVERED;
                 RECORD(now, ev.seq, TR_TRANSFER_COMPLETE, task, 1);
-                RECORD(now, seq, TR_RESULT_DELIVERED, task, t_node[task]);
+                if (traced)
+                    PUSH(now, seq, EV_TRACE_DELIVERED, task);
                 processed++;
                 seq++;
             }
@@ -715,8 +638,13 @@ static int simulate(struct kernel_run *run)
                     join = up_hops[route_start[route]];
                 }
             }
-        } else { /* EV_SIM_END */
+        } else if (ev.code == EV_SIM_END) {
             RECORD(now, ev.seq, TR_SIMULATION_END, task, -1);
+        } else { /* EV_TRACE_*: an entry of a traced run, not a simulation event */
+            RECORD(now, ev.seq,
+                   ev.code == EV_TRACE_START ? TR_EXECUTION_START : TR_RESULT_DELIVERED, task,
+                   t_node[task]);
+            continue;
         }
         if (join >= 0) {
             double bits = t_phase[task] == PH_UP ? run->request_bits : run->result_bits;
@@ -761,12 +689,7 @@ static int simulate(struct kernel_run *run)
     }
 
     run->processed_events = processed;
-    if (traced) {
-        /* into (time, seq) order, which is the processing order */
-        settle(run, n_trace);
-        qsort(starts, (size_t)n_starts, sizeof *starts, entry_order);
-        merge_starts(run, n_trace, starts, n_starts);
-    }
+    run->trace_len = n_trace;
     status = post_run(run);
     goto done;
 
@@ -793,7 +716,6 @@ done:
     free(free_storage);
     free(t_route);
     free(t_hop);
-    free(starts);
     free(heap.items);
     return status;
 }

@@ -7,18 +7,17 @@ the same order, and fair-share members kept in join order. Each link
 direction keeps one pending serialization-end event, for the member with the
 smallest (eta, seq); the sequence counter advances by the member count, so
 that event carries the seq it would have had if every member's end were
-queued. Execution starts and deliveries are recorded where they are
-scheduled, under the seq their events would have had; an execution start
-counts as processed only when it falls within the horizon. The trace comes
-out in (time, seq) order, which is the processing order because (time, seq)
-is unique, from a merge of two streams: the entries recorded as their event
-is processed arrive in that order, and the execution starts and deliveries,
-recorded ahead of their (time, seq), wait in a small heap until an entry
-that sorts after them is recorded. Drained bits are clamped at zero. After
-the loop, one post-run pass over the task columns checks the run's
-identities and returns per-node busy time and the sorted latencies. Any
-change to the semantics here must be made in kernel.c too, or the two
-backends stop being bit-identical.
+queued. An execution start counts as processed when it is scheduled, if it
+falls within the horizon, and a delivery when its downlink completes; each
+reserves a seq there. Every trace entry is recorded when its event is
+popped, so the trace comes out in (time, seq) order, which is the processing
+order because (time, seq) is unique. In a traced run only, execution starts
+and deliveries are heap events too, under the seq they reserved; popping one
+records it and counts nothing. Drained bits are clamped at zero. After the
+loop, one post-run pass over the task columns checks the run's identities
+and returns per-node busy time and the sorted latencies. Any change to the
+semantics here must be made in kernel.c too, or the two backends stop being
+bit-identical.
 
 Inputs and outputs are `array` columns, which the C kernel reads and writes
 in place; `run` copies the input columns into local lists once, since
@@ -49,6 +48,9 @@ EV_SER_END = 1
 EV_HOP_ARRIVE = 2
 EV_EXEC_END = 3
 EV_SIM_END = 4
+# pushed in traced runs only, to record an entry when popped
+EV_TRACE_START = 5
+EV_TRACE_DELIVERED = 6
 
 NAN = float("nan")
 
@@ -118,13 +120,13 @@ def run(inputs: KernelInputs) -> KernelOutputs:
     for EV_SER_END. Each link direction keeps one live serialization-end
     event, for the member with the smallest (eta, seq); an older one is
     recognised as superseded because its seq is no longer the one recorded
-    in `pending_seq`. Execution start and delivery are recorded when they
-    are scheduled, each under the seq its event would have had.
+    in `pending_seq`.
 
-    The trace columns are filled in (time, seq) order as the run goes. An
-    entry recorded as its event is processed is appended at once, after the
-    waiting execution starts and deliveries that sort before it are released
-    from their heap; the ones still waiting when the loop ends follow.
+    The trace columns are filled in (time, seq) order as the run goes: each
+    entry is appended when its event is popped. A traced run pushes each
+    execution start and delivery as an EV_TRACE_* event, under the seq it
+    reserves; popping one appends its entry and is not counted in
+    `processed`. An untraced run pushes neither.
 
     The event a handler schedules last is held back in `held` and merged into
     the next pop with heappushpop, which returns it without touching the heap
@@ -172,15 +174,9 @@ def run(inputs: KernelInputs) -> KernelOutputs:
     if inp.collect_trace:
         trace = Trace.allocate()
         add_time, add_seq, add_kind, add_task, add_extra = (column.append for column in trace)
-        # execution starts and deliveries, recorded ahead of their (time, seq)
-        waiting: list[tuple[float, int, int, int, int]] = []
 
         def record(time: float, ev_seq: int, kind: int, task: int, extra: int) -> None:
-            """Append an entry whose event is being processed, after every
-            waiting entry that sorts before it (nothing waiting sorts before
-            a released one)."""
-            while waiting and waiting[0] < (time, ev_seq):
-                record(*heappop(waiting))
+            """Append the entry of the event being processed."""
             add_time(time)
             add_seq(ev_seq)
             add_kind(kind)
@@ -276,7 +272,7 @@ def run(inputs: KernelInputs) -> KernelOutputs:
                 if start <= duration_s:  # the execution start falls within the horizon
                     t_phase[task] = PH_RUNNING
                     if trace is not None:
-                        heappush(waiting, (start, seq, TR_EXECUTION_START, task, node))
+                        heappush(heap, (start, seq, EV_TRACE_START, task))
                     processed += 1
                 else:
                     t_phase[task] = PH_QUEUED
@@ -289,7 +285,7 @@ def run(inputs: KernelInputs) -> KernelOutputs:
                 t_phase[task] = PH_DELIVERED
                 if trace is not None:
                     record(now, ev_seq, TR_TRANSFER_COMPLETE, task, 1)
-                    heappush(waiting, (now, seq, TR_RESULT_DELIVERED, task, t_node[task]))
+                    heappush(heap, (now, seq, EV_TRACE_DELIVERED, task))
                 processed += 1
                 seq += 1
         elif code == EV_EXEC_END:
@@ -358,8 +354,13 @@ def run(inputs: KernelInputs) -> KernelOutputs:
                     seq += 1
                 else:
                     join = path[0]
-        elif trace is not None:  # EV_SIM_END
-            record(now, ev_seq, TR_SIMULATION_END, task, -1)
+        elif code == EV_SIM_END:
+            if trace is not None:
+                record(now, ev_seq, TR_SIMULATION_END, task, -1)
+        else:  # EV_TRACE_*: an entry of a traced run, not a simulation event
+            record(now, ev_seq, TR_EXECUTION_START if code == EV_TRACE_START
+                   else TR_RESULT_DELIVERED, task, t_node[task])
+            continue
         if join >= 0:
             bits = request_bits if t_phase[task] == PH_UP else result_bits
             tokens = members[join]
@@ -395,9 +396,6 @@ def run(inputs: KernelInputs) -> KernelOutputs:
                 seq += count
         processed += 1
 
-    if trace is not None:
-        while waiting:
-            record(*heappop(waiting))
     busy, latencies = post_run(arrival_time, t_node, uplink_done, exec_start, exec_end,
                                delivered_at, t_phase, duration_s, len(inp.cores))
     columns = (t_node, uplink_done, exec_start, exec_end, delivered_at, t_phase, busy,

@@ -40,22 +40,18 @@ class Record:
     constructor takes fields positionally or by name, raises TypeError on an
     unknown, missing or repeated one, and then runs `__post_init__`, the
     record's checks. Records compare equal to records of the same class with
-    equal fields, and pickle and print like dataclasses. A subclass is frozen
-    unless declared with `frozen=False`: a frozen record refuses assignment
-    and hashes by its fields; a mutable one is unhashable.
+    equal fields, and pickle and print like dataclasses. Every record is
+    frozen: it refuses assignment and hashes by its fields, so one holding an
+    unhashable value, such as an `array`, raises TypeError on hash().
     """
 
     _fields: tuple[str, ...] = ()
     _defaults: dict = {}
 
-    def __init_subclass__(cls, frozen: bool = True, **kwargs) -> None:
+    def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(cls.__annotations__)
         cls._defaults = {name: vars(cls)[name] for name in cls._fields if name in vars(cls)}
-        if frozen:
-            cls.__setattr__ = cls.__delattr__ = _refuse_assignment
-        else:
-            cls.__hash__ = None
 
     def __init__(self, *args, **kwargs) -> None:
         if len(args) > len(self._fields):
@@ -75,7 +71,7 @@ class Record:
             raise TypeError(f"{type(self).__name__}() missing required argument(s): "
                             + ", ".join(missing))
         values = self._defaults | given
-        # in field order, and past __setattr__, which a frozen record refuses
+        # in field order, and past __setattr__, which refuses assignment
         vars(self).update((key, values[key]) for key in self._fields)
         self.__post_init__()
 
@@ -93,14 +89,15 @@ class Record:
     def __hash__(self) -> int:
         return hash(self._values())
 
+    def __setattr__(self, name, value=None) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen "
+                             f"{type(self).__name__}")
+
+    __delattr__ = __setattr__
+
     def __repr__(self) -> str:
         return (f"{type(self).__qualname__}("
                 + ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields) + ")")
-
-
-def _refuse_assignment(self, name, value=None):
-    raise AttributeError(f"cannot assign to field {name!r} of a frozen "
-                         f"{type(self).__name__}")
 
 
 def fields(record) -> tuple[str, ...]:

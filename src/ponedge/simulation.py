@@ -52,7 +52,7 @@ class RunParams(Record):
             object.__setattr__(self, "cpu", cpu_label(self.cpu_mips))
 
 
-class RunResult(Record, frozen=False):
+class RunResult(Record):
     """One run: its kernel inputs, the kernel's per-task output columns and their summary."""
 
     params: RunParams

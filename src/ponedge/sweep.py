@@ -70,8 +70,8 @@ def _published_summary(directory: str, config_text: str,
         return None
 
 
-def run_cell(params: RunParams, out_dir: str, backend: str | None = "auto",
-             trace_path: str | None = None, *, tasks_csv: bool) -> RunSummary:
+def run_cell(params: RunParams, out_dir: str, trace_path: str | None = None, *,
+             tasks_csv: bool) -> RunSummary:
     """Run one cell, publish its files atomically, and return its summary as published.
 
     The cell gets summary.csv and config.json, plus the per-task tasks.csv
@@ -87,8 +87,7 @@ def run_cell(params: RunParams, out_dir: str, backend: str | None = "auto",
         cached = _published_summary(final_dir, config_text, tasks_csv)
         if cached is not None:
             return cached
-    result = run_simulation(params, backend=backend,
-                            collect_trace=trace_path is not None)
+    result = run_simulation(params, collect_trace=trace_path is not None)
     staging = final_dir + f".tmp-{os.getpid()}"
     try:
         os.makedirs(staging, exist_ok=True)

@@ -210,15 +210,31 @@ def _random_inputs(rng: random.Random):
 
 
 def test_trace_merge_keeps_time_seq_order_on_random_calibrations():
-    # execution starts and deliveries are recorded ahead of their (time, seq)
-    # and merged into the processed entries; on coinciding times the merge
-    # must still give strictly increasing (time, seq), as one sort would
+    # every entry is recorded when its event pops, execution starts and
+    # deliveries under the seq they reserved when scheduled; on coinciding
+    # times the trace must still be strictly increasing in (time, seq), as
+    # one sort would make it
     rng = random.Random(20260418)
     for _ in range(200):
         params, inputs = _random_inputs(rng)
         rows = list(zip(*pykernel.run(inputs).trace))
         assert all(a[:2] < b[:2] for a, b in zip(rows, rows[1:])), params
         assert rows == sorted(rows), params
+
+
+@pytest.mark.parametrize("backend", ["python", pytest.param("c", marks=needs_c)])
+def test_tracing_changes_no_output_on_random_calibrations(backend):
+    # a traced run pushes its execution starts and deliveries as heap events
+    # of their own: they must not count as processed events, nor change the
+    # order of the simulation's events
+    rng = random.Random(20260418)
+    for _ in range(200):
+        params, inputs = _random_inputs(rng)
+        traced = _kernel.run(inputs, backend=backend)
+        untraced = _kernel.run(replace(inputs, collect_trace=False), backend=backend)
+        assert untraced.trace is None
+        # repr round-trips every float exactly, NaN included
+        assert repr(untraced) == repr(replace(traced, trace=None)), params
 
 
 @needs_c
