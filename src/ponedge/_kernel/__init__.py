@@ -1,18 +1,18 @@
-"""The kernel contract, and backend selection: the C kernel, compiled on
-first use, or pure Python.
+"""The kernel contract, and its two backends behind one interface.
 
 The contract is what both kernels read and write: the KernelInputs,
 KernelOutputs and Trace columns with their array type codes, the trace,
-phase and strategy codes, and the errors a run raises. pykernel, the
-pure-Python reference loop, is imported the first time a run resolves to
-`python`, so a process that runs the C kernel never compiles it.
+phase and strategy codes, and the errors a run raises. library(backend)
+returns a backend's implementation of run, arrivals, write_trace and
+write_tasks: the C kernel's ckernel.Library, or pykernel, the whole
+pure-Python backend and the reference. pykernel is imported the first time a
+backend resolves to `python`, so a process on the C kernel never compiles it.
 
 The first request that may use the C kernel compiles the shipped kernel.c
 with the C compiler this interpreter was built with, into
 `$XDG_CACHE_HOME/ponedge` (default `~/.cache/ponedge`), and loads it through
 ctypes. Later processes find the library there and only hash, stat and load
-it. Importing this package compiles and loads nothing. The same library
-writes the text of a run resolved to `c` (see c_library).
+it. Importing this package compiles and loads nothing.
 """
 
 from __future__ import annotations
@@ -248,16 +248,6 @@ def _c_kernel(warn: bool = False):
     return _clib
 
 
-def c_library():
-    """The C kernel's ckernel.Library: its run and its text writers.
-
-    Resolves backend `c`, so it builds the library if needed, and raises
-    ConfigurationError when it cannot be built.
-    """
-    resolve_backend("c")
-    return _clib
-
-
 def available_backends() -> list[str]:
     """The backends this process can run; asking builds the C kernel if needed."""
     return (["c"] if _c_kernel() is not None else []) + ["python"]
@@ -283,14 +273,21 @@ def resolve_backend(name: str | None = "auto") -> str:
     return "python"
 
 
+def library(backend: str | None = "auto"):
+    """The implementation `backend` resolves to: the C kernel's ckernel.Library,
+    built and loaded if needed, or the pykernel module, whose functions it
+    mirrors with the same signatures, results and bytes."""
+    if resolve_backend(backend) == "c":
+        return _clib
+    from . import pykernel  # the pure-Python backend, compiled only where it runs
+
+    return pykernel
+
+
 def run(inputs: KernelInputs, node_specs=None, backend: str | None = "auto") -> KernelOutputs:
-    """Run one simulation; the inputs carry every node constant.
+    """Run one simulation on `backend`'s library; the inputs carry every node constant.
 
     `node_specs` is ignored. It stays because perfbench replays recorded calls
     as `(inputs, node_specs)`.
     """
-    if resolve_backend(backend) == "c":
-        return _clib.run(inputs)
-    from . import pykernel  # the reference loop, compiled only where it runs
-
-    return pykernel.run(inputs)
+    return library(backend).run(inputs)

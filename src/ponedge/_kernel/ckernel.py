@@ -1,6 +1,6 @@
-"""ctypes binding of the C kernel in kernel.c, a mirror of pykernel.run, of
-its arrival draw, the mirror of workload.generate_arrivals, and of its text
-writers, the mirrors of simulation._trace_lines and metrics._task_lines.
+"""ctypes binding of the C kernel in kernel.c: the C backend's Library, whose
+run, arrivals, write_trace and write_tasks mirror pykernel's functions of the
+same names and signatures.
 
 The kernel reads the `array` columns of KernelInputs where they are, and
 writes the output and trace columns Python allocates as `array`s; one `_Run`
@@ -14,8 +14,9 @@ seeded, so seeding has one implementation. It counts the arrivals first,
 refuses more than workload.MAX_TASKS, then fills `array` columns of that
 length, sorted by (time, device).
 
-The text writers format those columns into one reused buffer and write it to
-a binary file a buffer at a time, with no Python string per line.
+The text writers encode the labels, format the columns into one reused
+buffer of `capacity` bytes and write it to a binary file a buffer at a time,
+with no Python string per line.
 """
 
 from __future__ import annotations
@@ -23,11 +24,12 @@ from __future__ import annotations
 import ctypes
 from array import array
 from collections.abc import Sequence
+from itertools import accumulate
 from typing import Callable, NamedTuple
 
 from ..engine import SimulationError
 from ..network import ConfigurationError
-from ..workload import MAX_TASKS
+from ..workload import MAX_TASKS, arrival_streams
 from . import (DECOMPOSITION_TOLERANCE_S, INPUT_TYPECODES, OUTPUT_TYPECODES, TRACE_TYPECODES,
                KernelInputs, KernelOutputs, Trace, _out_of_order, _past, _unconserved,
                _undecomposed)
@@ -144,12 +146,11 @@ def _columns(named: dict[str, tuple[array, str]], length: int) -> dict[str, int]
     return {name: column.buffer_info()[0] for name, (column, _) in named.items()}
 
 
-def _labels(labels: Sequence[bytes]) -> tuple[bytes, array]:
-    """The labels concatenated, and the offset of each in it plus the end."""
-    start = array("i", [0])
-    for label in labels:
-        start.append(start[-1] + len(label))
-    return b"".join(labels), start
+def _labels(labels: Sequence[str]) -> tuple[bytes, array]:
+    """The labels UTF-8 encoded and concatenated, and the offset of each in it
+    plus the end."""
+    encoded = [label.encode() for label in labels]
+    return b"".join(encoded), array("i", accumulate(map(len, encoded), initial=0))
 
 
 class _Arrivals(ctypes.Structure):
@@ -160,8 +161,8 @@ class _Arrivals(ctypes.Structure):
 
 
 class Library(NamedTuple):
-    """The C kernel library: its run, its arrival draw, and its trace and
-    tasks.csv writers."""
+    """The C backend, as library("c") returns it: its run, its arrival draw,
+    and its trace and tasks.csv writers, with pykernel's signatures."""
 
     run: Callable[[KernelInputs], KernelOutputs]
     arrivals: Callable[..., tuple[array, array]]
@@ -217,14 +218,12 @@ def load(path: str) -> Library:
                 del column[run.trace_len:]
         return KernelOutputs(**outputs, processed_events=run.processed_events, trace=trace)
 
-    def arrivals(states: Sequence[int], interval_s: float, duration_s: float,
-                 mode: str) -> tuple[array, array]:
+    def arrivals(scenario, duration_s: float, seed: int, mode: str) -> tuple[array, array]:
         """generate_arrivals' (times, devices) columns as `array("d")` and
-        `array("i")`: device d draws from the stream in state states[d],
-        "poisson" or "fixed", every interval_s on average or exactly."""
-        state = array("Q", states)
+        `array("i")`: each device continues the arrival stream Python seeded."""
+        state = array("Q", [stream.state for stream in arrival_streams(scenario, seed)])
         spec = _Arrivals(n_devices=len(state), state=state.buffer_info()[0],
-                         interval_s=interval_s, duration_s=duration_s,
+                         interval_s=scenario.interval_s, duration_s=duration_s,
                          poisson=mode == "poisson")
         n = draw(ctypes.byref(spec), None, None, 0)
         if n > MAX_TASKS:  # _Run.n_tasks is a C int
@@ -251,10 +250,10 @@ def load(path: str) -> Library:
             fh.write(memoryview(buffer)[:size])
             start += done.value
 
-    def write_trace(fh, trace: Trace, node_ids: Sequence[bytes], *,
+    def write_trace(fh, trace: Trace, node_ids: Sequence[str], *,
                     capacity: int = TEXT_CAPACITY) -> None:
         """Write the trace file's lines to the binary file `fh`; node_ids maps
-        a node index to its ASCII id."""
+        a node index to its id."""
         rows = len(trace.time)
         node_text, node_start = _labels(node_ids)
         text = _TraceText(n_rows=rows, n_nodes=len(node_ids), node_text=node_text,
@@ -263,18 +262,19 @@ def load(path: str) -> Library:
                                       in zip(Trace._fields, trace, TRACE_TYPECODES)}, rows))
         write_text(fh, trace_text, text, rows, capacity)
 
-    def write_tasks(fh, generated_at: array, out: KernelOutputs, node_cells: Sequence[bytes],
-                    deadline_s: float, cell: bytes, *, capacity: int = TEXT_CAPACITY) -> None:
-        """Write the tasks.csv rows to the binary file `fh`. node_cells maps a
-        node index to its id as a quoted, encoded cell, and `cell` is the
-        scenario, topology, cpu and seed cells, quoted and encoded."""
+    def write_tasks(fh, generated_at: array, out: KernelOutputs, node_cells: Sequence[str],
+                    deadline_s: float, cell: str, *, capacity: int = TEXT_CAPACITY) -> None:
+        """Write the tasks.csv rows, UTF-8 encoded, to the binary file `fh`.
+        node_cells maps a node index to its id as a quoted CSV cell, and `cell`
+        is the quoted scenario, topology, cpu and seed cells."""
         rows = len(generated_at)
         node_text, node_start = _labels(node_cells)
+        cell_text = cell.encode()
         named = {"created": (generated_at, "d")} | {
             name: (getattr(out, name), OUTPUT_TYPECODES[name])
             for name in ("node_of", "uplink_done", "exec_start", "exec_end", "delivered_at")}
-        text = _TasksText(n_tasks=rows, deadline_s=deadline_s, cell=cell, cell_len=len(cell),
-                          n_nodes=len(node_cells), node_text=node_text,
+        text = _TasksText(n_tasks=rows, deadline_s=deadline_s, cell=cell_text,
+                          cell_len=len(cell_text), n_nodes=len(node_cells), node_text=node_text,
                           node_start=node_start.buffer_info()[0], **_columns(named, rows))
         write_text(fh, tasks_text, text, rows, capacity)
 

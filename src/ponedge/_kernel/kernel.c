@@ -1,5 +1,5 @@
 /*
- * Compiled simulation kernel: a plain-C mirror of pykernel.run.
+ * Compiled simulation kernel: the C backend, a plain-C mirror of pykernel.
  *
  * pykernel.py is the reference. This file processes the same events in the
  * same (time, seq) order under the same sequence numbering, evaluates the
@@ -14,10 +14,10 @@
  * allocated here is run-local and freed before the call returns.
  *
  * The file also draws a run's arrivals and writes its text:
- * ponedge_arrivals() is the mirror of workload.generate_arrivals and draws
- * the same floats, and ponedge_trace_text() and ponedge_tasks_text() are the
- * mirrors of simulation._trace_lines and metrics._task_lines, and write the
- * same bytes.
+ * ponedge_arrivals() is the mirror of pykernel.arrivals, which wraps
+ * workload.generate_arrivals, and draws the same floats, and
+ * ponedge_trace_text() and ponedge_tasks_text() are the mirrors of
+ * pykernel._trace_lines and pykernel._task_lines, and write the same bytes.
  */
 
 #include <math.h>
@@ -1039,7 +1039,7 @@ struct trace_text {
     const int *node_start; /* n_nodes + 1 entries */
 };
 
-/* simulation._trace_lines: time, seq, kind and subject, tab-separated */
+/* pykernel._trace_lines: time, seq, kind and subject, tab-separated */
 long long ponedge_trace_text(const struct trace_text *t, long long start, char *buffer,
                              long long capacity, long long *rows)
 {
@@ -1105,14 +1105,14 @@ struct tasks_text {
     const int *node_start; /* n_nodes + 1 entries */
 };
 
-/* metrics._timestamp: blank for a phase never reached */
+/* pykernel._timestamp: blank for a phase never reached */
 static void put_timestamp(struct sink *s, double v)
 {
     if (v == v)
         put_g(s, v, 12);
 }
 
-/* metrics._task_lines: one tasks.csv row, \r\n-terminated */
+/* pykernel._task_lines: one tasks.csv row, \r\n-terminated */
 long long ponedge_tasks_text(const struct tasks_text *t, long long start, char *buffer,
                              long long capacity, long long *rows)
 {

@@ -1,7 +1,10 @@
-"""Pure-Python simulation kernel: the reference semantics.
+"""The pure-Python backend, as library("python") returns it, and the reference
+the C library mirrors with the same signatures (its writers also take a
+`capacity`): the event loop (run), the arrival draw (arrivals, which wraps
+workload.generate_arrivals) and the trace and tasks.csv writers.
 
-The C kernel in kernel.c mirrors this module and reproduces its results bit
-for bit: the same events are processed in the same (time, seq) order under
+The C event loop in kernel.c mirrors run and reproduces its results bit for
+bit: the same events are processed in the same (time, seq) order under
 the same sequence numbering, with the same float expressions evaluated in
 the same order, and fair-share members kept in join order. Each link
 direction keeps one pending serialization-end event, for the member with the
@@ -32,15 +35,19 @@ placement and restored when execution ends.
 
 from __future__ import annotations
 
+import math
 from array import array
 from heapq import heappop, heappush, heappushpop
+from itertools import islice
 
 from ..engine import SimulationError
+from ..workload import generate_arrivals
 from . import (DECOMPOSITION_TOLERANCE_S, OUTPUT_TYPECODES, PH_DELIVERED, PH_DOWN,
                PH_NO_PLACEMENT, PH_PENDING, PH_QUEUED, PH_RUNNING, PH_UP, STRATEGY_TRADE_OFF,
                TR_EXECUTION_COMPLETE, TR_EXECUTION_START, TR_RESULT_DELIVERED,
-               TR_SIMULATION_END, TR_TASK_ARRIVAL, TR_TRANSFER_COMPLETE, KernelInputs,
-               KernelOutputs, Trace, _out_of_order, _past, _unconserved, _undecomposed)
+               TR_SIMULATION_END, TR_TASK_ARRIVAL, TR_TRANSFER_COMPLETE, TRACE_KINDS,
+               KernelInputs, KernelOutputs, Trace, _out_of_order, _past, _unconserved,
+               _undecomposed)
 
 # internal event codes
 EV_ARRIVAL = 0
@@ -53,6 +60,11 @@ EV_TRACE_START = 5
 EV_TRACE_DELIVERED = 6
 
 NAN = float("nan")
+
+# Lines the text writers format per write: about 70 KB of trace text. The
+# lines, their join and its encoding are the largest transient memory of a
+# traced run on this backend.
+TEXT_CHUNK = 1024
 
 
 def _drain(bits_left: list[float], rate: float, elapsed: float) -> list[float]:
@@ -405,3 +417,67 @@ def run(inputs: KernelInputs) -> KernelOutputs:
         processed_events=processed,
         trace=trace,
     )
+
+
+def arrivals(scenario, duration_s: float, seed: int, mode: str) -> tuple[array, array]:
+    """workload.generate_arrivals' (times, devices) columns, as `array("d")`
+    and `array("i")`."""
+    times, devices = generate_arrivals(scenario, duration_s, seed, mode)
+    return array("d", times), array("i", devices)
+
+
+def _write_lines(fh, lines) -> None:
+    """Write the text lines to the binary file `fh`, TEXT_CHUNK lines a write."""
+    while chunk := list(islice(lines, TEXT_CHUNK)):
+        fh.write("".join(chunk).encode())
+
+
+def _trace_lines(node_ids, rows):
+    """One line per kernel trace row (time, seq, kind, task, extra): time, seq,
+    kind name and subject, tab-separated and newline-terminated. An arrival's
+    subject is its device, and device d is node d."""
+    for time, seq, kind, task, extra in rows:
+        if kind == TR_TASK_ARRIVAL:
+            subject = f"task=t{task} src={node_ids[extra]}"
+        elif kind == TR_TRANSFER_COMPLETE:
+            subject = f"task=t{task} leg={'up' if extra == 0 else 'down'}"
+        elif kind == TR_SIMULATION_END:
+            subject = "-"
+        else:
+            subject = f"task=t{task} node={node_ids[extra]}"
+        yield f"{time:.17g}\t{seq}\t{TRACE_KINDS[kind]}\t{subject}\n"
+
+
+def write_trace(fh, trace: Trace, node_ids) -> None:
+    """Write the trace file's lines to the binary file `fh`; node_ids maps a
+    node index to its id. At most TEXT_CHUNK lines of text are held at once."""
+    _write_lines(fh, _trace_lines(node_ids, zip(*trace)))
+
+
+def _timestamp(value: float) -> str:
+    """A timestamp cell, empty where NaN means never reached."""
+    return "" if math.isnan(value) else f"{value:.12g}"
+
+
+def _task_lines(generated_at, out: KernelOutputs, node_cells, deadline_s: float, cell: str):
+    # the trailing "" is the node_id of a task never placed (node -1)
+    nodes = [*node_cells, ""]
+    for task, (created, node, uplink, start, end, delivered) in enumerate(zip(
+            generated_at, out.node_of, out.uplink_done, out.exec_start, out.exec_end,
+            out.delivered_at)):
+        if math.isnan(delivered):
+            yield (f"t{task},{cell},{nodes[node]},{created:.12g},{_timestamp(uplink)},"
+                   f"{_timestamp(start)},{_timestamp(end)},,Unfinished,,false\r\n")
+        else:  # a delivered task reached every phase (post_run checks it)
+            latency = delivered - created
+            yield (f"t{task},{cell},{nodes[node]},{created:.12g},{uplink:.12g},{start:.12g},"
+                   f"{end:.12g},{delivered:.12g},Delivered,{latency:.12g},"
+                   f"{'true' if latency <= deadline_s else 'false'}\r\n")
+
+
+def write_tasks(fh, generated_at, out: KernelOutputs, node_cells, deadline_s: float,
+                cell: str) -> None:
+    """Write the tasks.csv rows, UTF-8 encoded, to the binary file `fh`: node
+    index i's id is the quoted CSV cell node_cells[i], and `cell` the quoted
+    scenario, topology, cpu and seed cells of every row."""
+    _write_lines(fh, _task_lines(generated_at, out, node_cells, deadline_s, cell))

@@ -121,6 +121,26 @@ def _single(values, what: str):
     return values[0]
 
 
+def _check_trace_path(trace: str, out_dir: str, cell_dir: str) -> None:
+    """Refuse a --trace path that cannot be written, or that lies in this run's
+    cell, on its path, or in any cell published under out_dir."""
+    path, root, cell = (os.path.realpath(name) for name in (trace, out_dir, cell_dir))
+    parent = os.path.dirname(path)
+    why = None
+    if not trace or os.path.isdir(trace):
+        why = "a directory" if trace else "an empty path"
+    elif not os.path.isdir(parent) and parent != root:  # the run creates the out-dir
+        why = "its directory does not exist"
+    elif os.path.commonpath([path, cell]) in (path, cell):
+        why = "inside this run's cell directory, or on its path"
+    while why is None and parent != root and os.path.commonpath([parent, root]) == root:
+        if os.path.isfile(os.path.join(parent, "config.json")):
+            why = f"inside the published cell {parent}"
+        parent = os.path.dirname(parent)
+    if why is not None:
+        raise ConfigurationError(f"--trace {trace!r}: {why}")
+
+
 def cmd_run(args) -> int:
     if not args.config and not args.scenario:
         raise ConfigurationError("run needs --scenario (or --config)")
@@ -133,6 +153,8 @@ def cmd_run(args) -> int:
     params = RunParams(scenario, topology, mips, spec.seeds[0], cpu=cpu,
                        duration_s=spec.duration_s, strategy=spec.strategy,
                        arrivals=spec.arrivals, calibration=spec.calibration)
+    if args.trace is not None:
+        _check_trace_path(args.trace, args.out_dir, cell_directory(args.out_dir, params))
     summary = run_cell(params, args.out_dir, trace_path=args.trace, tasks_csv=True)
     print(f"scenario={summary.scenario} topology={summary.topology} cpu={summary.cpu!r} "
           f"mips={summary.mips:g} seed={summary.seed}")

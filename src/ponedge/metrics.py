@@ -8,7 +8,7 @@ import math
 from bisect import bisect_right
 from collections.abc import Sequence
 
-from ._kernel import KernelOutputs, c_library
+from ._kernel import KernelOutputs, library
 from .network import Record
 
 TASKS_CSV_COLUMNS = [
@@ -138,11 +138,6 @@ def format_number(value) -> str:
     return f"{value:.12g}"
 
 
-def _timestamp(value: float) -> str:
-    """format_number for a timestamp column, where NaN means never reached."""
-    return "" if math.isnan(value) else f"{value:.12g}"
-
-
 def _csv_line(fields: list) -> str:
     """fields quoted as csv.writer quotes them, without the line terminator."""
     buffer = io.StringIO()
@@ -150,81 +145,37 @@ def _csv_line(fields: list) -> str:
     return buffer.getvalue()[:-2]
 
 
-def _task_lines(generated_at: Sequence[float], out: KernelOutputs, node_ids: Sequence[str],
-                deadline_s: float, cell: str):
-    # Each line is what csv.writer writes for the row. Only the cell labels and
-    # node ids can need quoting, so they are quoted once here; the trailing ""
-    # is the node_id of a task never placed (node -1).
-    nodes = [_csv_line([node_id]) for node_id in node_ids] + [""]
-    for task, (created, node, uplink, start, end, delivered) in enumerate(zip(
-            generated_at, out.node_of, out.uplink_done, out.exec_start, out.exec_end,
-            out.delivered_at)):
-        if math.isnan(delivered):
-            yield (f"t{task},{cell},{nodes[node]},{created:.12g},{_timestamp(uplink)},"
-                   f"{_timestamp(start)},{_timestamp(end)},,Unfinished,,false\r\n")
-        else:  # a delivered task reached every phase (the kernels' post-run pass checks it)
-            latency = delivered - created
-            yield (f"t{task},{cell},{nodes[node]},{created:.12g},{uplink:.12g},{start:.12g},"
-                   f"{end:.12g},{delivered:.12g},Delivered,{latency:.12g},"
-                   f"{'true' if latency <= deadline_s else 'false'}\r\n")
-
-
 def write_tasks_csv(path, generated_at: Sequence[float], out: KernelOutputs,
                     node_ids: Sequence[str], *, deadline_s: float, scenario: str,
                     topology: str, cpu: str, seed: int, backend: str = "python") -> None:
-    """One lifecycle row per task, streamed from the kernel's columns.
-
-    node_ids maps a node index in out.node_of to its id. The bytes are those
-    csv.writer produces for rows of format_number cells. For a run the C
-    kernel made (`backend` "c"), the C library formats the rows into one
-    reused buffer and writes it a buffer at a time; otherwise _task_lines, the
-    reference formatter, yields them line by line. The quoted cell and node id
-    fields are encoded as the text file encodes them, so the bytes are the same.
-    """
-    cell = _csv_line([scenario, topology, cpu, seed])
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(TASKS_CSV_COLUMNS)
-        if backend == "c":
-            fh.flush()  # the header, before the rows go to the binary buffer
-            c_library().write_tasks(
-                fh.buffer, generated_at, out,
-                [_csv_line([node_id]).encode(fh.encoding) for node_id in node_ids],
-                deadline_s, cell.encode(fh.encoding))
-        else:
-            fh.writelines(_task_lines(generated_at, out, node_ids, deadline_s, cell))
+    """One lifecycle row per task, UTF-8 encoded: what csv.writer writes for the
+    kernel's columns, streamed by `backend`'s write_tasks. node_ids maps a node
+    index in out.node_of to its id; ids and labels, the only fields that can
+    need quoting, are quoted once here."""
+    with open(path, "wb") as fh:
+        fh.write(f"{_csv_line(TASKS_CSV_COLUMNS)}\r\n".encode())
+        library(backend).write_tasks(fh, generated_at, out,
+                                     [_csv_line([node_id]) for node_id in node_ids],
+                                     deadline_s, _csv_line([scenario, topology, cpu, seed]))
 
 
 def write_summary_csv(path, summaries: list[RunSummary]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SUMMARY_CSV_COLUMNS)
-        for s in summaries:
-            writer.writerow([
-                s.scenario, s.topology, s.cpu,
-                format_number(s.mips), s.seed, s.tasks_generated, s.tasks_delivered,
-                format_number(s.tsr_pct),
-                format_number(s.mean_latency_s),
-                format_number(s.p95_latency_s),
-                format_number(s.deadline_hit_pct),
-            ])
+        writer.writerows([s.scenario, s.topology, s.cpu, format_number(s.mips), s.seed,
+                          s.tasks_generated, s.tasks_delivered,
+                          *(format_number(getattr(s, name)) for name in AGGREGATE_METRICS)]
+                         for s in summaries)
 
 
 def read_summary_csv(path) -> list[RunSummary]:
-    out = []
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            out.append(RunSummary(
-                scenario=row["scenario"],
-                topology=row["topology"],
-                cpu=row["cpu"],
-                mips=float(row["mips"]),
-                seed=int(row["seed"]),
-                tasks_generated=int(row["tasks_generated"]),
-                tasks_delivered=int(row["tasks_delivered"]),
-                tasks_unfinished=int(row["tasks_generated"]) - int(row["tasks_delivered"]),
-                tsr_pct=float(row["tsr_pct"]),
-                mean_latency_s=float(row["mean_latency_s"]),
-                p95_latency_s=float(row["p95_latency_s"]),
-                deadline_hit_pct=float(row["deadline_hit_pct"]),
-            ))
-    return out
+        return [RunSummary(scenario=row["scenario"], topology=row["topology"], cpu=row["cpu"],
+                           mips=float(row["mips"]), seed=int(row["seed"]),
+                           tasks_generated=int(row["tasks_generated"]),
+                           tasks_delivered=int(row["tasks_delivered"]),
+                           tasks_unfinished=int(row["tasks_generated"])
+                           - int(row["tasks_delivered"]),
+                           **{name: float(row[name]) for name in AGGREGATE_METRICS})
+                for row in csv.DictReader(fh)]

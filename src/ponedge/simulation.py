@@ -10,12 +10,7 @@ from .config import (DEFAULT_ARRIVALS, DEFAULT_CALIBRATION, DEFAULT_DURATION_S,
                      DEFAULT_STRATEGY, STRATEGIES, Calibration, cpu_label, preset_shape)
 from .metrics import RunSummary, summarize
 from .network import BITS_PER_KB, ConfigurationError, Record, check_number
-from .workload import ScenarioSpec, arrival_streams, check_arrivals, generate_arrivals
-
-# Trace entries the pure-Python path formats per write: about 70 KB of text.
-# Its lines, their join and its encoding are the largest transient memory of
-# a traced run on that path.
-TRACE_CHUNK = 1024
+from .workload import ScenarioSpec, check_arrivals
 
 
 class RunParams(Record):
@@ -103,56 +98,7 @@ def _cached_arrivals(scenario: ScenarioSpec, duration_s: float, seed: int,
     # the arrival process is identical for every topology/CPU cell of a sweep;
     # the kernels only read these columns, so every cell shares them. The
     # cell's RunParams has checked the process.
-    if backend == "c":
-        return _kernel.c_library().arrivals(
-            [stream.state for stream in arrival_streams(scenario, seed)],
-            scenario.interval_s, duration_s, mode)
-    times, devices = generate_arrivals(scenario, duration_s, seed, mode)
-    return array("d", times), array("i", devices)
-
-
-def _trace_lines(node_ids, rows) -> list[str]:
-    """One line per kernel trace row (time, seq, kind, task, extra): time, seq,
-    kind name and subject, tab-separated. An arrival's subject is its device,
-    and device d is node d."""
-    kinds = _kernel.TRACE_KINDS
-    arrival, transfer, end = (_kernel.TR_TASK_ARRIVAL, _kernel.TR_TRANSFER_COMPLETE,
-                              _kernel.TR_SIMULATION_END)
-    lines = []
-    append = lines.append
-    for time, seq, kind, task, extra in rows:
-        if kind == arrival:
-            append(f"{time:.17g}\t{seq}\t{kinds[kind]}\ttask=t{task} src={node_ids[extra]}")
-        elif kind == transfer:
-            append(f"{time:.17g}\t{seq}\t{kinds[kind]}\ttask=t{task} "
-                   f"leg={'up' if extra == 0 else 'down'}")
-        elif kind == end:
-            append(f"{time:.17g}\t{seq}\t{kinds[kind]}\t-")
-        else:
-            append(f"{time:.17g}\t{seq}\t{kinds[kind]}\ttask=t{task} node={node_ids[extra]}")
-    return lines
-
-
-def write_trace(fh, node_ids, trace: _kernel.Trace, backend: str = "python") -> None:
-    """Write the event-trace file to the binary file `fh`; node_ids maps a node
-    index to its id.
-
-    One newline-terminated ASCII line per kernel trace entry. For a run the C
-    kernel made (`backend` "c"), the C library formats the lines into one
-    reused buffer and writes it a buffer at a time. Otherwise _trace_lines,
-    the reference formatter, formats them TRACE_CHUNK entries at a time, each
-    chunk's rows zipped from slices of the trace columns. Either way the text
-    of at most one buffer or chunk is held at once, and the bytes are the same.
-    """
-    if backend == "c":
-        _kernel.c_library().write_trace(fh, trace,
-                                        [node_id.encode("ascii") for node_id in node_ids])
-        return
-    for start in range(0, len(trace.time), TRACE_CHUNK):
-        lines = _trace_lines(node_ids, zip(*(column[start:start + TRACE_CHUNK]
-                                             for column in trace)))
-        lines.append("")  # the join then ends the chunk with a newline
-        fh.write("\n".join(lines).encode("ascii"))
+    return _kernel.library(backend).arrivals(scenario, duration_s, seed, mode)
 
 
 def run_simulation(params: RunParams, backend: str | None = "auto",
@@ -160,9 +106,9 @@ def run_simulation(params: RunParams, backend: str | None = "auto",
     """Execute one deterministic run and summarize it.
 
     With collect_trace the kernel's trace columns are kept in
-    `outputs.trace`, for write_trace. The kernel checks the run's invariants
-    and raises SimulationError when one breaks; that is a bug, not a data
-    point.
+    `outputs.trace`, for the write_trace of `backend`'s library. The kernel
+    checks the run's invariants and raises SimulationError when one breaks;
+    that is a bug, not a data point.
     """
     backend = _kernel.resolve_backend(backend)
     inputs = build_kernel_inputs(params, collect_trace, backend)

@@ -11,18 +11,19 @@ later one would trust.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import json
 import os
 import shutil
 
-from ._kernel import resolve_backend
+from ._kernel import library, resolve_backend
 from .config import TOPOLOGY_PRESETS, ExperimentSpec, cpu_grid, mips_text
 from .metrics import (RunSummary, aggregate, format_number, read_summary_csv,
                       write_summary_csv, write_tasks_csv)
 from .network import ConfigurationError, Record, fields
-from .simulation import RunParams, run_simulation, write_trace
+from .simulation import RunParams, run_simulation
 
 COMPARISON_COLUMNS = [
     "scenario", "cpu", "mips", "genio_mean_latency_s", "baseline_mean_latency_s",
@@ -58,7 +59,7 @@ def resolved_config(params: RunParams) -> dict:
 def _published_summary(directory: str, config_text: str,
                        tasks_csv: bool) -> RunSummary | None:
     """The summary of a published cell whose config.json is config_text and
-    which holds tasks.csv if tasks_csv is set, else None."""
+    which holds tasks.csv if tasks_csv is set and whose files read back, else None."""
     if tasks_csv and not os.path.isfile(os.path.join(directory, "tasks.csv")):
         return None
     try:
@@ -66,8 +67,21 @@ def _published_summary(directory: str, config_text: str,
             if fh.read() != config_text:
                 return None
         return read_summary_csv(os.path.join(directory, "summary.csv"))[0]
-    except FileNotFoundError:
+    except (OSError, ValueError, LookupError, TypeError, csv.Error):
         return None
+
+
+@contextlib.contextmanager
+def _replacing(path: str):
+    """A staging path beside `path` to write its new content to: renamed onto
+    `path` when the block completes, removed when it fails."""
+    staging = f"{path}.tmp-{os.getpid()}"
+    try:
+        yield staging
+        os.replace(staging, path)
+    finally:
+        if os.path.exists(staging):
+            os.remove(staging)
 
 
 def run_cell(params: RunParams, out_dir: str, trace_path: str | None = None, *,
@@ -78,8 +92,9 @@ def run_cell(params: RunParams, out_dir: str, trace_path: str | None = None, *,
     when tasks_csv is set. A published cell is reused only when its
     config.json matches this cell's resolved config and, if tasks_csv is set,
     it holds tasks.csv; otherwise it is recomputed and replaced. With
-    trace_path the cell is always recomputed, and its event trace is
-    streamed into a staging file renamed onto trace_path when complete.
+    trace_path the cell is always recomputed, and the write_trace of the
+    library that ran it streams its event trace into a staging file, renamed
+    onto trace_path when complete.
     """
     final_dir = cell_directory(out_dir, params)
     config_text = json.dumps(resolved_config(params), indent=2, sort_keys=True)
@@ -112,14 +127,8 @@ def run_cell(params: RunParams, out_dir: str, trace_path: str | None = None, *,
         if os.path.isdir(staging):
             shutil.rmtree(staging)
     if trace_path is not None:
-        staged_trace = trace_path + f".tmp-{os.getpid()}"
-        try:
-            with open(staged_trace, "wb") as fh:
-                write_trace(fh, result.node_ids, result.outputs.trace, result.backend)
-            os.replace(staged_trace, trace_path)
-        finally:
-            if os.path.exists(staged_trace):
-                os.remove(staged_trace)
+        with _replacing(trace_path) as staging, open(staging, "wb") as fh:
+            library(result.backend).write_trace(fh, result.outputs.trace, result.node_ids)
     return summary
 
 
@@ -231,16 +240,10 @@ def build_cells(spec: ExperimentSpec, scenario: str) -> list[RunParams]:
 
 def _write_csv_atomic(path: str, header: list[str], rows: list[list]) -> None:
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    tmp = path + f".tmp-{os.getpid()}"
-    try:
-        with open(tmp, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+    with _replacing(path) as staging, open(staging, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_aggregate(out_dir: str, scenario_name: str,

@@ -18,14 +18,13 @@ import pytest
 from ponedge import _kernel
 from ponedge._kernel import (OUTPUT_TYPECODES, PH_DELIVERED, PH_DOWN, PH_NO_PLACEMENT, PH_QUEUED,
                              PH_RUNNING, PH_UP, available_backends, ckernel, compiler_argv,
-                             pykernel)
+                             library, pykernel)
 from ponedge.cli import main
 from ponedge.config import DEFAULT_CALIBRATION, cpu_grid, preset_shape
 from ponedge.engine import SimulationError
-from ponedge.metrics import _csv_line, _task_lines
+from ponedge.metrics import _csv_line
 from ponedge.network import ConfigurationError, replace
-from ponedge.simulation import (RunParams, _cached_arrivals, _trace_lines, build_kernel_inputs,
-                                run_simulation, write_trace)
+from ponedge.simulation import RunParams, build_kernel_inputs, run_simulation
 from ponedge.workload import SCENARIOS, ScenarioSpec, generate_arrivals, scenario_preset
 
 from fresh_process import needs_compiler
@@ -467,18 +466,17 @@ def _one_line_capacity(text: bytes, terminator: bytes) -> int:
 @needs_c
 def test_c_trace_text_matches_reference(text_doubles):
     trace = _synthetic_trace(random.Random(1), text_doubles)
-    node_ids = [node_id.encode("ascii") for node_id in TEXT_NODES]
-    write_trace = _kernel.c_library().write_trace
+    reference, compiled = library("python").write_trace, library("c").write_trace
     step = 100_000
     for start in range(0, len(text_doubles), step):
         chunk = _kernel.Trace(*(column[start:start + step] for column in trace))
-        expected = "".join(line + "\n" for line in _trace_lines(TEXT_NODES, zip(*chunk)))
-        assert _written(write_trace, chunk, node_ids)[0] == expected.encode("ascii")
+        expected = _written(reference, chunk, TEXT_NODES)[0]
+        assert _written(compiled, chunk, TEXT_NODES)[0] == expected
     # a buffer that fits the longest line once: every write is whole lines
     chunk = _kernel.Trace(*(column[:3000] for column in trace))
-    expected = "".join(line + "\n" for line in _trace_lines(TEXT_NODES, zip(*chunk))).encode()
+    expected = _written(reference, chunk, TEXT_NODES)[0]
     capacity = _one_line_capacity(expected, b"\n")
-    text, sizes = _written(write_trace, chunk, node_ids, capacity=capacity)
+    text, sizes = _written(compiled, chunk, TEXT_NODES, capacity=capacity)
     assert text == expected
     assert len(sizes) > 1500 and max(sizes) <= capacity
 
@@ -487,19 +485,19 @@ def test_c_trace_text_matches_reference(text_doubles):
 def test_c_tasks_text_matches_reference(text_doubles):
     generated_at, out = _synthetic_tasks(random.Random(2), text_doubles)
     cell = _csv_line(["a,b", 'say "hi"', "Zürich – 1", 7])
-    node_cells = [_csv_line([node_id]).encode("utf-8") for node_id in TEXT_NODES]
-    write_tasks = _kernel.c_library().write_tasks
-    expected = "".join(_task_lines(generated_at, out, TEXT_NODES, 0.5, cell)).encode("utf-8")
-    text, _ = _written(write_tasks, generated_at, out, node_cells, 0.5, cell.encode("utf-8"))
+    node_cells = [_csv_line([node_id]) for node_id in TEXT_NODES]
+    reference, compiled = library("python").write_tasks, library("c").write_tasks
+    expected = _written(reference, generated_at, out, node_cells, 0.5, cell)[0]
+    text, _ = _written(compiled, generated_at, out, node_cells, 0.5, cell)
     assert text == expected
     assert b",7,," in text and b",,,Unfinished" in text  # never placed; phases not reached
+    assert "Zürich – 1".encode() in text
     # a buffer that fits the longest line once
     head = SimpleNamespace(**{name: getattr(out, name)[:3000] for name in vars(out)})
-    expected = "".join(_task_lines(generated_at[:3000], head, TEXT_NODES, 0.5,
-                                   cell)).encode("utf-8")
+    expected = _written(reference, generated_at[:3000], head, node_cells, 0.5, cell)[0]
     capacity = _one_line_capacity(expected, b"\r\n")
-    text, sizes = _written(write_tasks, generated_at[:3000], head, node_cells, 0.5,
-                           cell.encode("utf-8"), capacity=capacity)
+    text, sizes = _written(compiled, generated_at[:3000], head, node_cells, 0.5, cell,
+                           capacity=capacity)
     assert text == expected
     assert len(sizes) > 1500 and max(sizes) <= capacity
 
@@ -513,7 +511,7 @@ def test_c_write_trace_holds_one_buffer_of_text():
     sink = SimpleNamespace(write=lambda data: sizes.append(len(data)))
     tracemalloc.start()
     try:
-        write_trace(sink, result.node_ids, result.outputs.trace, result.backend)
+        library(result.backend).write_trace(sink, result.outputs.trace, result.node_ids)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -523,21 +521,21 @@ def test_c_write_trace_holds_one_buffer_of_text():
 
 @needs_c
 def test_c_text_writers_reject_rows_with_no_text():
-    library = _kernel.c_library()
+    c = library("c")
     for kind, extra in ((6, 0), (-1, 0), (_kernel.TR_EXECUTION_START, len(TEXT_NODES)),
                         (_kernel.TR_RESULT_DELIVERED, -1), (_kernel.TR_TASK_ARRIVAL, -1),
                         (_kernel.TR_TASK_ARRIVAL, len(TEXT_NODES))):
         trace = _kernel.Trace(array("d", [1.0]), array("q", [1]), array("i", [kind]),
                                array("i", [0]), array("i", [extra]))
         with pytest.raises(ValueError):
-            library.write_trace(io.BytesIO(), trace, [b"n0"] * len(TEXT_NODES))
+            c.write_trace(io.BytesIO(), trace, ["n0"] * len(TEXT_NODES))
     out = SimpleNamespace(node_of=array("i", [-2]), uplink_done=array("d", [1.0]),
                           exec_start=array("d", [1.0]), exec_end=array("d", [1.0]),
                           delivered_at=array("d", [1.0]))
     with pytest.raises(ValueError):
-        library.write_tasks(io.BytesIO(), array("d", [0.5]), out, [b"n0"], 1.0, b"c")
+        c.write_tasks(io.BytesIO(), array("d", [0.5]), out, ["n0"], 1.0, "c")
     with pytest.raises(TypeError, match="created"):
-        library.write_tasks(io.BytesIO(), [0.5], out, [b"n0"], 1.0, b"c")
+        c.write_tasks(io.BytesIO(), [0.5], out, ["n0"], 1.0, "c")
 
 
 AWKWARD_LABELS = os.path.join(os.path.dirname(__file__), "experiments", "awkward-labels.json")
@@ -578,11 +576,15 @@ def test_c_arrivals_match_generate_arrivals(scenario):
     # 1e-6 s is before every device's first arrival, so that draw has no task
     for duration_s, mode, seed in itertools.product((600.0, 37.3, 1e-6), ("poisson", "fixed"),
                                                     ARRIVAL_SEEDS):
-        times, devices = generate_arrivals(scenario, duration_s, seed, mode)
-        c_times, c_devices = _cached_arrivals.__wrapped__(scenario, duration_s, seed, mode, "c")
-        assert (c_times.typecode, c_devices.typecode) == ("d", "i")
-        assert c_times.tobytes() == array("d", times).tobytes(), (duration_s, mode, seed)
-        assert c_devices.tolist() == list(devices), (duration_s, mode, seed)
+        times, devices = library("python").arrivals(scenario, duration_s, seed, mode)
+        c_times, c_devices = library("c").arrivals(scenario, duration_s, seed, mode)
+        typecodes = (times.typecode, devices.typecode)
+        assert typecodes == (c_times.typecode, c_devices.typecode) == ("d", "i")
+        assert c_times.tobytes() == times.tobytes(), (duration_s, mode, seed)
+        assert c_devices == devices, (duration_s, mode, seed)
+        # the pure-Python backend's draw is the reference's
+        assert (tuple(times), tuple(devices)) == generate_arrivals(scenario, duration_s, seed,
+                                                                   mode)
         assert bool(times) == (duration_s > 1e-6)
 
 
@@ -602,10 +604,10 @@ def test_c_arrivals_refuse_more_tasks_than_the_kernel_counts(monkeypatch):
     # the bound is lowered to keep the draw small: 10 devices at one task a
     # second for 10 s draw about 100 arrivals
     scenario = scenario_preset("e-health")
-    times, _ = _cached_arrivals.__wrapped__(scenario, 10.0, 1, "poisson", "c")
+    times, _ = library("c").arrivals(scenario, 10.0, 1, "poisson")
     monkeypatch.setattr(ckernel, "MAX_TASKS", len(times) - 1)
     with pytest.raises(ConfigurationError, match=f"{len(times)} arrivals exceed the limit"):
-        _cached_arrivals.__wrapped__(scenario, 10.0, 1, "poisson", "c")
+        library("c").arrivals(scenario, 10.0, 1, "poisson")
 
 
 @pytest.mark.parametrize("name", ["genio", "baseline"])

@@ -114,24 +114,100 @@ def test_run_trace_is_published_atomically(tmp_path, monkeypatch):
     params = RunParams(scenario_preset("e-health"), "genio", 220_000.0, 1, duration_s=120.0)
     trace = tmp_path / "events.tsv"
     trace.write_bytes(b"an earlier trace\n")
-    write_trace = sweep.write_trace
+    library = sweep.library
     writes = []
 
-    def fail_on_second_write(fh, *args):
-        def write(data):
-            writes.append(len(data))
-            if len(writes) == 2:
-                raise OSError("no space left on device")
-            return fh.write(data)
+    def failing_library(backend):
+        write_trace = library(backend).write_trace
 
-        return write_trace(SimpleNamespace(write=write), *args)
+        def fail_on_second_write(fh, *args):
+            def write(data):
+                writes.append(len(data))
+                if len(writes) == 2:
+                    raise OSError("no space left on device")
+                return fh.write(data)
 
-    monkeypatch.setattr(sweep, "write_trace", fail_on_second_write)
+            return write_trace(SimpleNamespace(write=write), *args)
+
+        return SimpleNamespace(write_trace=fail_on_second_write)
+
+    monkeypatch.setattr(sweep, "library", failing_library)
     with pytest.raises(OSError):
         sweep.run_cell(params, str(tmp_path / "out"), trace_path=str(trace), tasks_csv=True)
     assert len(writes) == 2
     assert trace.read_bytes() == b"an earlier trace\n"
     assert sorted(path.name for path in tmp_path.iterdir()) == ["events.tsv", "out"]
+
+
+def _files(root) -> dict:
+    """Every file under root, by relative path, with its bytes; {} if root is missing."""
+    return {path.relative_to(root): path.read_bytes() for path in root.rglob("*")
+            if path.is_file()}
+
+
+# --trace destinations that cannot be written, or that would overwrite a cell;
+# the last three are refused in an out-dir holding this run's cell and another
+TRACE_REFUSALS = ["empty", "directory", "missing-directory", "where-the-cell-goes",
+                  "own-tasks-csv", "own-summary-csv", "another-published-cell"]
+
+
+@pytest.mark.parametrize("where", TRACE_REFUSALS)
+def test_run_refuses_a_trace_path_before_any_cell_work(tmp_path, capsys, where):
+    out = tmp_path / "out"
+    cell, other = (out / "e-health" / "genio" / mips / "1" for mips in ("220000", "300000"))
+    trace = str({"empty": "", "directory": tmp_path,
+                 "missing-directory": tmp_path / "missing" / "events.tsv",
+                 "where-the-cell-goes": out / "e-health", "own-tasks-csv": cell / "tasks.csv",
+                 "own-summary-csv": cell / "summary.csv",
+                 "another-published-cell": other / "events.tsv"}[where])
+    if where in TRACE_REFUSALS[-3:]:
+        assert main(RUN_FLAGS + ["--out-dir", str(out)]) == 0
+        assert main(RUN_FLAGS[:6] + ["300000"] + RUN_FLAGS[7:] + ["--out-dir", str(out)]) == 0
+    else:
+        out.mkdir()
+    before = _files(out)
+    capsys.readouterr()
+    assert main(RUN_FLAGS + ["--out-dir", str(out), "--trace", trace]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: --trace {trace!r}: ") and err.count("\n") == 1
+    assert _files(out) == before
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["out"]
+
+
+def test_run_writes_a_trace_at_the_root_of_an_out_dir_it_creates(tmp_path):
+    out = tmp_path / "out"
+    assert main(RUN_FLAGS + ["--out-dir", str(out), "--trace", str(out / "trace-1.tsv")]) == 0
+    assert (out / "trace-1.tsv").read_bytes().endswith(b"\tSimulationEnd\t-\n")
+
+
+def _without_column(data: bytes, name: str) -> bytes:
+    rows = [line.split(b",") for line in data.split(b"\r\n")[:2]]
+    drop = rows[0].index(name.encode())
+    return b"".join(b",".join(row[:drop] + row[drop + 1:]) + b"\r\n" for row in rows)
+
+
+SUMMARY_DAMAGE = {
+    "truncated": lambda data: data[:-20],
+    "empty": lambda data: b"",
+    "missing-column": lambda data: _without_column(data, "tsr_pct"),
+    "not-a-number": lambda data: data.replace(b",220000,", b",fast,", 1),
+}
+
+
+@pytest.mark.parametrize("damage", SUMMARY_DAMAGE)
+@pytest.mark.parametrize("argv", [
+    RUN_FLAGS,
+    ["sweep", "--scenario", "e-health", "--seeds", "1", "--duration", "5", "--jobs", "1"],
+], ids=["run", "sweep"])
+def test_a_cached_cell_that_does_not_read_back_is_recomputed(tmp_path, capsys, argv, damage):
+    out = tmp_path / "out"
+    summary = out / "e-health" / "genio" / "220000" / "1" / "summary.csv"
+    assert main(argv + ["--out-dir", str(out)]) == 0
+    published, stdout = _files(out), capsys.readouterr().out
+    summary.write_bytes(SUMMARY_DAMAGE[damage](summary.read_bytes()))
+    assert main(argv + ["--out-dir", str(out)]) == 0
+    assert _files(out) == published
+    assert capsys.readouterr().out == stdout
 
 
 def test_cli_import_starts_no_process_pool_machinery(tmp_path):

@@ -11,7 +11,6 @@ from ponedge._kernel import (PH_DELIVERED, PH_PENDING, PH_RUNNING, STRATEGY_ROUN
                              TRACE_KINDS, Trace, pykernel)
 from ponedge.config import DEFAULT_CALIBRATION, preset_shape
 from ponedge.engine import SimulationError, Stream
-from ponedge.simulation import write_trace
 from ponedge.workload import scenario_preset
 
 from kernel_inputs import candidate_inputs, kernel_inputs
@@ -146,7 +145,7 @@ def test_trace_line_format_and_file_bytes():
         (600.0, 0, TR_SIMULATION_END, -1, -1),
     ]
     sink = io.BytesIO()
-    write_trace(sink, node_ids, Trace(*zip(*rows)))
+    pykernel.write_trace(sink, Trace(*zip(*rows)), node_ids)
     assert sink.getvalue() == (
         b"1.5\t3\tTaskArrival\ttask=t0 src=n0007-dev\n"
         b"0.30000000000000004\t4\tTransferComplete\ttask=t0 leg=up\n"

@@ -3,17 +3,19 @@
 import io
 import math
 import tracemalloc
+from array import array
 from types import SimpleNamespace
 
 import pytest
 
 from ponedge._kernel import (OUTPUT_TYPECODES, PH_DOWN, PH_NO_PLACEMENT, TR_SIMULATION_END,
-                             TR_TASK_ARRIVAL, Trace, pykernel)
+                             TR_TASK_ARRIVAL, TRACE_TYPECODES, Trace, available_backends, library,
+                             pykernel)
 from ponedge.config import DEFAULT_CALIBRATION
 from ponedge.engine import SimulationError
 from ponedge.metrics import write_tasks_csv
 from ponedge.network import ConfigurationError, replace
-from ponedge.simulation import TRACE_CHUNK, RunParams, _trace_lines, run_simulation, write_trace
+from ponedge.simulation import RunParams, run_simulation
 from ponedge.workload import ScenarioSpec, scenario_preset
 
 from trace_files import trace_digest
@@ -78,16 +80,47 @@ def test_trace_replay_hash_stable():
     assert len(hashes) == 1
 
 
+def _pieces(backend: str, write: str, *args) -> list[bytes]:
+    """What the `write` writer of `backend`'s library writes, one piece a write."""
+    pieces = []  # copies: the C writers reuse one buffer
+    sink = SimpleNamespace(write=lambda data: pieces.append(bytes(data)))
+    getattr(library(backend), write)(sink, *args)
+    return pieces
+
+
 def test_write_trace_streams_chunks():
     node_ids = run_simulation(single_task_params()).node_ids
-    rows = [(0.5 * i, i + 1, TR_TASK_ARRIVAL, i, 0) for i in range(2 * TRACE_CHUNK + 5)]
+    chunk = pykernel.TEXT_CHUNK
+    rows = [(0.5 * i, i + 1, TR_TASK_ARRIVAL, i, 0) for i in range(2 * chunk + 5)]
     rows.append((1e4, 0, TR_SIMULATION_END, -1, -1))
-    pieces = []
-    write_trace(SimpleNamespace(write=pieces.append), node_ids, Trace(*zip(*rows)))
-    assert len(pieces) == 3
-    assert b"".join(pieces) == "".join(
-        line + "\n" for line in _trace_lines(node_ids, rows)).encode("ascii")
+    trace = Trace(*(array(code, column) for code, column in zip(TRACE_TYPECODES, zip(*rows))))
+    pieces = _pieces("python", "write_trace", trace, node_ids)
+    assert [piece.count(b"\n") for piece in pieces] == [chunk, chunk, 6]
     assert all(piece.endswith(b"\n") for piece in pieces)
+    text = b"".join(pieces)
+    assert text.splitlines()[1] == b"0.5\t2\tTaskArrival\ttask=t1 src=n0000-dev"
+    for backend in available_backends():  # every kernel writes these bytes
+        assert b"".join(_pieces(backend, "write_trace", trace, node_ids)) == text
+
+
+def test_write_tasks_streams_chunks():
+    result = run_simulation(single_task_params(duration_s=3000.0))
+    generated_at, out = result.inputs.arrival_time, result.outputs
+    assert len(generated_at) == 100
+    chunk = pykernel.TEXT_CHUNK
+    repeat = (2 * chunk + 5) // 100 + 1
+    generated_at = generated_at * repeat
+    out = SimpleNamespace(**{name: getattr(out, name) * repeat for name in
+                             ("node_of", "uplink_done", "exec_start", "exec_end",
+                              "delivered_at")})
+    args = (generated_at, out, ['"n1, odd"'] * len(result.node_ids), 0.5, "a,b,c,1")
+    pieces = _pieces("python", "write_tasks", *args)
+    assert [piece.count(b"\r\n") for piece in pieces] == [chunk, chunk, 100 * repeat - 2 * chunk]
+    assert all(piece.endswith(b"\r\n") for piece in pieces)
+    text = b"".join(pieces)
+    assert text.startswith(b't0,a,b,c,1,"n1, odd",')
+    for backend in available_backends():  # every kernel writes these bytes
+        assert b"".join(_pieces(backend, "write_tasks", *args)) == text
 
 
 def test_write_trace_holds_one_chunk_of_text():
@@ -99,7 +132,7 @@ def test_write_trace_holds_one_chunk_of_text():
     sink = SimpleNamespace(write=lambda data: sizes.append(len(data)))
     tracemalloc.start()
     try:
-        write_trace(sink, result.node_ids, result.outputs.trace)
+        library("python").write_trace(sink, result.outputs.trace, result.node_ids)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -130,7 +163,7 @@ def test_records_identical_across_repeats(tmp_path):
 def test_trace_lines_shape():
     result = run_simulation(single_task_params(), collect_trace=True)
     sink = io.BytesIO()
-    write_trace(sink, result.node_ids, result.outputs.trace)
+    library(result.backend).write_trace(sink, result.outputs.trace, result.node_ids)
     text = sink.getvalue().decode("ascii")
     assert text.endswith("\n")
     lines = text.splitlines()

@@ -3,12 +3,12 @@
 import hashlib
 import io
 
-from ponedge.simulation import write_trace
+from ponedge._kernel import library
 
 
 def trace_digest(result) -> str:
-    """SHA-256 of the trace file that write_trace produces for a traced run, on
-    the path of the kernel that made it."""
+    """SHA-256 of the trace file that the write_trace of the library that made
+    a traced run produces for it."""
     sink = io.BytesIO()
-    write_trace(sink, result.node_ids, result.outputs.trace, result.backend)
+    library(result.backend).write_trace(sink, result.outputs.trace, result.node_ids)
     return hashlib.sha256(sink.getvalue()).hexdigest()
