@@ -70,10 +70,10 @@ class KernelInputs(Record):
     link_bandwidth: array
     link_hop_delay: array  # propagation + fixed, per traversal
     # route r is route_hops[route_start[r]:route_start[r + 1]], hop codes
-    # (link_index * 2 + direction) in uplink order, Local hops omitted
+    # (link_index * 2 + direction) in uplink order, Local hops omitted; route
+    # device * len(candidate_nodes) + slot goes from that device to that slot
     route_start: array
     route_hops: array
-    up_route: array  # device * len(candidate_nodes) + slot -> route id
     # arrivals, sorted by (time, device)
     arrival_time: array
     arrival_device: array
@@ -110,7 +110,7 @@ class Trace(NamedTuple):
 INPUT_TYPECODES = {"mips_per_core": "d", "cores": "i", "weight": "d", "ram_capacity": "d",
                    "storage_capacity": "d", "candidate_nodes": "i", "link_bandwidth": "d",
                    "link_hop_delay": "d", "route_start": "i", "route_hops": "i",
-                   "up_route": "i", "arrival_time": "d", "arrival_device": "i"}
+                   "arrival_time": "d", "arrival_device": "i"}
 OUTPUT_TYPECODES = {"node_of": "i", "uplink_done": "d", "exec_start": "d", "exec_end": "d",
                     "delivered_at": "d", "final_phase": "i", "busy": "d", "latencies": "d"}
 TRACE_TYPECODES = ("d", "q", "i", "i", "i")

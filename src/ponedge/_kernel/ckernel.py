@@ -62,7 +62,7 @@ class _Run(ctypes.Structure):
         ("n_candidates", _int), ("candidate_nodes", _address),
         ("n_links", _int), ("link_bandwidth", _address), ("link_hop_delay", _address),
         ("n_routes", _int), ("route_start", _address), ("n_route_hops", _int),
-        ("route_hops", _address), ("n_up_route", _int), ("up_route", _address),
+        ("route_hops", _address),
         ("n_tasks", _int), ("arrival_time", _address), ("arrival_device", _address),
         ("length_mi", _double), ("request_bits", _double), ("result_bits", _double),
         ("task_ram_mb", _double), ("task_storage_mb", _double),
@@ -95,8 +95,8 @@ def _check(inp: KernelInputs) -> None:
                                                        inp.ram_capacity, inp.storage_capacity))
             and len(inp.link_hop_delay) == len(inp.link_bandwidth)
             and len(inp.arrival_device) == len(inp.arrival_time)
-            and (len(inp.up_route) % n_slots == 0 if n_slots else not inp.up_route)
-            and len(inp.route_start) > 0):
+            and len(inp.route_start) > 0
+            and (not n_slots or (len(inp.route_start) - 1) % n_slots == 0)):
         raise ValueError(_BAD_INPUTS)
 
 
@@ -201,10 +201,9 @@ def load(path: str) -> Library:
         run = _Run(
             n_nodes=len(inp.cores), n_candidates=len(inp.candidate_nodes),
             n_links=len(inp.link_bandwidth), n_routes=len(inp.route_start) - 1,
-            n_route_hops=len(inp.route_hops), n_up_route=len(inp.up_route),
-            n_tasks=n_tasks, length_mi=inp.length_mi, request_bits=inp.request_bits,
-            result_bits=inp.result_bits, task_ram_mb=inp.task_ram_mb,
-            task_storage_mb=inp.task_storage_mb, strategy=inp.strategy,
+            n_route_hops=len(inp.route_hops), n_tasks=n_tasks, length_mi=inp.length_mi,
+            request_bits=inp.request_bits, result_bits=inp.result_bits,
+            task_ram_mb=inp.task_ram_mb, task_storage_mb=inp.task_storage_mb, strategy=inp.strategy,
             control_delay_s=inp.control_delay_s, duration_s=inp.duration_s,
             tolerance=DECOMPOSITION_TOLERANCE_S,
             **{name: column.buffer_info()[0] for name, column in columns.items()},

@@ -20,6 +20,7 @@
  * pykernel._trace_lines and pykernel._task_lines, and write the same bytes.
  */
 
+#include <limits.h>
 #include <math.h>
 #include <stdio.h>
 #include <stdlib.h>
@@ -66,13 +67,12 @@ struct kernel_run {
     int n_links;
     const double *link_bandwidth;
     const double *link_hop_delay;
-    /* route r is route_hops[route_start[r] .. route_start[r + 1]) */
+    /* route r is route_hops[route_start[r] .. route_start[r + 1]); route
+     * device * n_candidates + slot goes from that device to that slot */
     int n_routes;
     const int *route_start; /* n_routes + 1 entries */
     int n_route_hops;
     const int *route_hops;
-    int n_up_route;
-    const int *up_route; /* device * n_candidates + slot -> route id */
     /* arrivals, sorted by (time, device) */
     int n_tasks;
     const double *arrival_time;
@@ -621,7 +621,7 @@ static int simulate(struct kernel_run *run)
                 t_phase[task] = PH_NO_PLACEMENT;
             } else {
                 int node = run->candidate_nodes[chosen_slot];
-                int route = run->up_route[device * n_candidates + chosen_slot];
+                int route = device * n_candidates + chosen_slot;
                 free_ram[node] -= task_ram_mb;
                 free_storage[node] -= task_storage_mb;
                 t_node[task] = node;
@@ -733,22 +733,26 @@ static int within(const int *values, int count, long long low, long long high)
 /*
  * One run of the kernel: KERNEL_BAD_INDEX, before anything is read through
  * them, when an index column points outside the lengths it is given (ckernel.py
- * has checked the column types and the lengths that must agree); otherwise
- * what simulate() returns.
+ * has checked the column types and the lengths that must agree);
+ * KERNEL_NO_MEMORY, before anything is allocated, when the nodes' cores
+ * together are more than an int indexes; otherwise what simulate() returns.
  */
 int ponedge_run(struct kernel_run *run)
 {
     /* with no candidate, no task is placed and no device's routes are read */
-    const long long n_devices = run->n_candidates ? run->n_up_route / run->n_candidates
+    const long long n_devices = run->n_candidates ? run->n_routes / run->n_candidates
                                                   : 1LL << 31;
+    long long total_cores = 0;
+    int i;
     if (!within(run->cores, run->n_nodes, 1, 1LL << 31)
         || !within(run->candidate_nodes, run->n_candidates, 0, run->n_nodes)
         || !within(run->route_start, run->n_routes + 1, 0, run->n_route_hops + 1LL)
         || !within(run->route_hops, run->n_route_hops, 0, 2LL * run->n_links)
-        || !within(run->up_route, run->n_up_route, 0, run->n_routes)
         || !within(run->arrival_device, run->n_tasks, 0, n_devices))
         return KERNEL_BAD_INDEX;
-    return simulate(run);
+    for (i = 0; i < run->n_nodes; i++)
+        total_cores += run->cores[i];
+    return total_cores > INT_MAX ? KERNEL_NO_MEMORY : simulate(run);
 }
 
 /*

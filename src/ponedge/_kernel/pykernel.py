@@ -160,7 +160,6 @@ def run(inputs: KernelInputs) -> KernelOutputs:
     trade_off = inp.strategy == STRATEGY_TRADE_OFF
     weights = inp.weight.tolist()
     mips_per_core = inp.mips_per_core.tolist()
-    up_route = inp.up_route.tolist()
     route_start = inp.route_start.tolist()
     route_hops = inp.route_hops.tolist()
     up_hops = [route_hops[start:end] for start, end in zip(route_start, route_start[1:])]
@@ -178,6 +177,8 @@ def run(inputs: KernelInputs) -> KernelOutputs:
     pending_seq = [-1] * n_dirs
     pending_task = [-1] * n_dirs
     # nodes: per-core FIFO free-at times, tasks queued or running, free capacity
+    if sum(inp.cores) > 2**31 - 1:  # kernel.c indexes a run's cores with an int
+        raise MemoryError(f"the nodes hold {sum(inp.cores)} cores, more than a run can allocate")
     core_free_at = [[0.0] * cores for cores in inp.cores]
     queued = [0] * len(inp.cores)
     free_ram = list(inp.ram_capacity)
@@ -354,7 +355,7 @@ def run(inputs: KernelInputs) -> KernelOutputs:
                 free_ram[node] -= task_ram_mb
                 free_storage[node] -= task_storage_mb
                 t_node[task] = node
-                route_id = t_route[task] = up_route[device * n_candidates + chosen_slot]
+                route_id = t_route[task] = device * n_candidates + chosen_slot
                 path = t_path[task] = up_hops[route_id]
                 t_phase[task] = PH_UP
                 if control_delay_s > 0.0 or not path:

@@ -161,9 +161,10 @@ def preset_shape(name: str, users: int, calibration: Calibration) -> Shape:
     links cost nothing and are left out. Device d goes up its fiber, on
     baseline then over the OLT's WAN hop to the edge server, and from there
     over the WAN link to the cloud. It reaches its own ONU with no hop, and
-    another ONU up its fiber and down that ONU's. Route ids follow first
-    appearance over devices and candidate slots. The edge server's per-core
-    MIPS is 0 here: each run sets its own.
+    another ONU up its fiber and down that ONU's. Route
+    device * len(candidates) + slot is that device's route to that slot's
+    candidate. The edge server's per-core MIPS is 0 here: each run sets its
+    own.
     """
     if name not in TOPOLOGY_PRESETS:
         raise ConfigurationError(f"unknown topology preset {name!r} (valid: genio, baseline)")
@@ -177,10 +178,8 @@ def preset_shape(name: str, users: int, calibration: Calibration) -> Shape:
     candidates.sort(key=node_ids.__getitem__)
     to_edge = (4 * users,) if name == "baseline" else ()
     to_cloud = (*to_edge, 4 * users + 2)
-    route_ids: dict[tuple[int, ...], int] = {}
     route_start = array("i", [0])
     route_hops = array("i")
-    up_route = array("i")  # device * len(candidates) + slot -> route id
     for device in range(users):
         up = 2 * (users + device)
         for node in candidates:
@@ -194,11 +193,8 @@ def preset_shape(name: str, users: int, calibration: Calibration) -> Shape:
                 hops = ()
             else:  # another device's ONU
                 hops = (up, 2 * node + 1)
-            if hops not in route_ids:
-                route_ids[hops] = len(route_start) - 1
-                route_hops.extend(hops)
-                route_start.append(len(route_hops))
-            up_route.append(route_ids[hops])
+            route_hops.extend(hops)
+            route_start.append(len(route_hops))
 
     def wan(length_m: float) -> tuple[float, float]:
         return cal.wan_bandwidth_bps, length_m / PROPAGATION_SPEED_M_S + cal.wan_fixed_latency_s
@@ -223,7 +219,7 @@ def preset_shape(name: str, users: int, calibration: Calibration) -> Shape:
         candidate_nodes=array("i", candidates),
         link_bandwidth=array("d", [bandwidth for bandwidth, _ in links]),
         link_hop_delay=array("d", [delay for _, delay in links]),
-        route_start=route_start, route_hops=route_hops, up_route=up_route))
+        route_start=route_start, route_hops=route_hops))
 
 
 class ExperimentSpec(Record):

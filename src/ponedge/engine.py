@@ -31,8 +31,6 @@ class Stream:
     """
 
     def __init__(self, seed: int, label: str):
-        self.seed = seed
-        self.label = label
         self.state = (_fnv1a64(label) ^ ((seed * _GOLDEN) & _MASK64)) & _MASK64
 
     def next_u64(self) -> int:

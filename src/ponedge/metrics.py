@@ -111,7 +111,7 @@ def aggregate(summaries: list[RunSummary], keys: tuple[str, ...]) -> list[dict]:
     for summary in summaries:
         groups.setdefault(tuple(getattr(summary, k) for k in keys), []).append(summary)
     rows = []
-    for key in sorted(groups, key=lambda k: tuple(str(v) if isinstance(v, str) else v for v in k)):
+    for key in sorted(groups):
         members = groups[key]
         row: dict = dict(zip(keys, key))
         row["runs"] = len(members)
@@ -124,13 +124,9 @@ def aggregate(summaries: list[RunSummary], keys: tuple[str, ...]) -> list[dict]:
 
 
 def format_number(value) -> str:
-    """CSV cell text; floats keep >= 9 significant digits, blank for missing."""
-    if value is None:
-        return ""
+    """CSV cell text of a str, int or float; floats keep >= 9 significant digits."""
     if isinstance(value, str):
         return value
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, int):
         return str(value)
     if math.isnan(value):

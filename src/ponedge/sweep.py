@@ -228,6 +228,9 @@ def _exit_worker(signum, frame) -> None:
 def build_cells(spec: ExperimentSpec, scenario: str) -> list[RunParams]:
     """One scenario's cells: both topology presets x its CPUs x its seeds."""
     scenario_spec = spec.scenario_spec(scenario)
+    if spec.cpus is None and scenario_spec in spec.custom_scenarios:
+        raise ConfigurationError(f"custom scenario {scenario!r} has no CPU grid, so the "
+                                 f"document must list cpus")
     grid = spec.cpus if spec.cpus is not None else cpu_grid(scenario)
     return [
         RunParams(scenario_spec, topology, mips, seed, cpu=label, duration_s=spec.duration_s,

@@ -1,6 +1,7 @@
 """Fresh ponedge interpreters with a kernel cache of their own, for the first-use build."""
 
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -34,6 +35,12 @@ def ponedge_env(tmp_path, *, compiler: bool = True, backend: str | None = None) 
         empty.mkdir(exist_ok=True)
         env["PATH"] = str(empty)
     return env
+
+
+def cap_address_space() -> None:
+    """Cap this process's address space at 1 GiB: a child's preexec_fn, so that
+    a child that allocates without bound fails on memory, not the machine."""
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
 
 
 def run_python(code: str, env: dict) -> subprocess.CompletedProcess:

@@ -8,6 +8,7 @@ import os
 import random
 import re
 import subprocess
+import sys
 import tracemalloc
 from array import array
 from collections import Counter
@@ -27,7 +28,7 @@ from ponedge.network import ConfigurationError, replace
 from ponedge.simulation import RunParams, build_kernel_inputs, run_simulation
 from ponedge.workload import SCENARIOS, ScenarioSpec, generate_arrivals, scenario_preset
 
-from fresh_process import needs_compiler
+from fresh_process import SRC, cap_address_space, needs_compiler
 from kernel_inputs import kernel_inputs
 from trace_files import trace_digest
 
@@ -275,8 +276,8 @@ def test_trace_costs_at_most_40_bytes_per_entry(backend):
     dict(arrival_time=[0.0], arrival_device=[1]),  # no such device
     dict(candidate_nodes=[1]),  # no such node
     dict(cores=[0]),
-    dict(up_route=[[1]]),  # no such route
-    dict(routes=[[0]]),  # no such link
+    dict(candidate_nodes=[0, 0]),  # one route for two slots
+    dict(routes=[[[0]]]),  # no such link
     dict(weight=[]),
 ])
 def test_c_kernel_rejects_inputs_out_of_bounds(fields):
@@ -291,6 +292,34 @@ def test_c_kernel_rejects_columns_of_another_type(column):
     with pytest.raises(TypeError, match="arrival_time"):
         _kernel.run(replace(kernel_inputs(arrival_time=[0.0]), arrival_time=column),
                     backend="c")
+
+
+# Nodes whose cores together are more than a C int counts, run on the backend
+# named by argv[1]: the run must raise MemoryError before it allocates. In an
+# int, the total wraps round to 17 cores.
+CORE_OVERFLOW = """
+import sys
+from ponedge import _kernel
+from kernel_inputs import candidate_inputs
+inputs = candidate_inputs([1e9] * 3, cores=[2**31 - 1, 2**31 - 1, 19], arrival_time=[0.0])
+try:
+    _kernel.run(inputs, backend=sys.argv[1])
+except MemoryError as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.parametrize("backend,message", [
+    ("python", "the nodes hold 4294967313 cores, more than a run can allocate"),
+    pytest.param("c", "the C kernel could not allocate its run state", marks=needs_c),
+])
+def test_core_counts_past_an_int_are_refused_before_allocating(backend, message):
+    tests = os.path.dirname(os.path.abspath(__file__))
+    done = subprocess.run([sys.executable, "-c", CORE_OVERFLOW, backend],
+                          env=dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, tests])),
+                          capture_output=True, text=True, timeout=60,
+                          preexec_fn=cap_address_space)
+    assert (done.returncode, done.stdout, done.stderr) == (0, message + "\n", "")
 
 
 @needs_c
@@ -649,7 +678,7 @@ def test_bad_shapes_raise_on_every_call():
 @pytest.mark.parametrize("scenario", ["smart-city", "aigc"])
 def test_cached_route_columns_equal_freshly_built_ones(scenario):
     shape_columns = ("cores", "weight", "ram_capacity", "storage_capacity", "candidate_nodes",
-                     "link_bandwidth", "link_hop_delay", "route_start", "route_hops", "up_route")
+                     "link_bandwidth", "link_hop_delay", "route_start", "route_hops")
     for far_edge, name in itertools.product((False, True), ("genio", "baseline")):
         params = RunParams(scenario=scenario_preset(scenario), topology=name,
                            cpu_mips=300_000.0, seed=1, duration_s=1.0,

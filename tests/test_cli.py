@@ -3,7 +3,6 @@
 import json
 import multiprocessing
 import os
-import resource
 import shutil
 import signal
 import subprocess
@@ -22,8 +21,8 @@ from ponedge.network import ConfigurationError
 from ponedge.simulation import RunParams, _cached_arrivals
 from ponedge.workload import scenario_preset
 
-from fresh_process import (SRC, needs_compiler, path_finds_compiler, ponedge_env, run_cli,
-                           run_python)
+from fresh_process import (SRC, cap_address_space, needs_compiler, path_finds_compiler,
+                           ponedge_env, run_cli, run_python)
 
 RUN_FLAGS = ["run", "--scenario", "e-health", "--topology", "genio",
              "--cpu-mips", "220000", "--seed", "1", "--duration", "20"]
@@ -362,6 +361,19 @@ def test_non_finite_numbers_exit_2(tmp_path, capsys, flags, document):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["compare", "sweep"])
+def test_custom_scenario_without_cpus_exits_2(tmp_path, capsys, command):
+    # only the presets have a CPU grid of their own
+    config = tmp_path / "exp.json"
+    config.write_text(NON_FINITE_SCENARIO.replace('"cpus": [220000], ', "") % "30")
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main([command, "--config", str(config), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == ("configuration error: custom scenario 'lab' has no CPU "
+                                       "grid, so the document must list cpus\n")
+    assert list(out.iterdir()) == []
+
+
 def _custom(name):
     return ('{"scenario": %s, "cpus": [220000], "seeds": [1], "duration": 20, '
             '"custom_scenarios": [{"name": %s, "users": 2, "rate_per_min": 30, '
@@ -462,11 +474,6 @@ def test_distinct_mips_get_distinct_cells_and_labels(tmp_path):
                       "2350001": ("custom-2350001", 2_350_001.0)}
 
 
-def _cap_address_space():
-    limit = 2**30
-    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
-
 @pytest.mark.parametrize("backend", ["python", pytest.param("c", marks=needs_compiler)])
 def test_huge_horizon_exits_2_before_any_draw(tmp_path, backend):
     # 10 devices at one task a second for 1e12 s expect 1e13 tasks, past the
@@ -477,11 +484,32 @@ def test_huge_horizon_exits_2_before_any_draw(tmp_path, backend):
     done = subprocess.run([sys.executable, "-m", "ponedge.cli", *argv],
                           env=dict(os.environ, PYTHONPATH=SRC, PONEDGE_BACKEND=backend),
                           capture_output=True, text=True, timeout=10,
-                          preexec_fn=_cap_address_space)
+                          preexec_fn=cap_address_space)
     assert done.returncode == 2
     assert done.stderr.startswith("configuration error: scenario e-health: 1e+13 expected tasks")
     assert done.stderr.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
+
+
+MAX_CORES_DOCUMENT = ('{"scenario": "e-health", "calibration": '
+                      '{"edge_cores": 2147483647, "cloud_cores": 2147483647}}')
+
+
+@pytest.mark.parametrize("backend", ["python", pytest.param("c", marks=needs_compiler)])
+def test_core_counts_past_an_int_exit_1(tmp_path, backend):
+    # each count is allowed, but the run's 4294967315 cores are more than the
+    # kernels index; the child's address space is capped
+    config = tmp_path / "exp.json"
+    config.write_text(MAX_CORES_DOCUMENT)
+    argv = RUN_FLAGS[:-2] + ["--duration", "5", "--config", str(config),
+                             "--out-dir", str(tmp_path / "out")]
+    done = subprocess.run([sys.executable, "-m", "ponedge.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=SRC, PONEDGE_BACKEND=backend),
+                          capture_output=True, text=True, timeout=60,
+                          preexec_fn=cap_address_space)
+    assert done.returncode == 1
+    assert done.stderr.startswith("out of memory: ") and done.stderr.count("\n") == 1
+    assert not (tmp_path / "out" / "e-health").exists()
 
 
 def test_out_of_memory_exits_1(tmp_path, monkeypatch, capsys):

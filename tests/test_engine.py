@@ -85,7 +85,7 @@ def test_clock_monotonic_over_processing():
     rng = random.Random(99)
     times = sorted(rng.random() * 5 for _ in range(200))
     out = pykernel.run(kernel_inputs(
-        link_bandwidth=[1e6], link_hop_delay=[1e-3], routes=[[0]], arrival_time=times,
+        link_bandwidth=[1e6], link_hop_delay=[1e-3], routes=[[[0]]], arrival_time=times,
         request_bits=1e4, result_bits=1e4, length_mi=1e7, duration_s=10.0))
     delivered = [task for task, phase in enumerate(out.final_phase) if phase == PH_DELIVERED]
     assert len(delivered) == 200

@@ -153,8 +153,6 @@ def test_aggregate_rows_sorted_by_keys():
 
 def test_format_number_preserves_nine_significant_digits():
     assert format_number(0.011716906976744186) == "0.0117169069767"
-    assert format_number(None) == ""
-    assert format_number(True) == "true"
     assert format_number(12) == "12"
     assert format_number(float("nan")) == "nan"
 

@@ -60,7 +60,7 @@ def test_trade_off_tie_breaks_to_lowest_id():
 
 
 def test_trade_off_empty_candidates():
-    out = pykernel.run(kernel_inputs(candidate_nodes=[], up_route=[[]], arrival_time=[0.0]))
+    out = pykernel.run(kernel_inputs(candidate_nodes=[], routes=[[]], arrival_time=[0.0]))
     assert out.final_phase.tolist() == [PH_NO_PLACEMENT]
     assert out.node_of.tolist() == [-1]
 
@@ -99,7 +99,7 @@ def test_candidates_filters_layer_and_admission():
             name: getattr(inputs, name).tolist() for name in (
                 "mips_per_core", "cores", "weight", "ram_capacity", "storage_capacity",
                 "candidate_nodes")},
-            up_route=[[0] * len(inputs.candidate_nodes)], arrival_time=[0.0] * 40,
+            routes=[[()] * len(inputs.candidate_nodes)], arrival_time=[0.0] * 40,
             length_mi=1000.0, strategy=STRATEGY_ROUND_ROBIN))
         return {node_ids[node] for node in out.node_of}
 

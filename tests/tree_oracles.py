@@ -92,7 +92,8 @@ def walked_shape(preset: str, users: int, calibration) -> tuple[list[str], dict[
     the candidates sorted by id; each link's bandwidth and delay by kind; and
     the routes found by walking the tree from every device to every
     candidate, Local hops left out, a hop coded as 2 * link + direction (0
-    from the link's `a` to its `b`), route ids in order of first appearance."""
+    from the link's `a` to its `b`), route device * len(candidates) + slot
+    from that device to that slot's candidate."""
     cal = calibration
     nodes, links = preset_tree(preset, users)
     node_ids = [node_id for node_id, _ in nodes]
@@ -124,21 +125,15 @@ def walked_shape(preset: str, users: int, calibration) -> tuple[list[str], dict[
         for link in links])
 
     parents = tree(node_ids, links)
-    route_ids: dict[tuple[int, ...], int] = {}
     route_start = array("i", [0])
     route_hops = array("i")
-    up_route = array("i")
     for device in range(users):
         for target_id in candidates:
-            key = tuple(hop.link_id * 2 + (hop.head != links[hop.link_id].a)
-                        for hop in route_between(parents, node_ids[device], target_id)
-                        if links[hop.link_id].kind != "local")
-            if key not in route_ids:
-                route_ids[key] = len(route_start) - 1
-                route_hops.extend(key)
-                route_start.append(len(route_hops))
-            up_route.append(route_ids[key])
-    columns.update(route_start=route_start, route_hops=route_hops, up_route=up_route)
+            route_hops.extend(hop.link_id * 2 + (hop.head != links[hop.link_id].a)
+                              for hop in route_between(parents, node_ids[device], target_id)
+                              if links[hop.link_id].kind != "local")
+            route_start.append(len(route_hops))
+    columns.update(route_start=route_start, route_hops=route_hops)
     return node_ids, columns
 
 
