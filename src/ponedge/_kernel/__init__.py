@@ -2,7 +2,8 @@
 
 The contract is what both kernels read and write: the KernelInputs,
 KernelOutputs and Trace columns with their array type codes, the trace,
-phase and strategy codes, and the errors a run raises. library(backend)
+phase and strategy codes, and the errors a run raises. check_inputs states
+what valid KernelInputs are, and both backends call it first. library(backend)
 returns a backend's implementation of run, arrivals, write_trace and
 write_tasks: the C kernel's ckernel.Library, or pykernel, the whole
 pure-Python backend and the reference. pykernel is imported the first time a
@@ -114,6 +115,52 @@ INPUT_TYPECODES = {"mips_per_core": "d", "cores": "i", "weight": "d", "ram_capac
 OUTPUT_TYPECODES = {"node_of": "i", "uplink_done": "d", "exec_start": "d", "exec_end": "d",
                     "delivered_at": "d", "final_phase": "i", "busy": "d", "latencies": "d"}
 TRACE_TYPECODES = ("d", "q", "i", "i", "i")
+
+def _spans(values: array, low: int, high: int) -> bool:
+    """Every entry of `values` in [low, high)."""
+    # one pass over the distinct entries: min and max of a 300k-task column
+    # take about twice as long
+    distinct = set(values)
+    return not distinct or (low <= min(distinct) and max(distinct) < high)
+
+
+def check_inputs(inputs: KernelInputs) -> None:
+    """Refuse inputs that break the KernelInputs contract, before either
+    backend reads a column, so that both refuse alike and the C kernel never
+    reads outside its columns.
+
+    TypeError: a column is not an `array` of its INPUT_TYPECODES code.
+    ValueError: the node, link or arrival columns differ in length;
+    route_start does not rise from 0 to len(route_hops); the route count is
+    not a multiple of the candidate slots; a candidate is not a node, a hop
+    code not in [0, 2 * links), an arrival device not in [0, routes / slots)
+    (only >= 0 with no slot), or a node has no core. MemoryError: the cores
+    sum past a C int, which indexes a run's cores.
+    """
+    for name, code in INPUT_TYPECODES.items():
+        column = getattr(inputs, name)
+        if not (isinstance(column, array) and column.typecode == code):
+            raise TypeError(f"kernel input {name} must be an array of type code {code!r}")
+    inp = inputs
+    n_nodes = len(inp.cores)
+    n_slots = len(inp.candidate_nodes)
+    starts = inp.route_start.tolist()
+    n_routes = len(starts) - 1
+    if not (all(len(column) == n_nodes for column in (inp.mips_per_core, inp.weight,
+                                                       inp.ram_capacity, inp.storage_capacity))
+            and len(inp.link_hop_delay) == len(inp.link_bandwidth)
+            and len(inp.arrival_device) == len(inp.arrival_time)
+            and n_routes >= 0 and starts[0] == 0 and starts[-1] == len(inp.route_hops)
+            and starts == sorted(starts)
+            and (not n_slots or n_routes % n_slots == 0)
+            and _spans(inp.candidate_nodes, 0, n_nodes)
+            and _spans(inp.route_hops, 0, 2 * len(inp.link_bandwidth))
+            and _spans(inp.arrival_device, 0, n_routes // n_slots if n_slots else 2**31)
+            and _spans(inp.cores, 1, 2**31)):
+        raise ValueError("kernel inputs have mismatched sizes or out-of-range indices")
+    total = sum(inp.cores)
+    if total > 2**31 - 1:
+        raise MemoryError(f"the nodes hold {total} cores, more than a run can allocate")
 
 
 class KernelOutputs(Record):

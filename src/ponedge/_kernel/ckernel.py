@@ -4,10 +4,12 @@ same names and signatures.
 
 The kernel reads the `array` columns of KernelInputs where they are, and
 writes the output and trace columns Python allocates as `array`s; one `_Run`
-struct passes their addresses, so no column is copied either way. The C code
-holds no Python object and allocates only run-local state. The trace columns
-are allocated for the most entries a run can record, and the latency column
-for one latency per task; both are trimmed to what the kernel wrote.
+struct passes their addresses, so no column is copied either way. run calls
+check_inputs first, so the C code checks no index or length: every one it
+reads lies inside the columns it is given. It holds no Python object and
+allocates only run-local state. The trace columns are allocated for the most
+entries a run can record, and the latency column for one latency per task;
+both are trimmed to what the kernel wrote.
 
 The arrival draw continues each device's engine.Stream from the state Python
 seeded, so seeding has one implementation. It counts the arrivals first,
@@ -32,7 +34,7 @@ from ..network import ConfigurationError
 from ..workload import MAX_TASKS, arrival_streams
 from . import (DECOMPOSITION_TOLERANCE_S, INPUT_TYPECODES, OUTPUT_TYPECODES, TRACE_TYPECODES,
                KernelInputs, KernelOutputs, Trace, _out_of_order, _past, _unconserved,
-               _undecomposed)
+               _undecomposed, check_inputs)
 
 # return codes of ponedge_run
 _PAST = 1
@@ -41,9 +43,6 @@ _NO_MEMORY = 3
 _DECOMPOSITION = 4
 _ORDER = 5
 _CONSERVATION = 6
-_BAD_INDEX = 7
-
-_BAD_INPUTS = "kernel inputs have mismatched sizes or out-of-range indices"
 
 # Bytes of text formatted per write: about 900 trace lines. The buffer grows
 # when one line alone does not fit.
@@ -82,24 +81,6 @@ class _Run(ctypes.Structure):
 _TRACE = ["trace_" + name for name in Trace._fields]
 
 
-def _check(inp: KernelInputs) -> None:
-    """Reject inputs whose column types or sizes would take the C kernel out of
-    bounds; ponedge_run checks that every index lies within these sizes."""
-    for name, code in INPUT_TYPECODES.items():
-        column = getattr(inp, name)
-        if not (isinstance(column, array) and column.typecode == code):
-            raise TypeError(f"kernel input {name} must be an array of type code {code!r}")
-    n_nodes = len(inp.cores)
-    n_slots = len(inp.candidate_nodes)
-    if not (all(len(column) == n_nodes for column in (inp.mips_per_core, inp.weight,
-                                                       inp.ram_capacity, inp.storage_capacity))
-            and len(inp.link_hop_delay) == len(inp.link_bandwidth)
-            and len(inp.arrival_device) == len(inp.arrival_time)
-            and len(inp.route_start) > 0
-            and (not n_slots or (len(inp.route_start) - 1) % n_slots == 0)):
-        raise ValueError(_BAD_INPUTS)
-
-
 def _error(status: int, run: _Run) -> Exception:
     """The exception pykernel raises for what ponedge_run returned `status` for."""
     if status == _PAST:
@@ -112,8 +93,6 @@ def _error(status: int, run: _Run) -> Exception:
         return _out_of_order(run.error_task)
     if status == _CONSERVATION:
         return _unconserved(run.n_tasks, int(run.error_a), int(run.error_b))
-    if status == _BAD_INDEX:
-        return ValueError(_BAD_INPUTS)
     return MemoryError("the C kernel could not allocate its run state")
 
 
@@ -185,8 +164,8 @@ def load(path: str) -> Library:
         writer.restype = _long
 
     def run(inputs: KernelInputs) -> KernelOutputs:
+        check_inputs(inputs)
         inp = inputs
-        _check(inp)
         n_tasks = len(inp.arrival_time)
         outputs = {name: array(code, [0]) * n_tasks for name, code in OUTPUT_TYPECODES.items()}
         outputs["busy"] = array("d", [0]) * len(inp.cores)

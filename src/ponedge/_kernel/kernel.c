@@ -20,7 +20,6 @@
  * pykernel._trace_lines and pykernel._task_lines, and write the same bytes.
  */
 
-#include <limits.h>
 #include <math.h>
 #include <stdio.h>
 #include <stdlib.h>
@@ -47,7 +46,7 @@ enum { STRATEGY_TRADE_OFF, STRATEGY_ROUND_ROBIN };
 /* return codes, turned into exceptions by ckernel.py */
 enum {
     KERNEL_OK, KERNEL_PAST, KERNEL_DUPLICATE_MEMBER, KERNEL_NO_MEMORY,
-    KERNEL_DECOMPOSITION, KERNEL_ORDER, KERNEL_CONSERVATION, KERNEL_BAD_INDEX
+    KERNEL_DECOMPOSITION, KERNEL_ORDER, KERNEL_CONSERVATION
 };
 
 /* One run: the KernelInputs columns, the KernelOutputs columns and the
@@ -368,8 +367,12 @@ static void *zeroed(size_t count, size_t size)
  * it and counts nothing. The event a handler schedules last is held back
  * and merged into the next pop. After the loop, the post-run pass checks
  * the run and reduces it.
+ *
+ * ckernel.py calls _kernel.check_inputs first: the lengths agree, every
+ * index is in range and the cores sum to an int, so nothing here checks
+ * them. Returns KERNEL_OK, or the KERNEL_* code of what broke.
  */
-static int simulate(struct kernel_run *run)
+int ponedge_run(struct kernel_run *run)
 {
     const int n_tasks = run->n_tasks;
     const int n_candidates = run->n_candidates;
@@ -540,7 +543,7 @@ static int simulate(struct kernel_run *run)
                 queued[node]++;
                 run->exec_start[task] = start;
                 run->exec_end[task] = end;
-                if (start <= duration_s) { /* the execution start falls within the horizon */
+                if (start <= duration_s) { /* the execution start falls inside the horizon */
                     t_phase[task] = PH_RUNNING;
                     if (traced)
                         PUSH(start, seq, EV_TRACE_START, task);
@@ -718,41 +721,6 @@ done:
     free(t_hop);
     free(heap.items);
     return status;
-}
-
-/* every values[i] in [low, high) */
-static int within(const int *values, int count, long long low, long long high)
-{
-    int i;
-    for (i = 0; i < count; i++)
-        if (values[i] < low || values[i] >= high)
-            return 0;
-    return 1;
-}
-
-/*
- * One run of the kernel: KERNEL_BAD_INDEX, before anything is read through
- * them, when an index column points outside the lengths it is given (ckernel.py
- * has checked the column types and the lengths that must agree);
- * KERNEL_NO_MEMORY, before anything is allocated, when the nodes' cores
- * together are more than an int indexes; otherwise what simulate() returns.
- */
-int ponedge_run(struct kernel_run *run)
-{
-    /* with no candidate, no task is placed and no device's routes are read */
-    const long long n_devices = run->n_candidates ? run->n_routes / run->n_candidates
-                                                  : 1LL << 31;
-    long long total_cores = 0;
-    int i;
-    if (!within(run->cores, run->n_nodes, 1, 1LL << 31)
-        || !within(run->candidate_nodes, run->n_candidates, 0, run->n_nodes)
-        || !within(run->route_start, run->n_routes + 1, 0, run->n_route_hops + 1LL)
-        || !within(run->route_hops, run->n_route_hops, 0, 2LL * run->n_links)
-        || !within(run->arrival_device, run->n_tasks, 0, n_devices))
-        return KERNEL_BAD_INDEX;
-    for (i = 0; i < run->n_nodes; i++)
-        total_cores += run->cores[i];
-    return total_cores > INT_MAX ? KERNEL_NO_MEMORY : simulate(run);
 }
 
 /*

@@ -11,7 +11,7 @@ direction keeps one pending serialization-end event, for the member with the
 smallest (eta, seq); the sequence counter advances by the member count, so
 that event carries the seq it would have had if every member's end were
 queued. An execution start counts as processed when it is scheduled, if it
-falls within the horizon, and a delivery when its downlink completes; each
+falls inside the horizon, and a delivery when its downlink completes; each
 reserves a seq there. Every trace entry is recorded when its event is
 popped, so the trace comes out in (time, seq) order, which is the processing
 order because (time, seq) is unique. In a traced run only, execution starts
@@ -47,7 +47,7 @@ from . import (DECOMPOSITION_TOLERANCE_S, OUTPUT_TYPECODES, PH_DELIVERED, PH_DOW
                TR_EXECUTION_COMPLETE, TR_EXECUTION_START, TR_RESULT_DELIVERED,
                TR_SIMULATION_END, TR_TASK_ARRIVAL, TR_TRANSFER_COMPLETE, TRACE_KINDS,
                KernelInputs, KernelOutputs, Trace, _out_of_order, _past, _unconserved,
-               _undecomposed)
+               _undecomposed, check_inputs)
 
 # internal event codes
 EV_ARRIVAL = 0
@@ -91,10 +91,10 @@ def post_run(arrival_time, node_of, uplink_done, exec_start, exec_end, delivered
 
     Conservation: every task is delivered or unfinished, and a task has a
     delivery time exactly when its final phase is delivered. Every delivered
-    task's latency decomposes into its stages within DECOMPOSITION_TOLERANCE_S,
-    and its stage timestamps are in order. Returns each node's busy core-time
-    over the horizon, clipped at the cutoff and summed in task order, and the
-    delivered tasks' latencies, ascending.
+    task's stage durations sum to its latency, give or take
+    DECOMPOSITION_TOLERANCE_S, and its stage timestamps are in order. Returns
+    each node's busy core-time over the horizon, clipped at the cutoff and
+    summed in task order, and the delivered tasks' latencies, ascending.
     """
     busy = [0.0] * n_nodes
     latencies = []
@@ -144,6 +144,7 @@ def run(inputs: KernelInputs) -> KernelOutputs:
     the next pop with heappushpop, which returns it without touching the heap
     when it is due first. (time, seq) is unique, so the order is unchanged.
     """
+    check_inputs(inputs)
     inp = inputs
     n_tasks = len(inp.arrival_time)
     arrival_time = inp.arrival_time.tolist()
@@ -177,8 +178,6 @@ def run(inputs: KernelInputs) -> KernelOutputs:
     pending_seq = [-1] * n_dirs
     pending_task = [-1] * n_dirs
     # nodes: per-core FIFO free-at times, tasks queued or running, free capacity
-    if sum(inp.cores) > 2**31 - 1:  # kernel.c indexes a run's cores with an int
-        raise MemoryError(f"the nodes hold {sum(inp.cores)} cores, more than a run can allocate")
     core_free_at = [[0.0] * cores for cores in inp.cores]
     queued = [0] * len(inp.cores)
     free_ram = list(inp.ram_capacity)
@@ -282,7 +281,7 @@ def run(inputs: KernelInputs) -> KernelOutputs:
                 queued[node] += 1
                 exec_start[task] = start
                 exec_end[task] = end
-                if start <= duration_s:  # the execution start falls within the horizon
+                if start <= duration_s:  # the execution start falls inside the horizon
                     t_phase[task] = PH_RUNNING
                     if trace is not None:
                         heappush(heap, (start, seq, EV_TRACE_START, task))

@@ -45,9 +45,7 @@ class RunSummary(Record):
 
 
 def percentile_95(sorted_values: Sequence[float]) -> float:
-    """Nearest-rank 95th percentile over an ascending list."""
-    if not sorted_values:
-        return math.nan
+    """Nearest-rank 95th percentile over an ascending, non-empty list."""
     rank = math.ceil(0.95 * len(sorted_values))
     return sorted_values[rank - 1]
 

@@ -21,7 +21,7 @@ from ponedge._kernel import (OUTPUT_TYPECODES, PH_DELIVERED, PH_DOWN, PH_NO_PLAC
                              PH_RUNNING, PH_UP, available_backends, ckernel, compiler_argv,
                              library, pykernel)
 from ponedge.cli import main
-from ponedge.config import DEFAULT_CALIBRATION, cpu_grid, preset_shape
+from ponedge.config import DEFAULT_CALIBRATION, preset_shape
 from ponedge.engine import SimulationError
 from ponedge.metrics import _csv_line
 from ponedge.network import ConfigurationError, replace
@@ -29,7 +29,7 @@ from ponedge.simulation import RunParams, build_kernel_inputs, run_simulation
 from ponedge.workload import SCENARIOS, ScenarioSpec, generate_arrivals, scenario_preset
 
 from fresh_process import SRC, cap_address_space, needs_compiler
-from kernel_inputs import kernel_inputs
+from kernel_inputs import MALFORMED, kernel_inputs, mutate, random_inputs
 from trace_files import trace_digest
 
 needs_c = pytest.mark.skipif(
@@ -167,48 +167,6 @@ def test_post_run_outputs_bit_identical(case, extra, expected):
     assert len(py.latencies) == expected[3]  # one per delivered task
 
 
-def _random_params(rng: random.Random) -> RunParams:
-    """A short run on a random calibration: 1-4 cores, fractional footprints
-    that make nodes refuse tasks, with or without a control-plane delay and
-    far-edge execution, under either strategy and arrival mode."""
-    scenario = rng.choice(["smart-city", "e-health", "smart-building", "aigc"])
-    task_ram_mb = rng.choice([0.1, 0.25, 0.3, 0.7])
-    calibration = replace(
-        DEFAULT_CALIBRATION,
-        edge_cores=rng.randint(1, 4),
-        cloud_cores=rng.randint(1, 4),
-        task_ram_mb=task_ram_mb,
-        edge_ram_mb=task_ram_mb * rng.uniform(0.5, 8.0),
-        small_node_ram_mb=task_ram_mb * rng.uniform(0.5, 3.0),
-        control_plane_delay_s=rng.choice([0.0, rng.uniform(1e-4, 5e-3)]),
-        # far-edge candidates would give smart-city's 128 devices a route to
-        # every ONU, more route building than the run itself, so it runs
-        # without them
-        far_edge_execution=scenario != "smart-city" and rng.random() < 0.5,
-    )
-    return RunParams(
-        scenario=scenario_preset(scenario), topology=rng.choice(["genio", "baseline"]),
-        cpu_mips=rng.choice(cpu_grid(scenario))[1], seed=rng.randrange(1, 1_000_000),
-        duration_s=rng.uniform(2.0, 20.0), strategy=rng.choice(["trade-off", "round-robin"]),
-        arrivals=rng.choice(["poisson", "fixed"]), calibration=calibration,
-    )
-
-
-def _random_inputs(rng: random.Random):
-    """(params, traced kernel inputs) of a random calibration, on the 0.25 s
-    time grid half of the time."""
-    params = _random_params(rng)
-    inputs = build_kernel_inputs(params, collect_trace=True)
-    if rng.random() < 0.5:
-        # random phases almost never make two float times equal; on a
-        # 0.25 s grid, tasks arrive together, join links at the same
-        # instant, tie on etas and start exactly at the horizon
-        inputs = replace(inputs,
-                         arrival_time=array("d", [round(t * 4) / 4 for t in inputs.arrival_time]),
-                         duration_s=round(inputs.duration_s * 4) / 4)
-    return params, inputs
-
-
 def test_trace_merge_keeps_time_seq_order_on_random_calibrations():
     # every entry is recorded when its event pops, execution starts and
     # deliveries under the seq they reserved when scheduled; on coinciding
@@ -216,7 +174,7 @@ def test_trace_merge_keeps_time_seq_order_on_random_calibrations():
     # one sort would make it
     rng = random.Random(20260418)
     for _ in range(200):
-        params, inputs = _random_inputs(rng)
+        params, inputs = random_inputs(rng)
         rows = list(zip(*pykernel.run(inputs).trace))
         assert all(a[:2] < b[:2] for a, b in zip(rows, rows[1:])), params
         assert rows == sorted(rows), params
@@ -229,7 +187,7 @@ def test_tracing_changes_no_output_on_random_calibrations(backend):
     # order of the simulation's events
     rng = random.Random(20260418)
     for _ in range(200):
-        params, inputs = _random_inputs(rng)
+        params, inputs = random_inputs(rng)
         traced = _kernel.run(inputs, backend=backend)
         untraced = _kernel.run(replace(inputs, collect_trace=False), backend=backend)
         assert untraced.trace is None
@@ -237,19 +195,37 @@ def test_tracing_changes_no_output_on_random_calibrations(backend):
         assert repr(untraced) == repr(replace(traced, trace=None)), params
 
 
+def _outcome(inputs, backend: str) -> str:
+    """The repr of a run's outputs, or the type and text of what it raised."""
+    try:
+        return repr(_kernel.run(inputs, backend=backend))
+    except (ValueError, MemoryError, SimulationError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
 @needs_c
 def test_backends_bit_identical_on_random_calibrations():
     rng = random.Random(20260418)
+    # a stream of its own, so that the calibrations are drawn as without it
+    mutations = random.Random(20261020)
     phases = Counter()
+    mutants = Counter()
     for _ in range(200):
-        params, inputs = _random_inputs(rng)
+        params, inputs = random_inputs(rng)
         py = _kernel.run(inputs, backend="python")
         c = _kernel.run(inputs, backend="c")
         # repr round-trips every float exactly, NaN included
         assert repr(c) == repr(py), params
         phases.update(set(py.final_phase))
+        # one index entry moved: both refuse it alike, or both run it alike
+        mutant = mutate(mutations, inputs)
+        outcome = _outcome(mutant, "python")
+        assert _outcome(mutant, "c") == outcome, params
+        mutants[outcome.partition("(")[0].partition(":")[0]] += 1
     # the draws reach refusals, queues behind the horizon and deliveries
     assert phases[PH_NO_PLACEMENT] and phases[PH_QUEUED] and phases[PH_DELIVERED]
+    # and the mutants reach runs and both kinds of refusal
+    assert mutants["KernelOutputs"] and mutants["ValueError"] and mutants["MemoryError"], mutants
 
 
 @pytest.mark.parametrize("backend", ["python", pytest.param("c", marks=needs_c)])
@@ -271,27 +247,24 @@ def test_trace_costs_at_most_40_bytes_per_entry(backend):
     assert peaks[True] - peaks[False] <= 40 * entries, (peaks[True] - peaks[False]) / entries
 
 
-@needs_c
-@pytest.mark.parametrize("fields", [
-    dict(arrival_time=[0.0], arrival_device=[1]),  # no such device
-    dict(candidate_nodes=[1]),  # no such node
-    dict(cores=[0]),
-    dict(candidate_nodes=[0, 0]),  # one route for two slots
-    dict(routes=[[[0]]]),  # no such link
-    dict(weight=[]),
-])
-def test_c_kernel_rejects_inputs_out_of_bounds(fields):
-    with pytest.raises(ValueError):
-        _kernel.run(kernel_inputs(**fields), backend="c")
+@pytest.mark.parametrize("backend", ["python", pytest.param("c", marks=needs_c)])
+@pytest.mark.parametrize("row", MALFORMED)
+def test_kernels_reject_inputs_out_of_bounds(row, backend):
+    # _kernel.check_inputs refuses them first on both kernels; the C kernel
+    # would read outside its columns on some
+    with pytest.raises(ValueError) as refused:
+        _kernel.run(kernel_inputs(**MALFORMED[row]), backend=backend)
+    assert str(refused.value) == "kernel inputs have mismatched sizes or out-of-range indices"
 
 
-@needs_c
+@pytest.mark.parametrize("backend", ["python", pytest.param("c", marks=needs_c)])
 @pytest.mark.parametrize("column", [[0.0], array("f", [0.0])])
-def test_c_kernel_rejects_columns_of_another_type(column):
+def test_kernels_reject_columns_of_another_type(column, backend):
     # the C kernel reads each column in place, as the C type its type code names
-    with pytest.raises(TypeError, match="arrival_time"):
+    with pytest.raises(TypeError) as refused:
         _kernel.run(replace(kernel_inputs(arrival_time=[0.0]), arrival_time=column),
-                    backend="c")
+                    backend=backend)
+    assert str(refused.value) == "kernel input arrival_time must be an array of type code 'd'"
 
 
 # Nodes whose cores together are more than a C int counts, run on the backend
@@ -311,7 +284,8 @@ except MemoryError as exc:
 
 @pytest.mark.parametrize("backend,message", [
     ("python", "the nodes hold 4294967313 cores, more than a run can allocate"),
-    pytest.param("c", "the C kernel could not allocate its run state", marks=needs_c),
+    pytest.param("c", "the nodes hold 4294967313 cores, more than a run can allocate",
+                 marks=needs_c),
 ])
 def test_core_counts_past_an_int_are_refused_before_allocating(backend, message):
     tests = os.path.dirname(os.path.abspath(__file__))
@@ -382,6 +356,77 @@ def test_c_post_run_pass_raises_what_the_reference_raises(mutant, tmp_path):
     with pytest.raises(SimulationError) as compiled:
         ckernel.load(str(library)).run(inputs)
     assert str(compiled.value) == str(reference.value) == message
+
+
+# The kernel built at argv[1] with sanitizers, against pykernel: each random
+# calibration traced and untraced, with its trace and tasks.csv text written
+# through a small buffer, and a mutant of it; every malformed row, which must
+# be refused; and the arrival draw of every preset. A read or write outside a
+# C array, or undefined behaviour, aborts the process.
+SANITIZED = """
+import io, random, sys
+from ponedge._kernel import ckernel, pykernel
+from ponedge.engine import SimulationError
+from ponedge.metrics import _csv_line
+from ponedge.network import replace
+from ponedge.workload import SCENARIOS, scenario_preset
+from kernel_inputs import MALFORMED, kernel_inputs, mutate, random_inputs
+
+c = ckernel.load(sys.argv[1])
+rng, mutations = random.Random(20260418), random.Random(20261020)
+for _ in range(200):
+    params, inputs = random_inputs(rng)
+    for traced in (False, True):
+        run = replace(inputs, collect_trace=traced)
+        out = c.run(run)
+        assert repr(out) == repr(pykernel.run(run)), params
+    node_ids = [f'n{node}-é,"x"' for node in range(len(inputs.cores))]
+    node_cells = [_csv_line([node_id]) for node_id in node_ids]
+    texts = []
+    for library, capacity in ((c, dict(capacity=64)), (pykernel, {})):
+        trace, tasks = io.BytesIO(), io.BytesIO()
+        library.write_trace(trace, out.trace, node_ids, **capacity)
+        library.write_tasks(tasks, inputs.arrival_time, out, node_cells, 0.05, "s,t,1,2",
+                            **capacity)
+        texts.append((trace.getvalue(), tasks.getvalue()))
+    assert texts[0] == texts[1], params
+    try:
+        c.run(mutate(mutations, inputs))
+    except (ValueError, MemoryError, SimulationError):
+        pass
+for row, fields in MALFORMED.items():
+    try:
+        c.run(kernel_inputs(**fields))
+    except ValueError:
+        continue
+    raise AssertionError(row)
+for name in sorted(SCENARIOS):
+    for mode in ("poisson", "fixed"):
+        args = (scenario_preset(name), 60.0, 7, mode)
+        assert c.arrivals(*args) == pykernel.arrivals(*args), args
+print("clean")
+"""
+
+
+@needs_compiler
+def test_c_kernel_is_clean_under_address_and_undefined_behaviour_sanitizers(tmp_path):
+    compiler = compiler_argv()[0]
+    runtime = subprocess.run([compiler, "-print-file-name=libasan.so"], capture_output=True,
+                             text=True, check=True).stdout.strip()
+    if not os.path.isfile(runtime):
+        pytest.skip(f"{compiler} has no AddressSanitizer runtime")
+    library = tmp_path / "kernel.so"
+    subprocess.run([*compiler_argv(), "-fsanitize=address,undefined",
+                    "-fno-sanitize-recover=undefined", "-o", str(library), _kernel.SOURCE],
+                   check=True)
+    tests = os.path.dirname(os.path.abspath(__file__))
+    # the runtime must be loaded before Python's allocator is used, and Python
+    # must allocate with malloc for ASan to see its buffers
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, tests]), LD_PRELOAD=runtime,
+               PYTHONMALLOC="malloc", ASAN_OPTIONS="detect_leaks=0")
+    done = subprocess.run([sys.executable, "-c", SANITIZED, str(library)], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "clean\n", "")
 
 
 # The C text writers against the reference formatters, on synthetic columns.
