@@ -134,8 +134,9 @@ def check_inputs(inputs: KernelInputs) -> None:
     route_start does not rise from 0 to len(route_hops); the route count is
     not a multiple of the candidate slots; a candidate is not a node, a hop
     code not in [0, 2 * links), an arrival device not in [0, routes / slots)
-    (only >= 0 with no slot), or a node has no core. MemoryError: the cores
-    sum past a C int, which indexes a run's cores.
+    (only >= 0 with no slot), a node has no core, or a mips_per_core or
+    link_bandwidth entry is not > 0 (NaN is not; a Local link's inf is).
+    MemoryError: the cores sum past a C int, which indexes a run's cores.
     """
     for name, code in INPUT_TYPECODES.items():
         column = getattr(inputs, name)
@@ -156,7 +157,9 @@ def check_inputs(inputs: KernelInputs) -> None:
             and _spans(inp.candidate_nodes, 0, n_nodes)
             and _spans(inp.route_hops, 0, 2 * len(inp.link_bandwidth))
             and _spans(inp.arrival_device, 0, n_routes // n_slots if n_slots else 2**31)
-            and _spans(inp.cores, 1, 2**31)):
+            and _spans(inp.cores, 1, 2**31)
+            and all(value > 0.0 for column in (inp.mips_per_core, inp.link_bandwidth)
+                    for value in column)):
         raise ValueError("kernel inputs have mismatched sizes or out-of-range indices")
     total = sum(inp.cores)
     if total > 2**31 - 1:
@@ -194,6 +197,10 @@ def _out_of_order(task: int) -> SimulationError:
 def _unconserved(generated: int, delivered: int, unfinished: int) -> SimulationError:
     return SimulationError(f"conservation violated: {generated} generated != "
                            f"{delivered} delivered + {unfinished} unfinished")
+
+
+def _no_text() -> ValueError:
+    return ValueError("a text row has a kind or node index with no text")
 
 
 # CPython's own sha256 module, as random.py does: hashlib loads OpenSSL, which

@@ -4,12 +4,16 @@ same names and signatures.
 
 The kernel reads the `array` columns of KernelInputs where they are, and
 writes the output and trace columns Python allocates as `array`s; one `_Run`
-struct passes their addresses, so no column is copied either way. run calls
-check_inputs first, so the C code checks no index or length: every one it
-reads lies inside the columns it is given. It holds no Python object and
-allocates only run-local state. The trace columns are allocated for the most
-entries a run can record, and the latency column for one latency per task;
-both are trimmed to what the kernel wrote.
+struct passes their addresses, so no column is copied either way. `_Run`
+lists the lengths, then the contract's input, output and trace columns and
+KernelInputs' floats, each in the contract's order, then the rest; struct
+kernel_run in kernel.c follows it, and tests/test_kernel_build.py pins each
+struct here to its C declaration. run calls check_inputs first, so the C code
+checks no index or length: every one it reads lies inside the columns it is
+given. It holds no Python object and allocates only run-local state. The
+trace columns are allocated for the most entries a run can record, and the
+latency column for one latency per task; both are trimmed to what the kernel
+wrote.
 
 The arrival draw continues each device's engine.Stream from the state Python
 seeded, so seeding has one implementation. It counts the arrivals first,
@@ -33,13 +37,12 @@ from ..engine import SimulationError
 from ..network import ConfigurationError
 from ..workload import MAX_TASKS, arrival_streams
 from . import (DECOMPOSITION_TOLERANCE_S, INPUT_TYPECODES, OUTPUT_TYPECODES, TRACE_TYPECODES,
-               KernelInputs, KernelOutputs, Trace, _out_of_order, _past, _unconserved,
-               _undecomposed, check_inputs)
+               KernelInputs, KernelOutputs, Trace, _no_text, _out_of_order, _past,
+               _unconserved, _undecomposed, check_inputs)
 
-# return codes of ponedge_run
+# return codes of ponedge_run; any other is KERNEL_NO_MEMORY
 _PAST = 1
 _DUPLICATE_MEMBER = 2
-_NO_MEMORY = 3
 _DECOMPOSITION = 4
 _ORDER = 5
 _CONSERVATION = 6
@@ -51,34 +54,25 @@ TEXT_CAPACITY = 1 << 16
 _int, _double, _long, _address = (ctypes.c_int, ctypes.c_double, ctypes.c_longlong,
                                   ctypes.c_void_p)
 
-
-class _Run(ctypes.Structure):
-    """struct kernel_run in kernel.c, field for field."""
-
-    _fields_ = [
-        ("n_nodes", _int), ("mips_per_core", _address), ("cores", _address),
-        ("weight", _address), ("ram_capacity", _address), ("storage_capacity", _address),
-        ("n_candidates", _int), ("candidate_nodes", _address),
-        ("n_links", _int), ("link_bandwidth", _address), ("link_hop_delay", _address),
-        ("n_routes", _int), ("route_start", _address), ("n_route_hops", _int),
-        ("route_hops", _address),
-        ("n_tasks", _int), ("arrival_time", _address), ("arrival_device", _address),
-        ("length_mi", _double), ("request_bits", _double), ("result_bits", _double),
-        ("task_ram_mb", _double), ("task_storage_mb", _double),
-        ("strategy", _int), ("control_delay_s", _double), ("duration_s", _double),
-        ("tolerance", _double),
-        ("node_of", _address), ("uplink_done", _address), ("exec_start", _address),
-        ("exec_end", _address), ("delivered_at", _address), ("final_phase", _address),
-        ("busy", _address), ("latencies", _address), ("n_latencies", _int),
-        ("processed_events", _long),
-        ("trace_time", _address), ("trace_seq", _address), ("trace_kind", _address),
-        ("trace_task", _address), ("trace_extra", _address), ("trace_len", _long),
-        ("error_a", _double), ("error_b", _double), ("error_task", _int),
-    ]
-
-
 # the struct fields of the trace columns, in Trace field order
 _TRACE = ["trace_" + name for name in Trace._fields]
+# the float constants of KernelInputs, in field order
+_NUMBERS = [name for name, kind in KernelInputs.__annotations__.items() if kind == "float"]
+# the KernelOutputs columns a tasks.csv row formats, after its creation time
+_TASK_OUTPUTS = ("node_of", "uplink_done", "exec_start", "exec_end", "delivered_at")
+
+
+class _Run(ctypes.Structure):
+    """struct kernel_run in kernel.c, field for field, from the contract's lists."""
+
+    _fields_ = [
+        *((name, _int) for name in ("n_nodes", "n_candidates", "n_links", "n_routes", "n_tasks")),
+        *((name, _address) for name in (*INPUT_TYPECODES, *OUTPUT_TYPECODES, *_TRACE)),
+        *((name, _double) for name in _NUMBERS),
+        ("tolerance", _double), ("strategy", _int),
+        ("n_latencies", _int), ("processed_events", _long), ("trace_len", _long),
+        ("error_a", _double), ("error_b", _double), ("error_task", _int),
+    ]
 
 
 def _error(status: int, run: _Run) -> Exception:
@@ -99,19 +93,16 @@ def _error(status: int, run: _Run) -> Exception:
 class _TraceText(ctypes.Structure):
     """struct trace_text in kernel.c, field for field."""
 
-    _fields_ = [("n_rows", _long), ("time", _address), ("seq", _address), ("kind", _address),
-                ("task", _address), ("extra", _address), ("n_nodes", _int),
-                ("node_text", ctypes.c_char_p), ("node_start", _address)]
+    _fields_ = [("n_rows", _long), *((name, _address) for name in Trace._fields),
+                ("n_nodes", _int), ("node_text", ctypes.c_char_p), ("node_start", _address)]
 
 
 class _TasksText(ctypes.Structure):
     """struct tasks_text in kernel.c, field for field."""
 
-    _fields_ = [("n_tasks", _int), ("created", _address), ("node_of", _address),
-                ("uplink_done", _address), ("exec_start", _address), ("exec_end", _address),
-                ("delivered_at", _address), ("deadline_s", _double),
-                ("cell", ctypes.c_char_p), ("cell_len", _int), ("n_nodes", _int),
-                ("node_text", ctypes.c_char_p), ("node_start", _address)]
+    _fields_ = [("n_tasks", _int), *((name, _address) for name in ("created", *_TASK_OUTPUTS)),
+                ("deadline_s", _double), ("cell", ctypes.c_char_p), ("cell_len", _int),
+                ("n_nodes", _int), ("node_text", ctypes.c_char_p), ("node_start", _address)]
 
 
 def _columns(named: dict[str, tuple[array, str]], length: int) -> dict[str, int]:
@@ -166,9 +157,9 @@ def load(path: str) -> Library:
     def run(inputs: KernelInputs) -> KernelOutputs:
         check_inputs(inputs)
         inp = inputs
-        n_tasks = len(inp.arrival_time)
-        outputs = {name: array(code, [0]) * n_tasks for name, code in OUTPUT_TYPECODES.items()}
-        outputs["busy"] = array("d", [0]) * len(inp.cores)
+        n_nodes, n_tasks = len(inp.cores), len(inp.arrival_time)
+        outputs = {name: array(code, [0]) * (n_nodes if name == "busy" else n_tasks)
+                   for name, code in OUTPUT_TYPECODES.items()}
         columns = {name: getattr(inp, name) for name in INPUT_TYPECODES} | outputs
         trace = None
         if inp.collect_trace:
@@ -178,14 +169,11 @@ def load(path: str) -> Library:
             columns.update(zip(_TRACE, trace))
         # `columns` keeps every buffer alive until the call returns
         run = _Run(
-            n_nodes=len(inp.cores), n_candidates=len(inp.candidate_nodes),
-            n_links=len(inp.link_bandwidth), n_routes=len(inp.route_start) - 1,
-            n_route_hops=len(inp.route_hops), n_tasks=n_tasks, length_mi=inp.length_mi,
-            request_bits=inp.request_bits, result_bits=inp.result_bits,
-            task_ram_mb=inp.task_ram_mb, task_storage_mb=inp.task_storage_mb, strategy=inp.strategy,
-            control_delay_s=inp.control_delay_s, duration_s=inp.duration_s,
-            tolerance=DECOMPOSITION_TOLERANCE_S,
+            n_nodes=n_nodes, n_candidates=len(inp.candidate_nodes),
+            n_links=len(inp.link_bandwidth), n_routes=len(inp.route_start) - 1, n_tasks=n_tasks,
             **{name: column.buffer_info()[0] for name, column in columns.items()},
+            **{name: getattr(inp, name) for name in _NUMBERS},
+            tolerance=DECOMPOSITION_TOLERANCE_S, strategy=inp.strategy,
         )
         status = kernel(ctypes.byref(run))
         if status:
@@ -221,7 +209,7 @@ def load(path: str) -> Library:
             size = fill(ctypes.addressof(text), start, ctypes.addressof(buffer), len(buffer),
                         ctypes.byref(done))
             if size < 0:
-                raise ValueError("a text row has a kind or node index with no text")
+                raise _no_text()
             if done.value == 0:  # the next line alone is longer than the buffer
                 buffer = ctypes.create_string_buffer(max(2 * len(buffer), 256))
                 continue
@@ -249,8 +237,7 @@ def load(path: str) -> Library:
         node_text, node_start = _labels(node_cells)
         cell_text = cell.encode()
         named = {"created": (generated_at, "d")} | {
-            name: (getattr(out, name), OUTPUT_TYPECODES[name])
-            for name in ("node_of", "uplink_done", "exec_start", "exec_end", "delivered_at")}
+            name: (getattr(out, name), OUTPUT_TYPECODES[name]) for name in _TASK_OUTPUTS}
         text = _TasksText(n_tasks=rows, deadline_s=deadline_s, cell=cell_text,
                           cell_len=len(cell_text), n_nodes=len(node_cells), node_text=node_text,
                           node_start=node_start.buffer_info()[0], **_columns(named, rows))

@@ -49,43 +49,33 @@ enum {
     KERNEL_DECOMPOSITION, KERNEL_ORDER, KERNEL_CONSERVATION
 };
 
-/* One run: the KernelInputs columns, the KernelOutputs columns and the
- * trace columns. ckernel.py declares the same fields in the same order. */
+/* One run, in the order ckernel._Run builds it from the kernel contract: lengths;
+ * input, output and trace columns; float constants; the rest.
+ * tests/test_kernel_build.py pins the two layouts to each other. */
 struct kernel_run {
-    /* nodes, index-aligned */
     int n_nodes;
+    int n_candidates;
+    int n_links;
+    int n_routes;
+    int n_tasks;
+    /* nodes, index-aligned */
     const double *mips_per_core;
     const int *cores;
     const double *weight;
     const double *ram_capacity;
     const double *storage_capacity;
     /* scheduler candidates as node indices, in node-id order */
-    int n_candidates;
     const int *candidate_nodes;
     /* links; hop code = link_index * 2 + direction */
-    int n_links;
     const double *link_bandwidth;
     const double *link_hop_delay;
     /* route r is route_hops[route_start[r] .. route_start[r + 1]); route
      * device * n_candidates + slot goes from that device to that slot */
-    int n_routes;
     const int *route_start; /* n_routes + 1 entries */
-    int n_route_hops;
     const int *route_hops;
     /* arrivals, sorted by (time, device) */
-    int n_tasks;
     const double *arrival_time;
     const int *arrival_device;
-    /* per-task constants and control */
-    double length_mi;
-    double request_bits;
-    double result_bits;
-    double task_ram_mb;
-    double task_storage_mb;
-    int strategy;
-    double control_delay_s;
-    double duration_s;
-    double tolerance; /* pykernel.DECOMPOSITION_TOLERANCE_S */
     /* outputs, n_tasks entries each */
     int *node_of;
     double *uplink_done;
@@ -97,8 +87,6 @@ struct kernel_run {
      * the n_latencies delivered latencies, ascending (room for n_tasks) */
     double *busy;
     double *latencies;
-    int n_latencies;
-    long long processed_events;
     /* trace columns with room for 6 entries per task plus the simulation
      * end, in (time, seq) order; trace_time is NULL for an untraced run */
     double *trace_time;
@@ -106,6 +94,18 @@ struct kernel_run {
     int *trace_kind;
     int *trace_task;
     int *trace_extra;
+    /* per-task constants and control */
+    double length_mi;
+    double request_bits;
+    double result_bits;
+    double task_ram_mb;
+    double task_storage_mb;
+    double control_delay_s;
+    double duration_s;
+    double tolerance; /* _kernel.DECOMPOSITION_TOLERANCE_S */
+    int strategy;
+    int n_latencies;
+    long long processed_events;
     long long trace_len;
     /* KERNEL_PAST: a the event time, b the clock;
      * KERNEL_DUPLICATE_MEMBER: the task already on the link;

@@ -46,8 +46,8 @@ from . import (DECOMPOSITION_TOLERANCE_S, OUTPUT_TYPECODES, PH_DELIVERED, PH_DOW
                PH_NO_PLACEMENT, PH_PENDING, PH_QUEUED, PH_RUNNING, PH_UP, STRATEGY_TRADE_OFF,
                TR_EXECUTION_COMPLETE, TR_EXECUTION_START, TR_RESULT_DELIVERED,
                TR_SIMULATION_END, TR_TASK_ARRIVAL, TR_TRANSFER_COMPLETE, TRACE_KINDS,
-               KernelInputs, KernelOutputs, Trace, _out_of_order, _past, _unconserved,
-               _undecomposed, check_inputs)
+               KernelInputs, KernelOutputs, Trace, _no_text, _out_of_order, _past,
+               _unconserved, _undecomposed, check_inputs)
 
 # internal event codes
 EV_ARRIVAL = 0
@@ -435,16 +435,18 @@ def _write_lines(fh, lines) -> None:
 def _trace_lines(node_ids, rows):
     """One line per kernel trace row (time, seq, kind, task, extra): time, seq,
     kind name and subject, tab-separated and newline-terminated. An arrival's
-    subject is its device, and device d is node d."""
+    subject is its device, and device d is node d. A row with no text is refused."""
+    n_nodes = len(node_ids)
     for time, seq, kind, task, extra in rows:
-        if kind == TR_TASK_ARRIVAL:
-            subject = f"task=t{task} src={node_ids[extra]}"
-        elif kind == TR_TRANSFER_COMPLETE:
+        if kind == TR_TRANSFER_COMPLETE:
             subject = f"task=t{task} leg={'up' if extra == 0 else 'down'}"
         elif kind == TR_SIMULATION_END:
             subject = "-"
+        elif TR_TASK_ARRIVAL <= kind < TR_SIMULATION_END and 0 <= extra < n_nodes:
+            role = "src" if kind == TR_TASK_ARRIVAL else "node"
+            subject = f"task=t{task} {role}={node_ids[extra]}"
         else:
-            subject = f"task=t{task} node={node_ids[extra]}"
+            raise _no_text()
         yield f"{time:.17g}\t{seq}\t{TRACE_KINDS[kind]}\t{subject}\n"
 
 
@@ -465,6 +467,8 @@ def _task_lines(generated_at, out: KernelOutputs, node_cells, deadline_s: float,
     for task, (created, node, uplink, start, end, delivered) in enumerate(zip(
             generated_at, out.node_of, out.uplink_done, out.exec_start, out.exec_end,
             out.delivered_at)):
+        if not -1 <= node < len(node_cells):
+            raise _no_text()
         if math.isnan(delivered):
             yield (f"t{task},{cell},{nodes[node]},{created:.12g},{_timestamp(uplink)},"
                    f"{_timestamp(start)},{_timestamp(end)},,Unfinished,,false\r\n")

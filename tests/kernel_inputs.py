@@ -1,5 +1,6 @@
 """Hand-built, random and malformed inputs for tests that drive the kernels directly."""
 
+import math
 import random
 from array import array
 
@@ -123,6 +124,15 @@ MALFORMED = {
     # a route that ends before it starts: C read past route_hops on it
     "route-start-falls": dict(route_start=[1, 0], route_hops=[0], arrival_time=[0.0],
                               **_ONE_LINK),
+    # Python divided by zero on these, and C ran them to a NaN delivery
+    "zero-mips": dict(mips_per_core=[0.0], arrival_time=[0.0]),
+    "negative-mips": dict(mips_per_core=[-1e9], arrival_time=[0.0]),
+    "nan-mips": dict(mips_per_core=[math.nan], arrival_time=[0.0]),
+    "zero-bandwidth": dict(_ONE_LINK, link_bandwidth=[0.0], routes=[[[0]]], arrival_time=[0.0]),
+    "negative-bandwidth": dict(_ONE_LINK, link_bandwidth=[-1e9], routes=[[[0]]],
+                               arrival_time=[0.0]),
+    "nan-bandwidth": dict(_ONE_LINK, link_bandwidth=[math.nan], routes=[[[0]]],
+                          arrival_time=[0.0]),
 }
 
 # The index columns whose entries `mutate` changes.

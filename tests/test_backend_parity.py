@@ -593,23 +593,36 @@ def test_c_write_trace_holds_one_buffer_of_text():
     assert peak < 2 * ckernel.TEXT_CAPACITY
 
 
-@needs_c
-def test_c_text_writers_reject_rows_with_no_text():
-    c = library("c")
+def _placed_on(node: int) -> SimpleNamespace:
+    """The outputs of one task delivered on `node`."""
+    return SimpleNamespace(node_of=array("i", [node]), uplink_done=array("d", [1.0]),
+                           exec_start=array("d", [1.0]), exec_end=array("d", [1.0]),
+                           delivered_at=array("d", [1.0]))
+
+
+@pytest.mark.parametrize("backend", ["python", pytest.param("c", marks=needs_c)])
+def test_text_writers_reject_rows_with_no_text(backend):
+    writers = library(backend)
+    no_text = "^a text row has a kind or node index with no text$"
     for kind, extra in ((6, 0), (-1, 0), (_kernel.TR_EXECUTION_START, len(TEXT_NODES)),
-                        (_kernel.TR_RESULT_DELIVERED, -1), (_kernel.TR_TASK_ARRIVAL, -1),
+                        (_kernel.TR_EXECUTION_START, -1), (_kernel.TR_RESULT_DELIVERED, -1),
+                        (_kernel.TR_TASK_ARRIVAL, -1), (_kernel.TR_TASK_ARRIVAL, -2),
                         (_kernel.TR_TASK_ARRIVAL, len(TEXT_NODES))):
         trace = _kernel.Trace(array("d", [1.0]), array("q", [1]), array("i", [kind]),
                                array("i", [0]), array("i", [extra]))
-        with pytest.raises(ValueError):
-            c.write_trace(io.BytesIO(), trace, ["n0"] * len(TEXT_NODES))
-    out = SimpleNamespace(node_of=array("i", [-2]), uplink_done=array("d", [1.0]),
-                          exec_start=array("d", [1.0]), exec_end=array("d", [1.0]),
-                          delivered_at=array("d", [1.0]))
-    with pytest.raises(ValueError):
-        c.write_tasks(io.BytesIO(), array("d", [0.5]), out, ["n0"], 1.0, "c")
+        with pytest.raises(ValueError, match=no_text):
+            writers.write_trace(io.BytesIO(), trace, ["n0"] * len(TEXT_NODES))
+    for node in (-2, 1):
+        with pytest.raises(ValueError, match=no_text):
+            writers.write_tasks(io.BytesIO(), array("d", [0.5]), _placed_on(node), ["n0"], 1.0,
+                                "c")
+
+
+@needs_c
+def test_c_text_writers_reject_columns_of_another_type():
+    # the C writers read each column in place, as the C type its type code names
     with pytest.raises(TypeError, match="created"):
-        c.write_tasks(io.BytesIO(), [0.5], out, ["n0"], 1.0, "c")
+        library("c").write_tasks(io.BytesIO(), [0.5], _placed_on(0), ["n0"], 1.0, "c")
 
 
 AWKWARD_LABELS = os.path.join(os.path.dirname(__file__), "experiments", "awkward-labels.json")

@@ -1,14 +1,19 @@
 """The C kernel is compiled on first use into the kernel cache, and reused after."""
 
+import ctypes
 import hashlib
 import os
+import re
 import stat
 import subprocess
 import sys
 import sysconfig
 import tempfile
 
+import pytest
+
 from ponedge import _kernel
+from ponedge._kernel import ckernel
 
 from fresh_process import needs_compiler, path_finds_compiler, ponedge_env, run_cli, run_python
 
@@ -102,3 +107,36 @@ def test_tests_use_a_kernel_cache_of_their_own():
     assert os.path.dirname(cache) == tempfile.gettempdir()
     assert os.path.basename(cache).startswith("ponedge-test-cache-")
     assert _kernel._library_path().startswith(os.path.join(cache, "ponedge", ""))
+
+
+# the ctypes type of each C type a struct passed through ctypes declares
+C_TYPES = {"int": ctypes.c_int, "long long": ctypes.c_longlong, "double": ctypes.c_double}
+
+
+def c_struct_fields(struct: str) -> list[tuple[str, type]]:
+    """The fields of `struct struct` in kernel.c, in order, each with its
+    ctypes type: a pointer is a c_void_p, and a C string a c_char_p."""
+    with open(_kernel.SOURCE) as fh:
+        source = re.sub(r"/\*.*?\*/", "", fh.read(), flags=re.S)
+    (body,) = re.findall(rf"\bstruct {struct} \{{(.*?)\}};", source, flags=re.S)
+    fields = []
+    for declaration in body.split(";")[:-1]:
+        match = re.fullmatch(r"\s*(?:const\s+)?(\w+(?: \w+)*?)\s*(\*?)\s*(\w+)\s*",
+                             declaration)
+        assert match, declaration
+        kind, pointer, name = match.groups()
+        if pointer:
+            fields.append((name, ctypes.c_char_p if kind == "char" else ctypes.c_void_p))
+        else:
+            fields.append((name, C_TYPES[kind]))
+    return fields
+
+
+@pytest.mark.parametrize("struct,twin", [("kernel_run", ckernel._Run),
+                                         ("trace_text", ckernel._TraceText),
+                                         ("tasks_text", ckernel._TasksText),
+                                         ("arrivals", ckernel._Arrivals)])
+def test_c_structs_match_their_ctypes_twins(struct, twin):
+    # ctypes lays out _fields_ in order, so a field of another name, place or
+    # type makes C read or write the wrong memory
+    assert c_struct_fields(struct) == twin._fields_
