@@ -115,6 +115,8 @@ INPUT_TYPECODES = {"mips_per_core": "d", "cores": "i", "weight": "d", "ram_capac
 OUTPUT_TYPECODES = {"node_of": "i", "uplink_done": "d", "exec_start": "d", "exec_end": "d",
                     "delivered_at": "d", "final_phase": "i", "busy": "d", "latencies": "d"}
 TRACE_TYPECODES = ("d", "q", "i", "i", "i")
+# what a tasks.csv row formats: its creation time, then these KernelOutputs columns
+TASK_TEXT_COLUMNS = ("created", "node_of", "uplink_done", "exec_start", "exec_end", "delivered_at")
 
 def _spans(values: array, low: int, high: int) -> bool:
     """Every entry of `values` in [low, high)."""
@@ -164,6 +166,27 @@ def check_inputs(inputs: KernelInputs) -> None:
     total = sum(inp.cores)
     if total > 2**31 - 1:
         raise MemoryError(f"the nodes hold {total} cores, more than a run can allocate")
+
+
+def _text_columns(names, columns, codes) -> dict[str, array]:
+    """The columns a text writer formats, by name, once each is checked to be an `array` of
+    its type code as long as the first; both backends' writers check before writing."""
+    for name, column, code in zip(names, columns, codes):
+        if not (isinstance(column, array) and column.typecode == code):
+            raise TypeError(f"text column {name} must be an array of type code {code!r}")
+        if len(column) != len(columns[0]):
+            raise ValueError(f"text column {name} has {len(column)} entries, not {len(columns[0])}")
+    return dict(zip(names, columns))
+
+
+def trace_text_columns(trace: Trace) -> dict[str, array]:
+    return _text_columns(Trace._fields, trace, TRACE_TYPECODES)
+
+
+def tasks_text_columns(generated_at: array, out: KernelOutputs) -> dict[str, array]:
+    outputs = TASK_TEXT_COLUMNS[1:]
+    return _text_columns(TASK_TEXT_COLUMNS, [generated_at, *(getattr(out, n) for n in outputs)],
+                         ["d", *(OUTPUT_TYPECODES[n] for n in outputs)])
 
 
 class KernelOutputs(Record):

@@ -20,9 +20,9 @@ seeded, so seeding has one implementation. It counts the arrivals first,
 refuses more than workload.MAX_TASKS, then fills `array` columns of that
 length, sorted by (time, device).
 
-The text writers encode the labels, format the columns into one reused
-buffer of `capacity` bytes and write it to a binary file a buffer at a time,
-with no Python string per line.
+The text writers check their columns as pykernel's do, encode the labels,
+format the columns into one reused buffer of TEXT_CAPACITY bytes and write
+it to a binary file a buffer at a time, with no Python string per line.
 """
 
 from __future__ import annotations
@@ -36,9 +36,10 @@ from typing import Callable, NamedTuple
 from ..engine import SimulationError
 from ..network import ConfigurationError
 from ..workload import MAX_TASKS, arrival_streams
-from . import (DECOMPOSITION_TOLERANCE_S, INPUT_TYPECODES, OUTPUT_TYPECODES, TRACE_TYPECODES,
+from . import (DECOMPOSITION_TOLERANCE_S, INPUT_TYPECODES, OUTPUT_TYPECODES, TASK_TEXT_COLUMNS,
                KernelInputs, KernelOutputs, Trace, _no_text, _out_of_order, _past,
-               _unconserved, _undecomposed, check_inputs)
+               _unconserved, _undecomposed, check_inputs, tasks_text_columns,
+               trace_text_columns)
 
 # return codes of ponedge_run; any other is KERNEL_NO_MEMORY
 _PAST = 1
@@ -47,8 +48,8 @@ _DECOMPOSITION = 4
 _ORDER = 5
 _CONSERVATION = 6
 
-# Bytes of text formatted per write: about 900 trace lines. The buffer grows
-# when one line alone does not fit.
+# Bytes of text formatted per write: about 900 trace lines, read at each
+# write. The buffer grows when one line alone does not fit.
 TEXT_CAPACITY = 1 << 16
 
 _int, _double, _long, _address = (ctypes.c_int, ctypes.c_double, ctypes.c_longlong,
@@ -58,8 +59,6 @@ _int, _double, _long, _address = (ctypes.c_int, ctypes.c_double, ctypes.c_longlo
 _TRACE = ["trace_" + name for name in Trace._fields]
 # the float constants of KernelInputs, in field order
 _NUMBERS = [name for name, kind in KernelInputs.__annotations__.items() if kind == "float"]
-# the KernelOutputs columns a tasks.csv row formats, after its creation time
-_TASK_OUTPUTS = ("node_of", "uplink_done", "exec_start", "exec_end", "delivered_at")
 
 
 class _Run(ctypes.Structure):
@@ -100,20 +99,13 @@ class _TraceText(ctypes.Structure):
 class _TasksText(ctypes.Structure):
     """struct tasks_text in kernel.c, field for field."""
 
-    _fields_ = [("n_tasks", _int), *((name, _address) for name in ("created", *_TASK_OUTPUTS)),
+    _fields_ = [("n_tasks", _int), *((name, _address) for name in TASK_TEXT_COLUMNS),
                 ("deadline_s", _double), ("cell", ctypes.c_char_p), ("cell_len", _int),
                 ("n_nodes", _int), ("node_text", ctypes.c_char_p), ("node_start", _address)]
 
 
-def _columns(named: dict[str, tuple[array, str]], length: int) -> dict[str, int]:
-    """The address of each column, once it is checked to be an array of its
-    type code with `length` entries."""
-    for name, (column, code) in named.items():
-        if not (isinstance(column, array) and column.typecode == code):
-            raise TypeError(f"text column {name} must be an array of type code {code!r}")
-        if len(column) != length:
-            raise ValueError(f"text column {name} has {len(column)} entries, not {length}")
-    return {name: column.buffer_info()[0] for name, (column, _) in named.items()}
+def _addresses(columns: dict[str, array]) -> dict[str, int]:
+    return {name: column.buffer_info()[0] for name, column in columns.items()}
 
 
 def _labels(labels: Sequence[str]) -> tuple[bytes, array]:
@@ -171,7 +163,7 @@ def load(path: str) -> Library:
         run = _Run(
             n_nodes=n_nodes, n_candidates=len(inp.candidate_nodes),
             n_links=len(inp.link_bandwidth), n_routes=len(inp.route_start) - 1, n_tasks=n_tasks,
-            **{name: column.buffer_info()[0] for name, column in columns.items()},
+            **_addresses(columns),
             **{name: getattr(inp, name) for name in _NUMBERS},
             tolerance=DECOMPOSITION_TOLERANCE_S, strategy=inp.strategy,
         )
@@ -200,9 +192,9 @@ def load(path: str) -> Library:
             raise MemoryError("the C kernel could not allocate the arrivals")
         return times, devices
 
-    def write_text(fh, fill, text, rows: int, capacity: int) -> None:
+    def write_text(fh, fill, text, rows: int) -> None:
         # `text` holds the addresses of columns its caller keeps alive
-        buffer = ctypes.create_string_buffer(capacity)
+        buffer = ctypes.create_string_buffer(TEXT_CAPACITY)
         done = _long()
         start = 0
         while start < rows:
@@ -216,31 +208,28 @@ def load(path: str) -> Library:
             fh.write(memoryview(buffer)[:size])
             start += done.value
 
-    def write_trace(fh, trace: Trace, node_ids: Sequence[str], *,
-                    capacity: int = TEXT_CAPACITY) -> None:
+    def write_trace(fh, trace: Trace, node_ids: Sequence[str]) -> None:
         """Write the trace file's lines to the binary file `fh`; node_ids maps
         a node index to its id."""
+        columns = _addresses(trace_text_columns(trace))
         rows = len(trace.time)
         node_text, node_start = _labels(node_ids)
         text = _TraceText(n_rows=rows, n_nodes=len(node_ids), node_text=node_text,
-                          node_start=node_start.buffer_info()[0],
-                          **_columns({name: (column, code) for name, column, code
-                                      in zip(Trace._fields, trace, TRACE_TYPECODES)}, rows))
-        write_text(fh, trace_text, text, rows, capacity)
+                          node_start=node_start.buffer_info()[0], **columns)
+        write_text(fh, trace_text, text, rows)
 
     def write_tasks(fh, generated_at: array, out: KernelOutputs, node_cells: Sequence[str],
-                    deadline_s: float, cell: str, *, capacity: int = TEXT_CAPACITY) -> None:
+                    deadline_s: float, cell: str) -> None:
         """Write the tasks.csv rows, UTF-8 encoded, to the binary file `fh`.
         node_cells maps a node index to its id as a quoted CSV cell, and `cell`
         is the quoted scenario, topology, cpu and seed cells."""
+        columns = _addresses(tasks_text_columns(generated_at, out))
         rows = len(generated_at)
         node_text, node_start = _labels(node_cells)
         cell_text = cell.encode()
-        named = {"created": (generated_at, "d")} | {
-            name: (getattr(out, name), OUTPUT_TYPECODES[name]) for name in _TASK_OUTPUTS}
         text = _TasksText(n_tasks=rows, deadline_s=deadline_s, cell=cell_text,
                           cell_len=len(cell_text), n_nodes=len(node_cells), node_text=node_text,
-                          node_start=node_start.buffer_info()[0], **_columns(named, rows))
-        write_text(fh, tasks_text, text, rows, capacity)
+                          node_start=node_start.buffer_info()[0], **columns)
+        write_text(fh, tasks_text, text, rows)
 
     return Library(run, arrivals, write_trace, write_tasks)

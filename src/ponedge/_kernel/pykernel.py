@@ -1,7 +1,7 @@
 """The pure-Python backend, as library("python") returns it, and the reference
-the C library mirrors with the same signatures (its writers also take a
-`capacity`): the event loop (run), the arrival draw (arrivals, which wraps
-workload.generate_arrivals) and the trace and tasks.csv writers.
+the C library mirrors with the same signatures: the event loop (run), the
+arrival draw (arrivals, which wraps workload.generate_arrivals) and the trace
+and tasks.csv writers.
 
 The C event loop in kernel.c mirrors run and reproduces its results bit for
 bit: the same events are processed in the same (time, seq) order under
@@ -47,7 +47,8 @@ from . import (DECOMPOSITION_TOLERANCE_S, OUTPUT_TYPECODES, PH_DELIVERED, PH_DOW
                TR_EXECUTION_COMPLETE, TR_EXECUTION_START, TR_RESULT_DELIVERED,
                TR_SIMULATION_END, TR_TASK_ARRIVAL, TR_TRANSFER_COMPLETE, TRACE_KINDS,
                KernelInputs, KernelOutputs, Trace, _no_text, _out_of_order, _past,
-               _unconserved, _undecomposed, check_inputs)
+               _unconserved, _undecomposed, check_inputs, tasks_text_columns,
+               trace_text_columns)
 
 # internal event codes
 EV_ARRIVAL = 0
@@ -453,7 +454,7 @@ def _trace_lines(node_ids, rows):
 def write_trace(fh, trace: Trace, node_ids) -> None:
     """Write the trace file's lines to the binary file `fh`; node_ids maps a
     node index to its id. At most TEXT_CHUNK lines of text are held at once."""
-    _write_lines(fh, _trace_lines(node_ids, zip(*trace)))
+    _write_lines(fh, _trace_lines(node_ids, zip(*trace_text_columns(trace).values())))
 
 
 def _timestamp(value: float) -> str:
@@ -461,12 +462,10 @@ def _timestamp(value: float) -> str:
     return "" if math.isnan(value) else f"{value:.12g}"
 
 
-def _task_lines(generated_at, out: KernelOutputs, node_cells, deadline_s: float, cell: str):
+def _task_lines(rows, node_cells, deadline_s: float, cell: str):
     # the trailing "" is the node_id of a task never placed (node -1)
     nodes = [*node_cells, ""]
-    for task, (created, node, uplink, start, end, delivered) in enumerate(zip(
-            generated_at, out.node_of, out.uplink_done, out.exec_start, out.exec_end,
-            out.delivered_at)):
+    for task, (created, node, uplink, start, end, delivered) in enumerate(rows):
         if not -1 <= node < len(node_cells):
             raise _no_text()
         if math.isnan(delivered):
@@ -484,4 +483,5 @@ def write_tasks(fh, generated_at, out: KernelOutputs, node_cells, deadline_s: fl
     """Write the tasks.csv rows, UTF-8 encoded, to the binary file `fh`: node
     index i's id is the quoted CSV cell node_cells[i], and `cell` the quoted
     scenario, topology, cpu and seed cells of every row."""
-    _write_lines(fh, _task_lines(generated_at, out, node_cells, deadline_s, cell))
+    rows = zip(*tasks_text_columns(generated_at, out).values())
+    _write_lines(fh, _task_lines(rows, node_cells, deadline_s, cell))

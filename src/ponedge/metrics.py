@@ -9,19 +9,16 @@ from bisect import bisect_right
 from collections.abc import Sequence
 
 from ._kernel import KernelOutputs, library
-from .network import Record
+from .network import Record, fields
 
 TASKS_CSV_COLUMNS = [
     "task_id", "scenario", "topology", "cpu", "seed", "node_id", "generated_at",
     "uplink_done", "exec_start", "exec_end", "delivered_at", "status",
     "latency_s", "deadline_met",
 ]
-SUMMARY_CSV_COLUMNS = [
-    "scenario", "topology", "cpu", "mips", "seed", "tasks_generated",
-    "tasks_delivered", "tsr_pct", "mean_latency_s", "p95_latency_s",
-    "deadline_hit_pct",
-]
 
+# aggregate.csv's columns: this key, the run count, each metric's mean and std
+AGGREGATE_KEY = ("scenario", "topology", "cpu", "mips")
 AGGREGATE_METRICS = ("tsr_pct", "mean_latency_s", "p95_latency_s", "deadline_hit_pct")
 
 
@@ -42,6 +39,10 @@ class RunSummary(Record):
     mean_latency_s: float
     p95_latency_s: float
     deadline_hit_pct: float
+
+
+# summary.csv's columns: RunSummary's fields but the derived tasks_unfinished
+SUMMARY_CSV_COLUMNS = [name for name in fields(RunSummary) if name != "tasks_unfinished"]
 
 
 def percentile_95(sorted_values: Sequence[float]) -> float:
@@ -97,21 +98,20 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
     return mean, math.sqrt(var)
 
 
-def aggregate(summaries: list[RunSummary], keys: tuple[str, ...]) -> list[dict]:
-    """One row per distinct key combination, metrics as mean and std.
+def aggregate(summaries: list[RunSummary]) -> list[dict]:
+    """One row per distinct AGGREGATE_KEY, metrics as mean and std.
 
-    Rows come back sorted by the key tuple so repeated aggregations are
-    byte-stable.
+    Rows come back sorted by the key so repeated aggregations are byte-stable.
     """
     if not summaries:
         raise EmptyRunError("no summaries to aggregate")
     groups: dict[tuple, list[RunSummary]] = {}
     for summary in summaries:
-        groups.setdefault(tuple(getattr(summary, k) for k in keys), []).append(summary)
+        groups.setdefault(tuple(getattr(summary, k) for k in AGGREGATE_KEY), []).append(summary)
     rows = []
     for key in sorted(groups):
         members = groups[key]
-        row: dict = dict(zip(keys, key))
+        row: dict = dict(zip(AGGREGATE_KEY, key))
         row["runs"] = len(members)
         for metric in AGGREGATE_METRICS:
             mean, std = _mean_std([getattr(m, metric) for m in members])
@@ -157,19 +157,16 @@ def write_summary_csv(path, summaries: list[RunSummary]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SUMMARY_CSV_COLUMNS)
-        writer.writerows([s.scenario, s.topology, s.cpu, format_number(s.mips), s.seed,
-                          s.tasks_generated, s.tasks_delivered,
-                          *(format_number(getattr(s, name)) for name in AGGREGATE_METRICS)]
+        writer.writerows([format_number(getattr(s, name)) for name in SUMMARY_CSV_COLUMNS]
                          for s in summaries)
 
 
 def read_summary_csv(path) -> list[RunSummary]:
+    # each column parsed as its RunSummary field's annotated type
+    kinds = {"str": str, "int": int, "float": float}
+    parsers = {name: kinds[RunSummary.__annotations__[name]] for name in SUMMARY_CSV_COLUMNS}
     with open(path, newline="") as fh:
-        return [RunSummary(scenario=row["scenario"], topology=row["topology"], cpu=row["cpu"],
-                           mips=float(row["mips"]), seed=int(row["seed"]),
-                           tasks_generated=int(row["tasks_generated"]),
-                           tasks_delivered=int(row["tasks_delivered"]),
-                           tasks_unfinished=int(row["tasks_generated"])
-                           - int(row["tasks_delivered"]),
-                           **{name: float(row[name]) for name in AGGREGATE_METRICS})
+        rows = [{name: parse(row[name]) for name, parse in parsers.items()}
                 for row in csv.DictReader(fh)]
+    return [RunSummary(**row, tasks_unfinished=row["tasks_generated"] - row["tasks_delivered"])
+            for row in rows]

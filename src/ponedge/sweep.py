@@ -25,10 +25,19 @@ from .metrics import (RunSummary, aggregate, format_number, read_summary_csv,
 from .network import ConfigurationError, Record, fields
 from .simulation import RunParams, run_simulation
 
-COMPARISON_COLUMNS = [
-    "scenario", "cpu", "mips", "genio_mean_latency_s", "baseline_mean_latency_s",
-    "reduction_pct", "genio_tsr_pct", "baseline_tsr_pct",
-]
+
+class ComparisonRow(Record):
+    scenario: str
+    cpu: str
+    mips: float
+    genio_mean_latency_s: float
+    baseline_mean_latency_s: float
+    reduction_pct: float
+    genio_tsr_pct: float
+    baseline_tsr_pct: float
+
+
+COMPARISON_COLUMNS = list(fields(ComparisonRow))
 PLOT_COLUMNS = ["scenario", "cpu", "mips", "topology", "tsr_pct", "mean_latency_s",
                 "deadline_s"]
 # The revision of the simulation model. Every change that alters results
@@ -41,19 +50,16 @@ def cell_directory(out_dir: str, params: RunParams) -> str:
                         mips_text(params.cpu_mips), str(params.seed))
 
 
-def _field_values(obj) -> dict:
-    # a record's own fields, not copied: resolved_config turns the nested
-    # scenario and calibration into dicts itself
-    return {name: getattr(obj, name) for name in fields(obj)}
+def _field_values(record) -> dict:
+    """A record's fields by name; config.json serializes nested records with it."""
+    return {name: getattr(record, name) for name in fields(record)}
 
 
-def resolved_config(params: RunParams) -> dict:
-    """Everything the cell's outcome depends on, defaults and model included."""
-    return _field_values(params) | {
-        "model_revision": MODEL_REVISION,
-        "scenario": _field_values(params.scenario),
-        "calibration": _field_values(params.calibration),
-    }
+def resolved_config(params: RunParams) -> str:
+    """config.json's text: everything the cell's outcome depends on, defaults
+    and model included."""
+    return json.dumps(_field_values(params) | {"model_revision": MODEL_REVISION}, indent=2,
+                      sort_keys=True, default=_field_values)
 
 
 def _published_summary(directory: str, config_text: str,
@@ -97,7 +103,7 @@ def run_cell(params: RunParams, out_dir: str, trace_path: str | None = None, *,
     onto trace_path when complete.
     """
     final_dir = cell_directory(out_dir, params)
-    config_text = json.dumps(resolved_config(params), indent=2, sort_keys=True)
+    config_text = resolved_config(params)
     if trace_path is None:
         cached = _published_summary(final_dir, config_text, tasks_csv)
         if cached is not None:
@@ -251,7 +257,7 @@ def _write_csv_atomic(path: str, header: list[str], rows: list[list]) -> None:
 
 def write_aggregate(out_dir: str, scenario_name: str,
                     summaries: list[RunSummary]) -> str:
-    rows = aggregate(summaries, ("scenario", "topology", "cpu", "mips"))
+    rows = aggregate(summaries)
     header = list(rows[0].keys())
     path = os.path.join(out_dir, scenario_name, "aggregate.csv")
     _write_csv_atomic(path, header, [
@@ -278,17 +284,6 @@ def sweep_scenarios(spec: ExperimentSpec, *, out_dir: str,
     return per_scenario
 
 
-class ComparisonRow(Record):
-    scenario: str
-    cpu: str
-    mips: float
-    genio_mean_latency_s: float
-    baseline_mean_latency_s: float
-    reduction_pct: float
-    genio_tsr_pct: float
-    baseline_tsr_pct: float
-
-
 class ScenarioComparison(Record):
     scenario: str
     rows: tuple[ComparisonRow, ...]
@@ -309,7 +304,7 @@ def compare_scenarios(spec: ExperimentSpec, *, out_dir: str,
 
 
 def _comparison(scenario: str, summaries: list[RunSummary]) -> ScenarioComparison:
-    by_cell = aggregate(summaries, ("scenario", "topology", "cpu", "mips"))
+    by_cell = aggregate(summaries)
     cells = {(row["topology"], row["mips"]): row for row in by_cell}
     mips_grid = sorted({row["mips"] for row in by_cell})
     rows = []
@@ -340,14 +335,8 @@ def write_comparison(out_dir: str, comparisons: list[ScenarioComparison],
     plot_rows = []
     for comp in comparisons:
         for row in comp.rows:
-            comparison_rows.append([
-                row.scenario, row.cpu, format_number(row.mips),
-                format_number(row.genio_mean_latency_s),
-                format_number(row.baseline_mean_latency_s),
-                format_number(row.reduction_pct),
-                format_number(row.genio_tsr_pct),
-                format_number(row.baseline_tsr_pct),
-            ])
+            comparison_rows.append([format_number(getattr(row, name))
+                                    for name in COMPARISON_COLUMNS])
             for topology, tsr, latency in (
                 ("genio", row.genio_tsr_pct, row.genio_mean_latency_s),
                 ("baseline", row.baseline_tsr_pct, row.baseline_mean_latency_s),

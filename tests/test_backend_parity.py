@@ -373,6 +373,7 @@ from ponedge.workload import SCENARIOS, scenario_preset
 from kernel_inputs import MALFORMED, kernel_inputs, mutate, random_inputs
 
 c = ckernel.load(sys.argv[1])
+ckernel.TEXT_CAPACITY = 64  # the C writers' buffer, which grows past each longer line
 rng, mutations = random.Random(20260418), random.Random(20261020)
 for _ in range(200):
     params, inputs = random_inputs(rng)
@@ -383,11 +384,10 @@ for _ in range(200):
     node_ids = [f'n{node}-é,"x"' for node in range(len(inputs.cores))]
     node_cells = [_csv_line([node_id]) for node_id in node_ids]
     texts = []
-    for library, capacity in ((c, dict(capacity=64)), (pykernel, {})):
+    for library in (c, pykernel):
         trace, tasks = io.BytesIO(), io.BytesIO()
-        library.write_trace(trace, out.trace, node_ids, **capacity)
-        library.write_tasks(tasks, inputs.arrival_time, out, node_cells, 0.05, "s,t,1,2",
-                            **capacity)
+        library.write_trace(trace, out.trace, node_ids)
+        library.write_tasks(tasks, inputs.arrival_time, out, node_cells, 0.05, "s,t,1,2")
         texts.append((trace.getvalue(), tasks.getvalue()))
     assert texts[0] == texts[1], params
     try:
@@ -538,7 +538,7 @@ def _one_line_capacity(text: bytes, terminator: bytes) -> int:
 
 
 @needs_c
-def test_c_trace_text_matches_reference(text_doubles):
+def test_c_trace_text_matches_reference(text_doubles, monkeypatch):
     trace = _synthetic_trace(random.Random(1), text_doubles)
     reference, compiled = library("python").write_trace, library("c").write_trace
     step = 100_000
@@ -550,13 +550,14 @@ def test_c_trace_text_matches_reference(text_doubles):
     chunk = _kernel.Trace(*(column[:3000] for column in trace))
     expected = _written(reference, chunk, TEXT_NODES)[0]
     capacity = _one_line_capacity(expected, b"\n")
-    text, sizes = _written(compiled, chunk, TEXT_NODES, capacity=capacity)
+    monkeypatch.setattr(ckernel, "TEXT_CAPACITY", capacity)
+    text, sizes = _written(compiled, chunk, TEXT_NODES)
     assert text == expected
     assert len(sizes) > 1500 and max(sizes) <= capacity
 
 
 @needs_c
-def test_c_tasks_text_matches_reference(text_doubles):
+def test_c_tasks_text_matches_reference(text_doubles, monkeypatch):
     generated_at, out = _synthetic_tasks(random.Random(2), text_doubles)
     cell = _csv_line(["a,b", 'say "hi"', "Zürich – 1", 7])
     node_cells = [_csv_line([node_id]) for node_id in TEXT_NODES]
@@ -570,8 +571,8 @@ def test_c_tasks_text_matches_reference(text_doubles):
     head = SimpleNamespace(**{name: getattr(out, name)[:3000] for name in vars(out)})
     expected = _written(reference, generated_at[:3000], head, node_cells, 0.5, cell)[0]
     capacity = _one_line_capacity(expected, b"\r\n")
-    text, sizes = _written(compiled, generated_at[:3000], head, node_cells, 0.5, cell,
-                           capacity=capacity)
+    monkeypatch.setattr(ckernel, "TEXT_CAPACITY", capacity)
+    text, sizes = _written(compiled, generated_at[:3000], head, node_cells, 0.5, cell)
     assert text == expected
     assert len(sizes) > 1500 and max(sizes) <= capacity
 
@@ -618,11 +619,29 @@ def test_text_writers_reject_rows_with_no_text(backend):
                                 "c")
 
 
-@needs_c
 def test_c_text_writers_reject_columns_of_another_type():
-    # the C writers read each column in place, as the C type its type code names
-    with pytest.raises(TypeError, match="created"):
-        library("c").write_tasks(io.BytesIO(), [0.5], _placed_on(0), ["n0"], 1.0, "c")
+    # the C writers read each column in place, as the C type its type code
+    # names, and as many entries as the first column has; both backends'
+    # writers refuse, before writing, what the C ones could not read
+    trace = _kernel.Trace(array("d", [1.0, 2.0]), array("q", [1, 2]),
+                          array("i", [_kernel.TR_TASK_ARRIVAL] * 2), array("i", [0, 1]),
+                          array("i", [0]))
+    two = SimpleNamespace(**{name: column * 2 for name, column in vars(_placed_on(0)).items()})
+    short = SimpleNamespace(**vars(two) | {"node_of": array("i", [0])})
+    rows = [
+        ("write_tasks", (array("d", [0.5]) * 2, short, ["n0"], 1.0, "c"),
+         ValueError, "text column node_of has 1 entries, not 2"),
+        ("write_trace", (trace, ["n0", "n1"]),
+         ValueError, "text column extra has 1 entries, not 2"),
+        ("write_tasks", ([0.5, 0.5], two, ["n0"], 1.0, "c"),
+         TypeError, "text column created must be an array of type code 'd'"),
+    ]
+    for backend in available_backends():
+        for write, args, error, text in rows:
+            sink = io.BytesIO()
+            with pytest.raises(error, match=f"^{re.escape(text)}$"):
+                getattr(library(backend), write)(sink, *args)
+            assert sink.getvalue() == b"", (backend, write)
 
 
 AWKWARD_LABELS = os.path.join(os.path.dirname(__file__), "experiments", "awkward-labels.json")

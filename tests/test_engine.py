@@ -2,13 +2,14 @@
 
 import io
 import random
+from array import array
 
 import pytest
 
 from ponedge._kernel import (PH_DELIVERED, PH_PENDING, PH_RUNNING, STRATEGY_ROUND_ROBIN,
                              TR_EXECUTION_COMPLETE, TR_EXECUTION_START, TR_RESULT_DELIVERED,
                              TR_SIMULATION_END, TR_TASK_ARRIVAL, TR_TRANSFER_COMPLETE,
-                             TRACE_KINDS, Trace, pykernel)
+                             TRACE_KINDS, TRACE_TYPECODES, Trace, pykernel)
 from ponedge.config import DEFAULT_CALIBRATION, preset_shape
 from ponedge.engine import SimulationError, Stream
 from ponedge.workload import scenario_preset
@@ -145,7 +146,8 @@ def test_trace_line_format_and_file_bytes():
         (600.0, 0, TR_SIMULATION_END, -1, -1),
     ]
     sink = io.BytesIO()
-    pykernel.write_trace(sink, Trace(*zip(*rows)), node_ids)
+    columns = zip(TRACE_TYPECODES, zip(*rows))
+    pykernel.write_trace(sink, Trace(*(array(code, column) for code, column in columns)), node_ids)
     assert sink.getvalue() == (
         b"1.5\t3\tTaskArrival\ttask=t0 src=n0007-dev\n"
         b"0.30000000000000004\t4\tTransferComplete\ttask=t0 leg=up\n"

@@ -11,8 +11,8 @@ from ponedge.metrics import (AGGREGATE_METRICS, EmptyRunError, RunSummary,
                              SUMMARY_CSV_COLUMNS, TASKS_CSV_COLUMNS, aggregate,
                              format_number, percentile_95, read_summary_csv, summarize,
                              write_summary_csv, write_tasks_csv)
-from ponedge.sweep import _comparison
-from ponedge.workload import scenario_preset
+from ponedge.network import fields
+from ponedge.sweep import ComparisonRow, ScenarioComparison, _comparison, write_comparison
 
 NAN = float("nan")
 
@@ -107,7 +107,7 @@ def reduction_pct(genio_latency, baseline_latency):
     """The comparison's reduction for one CPU of one seed."""
     summaries = [make_summary(mean_latency_s=genio_latency),
                  make_summary(topology="baseline", mean_latency_s=baseline_latency)]
-    (row,) = _comparison(scenario_preset("e-health"), summaries).rows
+    (row,) = _comparison("e-health", summaries).rows
     return row.reduction_pct
 
 
@@ -125,20 +125,20 @@ def test_compare_sign_flips_when_swapped():
 
 def test_aggregate_one_row_per_config_mean_over_seeds():
     summaries = [make_summary(seed=s, mean_latency_s=0.1 * s) for s in range(1, 6)]
-    rows = aggregate(summaries, ("scenario", "topology", "cpu", "mips"))
+    rows = aggregate(summaries)
     assert len(rows) == 1
     assert rows[0]["runs"] == 5
     assert rows[0]["mean_latency_s_mean"] == pytest.approx(0.3)
 
 
 def test_aggregate_identical_summaries_have_zero_std():
-    rows = aggregate([make_summary(), make_summary()], ("scenario",))
+    rows = aggregate([make_summary(), make_summary()])
     for metric in AGGREGATE_METRICS:
         assert rows[0][f"{metric}_std"] == 0.0
 
 
 def test_aggregate_single_run_zero_std():
-    rows = aggregate([make_summary()], ("scenario",))
+    rows = aggregate([make_summary()])
     assert rows[0]["tsr_pct_std"] == 0.0
 
 
@@ -147,7 +147,7 @@ def test_aggregate_rows_sorted_by_keys():
         make_summary(cpu="b", mips=300_000.0),
         make_summary(cpu="a", mips=220_000.0),
     ]
-    rows = aggregate(summaries, ("mips", "cpu"))
+    rows = aggregate(summaries)
     assert [row["mips"] for row in rows] == [220_000.0, 300_000.0]
 
 
@@ -180,3 +180,35 @@ def test_summary_csv_round_trip(tmp_path):
     assert loaded.mean_latency_s == original.mean_latency_s
     assert loaded.tasks_generated == original.tasks_generated
     assert loaded.cpu == original.cpu
+
+
+def _distinct_values(record_class):
+    """A value of its annotated type for each field, no two alike: the field's
+    name for a str, its index plus 1 for an int, and the index plus a half for
+    a float."""
+    kinds = {"str": lambda i, name: name, "int": lambda i, name: i + 1,
+             "float": lambda i, name: i + 1.5}
+    return {name: kinds[record_class.__annotations__[name]](i, name)
+            for i, name in enumerate(fields(record_class))}
+
+
+def test_summary_csv_puts_every_field_under_its_own_column(tmp_path):
+    values = _distinct_values(RunSummary)
+    values["tasks_unfinished"] = values["tasks_generated"] - values["tasks_delivered"]
+    summary = RunSummary(**values)
+    path = tmp_path / "summary.csv"
+    write_summary_csv(path, [summary])
+    with open(path, newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row == {name: format_number(values[name]) for name in SUMMARY_CSV_COLUMNS}
+    assert read_summary_csv(path) == [summary]
+
+
+def test_comparison_csv_puts_every_field_under_its_own_column(tmp_path):
+    values = _distinct_values(ComparisonRow)
+    comparison = ScenarioComparison(values["scenario"], (ComparisonRow(**values),), 0.0, (1,))
+    comparison_path, _ = write_comparison(str(tmp_path), [comparison],
+                                          {values["scenario"]: 0.5})
+    with open(comparison_path, newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row == {name: format_number(value) for name, value in values.items()}
