@@ -136,9 +136,17 @@ def check_inputs(inputs: KernelInputs) -> None:
     route_start does not rise from 0 to len(route_hops); the route count is
     not a multiple of the candidate slots; a candidate is not a node, a hop
     code not in [0, 2 * links), an arrival device not in [0, routes / slots)
-    (only >= 0 with no slot), a node has no core, or a mips_per_core or
-    link_bandwidth entry is not > 0 (NaN is not; a Local link's inf is).
+    (only >= 0 with no slot), a node has no core, a mips_per_core or
+    link_bandwidth entry is not > 0 (NaN is not; a Local link's inf is), or
+    length_mi, request_bits, result_bits, control_delay_s, duration_s or a
+    link_hop_delay entry is not >= 0 (NaN is not; inf is).
     MemoryError: the cores sum past a C int, which indexes a run's cores.
+
+    So the event loops check only the arrival order against the clock: every
+    other event is scheduled at the clock plus a term that is >= 0 or NaN
+    (bits over a rate > 0, with drained bits clamped at 0; a hop delay; the
+    control delay; length_mi over MIPS, after a start no earlier than the
+    clock), and IEEE addition of such a term never lands below the clock.
     """
     for name, code in INPUT_TYPECODES.items():
         column = getattr(inputs, name)
@@ -161,7 +169,10 @@ def check_inputs(inputs: KernelInputs) -> None:
             and _spans(inp.arrival_device, 0, n_routes // n_slots if n_slots else 2**31)
             and _spans(inp.cores, 1, 2**31)
             and all(value > 0.0 for column in (inp.mips_per_core, inp.link_bandwidth)
-                    for value in column)):
+                    for value in column)
+            and all(value >= 0.0 for value in (inp.length_mi, inp.request_bits, inp.result_bits,
+                                               inp.control_delay_s, inp.duration_s,
+                                               *inp.link_hop_delay))):
         raise ValueError("kernel inputs have mismatched sizes or out-of-range indices")
     total = sum(inp.cores)
     if total > 2**31 - 1:

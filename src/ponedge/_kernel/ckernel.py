@@ -33,7 +33,6 @@ from collections.abc import Sequence
 from itertools import accumulate
 from typing import Callable, NamedTuple
 
-from ..engine import SimulationError
 from ..network import ConfigurationError
 from ..workload import MAX_TASKS, arrival_streams
 from . import (DECOMPOSITION_TOLERANCE_S, INPUT_TYPECODES, OUTPUT_TYPECODES, TASK_TEXT_COLUMNS,
@@ -43,10 +42,9 @@ from . import (DECOMPOSITION_TOLERANCE_S, INPUT_TYPECODES, OUTPUT_TYPECODES, TAS
 
 # return codes of ponedge_run; any other is KERNEL_NO_MEMORY
 _PAST = 1
-_DUPLICATE_MEMBER = 2
-_DECOMPOSITION = 4
-_ORDER = 5
-_CONSERVATION = 6
+_DECOMPOSITION = 3
+_ORDER = 4
+_CONSERVATION = 5
 
 # Bytes of text formatted per write: about 900 trace lines, read at each
 # write. The buffer grows when one line alone does not fit.
@@ -78,8 +76,6 @@ def _error(status: int, run: _Run) -> Exception:
     """The exception pykernel raises for what ponedge_run returned `status` for."""
     if status == _PAST:
         return _past(run.error_a, run.error_b)
-    if status == _DUPLICATE_MEMBER:
-        return SimulationError(f"transfer token {run.error_task} already on link")
     if status == _DECOMPOSITION:
         return _undecomposed(run.error_task, run.error_a, run.error_b)
     if status == _ORDER:

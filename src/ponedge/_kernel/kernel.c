@@ -45,8 +45,8 @@ enum { STRATEGY_TRADE_OFF, STRATEGY_ROUND_ROBIN };
 
 /* return codes, turned into exceptions by ckernel.py */
 enum {
-    KERNEL_OK, KERNEL_PAST, KERNEL_DUPLICATE_MEMBER, KERNEL_NO_MEMORY,
-    KERNEL_DECOMPOSITION, KERNEL_ORDER, KERNEL_CONSERVATION
+    KERNEL_OK, KERNEL_PAST, KERNEL_NO_MEMORY, KERNEL_DECOMPOSITION, KERNEL_ORDER,
+    KERNEL_CONSERVATION
 };
 
 /* One run, in the order ckernel._Run builds it from the kernel contract: lengths;
@@ -107,8 +107,7 @@ struct kernel_run {
     int n_latencies;
     long long processed_events;
     long long trace_len;
-    /* KERNEL_PAST: a the event time, b the clock;
-     * KERNEL_DUPLICATE_MEMBER: the task already on the link;
+    /* KERNEL_PAST: a the arrival time, b the clock;
      * KERNEL_DECOMPOSITION: the task, a its components, b its latency;
      * KERNEL_ORDER: the task;
      * KERNEL_CONSERVATION: a the tasks delivered, b the tasks unfinished */
@@ -369,8 +368,16 @@ static void *zeroed(size_t count, size_t size)
  * the run and reduces it.
  *
  * ckernel.py calls _kernel.check_inputs first: the lengths agree, every
- * index is in range and the cores sum to an int, so nothing here checks
- * them. Returns KERNEL_OK, or the KERNEL_* code of what broke.
+ * index is in range, the cores sum to an int, and the task constants, the
+ * control delay, the horizon and the hop delays are >= 0, so nothing here
+ * checks them. The loop checks only the arrival order against the clock
+ * (KERNEL_PAST): every other event lands at the clock plus a term that is
+ * >= 0 or NaN (bits over a rate, a hop delay, the control delay, or an
+ * execution time after a start no earlier than the clock), never below it.
+ * A task is a member of at most one link direction at a time: it joins one
+ * only from its own event's handler and leaves it at its serialization end,
+ * before its next hop arrival. Returns KERNEL_OK, or the KERNEL_* code of
+ * what broke.
  */
 int ponedge_run(struct kernel_run *run)
 {
@@ -455,8 +462,6 @@ int ponedge_run(struct kernel_run *run)
         run->delivered_at[i] = NAN;
     }
 
-    if (duration_s < 0.0)
-        PAST(duration_s, 0.0);
     PUSH(duration_s, 0, EV_SIM_END, -1);
     if (n_tasks > 0) {
         if (arrival_time[0] < 0.0)
@@ -485,7 +490,6 @@ int ponedge_run(struct kernel_run *run)
         if (ev.code == EV_SER_END) {
             int hop = ev.arg;
             struct pool *p = &members[hop];
-            double arrive;
             if (ev.seq != pending_seq[hop])
                 continue; /* superseded by a later share recomputation */
             task = pending_task[hop];
@@ -507,17 +511,12 @@ int ponedge_run(struct kernel_run *run)
                     p->bits[rank] = p->bits[rank + 1];
                 }
                 rank = next_completion(p, bandwidth[hop] / p->count, now, &eta);
-                if (eta < now)
-                    PAST(eta, now);
                 pending_seq[hop] = seq + rank;
                 pending_task[hop] = p->task[rank];
                 PUSH(eta, seq + rank, EV_SER_END, hop);
                 seq += p->count;
             }
-            arrive = now + hop_delay[hop];
-            if (arrive < now)
-                PAST(arrive, now);
-            HOLD(arrive, seq, EV_HOP_ARRIVE, task);
+            HOLD(now + hop_delay[hop], seq, EV_HOP_ARRIVE, task);
             seq++;
         } else if (ev.code == EV_HOP_ARRIVE) {
             int route = t_route[task];
@@ -551,8 +550,6 @@ int ponedge_run(struct kernel_run *run)
                 } else {
                     t_phase[task] = PH_QUEUED;
                 }
-                if (end < now)
-                    PAST(end, now);
                 HOLD(end, seq + 1, EV_EXEC_END, task);
                 seq += 2;
             } else { /* downlink complete: the result is delivered now */
@@ -631,11 +628,8 @@ int ponedge_run(struct kernel_run *run)
                 t_route[task] = route;
                 t_phase[task] = PH_UP;
                 if (run->control_delay_s > 0.0 || route_start[route + 1] == route_start[route]) {
-                    double arrive = now + run->control_delay_s;
                     t_hop[task] = -1;
-                    if (arrive < now)
-                        PAST(arrive, now);
-                    HOLD(arrive, seq, EV_HOP_ARRIVE, task);
+                    HOLD(now + run->control_delay_s, seq, EV_HOP_ARRIVE, task);
                     seq++;
                 } else {
                     join = up_hops[route_start[route]];
@@ -652,36 +646,24 @@ int ponedge_run(struct kernel_run *run)
         if (join >= 0) {
             double bits = t_phase[task] == PH_UP ? run->request_bits : run->result_bits;
             struct pool *p = &members[join];
-            double eta;
             if (p->count == 0) { /* an idle link: the transfer gets the whole bandwidth */
                 if (pool_append(p, task, bits))
                     goto no_memory;
                 last_update[join] = now;
-                eta = now + bits / bandwidth[join];
-                if (eta < now)
-                    PAST(eta, now);
                 pending_seq[join] = seq;
                 pending_task[join] = task;
-                HOLD(eta, seq, EV_SER_END, join);
+                HOLD(now + bits / bandwidth[join], seq, EV_SER_END, join);
                 seq++;
             } else {
                 double elapsed = now - last_update[join];
+                double eta;
                 int rank;
-                for (rank = 0; rank < p->count; rank++) {
-                    if (p->task[rank] == task) {
-                        run->error_task = task;
-                        status = KERNEL_DUPLICATE_MEMBER;
-                        goto done;
-                    }
-                }
                 if (elapsed > 0.0)
                     drain(p, bandwidth[join] / p->count, elapsed);
                 last_update[join] = now;
                 if (pool_append(p, task, bits))
                     goto no_memory;
                 rank = next_completion(p, bandwidth[join] / p->count, now, &eta);
-                if (eta < now)
-                    PAST(eta, now);
                 pending_seq[join] = seq + rank;
                 pending_task[join] = p->task[rank];
                 HOLD(eta, seq + rank, EV_SER_END, join);

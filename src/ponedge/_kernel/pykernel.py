@@ -16,11 +16,21 @@ reserves a seq there. Every trace entry is recorded when its event is
 popped, so the trace comes out in (time, seq) order, which is the processing
 order because (time, seq) is unique. In a traced run only, execution starts
 and deliveries are heap events too, under the seq they reserved; popping one
-records it and counts nothing. Drained bits are clamped at zero. After the
-loop, one post-run pass over the task columns checks the run's identities
-and returns per-node busy time and the sorted latencies. Any change to the
-semantics here must be made in kernel.c too, or the two backends stop being
-bit-identical.
+records it and counts nothing. Drained bits are clamped at zero.
+
+The loop checks only the arrival order against the clock: the first arrival
+before 0 and each next one before the clock raise SimulationError. Every
+other event is scheduled at the clock plus a term check_inputs makes >= 0 or
+NaN (bits over a rate, a hop delay, the control delay, or an execution time
+after a start no earlier than the clock), which never lands below it. A task
+is a member of at most one link direction at a time: it joins one only from
+its own event's handler, and leaves it at its serialization end, before its
+next hop arrival.
+
+After the loop, one post-run pass over the task columns checks the run's
+identities and returns per-node busy time and the sorted latencies. Any
+change to the semantics here must be made in kernel.c too, or the two
+backends stop being bit-identical.
 
 Inputs and outputs are `array` columns, which the C kernel reads and writes
 in place; `run` copies the input columns into local lists once, since
@@ -40,7 +50,6 @@ from array import array
 from heapq import heappop, heappush, heappushpop
 from itertools import islice
 
-from ..engine import SimulationError
 from ..workload import generate_arrivals
 from . import (DECOMPOSITION_TOLERANCE_S, OUTPUT_TYPECODES, PH_DELIVERED, PH_DOWN,
                PH_NO_PLACEMENT, PH_PENDING, PH_QUEUED, PH_RUNNING, PH_UP, STRATEGY_TRADE_OFF,
@@ -206,8 +215,6 @@ def run(inputs: KernelInputs) -> KernelOutputs:
     exec_end = [NAN] * n_tasks
     delivered_at = [NAN] * n_tasks
 
-    if duration_s < 0.0:
-        raise _past(duration_s, 0.0)
     heap: list[tuple[float, int, int, int]] = [(duration_s, 0, EV_SIM_END, -1)]
     seq = 1  # next sequence number
     if n_tasks:
@@ -251,16 +258,11 @@ def run(inputs: KernelInputs) -> KernelOutputs:
                 del left[rank]
                 count = len(tokens)
                 eta, rank = _next_completion(left, bandwidth[hop] / count, now)
-                if eta < now:
-                    raise _past(eta, now)
                 pending_seq[hop] = seq + rank
                 pending_task[hop] = tokens[rank]
                 heappush(heap, (eta, seq + rank, EV_SER_END, hop))
                 seq += count
-            arrive = now + hop_delay[hop]
-            if arrive < now:
-                raise _past(arrive, now)
-            held = (arrive, seq, EV_HOP_ARRIVE, task)
+            held = (now + hop_delay[hop], seq, EV_HOP_ARRIVE, task)
             seq += 1
         elif code == EV_HOP_ARRIVE:
             hop_index = t_hop[task] + 1
@@ -289,8 +291,6 @@ def run(inputs: KernelInputs) -> KernelOutputs:
                     processed += 1
                 else:
                     t_phase[task] = PH_QUEUED
-                if end < now:
-                    raise _past(end, now)
                 held = (end, seq + 1, EV_EXEC_END, task)
                 seq += 2
             else:  # downlink complete: the result is delivered now
@@ -360,10 +360,7 @@ def run(inputs: KernelInputs) -> KernelOutputs:
                 t_phase[task] = PH_UP
                 if control_delay_s > 0.0 or not path:
                     t_hop[task] = -1
-                    arrive = now + control_delay_s
-                    if arrive < now:
-                        raise _past(arrive, now)
-                    held = (arrive, seq, EV_HOP_ARRIVE, task)
+                    held = (now + control_delay_s, seq, EV_HOP_ARRIVE, task)
                     seq += 1
                 else:
                     join = path[0]
@@ -381,16 +378,11 @@ def run(inputs: KernelInputs) -> KernelOutputs:
                 members[join] = [task]
                 bits_left[join] = [bits]
                 last_update[join] = now
-                eta = now + bits / bandwidth[join]
-                if eta < now:
-                    raise _past(eta, now)
                 pending_seq[join] = seq
                 pending_task[join] = task
-                held = (eta, seq, EV_SER_END, join)
+                held = (now + bits / bandwidth[join], seq, EV_SER_END, join)
                 seq += 1
             else:
-                if task in tokens:
-                    raise SimulationError(f"transfer token {task} already on link")
                 count = len(tokens)
                 left = bits_left[join]
                 elapsed = now - last_update[join]
@@ -401,8 +393,6 @@ def run(inputs: KernelInputs) -> KernelOutputs:
                 left.append(bits)
                 count += 1
                 eta, rank = _next_completion(left, bandwidth[join] / count, now)
-                if eta < now:
-                    raise _past(eta, now)
                 pending_seq[join] = seq + rank
                 pending_task[join] = tokens[rank]
                 held = (eta, seq + rank, EV_SER_END, join)

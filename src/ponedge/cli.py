@@ -82,7 +82,9 @@ def _seeds_from_text(raw: str) -> tuple[int, ...]:
 
 
 def _experiment(args) -> ExperimentSpec:
-    """Resolve the experiment: config file < PONEDGE_SEED < explicit flags."""
+    """Resolve the experiment: explicit flags over the config file, or over the
+    defaults without one. PONEDGE_SEED replaces the default seeds only when no
+    --config is given: a document's seeds, or the defaults it leaves, stand."""
     if args.config:
         try:
             with open(args.config) as fh:

@@ -153,20 +153,20 @@ def write_tasks_csv(path, generated_at: Sequence[float], out: KernelOutputs,
                                      deadline_s, _csv_line([scenario, topology, cpu, seed]))
 
 
-def write_summary_csv(path, summaries: list[RunSummary]) -> None:
+def write_summary_csv(path, summary: RunSummary) -> None:
+    """A cell's summary.csv: the header and the summary's one row."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SUMMARY_CSV_COLUMNS)
-        writer.writerows([format_number(getattr(s, name)) for name in SUMMARY_CSV_COLUMNS]
-                         for s in summaries)
+        writer.writerow([format_number(getattr(summary, name)) for name in SUMMARY_CSV_COLUMNS])
 
 
-def read_summary_csv(path) -> list[RunSummary]:
+def read_summary_csv(path) -> RunSummary:
+    """The summary a summary.csv holds; ValueError unless it holds exactly one row."""
     # each column parsed as its RunSummary field's annotated type
     kinds = {"str": str, "int": int, "float": float}
     parsers = {name: kinds[RunSummary.__annotations__[name]] for name in SUMMARY_CSV_COLUMNS}
     with open(path, newline="") as fh:
-        rows = [{name: parse(row[name]) for name, parse in parsers.items()}
-                for row in csv.DictReader(fh)]
-    return [RunSummary(**row, tasks_unfinished=row["tasks_generated"] - row["tasks_delivered"])
-            for row in rows]
+        (text,) = csv.DictReader(fh)  # ValueError on no row or a second one
+    row = {name: parse(text[name]) for name, parse in parsers.items()}
+    return RunSummary(**row, tasks_unfinished=row["tasks_generated"] - row["tasks_delivered"])

@@ -72,7 +72,7 @@ def _published_summary(directory: str, config_text: str,
         with open(os.path.join(directory, "config.json")) as fh:
             if fh.read() != config_text:
                 return None
-        return read_summary_csv(os.path.join(directory, "summary.csv"))[0]
+        return read_summary_csv(os.path.join(directory, "summary.csv"))
     except (OSError, ValueError, LookupError, TypeError, csv.Error):
         return None
 
@@ -119,10 +119,10 @@ def run_cell(params: RunParams, out_dir: str, trace_path: str | None = None, *,
                             scenario=params.scenario.name, topology=params.topology,
                             cpu=params.cpu, seed=params.seed,
                             backend=result.backend)
-        write_summary_csv(os.path.join(staging, "summary.csv"), [result.summary])
+        write_summary_csv(os.path.join(staging, "summary.csv"), result.summary)
         # what a later invocation reusing this cell reads, so that aggregates
         # are computed from the same numbers whether the cell is fresh or not
-        (summary,) = read_summary_csv(os.path.join(staging, "summary.csv"))
+        summary = read_summary_csv(os.path.join(staging, "summary.csv"))
         with open(os.path.join(staging, "config.json"), "w") as fh:
             fh.write(config_text)
         if os.path.isdir(final_dir):

@@ -133,6 +133,21 @@ MALFORMED = {
                                arrival_time=[0.0]),
     "nan-bandwidth": dict(_ONE_LINK, link_bandwidth=[math.nan], routes=[[[0]]],
                           arrival_time=[0.0]),
+    # times and sizes the event loops add to the clock: the negative ones
+    # failed mid-run as an event in the past, a NaN hop delay as a broken
+    # conservation, and a NaN horizon ran and delivered the task at 1e-09
+    "negative-duration": dict(duration_s=-1.0),
+    "nan-duration": dict(duration_s=math.nan, arrival_time=[0.0]),
+    "negative-hop-delay": dict(_ONE_LINK, link_hop_delay=[-1e-3], routes=[[[0]]],
+                               arrival_time=[0.0]),
+    "nan-hop-delay": dict(_ONE_LINK, link_hop_delay=[math.nan], routes=[[[0]]],
+                          arrival_time=[0.0]),
+    "negative-length": dict(length_mi=-1.0, arrival_time=[0.0]),
+    "negative-request-bits": dict(_ONE_LINK, request_bits=-8.0, routes=[[[0]]],
+                                  arrival_time=[0.0]),
+    "negative-result-bits": dict(_ONE_LINK, result_bits=-8.0, routes=[[[0]]],
+                                 arrival_time=[0.0]),
+    "negative-control-delay": dict(control_delay_s=-1e-3, arrival_time=[0.0]),
 }
 
 # The index columns whose entries `mutate` changes.

@@ -190,6 +190,8 @@ SUMMARY_DAMAGE = {
     "empty": lambda data: b"",
     "missing-column": lambda data: _without_column(data, "tsr_pct"),
     "not-a-number": lambda data: data.replace(b",220000,", b",fast,", 1),
+    # a cell has one summary, so a second row is not what the cell published
+    "appended-row": lambda data: data + data.split(b"\r\n")[1] + b"\r\n",
 }
 
 
@@ -243,8 +245,19 @@ def test_env_seed_override(tmp_path, monkeypatch, capsys):
     assert main(["run", "--scenario", "e-health", "--topology", "genio",
                  "--cpu-mips", "220000", "--duration", "10",
                  "--out-dir", str(out)]) == 0
-    (summary,) = read_summary_csv(out / "e-health" / "genio" / "220000" / "9" / "summary.csv")
+    summary = read_summary_csv(out / "e-health" / "genio" / "220000" / "9" / "summary.csv")
     assert summary.seed == 9
+
+
+def test_env_seed_is_ignored_under_a_config(tmp_path, monkeypatch):
+    # a document that lists no seeds keeps the default ones, and run takes the first
+    monkeypatch.setenv("PONEDGE_SEED", "9")
+    config = tmp_path / "exp.json"
+    config.write_text('{"scenario": "e-health", "cpus": [220000], "duration": 5}')
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--topology", "genio",
+                 "--out-dir", str(out)]) == 0
+    assert [cell.name for cell in (out / "e-health" / "genio" / "220000").iterdir()] == ["1"]
 
 
 # `run` has no --seeds: its --seed is an integer argparse checks
@@ -468,7 +481,7 @@ def test_distinct_mips_get_distinct_cells_and_labels(tmp_path):
                  "--jobs", "1"]) == 0
     labels = {}
     for directory in ("2.35e+06", "2350001"):
-        (summary,) = read_summary_csv(out / "aigc" / "genio" / directory / "1" / "summary.csv")
+        summary = read_summary_csv(out / "aigc" / "genio" / directory / "1" / "summary.csv")
         labels[directory] = (summary.cpu, summary.mips)
     assert labels == {"2.35e+06": ("AMD Ryzen 3990X", 2_350_000.0),
                       "2350001": ("custom-2350001", 2_350_001.0)}
@@ -814,7 +827,7 @@ def test_config_file_experiment(tmp_path):
     }))
     out = tmp_path / "out"
     assert main(["run", "--config", str(config), "--out-dir", str(out)]) == 0
-    (summary,) = read_summary_csv(out / "e-health" / "baseline" / "300000" / "4" / "summary.csv")
+    summary = read_summary_csv(out / "e-health" / "baseline" / "300000" / "4" / "summary.csv")
     assert summary.topology == "baseline"
     assert summary.seed == 4
 
@@ -828,6 +841,24 @@ def test_run_multi_core_edge_completes(tmp_path):
         "seeds": [123457], "duration": 60, "calibration": {"edge_cores": 3},
     }))
     assert main(["run", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("backend", ["python", pytest.param("c", marks=needs_compiler)])
+def test_infinite_request_runs_and_delivers_nothing(tmp_path, monkeypatch, backend):
+    # 1e305 KB is inf bits, which the kernel contract allows: every uplink
+    # ends at inf, past the horizon
+    monkeypatch.setenv("PONEDGE_BACKEND", backend)
+    config = tmp_path / "exp.json"
+    config.write_text(json.dumps({
+        "scenario": "huge-request", "topology": "genio", "cpus": [220000], "seeds": [1],
+        "duration": 5, "custom_scenarios": [{
+            "name": "huge-request", "users": 10, "rate_per_min": 60, "deadline_s": 0.1,
+            "length_mi": 800, "request_kb": 1e305, "result_kb": 5}],
+    }))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out-dir", str(out)]) == 0
+    summary = read_summary_csv(out / "huge-request" / "genio" / "220000" / "1" / "summary.csv")
+    assert (summary.tasks_generated, summary.tasks_delivered) == (54, 0)
 
 
 def test_config_file_unknown_key_exits_2(tmp_path, capsys):

@@ -6,6 +6,7 @@ from array import array
 
 import pytest
 
+from ponedge import _kernel
 from ponedge._kernel import (PH_DELIVERED, PH_PENDING, PH_RUNNING, STRATEGY_ROUND_ROBIN,
                              TR_EXECUTION_COMPLETE, TR_EXECUTION_START, TR_RESULT_DELIVERED,
                              TR_SIMULATION_END, TR_TASK_ARRIVAL, TR_TRANSFER_COMPLETE,
@@ -14,6 +15,7 @@ from ponedge.config import DEFAULT_CALIBRATION, preset_shape
 from ponedge.engine import SimulationError, Stream
 from ponedge.workload import scenario_preset
 
+from fresh_process import needs_compiler
 from kernel_inputs import candidate_inputs, kernel_inputs
 
 
@@ -22,11 +24,15 @@ def test_schedule_future_accepted():
     assert out.final_phase.tolist() == [PH_DELIVERED] * 4
 
 
-def test_schedule_past_is_fatal():
-    with pytest.raises(SimulationError):
-        pykernel.run(kernel_inputs(arrival_time=[3.0, 2.0]))  # unsorted arrivals
-    with pytest.raises(SimulationError):
-        pykernel.run(kernel_inputs(arrival_time=[-1.0]))
+# an arrival is the one event whose time the loops check against the clock:
+# check_inputs makes every other one the clock plus a term that is >= 0
+@pytest.mark.parametrize("backend", ["python", pytest.param("c", marks=needs_compiler)])
+def test_schedule_past_is_fatal(backend):
+    for times, message in (([3.0, 2.0], "t=2.0 in the past (clock=3.0)"),  # unsorted
+                           ([-1.0], "t=-1.0 in the past (clock=0.0)")):
+        with pytest.raises(SimulationError) as refused:
+            _kernel.run(kernel_inputs(arrival_time=times), backend=backend)
+        assert str(refused.value) == f"scheduled event at {message}"
 
 
 def test_same_time_fifo_tie_break():
@@ -49,11 +55,6 @@ def test_run_until_stops_at_horizon():
     # task 1 starts at the horizon and ends after it; task 2 never arrives
     assert out.final_phase.tolist() == [PH_DELIVERED, PH_RUNNING, PH_PENDING]
     assert max(out.trace.time) == 2.0
-
-
-def test_run_until_behind_clock_is_fatal():
-    with pytest.raises(SimulationError):
-        pykernel.run(kernel_inputs(duration_s=-1.0))
 
 
 def test_handler_scheduling_at_current_time_runs_before_clock_advances():

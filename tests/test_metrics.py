@@ -172,11 +172,11 @@ def test_tasks_csv_column_order(tmp_path):
 def test_summary_csv_round_trip(tmp_path):
     path = tmp_path / "summary.csv"
     original = make_summary()
-    write_summary_csv(path, [original])
+    write_summary_csv(path, original)
     with open(path, newline="") as fh:
         header = next(csv.reader(fh))
     assert header == SUMMARY_CSV_COLUMNS
-    (loaded,) = read_summary_csv(path)
+    loaded = read_summary_csv(path)
     assert loaded.mean_latency_s == original.mean_latency_s
     assert loaded.tasks_generated == original.tasks_generated
     assert loaded.cpu == original.cpu
@@ -197,11 +197,11 @@ def test_summary_csv_puts_every_field_under_its_own_column(tmp_path):
     values["tasks_unfinished"] = values["tasks_generated"] - values["tasks_delivered"]
     summary = RunSummary(**values)
     path = tmp_path / "summary.csv"
-    write_summary_csv(path, [summary])
+    write_summary_csv(path, summary)
     with open(path, newline="") as fh:
         (row,) = csv.DictReader(fh)
     assert row == {name: format_number(values[name]) for name in SUMMARY_CSV_COLUMNS}
-    assert read_summary_csv(path) == [summary]
+    assert read_summary_csv(path) == summary
 
 
 def test_comparison_csv_puts_every_field_under_its_own_column(tmp_path):
