@@ -126,19 +126,25 @@ def _spans(values: array, low: int, high: int) -> bool:
     return not distinct or (low <= min(distinct) and max(distinct) < high)
 
 
+def _require(holds: bool, clause: str) -> None:
+    if not holds:
+        raise ValueError(f"kernel input {clause}")
+
+
 def check_inputs(inputs: KernelInputs) -> None:
     """Refuse inputs that break the KernelInputs contract, before either
     backend reads a column, so that both refuse alike and the C kernel never
     reads outside its columns.
 
     TypeError: a column is not an `array` of its INPUT_TYPECODES code.
-    ValueError: the node, link or arrival columns differ in length;
-    route_start does not rise from 0 to len(route_hops); the route count is
-    not a multiple of the candidate slots; a candidate is not a node, a hop
-    code not in [0, 2 * links), an arrival device not in [0, routes / slots)
-    (only >= 0 with no slot), a node has no core, a mips_per_core or
-    link_bandwidth entry is not > 0 (NaN is not; a Local link's inf is), or
-    length_mi, request_bits, result_bits, control_delay_s, duration_s or a
+    ValueError, whose text names the first clause broken, in this order: the
+    node, link or arrival columns differ in length; route_start does not
+    rise from 0 to len(route_hops); the route count is not a multiple of the
+    candidate slots; a candidate is not a node, a hop code not in
+    [0, 2 * links), an arrival device not in [0, routes / slots) (only >= 0
+    with no slot), a node has no core, a mips_per_core or link_bandwidth
+    entry is not > 0 (NaN is not; a Local link's inf is), or length_mi,
+    request_bits, result_bits, control_delay_s, duration_s or a
     link_hop_delay entry is not >= 0 (NaN is not; inf is).
     MemoryError: the cores sum past a C int, which indexes a run's cores.
 
@@ -157,23 +163,27 @@ def check_inputs(inputs: KernelInputs) -> None:
     n_slots = len(inp.candidate_nodes)
     starts = inp.route_start.tolist()
     n_routes = len(starts) - 1
-    if not (all(len(column) == n_nodes for column in (inp.mips_per_core, inp.weight,
-                                                       inp.ram_capacity, inp.storage_capacity))
-            and len(inp.link_hop_delay) == len(inp.link_bandwidth)
-            and len(inp.arrival_device) == len(inp.arrival_time)
-            and n_routes >= 0 and starts[0] == 0 and starts[-1] == len(inp.route_hops)
-            and starts == sorted(starts)
-            and (not n_slots or n_routes % n_slots == 0)
-            and _spans(inp.candidate_nodes, 0, n_nodes)
-            and _spans(inp.route_hops, 0, 2 * len(inp.link_bandwidth))
-            and _spans(inp.arrival_device, 0, n_routes // n_slots if n_slots else 2**31)
-            and _spans(inp.cores, 1, 2**31)
-            and all(value > 0.0 for column in (inp.mips_per_core, inp.link_bandwidth)
-                    for value in column)
-            and all(value >= 0.0 for value in (inp.length_mi, inp.request_bits, inp.result_bits,
-                                               inp.control_delay_s, inp.duration_s,
-                                               *inp.link_hop_delay))):
-        raise ValueError("kernel inputs have mismatched sizes or out-of-range indices")
+    for name in ("mips_per_core", "weight", "ram_capacity", "storage_capacity"):
+        _require(len(getattr(inp, name)) == n_nodes, f"{name} must have one entry per node")
+    _require(len(inp.link_hop_delay) == len(inp.link_bandwidth),
+             "link_hop_delay must have one entry per link")
+    _require(len(inp.arrival_device) == len(inp.arrival_time),
+             "arrival_device must have one entry per arrival")
+    _require(n_routes >= 0 and starts[0] == 0 and starts[-1] == len(inp.route_hops)
+             and starts == sorted(starts), "route_start must rise from 0 to len(route_hops)")
+    _require(not n_slots or n_routes % n_slots == 0,
+             "route_start must hold a multiple of len(candidate_nodes) routes")
+    _require(_spans(inp.candidate_nodes, 0, n_nodes), "candidate_nodes must be node indices")
+    _require(_spans(inp.route_hops, 0, 2 * len(inp.link_bandwidth)),
+             "route_hops must be hop codes in [0, 2 * links)")
+    _require(_spans(inp.arrival_device, 0, n_routes // n_slots if n_slots else 2**31),
+             "arrival_device must be a device index in [0, routes / candidate slots)")
+    _require(_spans(inp.cores, 1, 2**31), "cores must be >= 1")
+    for name in ("mips_per_core", "link_bandwidth"):
+        _require(all(value > 0.0 for value in getattr(inp, name)), f"{name} must be > 0")
+    for name in ("length_mi", "request_bits", "result_bits", "control_delay_s", "duration_s"):
+        _require(getattr(inp, name) >= 0.0, f"{name} must be >= 0")
+    _require(all(value >= 0.0 for value in inp.link_hop_delay), "link_hop_delay must be >= 0")
     total = sum(inp.cores)
     if total > 2**31 - 1:
         raise MemoryError(f"the nodes hold {total} cores, more than a run can allocate")

@@ -378,6 +378,14 @@ static void *zeroed(size_t count, size_t size)
  * only from its own event's handler and leaves it at its serialization end,
  * before its next hop arrival. Returns KERNEL_OK, or the KERNEL_* code of
  * what broke.
+ *
+ * Per link direction the run keeps the members, their bits left, the last
+ * update, and the live completion's seq and member rank, which stays exact:
+ * the member list changes only by a join, which appends and reschedules the
+ * completion, and by the pending member's own serialization end. A task
+ * keeps its route and the hops of its current leg not yet joined. Links and
+ * routes are read from the inputs in place, the downlink walking the route
+ * backwards with flipped direction.
  */
 int ponedge_run(struct kernel_run *run)
 {
@@ -392,28 +400,26 @@ int ponedge_run(struct kernel_run *run)
     const double duration_s = run->duration_s;
     const int trade_off = run->strategy == STRATEGY_TRADE_OFF;
     const int *route_start = run->route_start;
-    const int *up_hops = run->route_hops;
+    const int *route_hops = run->route_hops;
+    const double *link_bandwidth = run->link_bandwidth;
     int *t_node = run->node_of;
     int *t_phase = run->final_phase;
     int status = KERNEL_OK;
     int i;
 
-    /* the downlink walks the uplink route backwards with flipped direction */
-    int *down_hops = zeroed((size_t)route_start[run->n_routes], sizeof *down_hops);
-    /* link directions: fair-share members, last update and live EV_SER_END */
-    double *bandwidth = zeroed((size_t)n_dirs, sizeof *bandwidth);
-    double *hop_delay = zeroed((size_t)n_dirs, sizeof *hop_delay);
+    /* link directions (link = hop code >> 1): fair-share members, last update,
+     * and the seq and member rank of the live EV_SER_END */
     struct pool *members = zeroed((size_t)n_dirs, sizeof *members);
     double *last_update = zeroed((size_t)n_dirs, sizeof *last_update);
     long long *pending_seq = zeroed((size_t)n_dirs, sizeof *pending_seq);
-    int *pending_task = zeroed((size_t)n_dirs, sizeof *pending_task);
+    int *pending_rank = zeroed((size_t)n_dirs, sizeof *pending_rank);
     /* nodes: per-core FIFO free-at times, tasks queued or running, free capacity */
     int *core_start = zeroed((size_t)run->n_nodes + 1, sizeof *core_start);
     double *core_free_at = NULL;
     int *queued = zeroed((size_t)run->n_nodes, sizeof *queued);
     double *free_ram = zeroed((size_t)run->n_nodes, sizeof *free_ram);
     double *free_storage = zeroed((size_t)run->n_nodes, sizeof *free_storage);
-    /* tasks: route and hop index on the current leg */
+    /* tasks: route, and the hops of the current leg not yet joined */
     int *t_route = zeroed((size_t)n_tasks, sizeof *t_route);
     int *t_hop = zeroed((size_t)n_tasks, sizeof *t_hop);
     const int traced = run->trace_time != NULL;
@@ -426,24 +432,12 @@ int ponedge_run(struct kernel_run *run)
     int next_arrival = 1;
     int rr_next = 0;
 
-    if (down_hops == NULL || bandwidth == NULL || hop_delay == NULL || members == NULL
-        || last_update == NULL || pending_seq == NULL || pending_task == NULL
+    if (members == NULL || last_update == NULL || pending_seq == NULL || pending_rank == NULL
         || core_start == NULL || queued == NULL || free_ram == NULL
         || free_storage == NULL || t_route == NULL || t_hop == NULL || heap.items == NULL)
         goto no_memory;
-    for (i = 0; i < run->n_routes; i++) {
-        int start = route_start[i];
-        int end = route_start[i + 1];
-        int k;
-        for (k = start; k < end; k++)
-            down_hops[k] = up_hops[start + end - 1 - k] ^ 1;
-    }
-    for (i = 0; i < n_dirs; i++) {
-        bandwidth[i] = run->link_bandwidth[i >> 1];
-        hop_delay[i] = run->link_hop_delay[i >> 1];
+    for (i = 0; i < n_dirs; i++)
         pending_seq[i] = -1;
-        pending_task[i] = -1;
-    }
     for (i = 0; i < run->n_nodes; i++) {
         core_start[i + 1] = core_start[i] + run->cores[i];
         free_ram[i] = run->ram_capacity[i];
@@ -492,38 +486,39 @@ int ponedge_run(struct kernel_run *run)
             struct pool *p = &members[hop];
             if (ev.seq != pending_seq[hop])
                 continue; /* superseded by a later share recomputation */
-            task = pending_task[hop];
+            task = p->task[pending_rank[hop]];
             if (p->count == 1) { /* the link goes idle: nothing left to drain */
                 p->count = 0;
                 last_update[hop] = now;
             } else {
+                const double bandwidth = link_bandwidth[hop >> 1];
                 double elapsed = now - last_update[hop];
                 double eta;
                 int rank;
                 if (elapsed > 0.0)
-                    drain(p, bandwidth[hop] / p->count, elapsed);
+                    drain(p, bandwidth / p->count, elapsed);
                 last_update[hop] = now;
-                for (rank = 0; p->task[rank] != task; rank++)
-                    ;
                 p->count--;
-                for (; rank < p->count; rank++) {
+                for (rank = pending_rank[hop]; rank < p->count; rank++) {
                     p->task[rank] = p->task[rank + 1];
                     p->bits[rank] = p->bits[rank + 1];
                 }
-                rank = next_completion(p, bandwidth[hop] / p->count, now, &eta);
-                pending_seq[hop] = seq + rank;
-                pending_task[hop] = p->task[rank];
-                PUSH(eta, seq + rank, EV_SER_END, hop);
+                pending_rank[hop] = next_completion(p, bandwidth / p->count, now, &eta);
+                pending_seq[hop] = seq + pending_rank[hop];
+                PUSH(eta, pending_seq[hop], EV_SER_END, hop);
                 seq += p->count;
             }
-            HOLD(now + hop_delay[hop], seq, EV_HOP_ARRIVE, task);
+            HOLD(now + run->link_hop_delay[hop >> 1], seq, EV_HOP_ARRIVE, task);
             seq++;
         } else if (ev.code == EV_HOP_ARRIVE) {
-            int route = t_route[task];
-            int hop_index = ++t_hop[task];
+            int hops = t_hop[task];
             int up = t_phase[task] == PH_UP;
-            if (hop_index < route_start[route + 1] - route_start[route]) {
-                join = (up ? up_hops : down_hops)[route_start[route] + hop_index];
+            if (hops > 0) {
+                int route = t_route[task];
+                t_hop[task] = hops - 1;
+                /* the downlink walks the route backwards with flipped direction */
+                join = up ? route_hops[route_start[route + 1] - hops]
+                          : route_hops[route_start[route] + hops - 1] ^ 1;
             } else if (up) { /* uplink complete: queue on the chosen node */
                 int node = t_node[task];
                 double *free_at = core_free_at + core_start[node];
@@ -570,10 +565,10 @@ int ponedge_run(struct kernel_run *run)
             RECORD(now, ev.seq, TR_EXECUTION_COMPLETE, task, node);
             t_phase[task] = PH_DOWN;
             if (route_start[route + 1] > route_start[route]) {
-                t_hop[task] = 0;
-                join = down_hops[route_start[route]];
+                t_hop[task] = route_start[route + 1] - route_start[route] - 1;
+                join = route_hops[route_start[route + 1] - 1] ^ 1;
             } else {
-                t_hop[task] = -1;
+                t_hop[task] = 0;
                 HOLD(now, seq, EV_HOP_ARRIVE, task);
                 seq++;
             }
@@ -622,17 +617,19 @@ int ponedge_run(struct kernel_run *run)
             } else {
                 int node = run->candidate_nodes[chosen_slot];
                 int route = device * n_candidates + chosen_slot;
+                int hops = route_start[route + 1] - route_start[route];
                 free_ram[node] -= task_ram_mb;
                 free_storage[node] -= task_storage_mb;
                 t_node[task] = node;
                 t_route[task] = route;
                 t_phase[task] = PH_UP;
-                if (run->control_delay_s > 0.0 || route_start[route + 1] == route_start[route]) {
-                    t_hop[task] = -1;
+                if (run->control_delay_s > 0.0 || hops == 0) {
+                    t_hop[task] = hops;
                     HOLD(now + run->control_delay_s, seq, EV_HOP_ARRIVE, task);
                     seq++;
                 } else {
-                    join = up_hops[route_start[route]];
+                    t_hop[task] = hops - 1;
+                    join = route_hops[route_start[route]];
                 }
             }
         } else if (ev.code == EV_SIM_END) {
@@ -646,27 +643,26 @@ int ponedge_run(struct kernel_run *run)
         if (join >= 0) {
             double bits = t_phase[task] == PH_UP ? run->request_bits : run->result_bits;
             struct pool *p = &members[join];
+            const double bandwidth = link_bandwidth[join >> 1];
             if (p->count == 0) { /* an idle link: the transfer gets the whole bandwidth */
                 if (pool_append(p, task, bits))
                     goto no_memory;
                 last_update[join] = now;
                 pending_seq[join] = seq;
-                pending_task[join] = task;
-                HOLD(now + bits / bandwidth[join], seq, EV_SER_END, join);
+                pending_rank[join] = 0;
+                HOLD(now + bits / bandwidth, seq, EV_SER_END, join);
                 seq++;
             } else {
                 double elapsed = now - last_update[join];
                 double eta;
-                int rank;
                 if (elapsed > 0.0)
-                    drain(p, bandwidth[join] / p->count, elapsed);
+                    drain(p, bandwidth / p->count, elapsed);
                 last_update[join] = now;
                 if (pool_append(p, task, bits))
                     goto no_memory;
-                rank = next_completion(p, bandwidth[join] / p->count, now, &eta);
-                pending_seq[join] = seq + rank;
-                pending_task[join] = p->task[rank];
-                HOLD(eta, seq + rank, EV_SER_END, join);
+                pending_rank[join] = next_completion(p, bandwidth / p->count, now, &eta);
+                pending_seq[join] = seq + pending_rank[join];
+                HOLD(eta, pending_seq[join], EV_SER_END, join);
                 seq += p->count;
             }
         }
@@ -687,13 +683,10 @@ done:
             free(members[i].bits);
         }
     }
-    free(down_hops);
-    free(bandwidth);
-    free(hop_delay);
     free(members);
     free(last_update);
     free(pending_seq);
-    free(pending_task);
+    free(pending_rank);
     free(core_start);
     free(core_free_at);
     free(queued);

@@ -37,10 +37,18 @@ in place; `run` copies the input columns into local lists once, since
 indexing an array boxes each value anew.
 
 All run state lives in lists local to `run`: per link direction, the
-fair-share members in join order, their bits left as of the last update and
-the live serialization-end event; per node, the free-at time of each core,
-the tasks queued or running and the free RAM and storage, decremented on
-placement and restored when execution ends.
+fair-share members in join order, their bits left, the last update, and the
+live serialization-end event's seq and member rank; per node, the free-at
+time of each core, the tasks queued or running and the free RAM and
+storage, decremented on placement and restored when execution ends; per
+task, its route and the hops of its current leg not yet joined. Links and
+routes are read from the inputs: link = hop code >> 1, and downlink hop i of
+route r is route_hops[route_start[r + 1] - 1 - i] ^ 1.
+
+The rank a live serialization end keeps is its member's rank when the event
+pops: a direction's member list changes only by a join, which appends and
+reschedules the pending end, and by the pending member's own serialization
+end.
 """
 
 from __future__ import annotations
@@ -173,20 +181,18 @@ def run(inputs: KernelInputs) -> KernelOutputs:
     mips_per_core = inp.mips_per_core.tolist()
     route_start = inp.route_start.tolist()
     route_hops = inp.route_hops.tolist()
-    up_hops = [route_hops[start:end] for start, end in zip(route_start, route_start[1:])]
-    # the downlink walks the uplink route backwards with flipped direction
-    down_hops = [[code ^ 1 for code in reversed(route)] for route in up_hops]
+    link_bandwidth = inp.link_bandwidth.tolist()
+    link_hop_delay = inp.link_hop_delay.tolist()
 
-    # link directions (hop code = link * 2 + direction): fair-share members in
-    # join order, their bits left as of last_update, and the live EV_SER_END
-    n_dirs = 2 * len(inp.link_bandwidth)
-    bandwidth = [inp.link_bandwidth[code >> 1] for code in range(n_dirs)]
-    hop_delay = [inp.link_hop_delay[code >> 1] for code in range(n_dirs)]
+    # link directions (hop code = link * 2 + direction, so link = hop >> 1):
+    # fair-share members in join order, their bits left as of last_update, and
+    # the seq and member rank of the live EV_SER_END
+    n_dirs = 2 * len(link_bandwidth)
     members: list = [()] * n_dirs  # () while the link direction is idle
     bits_left: list = [()] * n_dirs
     last_update = [0.0] * n_dirs
     pending_seq = [-1] * n_dirs
-    pending_task = [-1] * n_dirs
+    pending_rank = [0] * n_dirs
     # nodes: per-core FIFO free-at times, tasks queued or running, free capacity
     core_free_at = [[0.0] * cores for cores in inp.cores]
     queued = [0] * len(inp.cores)
@@ -208,8 +214,7 @@ def run(inputs: KernelInputs) -> KernelOutputs:
     t_node = [-1] * n_tasks
     t_phase = [PH_PENDING] * n_tasks
     t_route = [-1] * n_tasks
-    t_path: list[list[int] | None] = [None] * n_tasks  # hop codes of the current leg
-    t_hop = [0] * n_tasks
+    t_hop = [0] * n_tasks  # hops of the current leg not yet joined
     uplink_done = [NAN] * n_tasks
     exec_start = [NAN] * n_tasks
     exec_end = [NAN] * n_tasks
@@ -242,34 +247,36 @@ def run(inputs: KernelInputs) -> KernelOutputs:
             hop = task
             if ev_seq != pending_seq[hop]:
                 continue  # superseded by a later share recomputation
-            task = pending_task[hop]
             tokens = members[hop]
             if len(tokens) == 1:  # the link goes idle: nothing left to drain
+                task = tokens[0]
                 members[hop] = ()
                 last_update[hop] = now
             else:
                 left = bits_left[hop]
                 elapsed = now - last_update[hop]
+                bandwidth = link_bandwidth[hop >> 1]
                 if elapsed > 0.0:
-                    left = bits_left[hop] = _drain(left, bandwidth[hop] / len(tokens), elapsed)
+                    left = bits_left[hop] = _drain(left, bandwidth / len(tokens), elapsed)
                 last_update[hop] = now
-                rank = tokens.index(task)
-                del tokens[rank]
+                rank = pending_rank[hop]
+                task = tokens.pop(rank)
                 del left[rank]
                 count = len(tokens)
-                eta, rank = _next_completion(left, bandwidth[hop] / count, now)
-                pending_seq[hop] = seq + rank
-                pending_task[hop] = tokens[rank]
-                heappush(heap, (eta, seq + rank, EV_SER_END, hop))
+                eta, pending_rank[hop] = _next_completion(left, bandwidth / count, now)
+                pending_seq[hop] = seq + pending_rank[hop]
+                heappush(heap, (eta, pending_seq[hop], EV_SER_END, hop))
                 seq += count
-            held = (now + hop_delay[hop], seq, EV_HOP_ARRIVE, task)
+            held = (now + link_hop_delay[hop >> 1], seq, EV_HOP_ARRIVE, task)
             seq += 1
         elif code == EV_HOP_ARRIVE:
-            hop_index = t_hop[task] + 1
-            t_hop[task] = hop_index
-            path = t_path[task]
-            if hop_index < len(path):
-                join = path[hop_index]
+            hops = t_hop[task]
+            if hops:
+                t_hop[task] = hops - 1
+                route = t_route[task]
+                # the downlink walks the route backwards with flipped direction
+                join = (route_hops[route_start[route + 1] - hops] if t_phase[task] == PH_UP
+                        else route_hops[route_start[route] + hops - 1] ^ 1)
             elif t_phase[task] == PH_UP:  # uplink complete: queue on the chosen node
                 uplink_done[task] = now
                 if trace is not None:
@@ -309,12 +316,13 @@ def run(inputs: KernelInputs) -> KernelOutputs:
             if trace is not None:
                 record(now, ev_seq, TR_EXECUTION_COMPLETE, task, node)
             t_phase[task] = PH_DOWN
-            path = t_path[task] = down_hops[t_route[task]]
-            if path:
-                t_hop[task] = 0
-                join = path[0]
+            route = t_route[task]
+            hops = route_start[route + 1] - route_start[route]
+            if hops:
+                t_hop[task] = hops - 1
+                join = route_hops[route_start[route + 1] - 1] ^ 1
             else:
-                t_hop[task] = -1
+                t_hop[task] = 0
                 held = (now, seq, EV_HOP_ARRIVE, task)
                 seq += 1
         elif code == EV_ARRIVAL:
@@ -355,15 +363,16 @@ def run(inputs: KernelInputs) -> KernelOutputs:
                 free_ram[node] -= task_ram_mb
                 free_storage[node] -= task_storage_mb
                 t_node[task] = node
-                route_id = t_route[task] = device * n_candidates + chosen_slot
-                path = t_path[task] = up_hops[route_id]
+                route = t_route[task] = device * n_candidates + chosen_slot
+                hops = route_start[route + 1] - route_start[route]
                 t_phase[task] = PH_UP
-                if control_delay_s > 0.0 or not path:
-                    t_hop[task] = -1
+                if control_delay_s > 0.0 or not hops:
+                    t_hop[task] = hops
                     held = (now + control_delay_s, seq, EV_HOP_ARRIVE, task)
                     seq += 1
                 else:
-                    join = path[0]
+                    t_hop[task] = hops - 1
+                    join = route_hops[route_start[route]]
         elif code == EV_SIM_END:
             if trace is not None:
                 record(now, ev_seq, TR_SIMULATION_END, task, -1)
@@ -379,23 +388,23 @@ def run(inputs: KernelInputs) -> KernelOutputs:
                 bits_left[join] = [bits]
                 last_update[join] = now
                 pending_seq[join] = seq
-                pending_task[join] = task
-                held = (now + bits / bandwidth[join], seq, EV_SER_END, join)
+                pending_rank[join] = 0
+                held = (now + bits / link_bandwidth[join >> 1], seq, EV_SER_END, join)
                 seq += 1
             else:
                 count = len(tokens)
                 left = bits_left[join]
+                bandwidth = link_bandwidth[join >> 1]
                 elapsed = now - last_update[join]
                 if elapsed > 0.0:
-                    left = bits_left[join] = _drain(left, bandwidth[join] / count, elapsed)
+                    left = bits_left[join] = _drain(left, bandwidth / count, elapsed)
                 last_update[join] = now
                 tokens.append(task)
                 left.append(bits)
                 count += 1
-                eta, rank = _next_completion(left, bandwidth[join] / count, now)
-                pending_seq[join] = seq + rank
-                pending_task[join] = tokens[rank]
-                held = (eta, seq + rank, EV_SER_END, join)
+                eta, pending_rank[join] = _next_completion(left, bandwidth / count, now)
+                pending_seq[join] = seq + pending_rank[join]
+                held = (eta, pending_seq[join], EV_SER_END, join)
                 seq += count
         processed += 1
 

@@ -84,7 +84,8 @@ def _seeds_from_text(raw: str) -> tuple[int, ...]:
 def _experiment(args) -> ExperimentSpec:
     """Resolve the experiment: explicit flags over the config file, or over the
     defaults without one. PONEDGE_SEED replaces the default seeds only when no
-    --config is given: a document's seeds, or the defaults it leaves, stand."""
+    --config is given: a document's seeds, or the defaults it leaves, stand.
+    Seeds left unset are None: seeds 1..5 to sweep and compare, seed 1 to run."""
     if args.config:
         try:
             with open(args.config) as fh:
@@ -152,7 +153,8 @@ def cmd_run(args) -> int:
     if spec.cpus is None:
         raise ConfigurationError("run needs --cpu-mips (or cpus in --config)")
     cpu, mips = _single(spec.cpus, "cpu")
-    params = RunParams(scenario, topology, mips, spec.seeds[0], cpu=cpu,
+    seed = 1 if spec.seeds is None else _single(spec.seeds, "seed")
+    params = RunParams(scenario, topology, mips, seed, cpu=cpu,
                        duration_s=spec.duration_s, strategy=spec.strategy,
                        arrivals=spec.arrivals, calibration=spec.calibration)
     if args.trace is not None:

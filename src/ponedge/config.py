@@ -233,7 +233,8 @@ class ExperimentSpec(Record):
     topologies: tuple[str, ...] = ("genio",)  # read by `run` only
     # (label, mips), an empty label named by the cell; None -> per-scenario Table grid
     cpus: tuple[tuple[str, float], ...] | None = None
-    seeds: tuple[int, ...] = DEFAULT_SEEDS
+    # None -> DEFAULT_SEEDS for sweep and compare, seed 1 for run
+    seeds: tuple[int, ...] | None = None
     duration_s: float = DEFAULT_DURATION_S
     strategy: str = DEFAULT_STRATEGY
     arrivals: str = DEFAULT_ARRIVALS

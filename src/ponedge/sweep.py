@@ -19,11 +19,12 @@ import os
 import shutil
 
 from ._kernel import library, resolve_backend
-from .config import TOPOLOGY_PRESETS, ExperimentSpec, cpu_grid, mips_text
+from .config import DEFAULT_SEEDS, TOPOLOGY_PRESETS, ExperimentSpec, cpu_grid, mips_text
 from .metrics import (RunSummary, aggregate, format_number, read_summary_csv,
                       write_summary_csv, write_tasks_csv)
 from .network import ConfigurationError, Record, fields
 from .simulation import RunParams, run_simulation
+from .workload import OUT_DIR_FILES
 
 
 class ComparisonRow(Record):
@@ -79,14 +80,19 @@ def _published_summary(directory: str, config_text: str,
 
 @contextlib.contextmanager
 def _replacing(path: str):
-    """A staging path beside `path` to write its new content to: renamed onto
-    `path` when the block completes, removed when it fails."""
+    """A staging path beside `path` to write its new content to, a file or a
+    directory: renamed onto `path` when the block completes, removed when it
+    fails. A staged directory replaces the directory at `path`, if any."""
     staging = f"{path}.tmp-{os.getpid()}"
     try:
         yield staging
+        if os.path.isdir(staging) and os.path.isdir(path):
+            shutil.rmtree(path)  # a partial cell from an interrupt, or a stale one
         os.replace(staging, path)
     finally:
-        if os.path.exists(staging):
+        if os.path.isdir(staging):
+            shutil.rmtree(staging)
+        elif os.path.exists(staging):
             os.remove(staging)
 
 
@@ -109,8 +115,7 @@ def run_cell(params: RunParams, out_dir: str, trace_path: str | None = None, *,
         if cached is not None:
             return cached
     result = run_simulation(params, collect_trace=trace_path is not None)
-    staging = final_dir + f".tmp-{os.getpid()}"
-    try:
+    with _replacing(final_dir) as staging:
         os.makedirs(staging, exist_ok=True)
         if tasks_csv:
             write_tasks_csv(os.path.join(staging, "tasks.csv"), result.inputs.arrival_time,
@@ -125,22 +130,10 @@ def run_cell(params: RunParams, out_dir: str, trace_path: str | None = None, *,
         summary = read_summary_csv(os.path.join(staging, "summary.csv"))
         with open(os.path.join(staging, "config.json"), "w") as fh:
             fh.write(config_text)
-        if os.path.isdir(final_dir):
-            shutil.rmtree(final_dir)  # a partial cell from an interrupt, or a stale one
-        os.makedirs(os.path.dirname(final_dir), exist_ok=True)
-        os.rename(staging, final_dir)
-    finally:
-        if os.path.isdir(staging):
-            shutil.rmtree(staging)
     if trace_path is not None:
         with _replacing(trace_path) as staging, open(staging, "wb") as fh:
             library(result.backend).write_trace(fh, result.outputs.trace, result.node_ids)
     return summary
-
-
-def _run_cell_job(params: RunParams, out_dir: str) -> RunSummary:
-    # sweep cells publish summaries only; `ponedge run` gives a cell's tasks
-    return run_cell(params, out_dir, tasks_csv=False)
 
 
 def run_cells(cells: list[RunParams], out_dir: str, jobs: int) -> list[RunSummary]:
@@ -158,7 +151,8 @@ def run_cells(cells: list[RunParams], out_dir: str, jobs: int) -> list[RunSummar
     if jobs <= 0:
         jobs = os.cpu_count() or 1
     jobs = min(jobs, len(cells))
-    job = functools.partial(_run_cell_job, out_dir=out_dir)
+    # sweep cells publish summaries only; `ponedge run` gives a cell's tasks
+    job = functools.partial(run_cell, out_dir=out_dir, tasks_csv=False)
     if jobs <= 1:
         return [job(params) for params in cells]
     if resolve_backend() == "c":
@@ -168,7 +162,15 @@ def run_cells(cells: list[RunParams], out_dir: str, jobs: int) -> list[RunSummar
     with multiprocessing.Pool(jobs, initializer=_quiet_worker) as pool:
         # imap hands results back in order, so its first error is the
         # lowest-indexed cell's
-        return list(pool.imap(job, cells, chunksize=1))
+        summaries = list(pool.imap(job, cells, chunksize=1))
+        # Every cell is done: let the workers exit on close's sentinels. The
+        # SIGTERM of the terminate that ends the block would reach an idle
+        # worker as a Python handler, which runs only between bytecodes; one
+        # that lands just before the worker waits on the task queue's lock,
+        # which terminate holds, is never run, and the pool's join hangs.
+        pool.close()
+        pool.join()
+    return summaries
 
 
 def _run_on_threads(job, cells: list[RunParams], jobs: int) -> list[RunSummary]:
@@ -243,7 +245,7 @@ def build_cells(spec: ExperimentSpec, scenario: str) -> list[RunParams]:
                   strategy=spec.strategy, arrivals=spec.arrivals, calibration=spec.calibration)
         for topology in TOPOLOGY_PRESETS
         for label, mips in grid
-        for seed in spec.seeds
+        for seed in (DEFAULT_SEEDS if spec.seeds is None else spec.seeds)
     ]
 
 
@@ -346,8 +348,7 @@ def write_comparison(out_dir: str, comparisons: list[ScenarioComparison],
                     format_number(tsr), format_number(latency),
                     format_number(deadlines[row.scenario]),
                 ])
-    comparison_path = os.path.join(out_dir, "comparison.csv")
-    plot_path = os.path.join(out_dir, "plot_data.csv")
+    comparison_path, plot_path = (os.path.join(out_dir, name) for name in OUT_DIR_FILES)
     _write_csv_atomic(comparison_path, COMPARISON_COLUMNS, comparison_rows)
     _write_csv_atomic(plot_path, PLOT_COLUMNS, plot_rows)
     return comparison_path, plot_path

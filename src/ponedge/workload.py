@@ -10,6 +10,10 @@ from .network import ConfigurationError, Record, check_number
 # A scenario's name becomes a directory of its cells, so it is one plain path
 # component: no separator, and no leading dot.
 SCENARIO_NAME = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
+# The files `compare` writes at the out-dir root, beside the scenario
+# directories: the comparison table and the plot data. No scenario takes
+# their names, in any letter case, since a file system may not tell cases apart.
+OUT_DIR_FILES = ("comparison.csv", "plot_data.csv")
 # The C kernel counts a run's tasks in a C int, and the trace's task column
 # holds 32-bit integers on both kernels.
 MAX_TASKS = 2**31 - 1
@@ -30,6 +34,9 @@ class ScenarioSpec(Record):
         if not isinstance(self.name, str) or not SCENARIO_NAME.fullmatch(self.name):
             raise ConfigurationError(
                 f"scenario name {self.name!r} must match {SCENARIO_NAME.pattern}")
+        if self.name.lower() in OUT_DIR_FILES:
+            raise ConfigurationError(
+                f"scenario name {self.name!r} is a results file at the out-dir root")
         for fname in ("users", "rate_per_min", "deadline_s", "length_mi", "request_kb", "result_kb"):
             check_number(f"scenario {self.name}: {fname}", getattr(self, fname),
                          integer=fname == "users")

@@ -98,56 +98,76 @@ def random_inputs(rng: random.Random) -> tuple[RunParams, KernelInputs]:
 # One link, named by the hop codes of the rows below that need one.
 _ONE_LINK = dict(link_bandwidth=[1e9], link_hop_delay=[0.0], request_bits=8.0)
 
-# kernel_inputs fields that break the KernelInputs contract, each in one way;
-# both kernels refuse every row with the same ValueError before the loop.
+# The texts of the ValueError clauses check_inputs refuses the rows below with.
+_DEVICE = "kernel input arrival_device must be a device index in [0, routes / candidate slots)"
+_NODE = "kernel input candidate_nodes must be node indices"
+_SLOTS = "kernel input route_start must hold a multiple of len(candidate_nodes) routes"
+_HOP = "kernel input route_hops must be hop codes in [0, 2 * links)"
+_CORE = "kernel input cores must be >= 1"
+_RISE = "kernel input route_start must rise from 0 to len(route_hops)"
+_POSITIVE = "kernel input {} must be > 0"
+_NON_NEGATIVE = "kernel input {} must be >= 0"
+
+# kernel_inputs fields that break the KernelInputs contract, each in one way,
+# and the text of the ValueError both kernels refuse the row with before the loop.
 MALFORMED = {
-    "no-such-device": dict(arrival_time=[0.0], arrival_device=[1]),
-    "negative-device": dict(arrival_time=[0.0], arrival_device=[-1]),
-    "negative-device-no-slot": dict(candidate_nodes=[], routes=[], arrival_time=[0.0],
-                                    arrival_device=[-1]),
-    "no-such-node": dict(candidate_nodes=[1]),
-    "negative-node": dict(candidate_nodes=[-1], arrival_time=[0.0]),
-    "one-route-two-slots": dict(candidate_nodes=[0, 0]),
-    "one-route-two-slots-arrival": dict(candidate_nodes=[0, 0], arrival_time=[0.0]),
-    "no-such-link": dict(routes=[[[0]]]),
-    "negative-hop": dict(routes=[[[-1]]], arrival_time=[0.0], **_ONE_LINK),
-    "no-core": dict(cores=[0]),
-    "no-core-arrival": dict(cores=[0], arrival_time=[0.0]),
-    "negative-cores": dict(cores=[-1], arrival_time=[0.0]),
-    "short-weight": dict(weight=[]),
-    "long-mips": dict(mips_per_core=[1e9, 1e9], arrival_time=[0.0]),
-    "short-link-delay": dict(link_bandwidth=[1e9], link_hop_delay=[]),
-    "long-arrival-device": dict(arrival_time=[0.0], arrival_device=[0, 0]),
-    "no-route-start": dict(route_start=[], arrival_time=[0.0]),
-    "route-start-from-1": dict(route_start=[1, 1], route_hops=[0], **_ONE_LINK),
-    "route-start-short-of-hops": dict(route_start=[0, 0], route_hops=[0], **_ONE_LINK),
+    "no-such-device": (dict(arrival_time=[0.0], arrival_device=[1]), _DEVICE),
+    "negative-device": (dict(arrival_time=[0.0], arrival_device=[-1]), _DEVICE),
+    "negative-device-no-slot": (dict(candidate_nodes=[], routes=[], arrival_time=[0.0],
+                                     arrival_device=[-1]), _DEVICE),
+    "no-such-node": (dict(candidate_nodes=[1]), _NODE),
+    "negative-node": (dict(candidate_nodes=[-1], arrival_time=[0.0]), _NODE),
+    "one-route-two-slots": (dict(candidate_nodes=[0, 0]), _SLOTS),
+    "one-route-two-slots-arrival": (dict(candidate_nodes=[0, 0], arrival_time=[0.0]), _SLOTS),
+    "no-such-link": (dict(routes=[[[0]]]), _HOP),
+    "negative-hop": (dict(routes=[[[-1]]], arrival_time=[0.0], **_ONE_LINK), _HOP),
+    "no-core": (dict(cores=[0]), _CORE),
+    "no-core-arrival": (dict(cores=[0], arrival_time=[0.0]), _CORE),
+    "negative-cores": (dict(cores=[-1], arrival_time=[0.0]), _CORE),
+    "short-weight": (dict(weight=[]), "kernel input weight must have one entry per node"),
+    "long-mips": (dict(mips_per_core=[1e9, 1e9], arrival_time=[0.0]),
+                  "kernel input mips_per_core must have one entry per node"),
+    "short-link-delay": (dict(link_bandwidth=[1e9], link_hop_delay=[]),
+                         "kernel input link_hop_delay must have one entry per link"),
+    "long-arrival-device": (dict(arrival_time=[0.0], arrival_device=[0, 0]),
+                            "kernel input arrival_device must have one entry per arrival"),
+    "no-route-start": (dict(route_start=[], arrival_time=[0.0]), _RISE),
+    "route-start-from-1": (dict(route_start=[1, 1], route_hops=[0], **_ONE_LINK), _RISE),
+    "route-start-short-of-hops": (dict(route_start=[0, 0], route_hops=[0], **_ONE_LINK), _RISE),
     # a route that ends before it starts: C read past route_hops on it
-    "route-start-falls": dict(route_start=[1, 0], route_hops=[0], arrival_time=[0.0],
-                              **_ONE_LINK),
+    "route-start-falls": (dict(route_start=[1, 0], route_hops=[0], arrival_time=[0.0],
+                               **_ONE_LINK), _RISE),
     # Python divided by zero on these, and C ran them to a NaN delivery
-    "zero-mips": dict(mips_per_core=[0.0], arrival_time=[0.0]),
-    "negative-mips": dict(mips_per_core=[-1e9], arrival_time=[0.0]),
-    "nan-mips": dict(mips_per_core=[math.nan], arrival_time=[0.0]),
-    "zero-bandwidth": dict(_ONE_LINK, link_bandwidth=[0.0], routes=[[[0]]], arrival_time=[0.0]),
-    "negative-bandwidth": dict(_ONE_LINK, link_bandwidth=[-1e9], routes=[[[0]]],
-                               arrival_time=[0.0]),
-    "nan-bandwidth": dict(_ONE_LINK, link_bandwidth=[math.nan], routes=[[[0]]],
-                          arrival_time=[0.0]),
+    "zero-mips": (dict(mips_per_core=[0.0], arrival_time=[0.0]),
+                  _POSITIVE.format("mips_per_core")),
+    "negative-mips": (dict(mips_per_core=[-1e9], arrival_time=[0.0]),
+                      _POSITIVE.format("mips_per_core")),
+    "nan-mips": (dict(mips_per_core=[math.nan], arrival_time=[0.0]),
+                 _POSITIVE.format("mips_per_core")),
+    "zero-bandwidth": (dict(_ONE_LINK, link_bandwidth=[0.0], routes=[[[0]]], arrival_time=[0.0]),
+                       _POSITIVE.format("link_bandwidth")),
+    "negative-bandwidth": (dict(_ONE_LINK, link_bandwidth=[-1e9], routes=[[[0]]],
+                                arrival_time=[0.0]), _POSITIVE.format("link_bandwidth")),
+    "nan-bandwidth": (dict(_ONE_LINK, link_bandwidth=[math.nan], routes=[[[0]]],
+                           arrival_time=[0.0]), _POSITIVE.format("link_bandwidth")),
     # times and sizes the event loops add to the clock: the negative ones
     # failed mid-run as an event in the past, a NaN hop delay as a broken
     # conservation, and a NaN horizon ran and delivered the task at 1e-09
-    "negative-duration": dict(duration_s=-1.0),
-    "nan-duration": dict(duration_s=math.nan, arrival_time=[0.0]),
-    "negative-hop-delay": dict(_ONE_LINK, link_hop_delay=[-1e-3], routes=[[[0]]],
-                               arrival_time=[0.0]),
-    "nan-hop-delay": dict(_ONE_LINK, link_hop_delay=[math.nan], routes=[[[0]]],
-                          arrival_time=[0.0]),
-    "negative-length": dict(length_mi=-1.0, arrival_time=[0.0]),
-    "negative-request-bits": dict(_ONE_LINK, request_bits=-8.0, routes=[[[0]]],
-                                  arrival_time=[0.0]),
-    "negative-result-bits": dict(_ONE_LINK, result_bits=-8.0, routes=[[[0]]],
-                                 arrival_time=[0.0]),
-    "negative-control-delay": dict(control_delay_s=-1e-3, arrival_time=[0.0]),
+    "negative-duration": (dict(duration_s=-1.0), _NON_NEGATIVE.format("duration_s")),
+    "nan-duration": (dict(duration_s=math.nan, arrival_time=[0.0]),
+                     _NON_NEGATIVE.format("duration_s")),
+    "negative-hop-delay": (dict(_ONE_LINK, link_hop_delay=[-1e-3], routes=[[[0]]],
+                                arrival_time=[0.0]), _NON_NEGATIVE.format("link_hop_delay")),
+    "nan-hop-delay": (dict(_ONE_LINK, link_hop_delay=[math.nan], routes=[[[0]]],
+                           arrival_time=[0.0]), _NON_NEGATIVE.format("link_hop_delay")),
+    "negative-length": (dict(length_mi=-1.0, arrival_time=[0.0]),
+                        _NON_NEGATIVE.format("length_mi")),
+    "negative-request-bits": (dict(_ONE_LINK, request_bits=-8.0, routes=[[[0]]],
+                                   arrival_time=[0.0]), _NON_NEGATIVE.format("request_bits")),
+    "negative-result-bits": (dict(_ONE_LINK, result_bits=-8.0, routes=[[[0]]],
+                                  arrival_time=[0.0]), _NON_NEGATIVE.format("result_bits")),
+    "negative-control-delay": (dict(control_delay_s=-1e-3, arrival_time=[0.0]),
+                               _NON_NEGATIVE.format("control_delay_s")),
 }
 
 # The index columns whose entries `mutate` changes.

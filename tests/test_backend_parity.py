@@ -250,11 +250,12 @@ def test_trace_costs_at_most_40_bytes_per_entry(backend):
 @pytest.mark.parametrize("backend", ["python", pytest.param("c", marks=needs_c)])
 @pytest.mark.parametrize("row", MALFORMED)
 def test_kernels_reject_inputs_out_of_bounds(row, backend):
-    # _kernel.check_inputs refuses them first on both kernels; the C kernel
-    # would read outside its columns on some
+    # _kernel.check_inputs refuses them first on both kernels, naming the
+    # clause broken; the C kernel would read outside its columns on some
+    fields, text = MALFORMED[row]
     with pytest.raises(ValueError) as refused:
-        _kernel.run(kernel_inputs(**MALFORMED[row]), backend=backend)
-    assert str(refused.value) == "kernel inputs have mismatched sizes or out-of-range indices"
+        _kernel.run(kernel_inputs(**fields), backend=backend)
+    assert str(refused.value) == text
 
 
 @pytest.mark.parametrize("backend", ["python", pytest.param("c", marks=needs_c)])
@@ -361,7 +362,7 @@ def test_c_post_run_pass_raises_what_the_reference_raises(mutant, tmp_path):
 # The kernel built at argv[1] with sanitizers, against pykernel: each random
 # calibration traced and untraced, with its trace and tasks.csv text written
 # through a small buffer, and a mutant of it; every malformed row, which must
-# be refused; and the arrival draw of every preset. A read or write outside a
+# be refused with its text; and the arrival draw of every preset. A read or write outside a
 # C array, or undefined behaviour, aborts the process.
 SANITIZED = """
 import io, random, sys
@@ -394,10 +395,11 @@ for _ in range(200):
         c.run(mutate(mutations, inputs))
     except (ValueError, MemoryError, SimulationError):
         pass
-for row, fields in MALFORMED.items():
+for row, (fields, text) in MALFORMED.items():
     try:
         c.run(kernel_inputs(**fields))
-    except ValueError:
+    except ValueError as refused:
+        assert str(refused) == text, row
         continue
     raise AssertionError(row)
 for name in sorted(SCENARIOS):
@@ -575,6 +577,24 @@ def test_c_tasks_text_matches_reference(text_doubles, monkeypatch):
     text, sizes = _written(compiled, generated_at[:3000], head, node_cells, 0.5, cell)
     assert text == expected
     assert len(sizes) > 1500 and max(sizes) <= capacity
+
+
+@needs_compiler
+def test_c_text_writers_without_int128_match_reference(text_doubles, tmp_path):
+    # where the compiler has no __int128, put_g formats every value with
+    # snprintf alone
+    built = tmp_path / "kernel.so"
+    subprocess.run([*compiler_argv(), "-U__SIZEOF_INT128__", "-o", str(built), _kernel.SOURCE],
+                   check=True)
+    compiled = ckernel.load(str(built))
+    trace = _synthetic_trace(random.Random(1), text_doubles)
+    assert (_written(compiled.write_trace, trace, TEXT_NODES)[0]
+            == _written(pykernel.write_trace, trace, TEXT_NODES)[0])
+    generated_at, out = _synthetic_tasks(random.Random(2), text_doubles)
+    cell = _csv_line(["a,b", 'say "hi"', "Zürich – 1", 7])
+    node_cells = [_csv_line([node_id]) for node_id in TEXT_NODES]
+    assert (_written(compiled.write_tasks, generated_at, out, node_cells, 0.5, cell)[0]
+            == _written(pykernel.write_tasks, generated_at, out, node_cells, 0.5, cell)[0])
 
 
 @needs_c

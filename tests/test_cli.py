@@ -19,7 +19,7 @@ from ponedge.engine import SimulationError
 from ponedge.metrics import read_summary_csv
 from ponedge.network import ConfigurationError
 from ponedge.simulation import RunParams, _cached_arrivals
-from ponedge.workload import scenario_preset
+from ponedge.workload import OUT_DIR_FILES, scenario_preset
 
 from fresh_process import (SRC, cap_address_space, needs_compiler, path_finds_compiler,
                            ponedge_env, run_cli, run_python)
@@ -250,7 +250,7 @@ def test_env_seed_override(tmp_path, monkeypatch, capsys):
 
 
 def test_env_seed_is_ignored_under_a_config(tmp_path, monkeypatch):
-    # a document that lists no seeds keeps the default ones, and run takes the first
+    # a document that lists no seeds keeps the default one, seed 1 for run
     monkeypatch.setenv("PONEDGE_SEED", "9")
     config = tmp_path / "exp.json"
     config.write_text('{"scenario": "e-health", "cpus": [220000], "duration": 5}')
@@ -258,6 +258,26 @@ def test_env_seed_is_ignored_under_a_config(tmp_path, monkeypatch):
     assert main(["run", "--config", str(config), "--topology", "genio",
                  "--out-dir", str(out)]) == 0
     assert [cell.name for cell in (out / "e-health" / "genio" / "220000").iterdir()] == ["1"]
+
+
+# `run` runs one cell: several seeds from a document or PONEDGE_SEED used to
+# run the first alone
+@pytest.mark.parametrize("seeds,env", [('"3..5"', None), (None, "4,5")],
+                         ids=["document-seeds", "env-seeds"])
+def test_run_refuses_several_seeds(tmp_path, monkeypatch, capsys, seeds, env):
+    argv = ["run", "--topology", "genio", "--out-dir", str(tmp_path / "out")]
+    if seeds is not None:
+        config = tmp_path / "exp.json"
+        config.write_text(EHEALTH_DOCUMENT % ('"e-health"', seeds, ""))
+        argv += ["--config", str(config)]
+    else:
+        monkeypatch.setenv("PONEDGE_SEED", env)
+        argv += ["--scenario", "e-health", "--cpu-mips", "220000", "--duration", "5"]
+    assert main(argv) == 2
+    count = 3 if seeds is not None else 2
+    assert capsys.readouterr().err == (
+        f"configuration error: this command needs exactly one seed, got {count}\n")
+    assert not (tmp_path / "out").exists()
 
 
 # `run` has no --seeds: its --seed is an integer argparse checks
@@ -409,6 +429,20 @@ def test_names_that_are_not_a_cell_of_their_own_exit_2(tmp_path, capsys, command
                  "--out-dir", str(tmp_path / "out" / "a" / "b")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [config]
+
+
+# compare writes these files beside the scenario directories: a scenario
+# of one of their names used to run every cell, then fail to publish the table
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("name", [*OUT_DIR_FILES, "Plot_Data.CSV"])
+def test_scenarios_named_as_a_results_file_exit_2(tmp_path, capsys, command, name):
+    config = tmp_path / "exp.json"
+    config.write_text(_custom(name))
+    assert main([command, "--config", str(config), "--jobs", "1",
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (f"configuration error: scenario name {name!r} is a "
+                                       f"results file at the out-dir root\n")
     assert list(tmp_path.iterdir()) == [config]
 
 
