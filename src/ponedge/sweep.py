@@ -82,18 +82,24 @@ def _published_summary(directory: str, config_text: str,
 def _replacing(path: str):
     """A staging path beside `path` to write its new content to, a file or a
     directory: renamed onto `path` when the block completes, removed when it
-    fails. A staged directory replaces the directory at `path`, if any."""
+    fails. A staged directory replaces the directory at `path`, if any.
+    Whatever a killed process left at the staging path is removed first."""
     staging = f"{path}.tmp-{os.getpid()}"
+    _remove(staging)
     try:
         yield staging
         if os.path.isdir(staging) and os.path.isdir(path):
             shutil.rmtree(path)  # a partial cell from an interrupt, or a stale one
         os.replace(staging, path)
     finally:
-        if os.path.isdir(staging):
-            shutil.rmtree(staging)
-        elif os.path.exists(staging):
-            os.remove(staging)
+        _remove(staging)
+
+
+def _remove(path: str) -> None:
+    if os.path.isdir(path):
+        shutil.rmtree(path)
+    elif os.path.exists(path):
+        os.remove(path)
 
 
 def run_cell(params: RunParams, out_dir: str, trace_path: str | None = None, *,
@@ -140,11 +146,12 @@ def run_cells(cells: list[RunParams], out_dir: str, jobs: int) -> list[RunSummar
     """Run independent cells, optionally in parallel; order follows `cells`.
 
     Up to `jobs` workers (the CPU count if 0 or less) take one cell at a
-    time, in the order given: threads of this process on the C kernel, whose
-    calls release the GIL, and worker processes on the pure-Python kernel. No
-    two cells may share a directory, so no two workers publish the same one.
-    On a failure, the failure of the lowest-indexed cell is raised, as a
-    serial run would raise it.
+    time, in the order given, on the threads of _run_on_threads. On the C
+    kernel, whose calls release the GIL, each thread runs its cell itself; on
+    the pure-Python kernel it hands the cell to a pool of as many processes
+    and waits. No two cells may share a directory, so no two workers publish
+    the same one. On a failure, the failure of the lowest-indexed cell is
+    raised, as a serial run would raise it.
     """
     if len({cell_directory(out_dir, params) for params in cells}) < len(cells):
         raise ConfigurationError("two cells would publish one directory")
@@ -159,24 +166,20 @@ def run_cells(cells: list[RunParams], out_dir: str, jobs: int) -> list[RunSummar
         return _run_on_threads(job, cells, jobs)
     import multiprocessing  # only a pool needs it; keeps `import ponedge.cli` light
 
-    with multiprocessing.Pool(jobs, initializer=_quiet_worker) as pool:
-        # imap hands results back in order, so its first error is the
-        # lowest-indexed cell's
-        summaries = list(pool.imap(job, cells, chunksize=1))
-        # Every cell is done: let the workers exit on close's sentinels. The
-        # SIGTERM of the terminate that ends the block would reach an idle
-        # worker as a Python handler, which runs only between bytecodes; one
-        # that lands just before the worker waits on the task queue's lock,
-        # which terminate holds, is never run, and the pool's join hangs.
+    # forked before any thread starts; closed, never terminated, since the
+    # threads wait for every cell they hand it
+    pool = multiprocessing.Pool(jobs, initializer=_quiet_worker)
+    try:
+        return _run_on_threads(lambda params: pool.apply(job, (params,)), cells, jobs)
+    finally:
         pool.close()
         pool.join()
-    return summaries
 
 
 def _run_on_threads(job, cells: list[RunParams], jobs: int) -> list[RunSummary]:
     """The summaries `job` returns for `cells`, run on `jobs` threads. After a
-    failure or an interrupt, each thread finishes the cell it holds and takes
-    no more."""
+    failure or an interrupt, each thread finishes the cell it holds, in this
+    process or in a pool process, and takes no more."""
     import threading  # only threads need it; keeps `import ponedge.cli` light
 
     summaries: list = [None] * len(cells)
@@ -220,17 +223,11 @@ def _run_on_threads(job, cells: list[RunParams], jobs: int) -> list[RunSummary]:
 
 
 def _quiet_worker() -> None:
-    """Pool worker setup: SIGINT is left to the parent, which then ends the
-    pool with SIGTERM. That unwinds the worker's cell, which removes its
-    staging directory, and the worker exits without a word."""
+    """Pool worker setup: SIGINT is left to the parent, whose threads wait for
+    the cells in flight, so the worker finishes the cell it holds."""
     import signal
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    signal.signal(signal.SIGTERM, _exit_worker)
-
-
-def _exit_worker(signum, frame) -> None:
-    raise SystemExit(128 + signum)
 
 
 def build_cells(spec: ExperimentSpec, scenario: str) -> list[RunParams]:

@@ -138,6 +138,26 @@ def test_run_trace_is_published_atomically(tmp_path, monkeypatch):
     assert sorted(path.name for path in tmp_path.iterdir()) == ["events.tsv", "out"]
 
 
+@pytest.mark.parametrize("stale", ["directory", "file"])
+def test_stale_staging_path_is_not_published(tmp_path, stale):
+    # what a killed process whose pid this one reuses left at the cell's
+    # staging path: a later `run` would take a stale tasks.csv as its own
+    params = RunParams(scenario_preset("e-health"), "genio", 220_000.0, 1, duration_s=5.0)
+    cell = sweep.cell_directory(str(tmp_path), params)
+    staging = f"{cell}.tmp-{os.getpid()}"
+    if stale == "directory":
+        os.makedirs(staging)
+        with open(os.path.join(staging, "tasks.csv"), "w") as fh:
+            fh.write("stale\n")
+    else:
+        os.makedirs(os.path.dirname(staging))
+        with open(staging, "w") as fh:
+            fh.write("stale\n")
+    sweep.run_cell(params, str(tmp_path), tasks_csv=False)
+    assert sorted(os.listdir(cell)) == ["config.json", "summary.csv"]
+    assert sorted(os.listdir(os.path.dirname(cell))) == ["1"]
+
+
 def _files(root) -> dict:
     """Every file under root, by relative path, with its bytes; {} if root is missing."""
     return {path.relative_to(root): path.read_bytes() for path in root.rglob("*")
@@ -748,12 +768,18 @@ def test_cells_run_in_this_process_on_c_only(tmp_path, monkeypatch, backend):
         assert held == (0, 0)
 
 
-# e-health/baseline/440000, the 18th of 40 cells, fails; `compare` takes the
-# command line, and forked pool workers keep the patch
-FAILING_CELL = """
+# `compare` takes the command line, and forked pool workers keep what the
+# script before it patched
+FORKED_MAIN = """
 import multiprocessing, sys
-from ponedge import sweep
 from ponedge.cli import main
+
+multiprocessing.set_start_method("fork")
+sys.exit(main(sys.argv[1:]))
+"""
+# e-health/baseline/440000, the 18th of 40 cells, fails
+FAILING_CELL = """
+from ponedge import sweep
 from ponedge.engine import SimulationError
 
 run_simulation = sweep.run_simulation
@@ -765,9 +791,7 @@ def failing(params, **kwargs):
     return run_simulation(params, **kwargs)
 
 sweep.run_simulation = failing
-multiprocessing.set_start_method("fork")
-sys.exit(main(sys.argv[1:]))
-"""
+""" + FORKED_MAIN
 
 
 @pytest.mark.parametrize("backend", ["python", pytest.param("c", marks=needs_compiler)])
@@ -783,10 +807,19 @@ def test_failed_cell_under_two_jobs_exits_1_with_one_line(tmp_path, backend):
     assert not (out / "e-health" / "baseline" / "440000").exists()
 
 
+def _interrupt_once_a_cell_is_published(child, out) -> None:
+    """SIGINT to the child's whole process group, as a terminal's Ctrl-C sends
+    it, once the first cell under `out` is published."""
+    deadline = time.monotonic() + 60
+    while not any(out.glob("*/*/*/*/summary.csv")):
+        assert child.poll() is None and time.monotonic() < deadline
+        time.sleep(0.005)
+    os.killpg(child.pid, signal.SIGINT)
+
+
 @pytest.mark.parametrize("backend", ["python", pytest.param("c", marks=needs_compiler)])
 def test_interrupt_exits_130_with_one_line(tmp_path, backend):
-    # SIGINT to the whole process group, as a terminal's Ctrl-C sends it, once
-    # the first cell is published; the grid takes far longer than that
+    # the grid takes far longer than its first cell
     out = tmp_path / "out"
     child = subprocess.Popen([sys.executable, "-m", "ponedge.cli", "compare", "--all",
                               "--seeds", "1..5", "--duration", "1200", "--jobs", "2",
@@ -795,17 +828,57 @@ def test_interrupt_exits_130_with_one_line(tmp_path, backend):
                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
                              start_new_session=True)
     try:
-        deadline = time.monotonic() + 60
-        while not any(out.glob("*/*/*/*/summary.csv")):
-            assert child.poll() is None and time.monotonic() < deadline
-            time.sleep(0.005)
-        os.killpg(child.pid, signal.SIGINT)
+        _interrupt_once_a_cell_is_published(child, out)
         stdout, stderr = child.communicate(timeout=60)
     finally:
         if child.poll() is None:
             os.killpg(child.pid, signal.SIGKILL)
             child.wait()
     assert (child.returncode, stdout, stderr) == (130, "", "interrupted\n")
+    assert list(out.rglob("*.tmp-*")) == []
+
+
+# Pool.terminate appends a line to the file named by the first argument, then
+# runs; the script that follows takes the rest of the command line
+COUNTING_TERMINATE = """
+import multiprocessing.pool, sys
+calls = sys.argv.pop(1)
+terminate = multiprocessing.pool.Pool.terminate
+
+def counting(self):
+    with open(calls, "a") as fh:
+        fh.write("terminate\\n")
+    terminate(self)
+
+multiprocessing.pool.Pool.terminate = counting
+"""
+
+
+@pytest.mark.parametrize("outcome", ["done", "failed", "interrupted"])
+def test_pure_python_pool_is_never_terminated(tmp_path, outcome):
+    # terminate's SIGTERM can reach an idle worker just before it waits on the
+    # task queue's lock, which terminate holds, and the pool's join then hangs
+    out, calls = tmp_path / "out", tmp_path / "terminate-calls"
+    script = COUNTING_TERMINATE + (FAILING_CELL if outcome == "failed" else FORKED_MAIN)
+    grid = {"done": ["1", "5"], "failed": ["1", "60"], "interrupted": ["1..5", "1200"]}[outcome]
+    child = subprocess.Popen([sys.executable, "-c", script, str(calls), "compare", "--all",
+                              "--seeds", grid[0], "--duration", grid[1], "--jobs", "2",
+                              "--out-dir", str(out)],
+                             env=dict(os.environ, PYTHONPATH=SRC, PONEDGE_BACKEND="python"),
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                             start_new_session=True)
+    try:
+        if outcome == "interrupted":
+            _interrupt_once_a_cell_is_published(child, out)
+        stdout, stderr = child.communicate(timeout=120)
+    finally:
+        if child.poll() is None:
+            os.killpg(child.pid, signal.SIGKILL)
+            child.wait()
+    assert (child.returncode, bool(stdout), stderr) == {
+        "done": (0, True, ""), "failed": (1, False, "simulation failure: conservation violated\n"),
+        "interrupted": (130, False, "interrupted\n")}[outcome]
+    assert not calls.exists()
     assert list(out.rglob("*.tmp-*")) == []
 
 
