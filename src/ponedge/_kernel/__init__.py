@@ -2,7 +2,8 @@
 
 The contract is what both kernels read and write: the KernelInputs,
 KernelOutputs and Trace columns with their array type codes, the trace,
-phase and strategy codes, and the errors a run raises. check_inputs states
+phase and strategy codes, and the errors a run raises: SimulationError, built
+here for both kernels, when a run breaks an invariant. check_inputs states
 what valid KernelInputs are, and both backends call it first. library(backend)
 returns a backend's implementation of run, arrivals, write_trace and
 write_tasks: the C kernel's ckernel.Library, or pykernel, the whole
@@ -26,7 +27,6 @@ import sysconfig
 from array import array
 from typing import NamedTuple
 
-from ..engine import SimulationError
 from ..network import ConfigurationError, Record
 
 # trace kinds, and the name the trace file prints for each, indexed by code
@@ -223,6 +223,10 @@ class KernelOutputs(Record):
     latencies: array  # delivered - created of each delivered task, ascending
     processed_events: int
     trace: Trace | None
+
+
+class SimulationError(Exception):
+    """Fatal logic error inside a run (aborts the run with a diagnostic)."""
 
 
 def _past(time: float, now: float) -> SimulationError:

@@ -15,7 +15,7 @@ trace columns are allocated for the most entries a run can record, and the
 latency column for one latency per task; both are trimmed to what the kernel
 wrote.
 
-The arrival draw continues each device's engine.Stream from the state Python
+The arrival draw continues each device's workload.Stream from the state Python
 seeded, so seeding has one implementation. It counts the arrivals first,
 refuses more than workload.MAX_TASKS, then fills `array` columns of that
 length, sorted by (time, device).

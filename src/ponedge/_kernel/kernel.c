@@ -700,7 +700,7 @@ done:
 
 /*
  * Task arrivals: the mirror of workload.generate_arrivals. Device d continues
- * the SplitMix64 stream (engine.Stream) whose state Python seeded, state[d].
+ * the SplitMix64 stream (workload.Stream) whose state Python seeded, state[d].
  */
 struct arrivals {
     int n_devices;
@@ -715,7 +715,7 @@ struct arrival {
     int device;
 };
 
-/* engine.Stream.uniform */
+/* workload.Stream.uniform */
 static double uniform(unsigned long long *state)
 {
     unsigned long long z = *state += 0x9E3779B97F4A7C15ULL;
@@ -732,7 +732,7 @@ static long long draw(const struct arrivals *a, int d, struct arrival *out, long
     unsigned long long state = a->state[d];
     const double interval = a->interval_s;
     long long n = 0;
-    /* engine.Stream.exponential is -mean * log1p(-uniform()) */
+    /* workload.Stream.exponential is -mean * log1p(-uniform()) */
     double t = a->poisson ? -interval * log1p(-uniform(&state)) : uniform(&state) * interval;
     while (t < a->duration_s) {
         if (n < room) {

@@ -9,7 +9,6 @@ import sys
 from . import _kernel
 from .config import (DEFAULT_ARRIVALS, DEFAULT_DURATION_S, DEFAULT_STRATEGY, STRATEGIES,
                      ExperimentSpec, parse_experiment, parse_seeds)
-from .engine import SimulationError
 from .metrics import EmptyRunError, format_number
 from .network import ConfigurationError, replace
 from .simulation import RunParams
@@ -69,29 +68,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _seeds_from_text(raw: str) -> tuple[int, ...]:
-    text = raw.strip()
-    if ".." in text and "," not in text:
-        return parse_seeds(text)
-    try:
-        seeds = [int(part) for part in text.split(",")]
-    except ValueError:
-        raise ConfigurationError(
-            f"seeds: cannot parse {raw!r} (use e.g. \"1..5\" or \"1,2,3\")") from None
-    return parse_seeds(seeds)
-
-
 def _experiment(args) -> ExperimentSpec:
     """Resolve the experiment: explicit flags over the config file, or over the
     defaults without one. PONEDGE_SEED replaces the default seeds only when no
     --config is given: a document's seeds, or the defaults it leaves, stand.
     Seeds left unset are None: seeds 1..5 to sweep and compare, seed 1 to run."""
     if args.config:
-        try:
-            with open(args.config) as fh:
-                spec = parse_experiment(fh.read())
+        try:  # JSON's encoding is UTF-8, whatever the locale's
+            with open(args.config, encoding="utf-8") as fh:
+                document = fh.read()
         except FileNotFoundError:
             raise ConfigurationError(f"config file not found: {args.config}") from None
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigurationError(f"cannot read config file {args.config}: {exc}") from None
+        spec = parse_experiment(document)
     else:
         spec = ExperimentSpec(scenarios=tuple(sorted(SCENARIOS)))
     overrides = {}
@@ -106,9 +96,9 @@ def _experiment(args) -> ExperimentSpec:
     if getattr(args, "seed", None) is not None:
         overrides["seeds"] = (args.seed,)
     elif getattr(args, "seeds", None):
-        overrides["seeds"] = _seeds_from_text(args.seeds)
+        overrides["seeds"] = parse_seeds(args.seeds)
     elif not args.config and os.environ.get("PONEDGE_SEED"):
-        overrides["seeds"] = _seeds_from_text(os.environ["PONEDGE_SEED"])
+        overrides["seeds"] = parse_seeds(os.environ["PONEDGE_SEED"])
     if args.duration is not None:
         overrides["duration_s"] = args.duration
     if args.strategy:
@@ -216,7 +206,7 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except SimulationError as exc:
+    except _kernel.SimulationError as exc:
         print(f"simulation failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except EmptyRunError as exc:

@@ -258,16 +258,19 @@ _CALIBRATION_KEYS = set(fields(Calibration))
 
 
 def parse_seeds(value) -> tuple[int, ...]:
-    """Accepts [1, 2, 3] or the range shorthand "1..5"; no seed twice, since
-    each seed names a cell."""
+    """The seeds of a list of integers, or of text: the range "a..b" or the
+    list "a,b,..."; --seeds, PONEDGE_SEED and a document's seeds all read
+    this grammar. No seed twice, since each seed names a cell."""
     if isinstance(value, str):
         lo, sep, hi = value.partition("..")
-        if not sep or not lo.strip().lstrip("-").isdigit() or not hi.strip().lstrip("-").isdigit():
-            raise ConfigurationError(f"seeds: cannot parse range {value!r} (use e.g. \"1..5\")")
-        start, stop = int(lo), int(hi)
-        if stop < start:
+        try:
+            seeds = list(range(int(lo), int(hi) + 1)) if sep else [int(n) for n in value.split(",")]
+        except ValueError:
+            raise ConfigurationError(
+                f"seeds: cannot parse {value!r} (use e.g. \"1..5\" or \"1,2,3\")") from None
+        if not seeds:
             raise ConfigurationError(f"seeds: empty range {value!r}")
-        return tuple(range(start, stop + 1))
+        value = seeds
     if isinstance(value, list) and value and all(type(s) is int for s in value):  # no bool
         if len(set(value)) < len(value):
             raise ConfigurationError(f"seeds: {value} lists a seed twice")
@@ -304,8 +307,11 @@ def parse_experiment(document: str) -> ExperimentSpec:
     if "scenario" not in raw:
         raise ConfigurationError("missing required key: scenario")
 
+    entries = raw.get("custom_scenarios", [])
+    if not isinstance(entries, list):
+        raise ConfigurationError("custom_scenarios must be a list")
     custom = []
-    for entry in raw.get("custom_scenarios", []):
+    for entry in entries:
         if not isinstance(entry, dict):
             raise ConfigurationError("custom_scenarios entries must be objects")
         unknown = set(entry) - _SCENARIO_KEYS

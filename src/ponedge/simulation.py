@@ -50,7 +50,6 @@ class RunParams(Record):
 class RunResult(Record):
     """One run: its kernel inputs, the kernel's per-task output columns and their summary."""
 
-    params: RunParams
     node_ids: tuple[str, ...]  # node index -> id
     inputs: _kernel.KernelInputs
     outputs: _kernel.KernelOutputs
@@ -126,5 +125,5 @@ def run_simulation(params: RunParams, backend: str | None = "auto",
         strict_deadline=params.calibration.strict_deadline_tsr,
     )
     node_ids = preset_shape(params.topology, params.scenario.users, params.calibration).node_ids
-    return RunResult(params=params, node_ids=node_ids, inputs=inputs, outputs=out,
-                     summary=summary, backend=backend)
+    return RunResult(node_ids=node_ids, inputs=inputs, outputs=out, summary=summary,
+                     backend=backend)

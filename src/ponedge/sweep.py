@@ -146,12 +146,13 @@ def run_cells(cells: list[RunParams], out_dir: str, jobs: int) -> list[RunSummar
     """Run independent cells, optionally in parallel; order follows `cells`.
 
     Up to `jobs` workers (the CPU count if 0 or less) take one cell at a
-    time, in the order given, on the threads of _run_on_threads. On the C
-    kernel, whose calls release the GIL, each thread runs its cell itself; on
-    the pure-Python kernel it hands the cell to a pool of as many processes
-    and waits. No two cells may share a directory, so no two workers publish
-    the same one. On a failure, the failure of the lowest-indexed cell is
-    raised, as a serial run would raise it.
+    time, in the order given, on the threads of _run_on_threads, one job
+    included. On the C kernel, whose calls release the GIL, and under one
+    job, each thread runs its cell itself; on the pure-Python kernel with two
+    or more jobs it hands the cell to a pool of as many processes and waits.
+    No two cells may share a directory, so no two workers publish the same
+    one. On a failure, the failure of the lowest-indexed cell is raised, as a
+    serial run would raise it.
     """
     if len({cell_directory(out_dir, params) for params in cells}) < len(cells):
         raise ConfigurationError("two cells would publish one directory")
@@ -160,9 +161,7 @@ def run_cells(cells: list[RunParams], out_dir: str, jobs: int) -> list[RunSummar
     jobs = min(jobs, len(cells))
     # sweep cells publish summaries only; `ponedge run` gives a cell's tasks
     job = functools.partial(run_cell, out_dir=out_dir, tasks_csv=False)
-    if jobs <= 1:
-        return [job(params) for params in cells]
-    if resolve_backend() == "c":
+    if jobs < 2 or resolve_backend() == "c":
         return _run_on_threads(job, cells, jobs)
     import multiprocessing  # only a pool needs it; keeps `import ponedge.cli` light
 
@@ -177,9 +176,10 @@ def run_cells(cells: list[RunParams], out_dir: str, jobs: int) -> list[RunSummar
 
 
 def _run_on_threads(job, cells: list[RunParams], jobs: int) -> list[RunSummary]:
-    """The summaries `job` returns for `cells`, run on `jobs` threads. After a
-    failure or an interrupt, each thread finishes the cell it holds, in this
-    process or in a pool process, and takes no more."""
+    """The summaries `job` returns for `cells`, run on `jobs` threads, one
+    included: this thread only waits. After a failure or an interrupt, each
+    thread finishes the cell it holds, in this process or in a pool process,
+    and takes no more, so the cell in flight is published."""
     import threading  # only threads need it; keeps `import ponedge.cli` light
 
     summaries: list = [None] * len(cells)

@@ -17,11 +17,10 @@ import pytest
 from ponedge._kernel import pykernel
 from ponedge.cli import main
 from ponedge.config import ExperimentSpec, cpu_grid
-from ponedge.engine import Stream
 from ponedge.network import BITS_PER_KB, replace
 from ponedge.simulation import RunParams, run_simulation
 from ponedge.sweep import compare_scenarios, sweep_scenarios
-from ponedge.workload import SCENARIOS, ScenarioSpec, scenario_preset
+from ponedge.workload import SCENARIOS, ScenarioSpec, Stream, scenario_preset
 
 from kernel_inputs import candidate_inputs
 from test_network import drive_pool

@@ -18,11 +18,10 @@ import pytest
 
 from ponedge import _kernel
 from ponedge._kernel import (OUTPUT_TYPECODES, PH_DELIVERED, PH_DOWN, PH_NO_PLACEMENT, PH_QUEUED,
-                             PH_RUNNING, PH_UP, available_backends, ckernel, compiler_argv,
-                             library, pykernel)
+                             PH_RUNNING, PH_UP, SimulationError, available_backends, ckernel,
+                             compiler_argv, library, pykernel)
 from ponedge.cli import main
 from ponedge.config import DEFAULT_CALIBRATION, preset_shape
-from ponedge.engine import SimulationError
 from ponedge.metrics import _csv_line
 from ponedge.network import ConfigurationError, replace
 from ponedge.simulation import RunParams, build_kernel_inputs, run_simulation
@@ -366,8 +365,7 @@ def test_c_post_run_pass_raises_what_the_reference_raises(mutant, tmp_path):
 # C array, or undefined behaviour, aborts the process.
 SANITIZED = """
 import io, random, sys
-from ponedge._kernel import ckernel, pykernel
-from ponedge.engine import SimulationError
+from ponedge._kernel import SimulationError, ckernel, pykernel
 from ponedge.metrics import _csv_line
 from ponedge.network import replace
 from ponedge.workload import SCENARIOS, scenario_preset

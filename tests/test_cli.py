@@ -13,9 +13,9 @@ from types import SimpleNamespace
 import pytest
 
 from ponedge import sweep
+from ponedge._kernel import SimulationError
 from ponedge.cli import main
 from ponedge.config import preset_shape
-from ponedge.engine import SimulationError
 from ponedge.metrics import read_summary_csv
 from ponedge.network import ConfigurationError
 from ponedge.simulation import RunParams, _cached_arrivals
@@ -326,8 +326,10 @@ CROWD = (', "custom_scenarios": [{"name": "crowd", "users": 1000, "rate_per_min"
 
 
 # a repeated seed or scenario would count a cell twice, a bool seed is no
-# seed, a strategy typo used to run round-robin, and an experiment past the
-# task limit is refused before any of its cells runs, whichever scenario holds it
+# seed, a strategy typo used to run round-robin, an experiment past the task
+# limit is refused before any of its cells runs, whichever scenario holds it,
+# and a range bound that passed a digit check but not int() (a second minus
+# sign, a superscript digit) used to end in a ValueError traceback
 @pytest.mark.parametrize("argv,env,document,message", [
     (["sweep", "--scenario", "e-health", "--seeds", "2,2,3"], None, None,
      "seeds: [2, 2, 3] lists a seed twice"),
@@ -340,8 +342,14 @@ CROWD = (', "custom_scenarios": [{"name": "crowd", "users": 1000, "rate_per_min"
      "unknown strategy 'tradeoff'"),
     (["compare"], None, EHEALTH_DOCUMENT % ('["e-health", "crowd"]', "[1]", CROWD),
      "scenario crowd: 5e+09 expected tasks"),
+    (["sweep", "--scenario", "e-health", "--seeds=--1..2"], None, None,
+     "seeds: cannot parse '--1..2'"),
+    (["sweep", "--scenario", "e-health"], "1..\u00b2", None, "seeds: cannot parse '1..\u00b2'"),
+    (["sweep"], None, EHEALTH_DOCUMENT % ('"e-health"', r'"\u00b2..3"', ""),
+     "seeds: cannot parse '\u00b2..3'"),
 ], ids=["seeds-twice", "env-seeds-twice", "scenario-twice", "seed-bool", "strategy-typo",
-        "task-limit-in-a-later-scenario"])
+        "task-limit-in-a-later-scenario", "flag-seeds-double-minus", "env-seeds-superscript",
+        "document-seeds-superscript"])
 def test_repeats_and_values_no_cell_can_have_exit_2(tmp_path, monkeypatch, capsys, argv, env,
                                                     document, message):
     if env is not None:
@@ -469,12 +477,15 @@ def test_scenarios_named_as_a_results_file_exit_2(tmp_path, capsys, command, nam
 CALIBRATED = ('{"scenario": "e-health", "cpus": [220000], "seeds": [1], "duration": 5, '
               '"calibration": {"%s": %s}}')
 CPU_ENTRY = '{"scenario": "e-health", "cpus": [%s], "seeds": [1], "duration": 5}'
+CUSTOM_SCENARIOS = ('{"scenario": "e-health", "cpus": [220000], "seeds": [1], "duration": 5, '
+                    '"custom_scenarios": %s}')
 
 
 # each calibration value of the wrong type or out of range (cores past a C
-# int included), each custom scenario that cannot be one, and each `cpus`
-# object whose MIPS is not a number or whose label is not a string; every one
-# names its key
+# int included), each custom scenario that cannot be one, custom scenarios
+# that are not a list (a number or null ended in a TypeError traceback, an
+# object was taken as none), and each `cpus` object whose MIPS is not a
+# number or whose label is not a string; every one names its key
 @pytest.mark.parametrize("key,document", [
     *((key, CALIBRATED % (key, value)) for key, value in (
         ("edge_cores", "1.5"), ("edge_ram_mb", '"big"'), ("pon_length_m", "NaN"),
@@ -491,11 +502,13 @@ CPU_ENTRY = '{"scenario": "e-health", "cpus": [%s], "seeds": [1], "duration": 5}
     ("cpus: mips", CPU_ENTRY % '{"mips": "big"}'),
     ("cpus: mips", CPU_ENTRY % '{"mips": "220000"}'),
     ("cpus: label", CPU_ENTRY % '{"label": 7, "mips": 220000}'),
+    *(("custom_scenarios", CUSTOM_SCENARIOS % value) for value in ("5", "null", "{}")),
 ], ids=["cores-fraction", "ram-text", "length-nan", "weight-negative", "control-negative",
         "footprint-negative", "latency-nan", "bandwidth-infinity", "cores-bool",
         "far-edge-text", "cores-zero", "cloud-mips-zero", "cores-past-c-int",
         "cloud-cores-past-c-int", "users-fraction", "rate-text", "scenario-twice",
-        "cpu-mips-text", "cpu-mips-numeric-text", "cpu-label-number"])
+        "cpu-mips-text", "cpu-mips-numeric-text", "cpu-label-number",
+        "custom-scenarios-number", "custom-scenarios-null", "custom-scenarios-object"])
 def test_bad_calibration_and_scenarios_exit_2(tmp_path, capsys, key, document):
     config = tmp_path / "exp.json"
     config.write_text(document)
@@ -780,7 +793,7 @@ sys.exit(main(sys.argv[1:]))
 # e-health/baseline/440000, the 18th of 40 cells, fails
 FAILING_CELL = """
 from ponedge import sweep
-from ponedge.engine import SimulationError
+from ponedge._kernel import SimulationError
 
 run_simulation = sweep.run_simulation
 
@@ -807,28 +820,34 @@ def test_failed_cell_under_two_jobs_exits_1_with_one_line(tmp_path, backend):
     assert not (out / "e-health" / "baseline" / "440000").exists()
 
 
-def _interrupt_once_a_cell_is_published(child, out) -> None:
+def _published(out) -> int:
+    """The cells published under `out`; a cell is staged as <seed>.tmp-<pid>."""
+    return sum(".tmp-" not in path.parent.name for path in out.glob("*/*/*/*/config.json"))
+
+
+def _interrupt_once_a_cell_is_published(child, out) -> int:
     """SIGINT to the child's whole process group, as a terminal's Ctrl-C sends
-    it, once the first cell under `out` is published."""
+    it, once the first cell under `out` is published; the cells published then."""
     deadline = time.monotonic() + 60
-    while not any(out.glob("*/*/*/*/summary.csv")):
+    while not (published := _published(out)):
         assert child.poll() is None and time.monotonic() < deadline
         time.sleep(0.005)
     os.killpg(child.pid, signal.SIGINT)
+    return published
 
 
-@pytest.mark.parametrize("backend", ["python", pytest.param("c", marks=needs_compiler)])
-def test_interrupt_exits_130_with_one_line(tmp_path, backend):
-    # the grid takes far longer than its first cell
-    out = tmp_path / "out"
+def _check_interrupted_grid(out, backend: str, jobs: str) -> None:
+    """Interrupt a grid, which takes far longer than its first cell, once that
+    cell is published: it exits 130 with one line, leaves no staging
+    directory, and publishes each cell its workers held."""
     child = subprocess.Popen([sys.executable, "-m", "ponedge.cli", "compare", "--all",
-                              "--seeds", "1..5", "--duration", "1200", "--jobs", "2",
+                              "--seeds", "1..5", "--duration", "1200", "--jobs", jobs,
                               "--out-dir", str(out)],
                              env=dict(os.environ, PYTHONPATH=SRC, PONEDGE_BACKEND=backend),
                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
                              start_new_session=True)
     try:
-        _interrupt_once_a_cell_is_published(child, out)
+        published = _interrupt_once_a_cell_is_published(child, out)
         stdout, stderr = child.communicate(timeout=60)
     finally:
         if child.poll() is None:
@@ -836,6 +855,19 @@ def test_interrupt_exits_130_with_one_line(tmp_path, backend):
             child.wait()
     assert (child.returncode, stdout, stderr) == (130, "", "interrupted\n")
     assert list(out.rglob("*.tmp-*")) == []
+    assert _published(out) > published
+
+
+@pytest.mark.parametrize("backend", ["python", pytest.param("c", marks=needs_compiler)])
+def test_interrupt_exits_130_with_one_line(tmp_path, backend):
+    _check_interrupted_grid(tmp_path / "out", backend, "2")
+
+
+# one job runs on a worker thread too, which finishes the cell it holds; a
+# serial loop in the main thread used to discard it
+@pytest.mark.parametrize("backend", ["python", pytest.param("c", marks=needs_compiler)])
+def test_interrupt_under_one_job_publishes_the_cell_in_flight(tmp_path, backend):
+    _check_interrupted_grid(tmp_path / "out", backend, "1")
 
 
 # Pool.terminate appends a line to the file named by the first argument, then
@@ -979,6 +1011,23 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.json"),
                  "--out-dir", str(tmp_path)]) == 2
     assert "not found" in capsys.readouterr().err
+
+
+# a document that is not UTF-8 ended in a UnicodeDecodeError traceback, and a
+# directory in an i/o failure, both with exit 1
+@pytest.mark.parametrize("kind", ["not-utf-8", "directory"])
+def test_unreadable_config_file_exits_2(tmp_path, capsys, kind):
+    config = tmp_path / "exp.json"
+    if kind == "directory":
+        config.mkdir()
+    else:
+        config.write_bytes(b'{"scenario": "e-health", "duration": 5\xff}')
+    assert main(["run", "--config", str(config), "--cpu-mips", "220000",
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: cannot read config file {config}: ")
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [config]
 
 
 def test_compare_config_compares_the_documents_scenarios(tmp_path, capsys):

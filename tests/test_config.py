@@ -156,6 +156,8 @@ def test_parse_unknown_scenario_and_topology():
 def test_parse_seeds_forms():
     assert parse_seeds("1..5") == (1, 2, 3, 4, 5)
     assert parse_seeds([7, 9]) == (7, 9)
+    # a document reads the grammar of --seeds and PONEDGE_SEED
+    assert parse_experiment('{"scenario": "aigc", "seeds": "1,2,3"}').seeds == (1, 2, 3)
     with pytest.raises(ConfigurationError):
         parse_seeds("5..1")
     with pytest.raises(ConfigurationError):

@@ -10,10 +10,9 @@ from ponedge import _kernel
 from ponedge._kernel import (PH_DELIVERED, PH_PENDING, PH_RUNNING, STRATEGY_ROUND_ROBIN,
                              TR_EXECUTION_COMPLETE, TR_EXECUTION_START, TR_RESULT_DELIVERED,
                              TR_SIMULATION_END, TR_TASK_ARRIVAL, TR_TRANSFER_COMPLETE,
-                             TRACE_KINDS, TRACE_TYPECODES, Trace, pykernel)
+                             TRACE_KINDS, TRACE_TYPECODES, SimulationError, Trace, pykernel)
 from ponedge.config import DEFAULT_CALIBRATION, preset_shape
-from ponedge.engine import SimulationError, Stream
-from ponedge.workload import scenario_preset
+from ponedge.workload import Stream, scenario_preset
 
 from fresh_process import needs_compiler
 from kernel_inputs import candidate_inputs, kernel_inputs

@@ -9,10 +9,9 @@ from types import SimpleNamespace
 import pytest
 
 from ponedge._kernel import (OUTPUT_TYPECODES, PH_DOWN, PH_NO_PLACEMENT, TR_SIMULATION_END,
-                             TR_TASK_ARRIVAL, TRACE_TYPECODES, Trace, available_backends, library,
-                             pykernel)
+                             TR_TASK_ARRIVAL, TRACE_TYPECODES, SimulationError, Trace,
+                             available_backends, library, pykernel)
 from ponedge.config import DEFAULT_CALIBRATION
-from ponedge.engine import SimulationError
 from ponedge.metrics import write_tasks_csv
 from ponedge.network import ConfigurationError, replace
 from ponedge.simulation import RunParams, run_simulation

@@ -5,9 +5,8 @@ import math
 import pytest
 from scipy import stats
 
-from ponedge.engine import Stream
 from ponedge.network import ConfigurationError
-from ponedge.workload import SCENARIOS, ScenarioSpec, generate_arrivals, scenario_preset
+from ponedge.workload import SCENARIOS, ScenarioSpec, Stream, generate_arrivals, scenario_preset
 
 
 def test_preset_smart_city_row():
