@@ -9,6 +9,8 @@ returns a backend's implementation of run, arrivals, write_trace and
 write_tasks: the C kernel's ckernel.Library, or pykernel, the whole
 pure-Python backend and the reference. pykernel is imported the first time a
 backend resolves to `python`, so a process on the C kernel never compiles it.
+This package alone turns a backend name into a kernel: the modules above it
+call library() and run() with none, and get the kernel this process resolved.
 
 The first request that may use the C kernel compiles the shipped kernel.c
 with the C compiler this interpreter was built with, into

@@ -8,7 +8,7 @@ import sys
 
 from . import _kernel
 from .config import (DEFAULT_ARRIVALS, DEFAULT_DURATION_S, DEFAULT_STRATEGY, STRATEGIES,
-                     ExperimentSpec, parse_experiment, parse_seeds)
+                     TOPOLOGY_PRESETS, ExperimentSpec, parse_experiment, parse_seeds)
 from .metrics import EmptyRunError, format_number
 from .network import ConfigurationError, replace
 from .simulation import RunParams
@@ -32,9 +32,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help=f"arrival process (default {DEFAULT_ARRIVALS})")
     parser.add_argument("--config", default=None,
                         help="JSON experiment document; explicit flags override it")
-    parser.add_argument("--jobs", type=int, default=0,
-                        help="cells run at once: threads on the C kernel, worker "
-                             "processes on pure Python (default: cpu count)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -47,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run a single simulation cell")
     run_p.add_argument("--scenario", default=None)
-    run_p.add_argument("--topology", choices=("genio", "baseline"), default=None)
+    run_p.add_argument("--topology", choices=TOPOLOGY_PRESETS, default=None)
     run_p.add_argument("--cpu-mips", type=float, default=None)
     run_p.add_argument("--seed", type=int, default=None)
     run_p.add_argument("--trace", default=None, help="write the event trace to this file")
@@ -65,6 +62,10 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--all", action="store_true", help="all four scenario presets")
     cmp_p.add_argument("--seeds", default=None)
     _add_common(cmp_p)
+    for grid_p in (sweep_p, cmp_p):  # `run` runs one cell
+        grid_p.add_argument("--jobs", type=int, default=0,
+                            help="cells run at once: threads on the C kernel, worker "
+                                 "processes on pure Python (default: cpu count)")
     return parser
 
 

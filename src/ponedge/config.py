@@ -9,7 +9,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .network import PROPAGATION_SPEED_M_S, ConfigurationError, Record, check_number, fields
-from .workload import SCENARIOS, ScenarioSpec, scenario_preset
+from .workload import SCENARIOS, ScenarioSpec
 
 TOPOLOGY_PRESETS = ("genio", "baseline")
 
@@ -132,6 +132,11 @@ class Calibration(Record):
 DEFAULT_CALIBRATION = Calibration()
 
 
+def check_topology(name: str) -> None:
+    if name not in TOPOLOGY_PRESETS:
+        raise ConfigurationError(f"unknown topology preset {name!r} (valid: genio, baseline)")
+
+
 class Shape(NamedTuple):
     """One preset for a number of users: its node ids, and the KernelInputs
     columns every run on it shares."""
@@ -166,8 +171,7 @@ def preset_shape(name: str, users: int, calibration: Calibration) -> Shape:
     candidate. The edge server's per-core MIPS is 0 here: each run sets its
     own.
     """
-    if name not in TOPOLOGY_PRESETS:
-        raise ConfigurationError(f"unknown topology preset {name!r} (valid: genio, baseline)")
+    check_topology(name)
     cal = calibration
     olt, edge, cloud = 2 * users, 2 * users + 1, 2 * users + 2
     kinds = ["dev"] * users + ["onu"] * users + ["olt", "edge", "cloud"]
@@ -242,18 +246,19 @@ class ExperimentSpec(Record):
     custom_scenarios: tuple[ScenarioSpec, ...] = ()
 
     def scenario_spec(self, name: str) -> ScenarioSpec:
-        for spec in self.custom_scenarios:
-            if spec.name == name:
-                return spec
-        return scenario_preset(name)
+        """The custom scenario or preset called `name`, else an error listing both kinds."""
+        known = SCENARIOS | {spec.name: spec for spec in self.custom_scenarios}
+        if name not in known:
+            valid = ", ".join(sorted(known))
+            raise ConfigurationError(f"unknown scenario {name!r} (valid: {valid})")
+        return known[name]
 
 
 _TOP_LEVEL_KEYS = {
     "scenario", "topology", "cpus", "seeds", "duration", "strategy", "arrivals",
     "calibration", "custom_scenarios",
 }
-_SCENARIO_KEYS = {"name", "users", "rate_per_min", "deadline_s", "length_mi",
-                  "request_kb", "result_kb"}
+_SCENARIO_KEYS = set(fields(ScenarioSpec))
 _CALIBRATION_KEYS = set(fields(Calibration))
 
 
@@ -330,21 +335,16 @@ def parse_experiment(document: str) -> ExperimentSpec:
         if custom[-1].name in [spec.name for spec in custom[:-1]]:
             raise ConfigurationError(f"custom scenario {custom[-1].name!r} is defined twice")
 
-    scenarios = _as_name_list(raw["scenario"], "scenario")
-    known = set(SCENARIOS) | {s.name for s in custom}
-    for name in scenarios:
-        if name not in known:
-            raise ConfigurationError(
-                f"unknown scenario {name!r} (valid: {', '.join(sorted(known))})"
-            )
-    values = {"scenarios": scenarios, "custom_scenarios": tuple(custom)}
+    values = {"scenarios": _as_name_list(raw["scenario"], "scenario"),
+              "custom_scenarios": tuple(custom)}
+    named = ExperimentSpec(**values)
+    for name in named.scenarios:
+        named.scenario_spec(name)
 
     if "topology" in raw:
         values["topologies"] = _as_name_list(raw["topology"], "topology")
         for name in values["topologies"]:
-            if name not in TOPOLOGY_PRESETS:
-                raise ConfigurationError(
-                    f"unknown topology preset {name!r} (valid: genio, baseline)")
+            check_topology(name)
 
     if raw.get("cpus") is not None:
         if not isinstance(raw["cpus"], list) or not raw["cpus"]:

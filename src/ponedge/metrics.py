@@ -141,16 +141,16 @@ def _csv_line(fields: list) -> str:
 
 def write_tasks_csv(path, generated_at: Sequence[float], out: KernelOutputs,
                     node_ids: Sequence[str], *, deadline_s: float, scenario: str,
-                    topology: str, cpu: str, seed: int, backend: str = "python") -> None:
+                    topology: str, cpu: str, seed: int) -> None:
     """One lifecycle row per task, UTF-8 encoded: what csv.writer writes for the
-    kernel's columns, streamed by `backend`'s write_tasks. node_ids maps a node
-    index in out.node_of to its id; ids and labels, the only fields that can
-    need quoting, are quoted once here."""
+    kernel's columns, streamed by the write_tasks of the kernel this process
+    resolved. node_ids maps a node index in out.node_of to its id; ids and
+    labels, the only fields that can need quoting, are quoted once here."""
     with open(path, "wb") as fh:
         fh.write(f"{_csv_line(TASKS_CSV_COLUMNS)}\r\n".encode())
-        library(backend).write_tasks(fh, generated_at, out,
-                                     [_csv_line([node_id]) for node_id in node_ids],
-                                     deadline_s, _csv_line([scenario, topology, cpu, seed]))
+        library().write_tasks(fh, generated_at, out,
+                              [_csv_line([node_id]) for node_id in node_ids],
+                              deadline_s, _csv_line([scenario, topology, cpu, seed]))
 
 
 def write_summary_csv(path, summary: RunSummary) -> None:

@@ -7,7 +7,8 @@ from functools import lru_cache
 
 from . import _kernel
 from .config import (DEFAULT_ARRIVALS, DEFAULT_CALIBRATION, DEFAULT_DURATION_S,
-                     DEFAULT_STRATEGY, STRATEGIES, Calibration, cpu_label, preset_shape)
+                     DEFAULT_STRATEGY, STRATEGIES, Calibration, check_topology, cpu_label,
+                     preset_shape)
 from .metrics import RunSummary, summarize
 from .network import BITS_PER_KB, ConfigurationError, Record, check_number
 from .workload import ScenarioSpec, check_arrivals
@@ -35,6 +36,7 @@ class RunParams(Record):
     def __post_init__(self):
         # the edge server's MIPS; the calibration checks every other node's
         check_number("cpu_mips", self.cpu_mips)
+        check_topology(self.topology)
         check_arrivals(self.scenario, self.duration_s, self.arrivals)
         if self.strategy not in STRATEGIES:
             raise ConfigurationError(
@@ -54,26 +56,23 @@ class RunResult(Record):
     inputs: _kernel.KernelInputs
     outputs: _kernel.KernelOutputs
     summary: RunSummary
-    backend: str  # the kernel that ran: "c" or "python"
 
 
-def build_kernel_inputs(params: RunParams, collect_trace: bool,
-                        backend: str = "python") -> _kernel.KernelInputs:
+def build_kernel_inputs(params: RunParams, collect_trace: bool) -> _kernel.KernelInputs:
     """The kernel inputs of one run.
 
-    The columns of its preset_shape and its arrivals, drawn by `backend`'s
-    library, are cached and shared by every run of this process that has
-    them: both kernels only read their input columns. The per-core MIPS
-    column is the run's own copy, with its edge server's entry set.
+    The columns of its preset_shape and its arrivals, drawn by the kernel
+    this process resolved, are cached and shared by every run of this process
+    that has them: both kernels only read their input columns. The per-core
+    MIPS column is the run's own copy, with its edge server's entry set.
     """
     cal = params.calibration
     scenario = params.scenario
     columns = preset_shape(params.topology, scenario.users, cal).columns
     mips_per_core = array("d", columns["mips_per_core"])
     mips_per_core[2 * scenario.users + 1] = params.cpu_mips / cal.edge_cores  # the edge server
-    arrival_time, arrival_device = _cached_arrivals(
-        scenario, params.duration_s, params.seed, params.arrivals, backend
-    )
+    arrival_time, arrival_device = _cached_arrivals(scenario, params.duration_s, params.seed,
+                                                    params.arrivals)
     return _kernel.KernelInputs(
         **(columns | {"mips_per_core": mips_per_core}),
         arrival_time=arrival_time,
@@ -93,26 +92,24 @@ def build_kernel_inputs(params: RunParams, collect_trace: bool,
 
 @lru_cache(maxsize=64)
 def _cached_arrivals(scenario: ScenarioSpec, duration_s: float, seed: int,
-                     mode: str, backend: str) -> tuple[array, array]:
-    # the arrival process is identical for every topology/CPU cell of a sweep;
-    # the kernels only read these columns, so every cell shares them. The
-    # cell's RunParams has checked the process.
-    return _kernel.library(backend).arrivals(scenario, duration_s, seed, mode)
+                     mode: str) -> tuple[array, array]:
+    # the arrival process is identical for every topology/CPU cell of a sweep,
+    # and both kernels draw it bit-identically; the kernels only read these
+    # columns, so every cell shares them. The cell's RunParams has checked it.
+    return _kernel.library().arrivals(scenario, duration_s, seed, mode)
 
 
-def run_simulation(params: RunParams, backend: str | None = "auto",
-                   collect_trace: bool = False) -> RunResult:
-    """Execute one deterministic run and summarize it.
+def run_simulation(params: RunParams, collect_trace: bool = False) -> RunResult:
+    """Execute one deterministic run on the resolved kernel and summarize it.
 
     With collect_trace the kernel's trace columns are kept in
-    `outputs.trace`, for the write_trace of `backend`'s library. The kernel
-    checks the run's invariants and raises SimulationError when one breaks;
-    that is a bug, not a data point.
+    `outputs.trace`, for the write_trace of the kernel this process resolved.
+    The kernel checks the run's invariants and raises SimulationError when
+    one breaks; that is a bug, not a data point.
     """
-    backend = _kernel.resolve_backend(backend)
-    inputs = build_kernel_inputs(params, collect_trace, backend)
+    inputs = build_kernel_inputs(params, collect_trace)
     # perfbench replays _kernel.run's first two positional arguments
-    out = _kernel.run(inputs, None, backend=backend)
+    out = _kernel.run(inputs, None)
     summary = summarize(
         len(inputs.arrival_time),
         out.latencies,
@@ -125,5 +122,4 @@ def run_simulation(params: RunParams, backend: str | None = "auto",
         strict_deadline=params.calibration.strict_deadline_tsr,
     )
     node_ids = preset_shape(params.topology, params.scenario.users, params.calibration).node_ids
-    return RunResult(node_ids=node_ids, inputs=inputs, outputs=out, summary=summary,
-                     backend=backend)
+    return RunResult(node_ids=node_ids, inputs=inputs, outputs=out, summary=summary)

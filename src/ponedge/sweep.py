@@ -109,10 +109,10 @@ def run_cell(params: RunParams, out_dir: str, trace_path: str | None = None, *,
     The cell gets summary.csv and config.json, plus the per-task tasks.csv
     when tasks_csv is set. A published cell is reused only when its
     config.json matches this cell's resolved config and, if tasks_csv is set,
-    it holds tasks.csv; otherwise it is recomputed and replaced. With
-    trace_path the cell is always recomputed, and the write_trace of the
-    library that ran it streams its event trace into a staging file, renamed
-    onto trace_path when complete.
+    it holds tasks.csv; otherwise it is recomputed and replaced, on the kernel
+    this process resolved. With trace_path the cell is always recomputed, and
+    that kernel's write_trace streams its event trace into a staging file,
+    renamed onto trace_path when complete.
     """
     final_dir = cell_directory(out_dir, params)
     config_text = resolved_config(params)
@@ -128,8 +128,7 @@ def run_cell(params: RunParams, out_dir: str, trace_path: str | None = None, *,
                             result.outputs, result.node_ids,
                             deadline_s=params.scenario.deadline_s,
                             scenario=params.scenario.name, topology=params.topology,
-                            cpu=params.cpu, seed=params.seed,
-                            backend=result.backend)
+                            cpu=params.cpu, seed=params.seed)
         write_summary_csv(os.path.join(staging, "summary.csv"), result.summary)
         # what a later invocation reusing this cell reads, so that aggregates
         # are computed from the same numbers whether the cell is fresh or not
@@ -138,7 +137,7 @@ def run_cell(params: RunParams, out_dir: str, trace_path: str | None = None, *,
             fh.write(config_text)
     if trace_path is not None:
         with _replacing(trace_path) as staging, open(staging, "wb") as fh:
-            library(result.backend).write_trace(fh, result.outputs.trace, result.node_ids)
+            library().write_trace(fh, result.outputs.trace, result.node_ids)
     return summary
 
 

@@ -24,7 +24,7 @@ from ponedge.cli import main
 from ponedge.config import DEFAULT_CALIBRATION, preset_shape
 from ponedge.metrics import _csv_line
 from ponedge.network import ConfigurationError, replace
-from ponedge.simulation import RunParams, build_kernel_inputs, run_simulation
+from ponedge.simulation import RunParams, _cached_arrivals, build_kernel_inputs, run_simulation
 from ponedge.workload import SCENARIOS, ScenarioSpec, generate_arrivals, scenario_preset
 
 from fresh_process import SRC, cap_address_space, needs_compiler
@@ -122,6 +122,12 @@ def _params(case, extra):
                      cpu_mips=mips, **(dict(seed=5, duration_s=120.0) | extra))
 
 
+def _run_on(backend, monkeypatch, params, collect_trace=False):
+    """run_simulation on `backend`, chosen through PONEDGE_BACKEND as a user chooses it."""
+    monkeypatch.setenv("PONEDGE_BACKEND", backend)
+    return run_simulation(params, collect_trace=collect_trace)
+
+
 def _golden_view(result):
     s = result.summary
     return (trace_digest(result), result.outputs.processed_events, s.tasks_generated,
@@ -130,18 +136,19 @@ def _golden_view(result):
 
 
 @pytest.mark.parametrize("case,extra,expected", RUNS, ids=RUN_IDS)
-def test_python_kernel_matches_golden(case, extra, expected):
-    result = run_simulation(_params(case, extra), backend="python", collect_trace=True)
+def test_python_kernel_matches_golden(case, extra, expected, monkeypatch):
+    result = _run_on("python", monkeypatch, _params(case, extra), collect_trace=True)
     assert _golden_view(result) == expected
 
 
 @needs_c
 @pytest.mark.parametrize("case,extra,expected", RUNS, ids=RUN_IDS)
-def test_backends_bit_identical(case, extra, expected):
+def test_backends_bit_identical(case, extra, expected, monkeypatch):
     params = _params(case, extra)
-    py = run_simulation(params, backend="python", collect_trace=True)
-    cy = run_simulation(params, backend="c", collect_trace=True)
-    assert trace_digest(py) == trace_digest(cy)
+    py = _run_on("python", monkeypatch, params, collect_trace=True)
+    py_trace = trace_digest(py)  # the reference text, written while pykernel is the kernel
+    cy = _run_on("c", monkeypatch, params, collect_trace=True)
+    assert trace_digest(cy) == py_trace
     for name in ("node_of", "uplink_done", "exec_start", "exec_end", "delivered_at"):
         assert getattr(py.outputs, name).tobytes() == getattr(cy.outputs, name).tobytes(), name
     assert py.outputs.processed_events == cy.outputs.processed_events
@@ -152,11 +159,11 @@ def test_backends_bit_identical(case, extra, expected):
 
 @needs_c
 @pytest.mark.parametrize("case,extra,expected", RUNS, ids=RUN_IDS)
-def test_post_run_outputs_bit_identical(case, extra, expected):
+def test_post_run_outputs_bit_identical(case, extra, expected, monkeypatch):
     # busy time and the sorted latencies come from each kernel's own post-run
     # pass; every output column is an array of the same type on both
     params = _params(case, extra)
-    py, c = (run_simulation(params, backend=backend).outputs for backend in ("python", "c"))
+    py, c = (_run_on(backend, monkeypatch, params).outputs for backend in ("python", "c"))
     for name, code in OUTPUT_TYPECODES.items():
         columns = getattr(py, name), getattr(c, name)
         assert all(type(column) is array and column.typecode == code for column in columns)
@@ -596,15 +603,15 @@ def test_c_text_writers_without_int128_match_reference(text_doubles, tmp_path):
 
 
 @needs_c
-def test_c_write_trace_holds_one_buffer_of_text():
+def test_c_write_trace_holds_one_buffer_of_text(monkeypatch):
     # the largest trace among the contention-heavy cells, about 4.4 MB of text
     params = _params(("smart-building", "baseline", 440_000.0), dict(duration_s=600.0))
-    result = run_simulation(params, backend="c", collect_trace=True)
+    result = _run_on("c", monkeypatch, params, collect_trace=True)
     sizes = []  # of each write; the bytes themselves are discarded
     sink = SimpleNamespace(write=lambda data: sizes.append(len(data)))
     tracemalloc.start()
     try:
-        library(result.backend).write_trace(sink, result.outputs.trace, result.node_ids)
+        library("c").write_trace(sink, result.outputs.trace, result.node_ids)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -710,6 +717,29 @@ def test_c_arrivals_match_generate_arrivals(scenario):
         assert (tuple(times), tuple(devices)) == generate_arrivals(scenario, duration_s, seed,
                                                                    mode)
         assert bool(times) == (duration_s > 1e-6)
+
+
+@needs_c
+@pytest.mark.parametrize("backend", ["python", "c"])
+def test_kernel_inputs_draw_arrivals_on_the_kernel_this_process_resolved(backend, monkeypatch):
+    # the kernel PONEDGE_BACKEND picks draws a cell's arrivals, as it runs the
+    # cell; the inputs used to draw them with pykernel whatever the kernel
+    draws = []
+
+    def recording(name, draw):
+        def arrivals(*args):
+            draws.append(name)
+            return draw(*args)
+        return arrivals
+
+    clib = library("c")
+    monkeypatch.setattr(_kernel, "_clib", clib._replace(arrivals=recording("c", clib.arrivals)))
+    monkeypatch.setattr(pykernel, "arrivals", recording("python", pykernel.arrivals))
+    monkeypatch.setenv("PONEDGE_BACKEND", backend)
+    _cached_arrivals.cache_clear()
+    build_kernel_inputs(RunParams(scenario_preset("e-health"), "genio", 220_000.0, seed=1,
+                                  duration_s=1.0), collect_trace=False)
+    assert draws == [backend]
 
 
 @pytest.mark.parametrize("duration_s,mode", [(0.0, "poisson"), (-1.0, "fixed"),

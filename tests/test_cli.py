@@ -59,6 +59,15 @@ def test_run_unknown_scenario_exits_2(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+def test_run_takes_no_jobs_flag(tmp_path, capsys):
+    # `run` runs one cell; it used to accept --jobs and ignore it
+    with pytest.raises(SystemExit) as exc:
+        main(RUN_FLAGS + ["--jobs", "2", "--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_run_requires_cpu(tmp_path, capsys):
     code = main(["run", "--scenario", "e-health", "--out-dir", str(tmp_path)])
     assert code == 2
@@ -116,8 +125,8 @@ def test_run_trace_is_published_atomically(tmp_path, monkeypatch):
     library = sweep.library
     writes = []
 
-    def failing_library(backend):
-        write_trace = library(backend).write_trace
+    def failing_library():
+        write_trace = library().write_trace
 
         def fail_on_second_write(fh, *args):
             def write(data):
@@ -358,7 +367,7 @@ def test_repeats_and_values_no_cell_can_have_exit_2(tmp_path, monkeypatch, capsy
         config = tmp_path / "exp.json"
         config.write_text(document)
         argv = argv + ["--config", str(config)]
-    assert main(argv + ["--jobs", "1", "--out-dir", str(tmp_path / "out")]) == 2
+    assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"configuration error: {message}") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
@@ -442,6 +451,20 @@ def _custom(name):
             % (json.dumps(name), json.dumps(name)))
 
 
+# a --scenario flag overrides the document's scenarios, and its typo used to
+# be told only the presets' names
+@pytest.mark.parametrize("command", ["run", "sweep", "compare"])
+def test_unknown_scenario_under_a_config_names_the_custom_ones(tmp_path, capsys, command):
+    config = tmp_path / "exp.json"
+    config.write_text(_custom("mine"))
+    assert main([command, "--config", str(config), "--scenario", "typo",
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: unknown scenario 'typo' "
+        "(valid: aigc, e-health, mine, smart-building, smart-city)\n")
+    assert list(tmp_path.iterdir()) == [config]
+
+
 # a scenario name is a directory of its cells, and a cell directory is named
 # by its MIPS: neither may leave --out-dir or land on another cell's
 @pytest.mark.parametrize("command,scenario,document", [
@@ -453,7 +476,7 @@ def test_names_that_are_not_a_cell_of_their_own_exit_2(tmp_path, capsys, command
                                                         document):
     config = tmp_path / "exp.json"
     config.write_text(document)
-    assert main([command, "--scenario", scenario, "--config", str(config), "--jobs", "1",
+    assert main([command, "--scenario", scenario, "--config", str(config),
                  "--out-dir", str(tmp_path / "out" / "a" / "b")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and err.count("\n") == 1
@@ -467,8 +490,7 @@ def test_names_that_are_not_a_cell_of_their_own_exit_2(tmp_path, capsys, command
 def test_scenarios_named_as_a_results_file_exit_2(tmp_path, capsys, command, name):
     config = tmp_path / "exp.json"
     config.write_text(_custom(name))
-    assert main([command, "--config", str(config), "--jobs", "1",
-                 "--out-dir", str(tmp_path / "out")]) == 2
+    assert main([command, "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == (f"configuration error: scenario name {name!r} is a "
                                        f"results file at the out-dir root\n")
     assert list(tmp_path.iterdir()) == [config]

@@ -40,9 +40,12 @@ def single_task_params(**kw):
     ("seed", 1.0, "seed must be an integer, not 1.0"),
     ("duration_s", True, "duration must be a number, not True"),
     ("arrivals", "bursty", "unknown arrival mode 'bursty'"),
-], ids=["strategy-typo", "seed-bool", "seed-float", "duration-bool", "arrivals-typo"])
+    ("topology", "mesh", "unknown topology preset 'mesh'"),
+], ids=["strategy-typo", "seed-bool", "seed-float", "duration-bool", "arrivals-typo",
+        "topology-typo"])
 def test_run_params_refuse_what_no_cell_can_be(field, value, message):
-    # a strategy typo used to run round-robin, and a bool seed to run seed 1
+    # a strategy typo used to run round-robin, and a bool seed to run seed 1;
+    # a topology typo used to fail only when its cell ran, on a worker thread
     with pytest.raises(ConfigurationError, match=f"^{message}"):
         single_task_params(**{field: value})
 
@@ -153,7 +156,7 @@ def test_records_identical_across_repeats(tmp_path):
         write_tasks_csv(path, result.inputs.arrival_time, result.outputs,
                         result.node_ids,
                         deadline_s=params.scenario.deadline_s, scenario="e-health",
-                        topology="baseline", cpu=params.cpu, seed=2, backend="python")
+                        topology="baseline", cpu=params.cpu, seed=2)
         tasks.append(path.read_bytes())
     assert tasks[0] == tasks[1]
     assert tasks[0].count(b"\r\n") == len(a.inputs.arrival_time) + 1
@@ -162,7 +165,7 @@ def test_records_identical_across_repeats(tmp_path):
 def test_trace_lines_shape():
     result = run_simulation(single_task_params(), collect_trace=True)
     sink = io.BytesIO()
-    library(result.backend).write_trace(sink, result.outputs.trace, result.node_ids)
+    library().write_trace(sink, result.outputs.trace, result.node_ids)
     text = sink.getvalue().decode("ascii")
     assert text.endswith("\n")
     lines = text.splitlines()
@@ -200,10 +203,11 @@ def test_conservation_and_decomposition_hold():
     assert delivered == s.tasks_delivered
 
 
-def test_run_invariants_reject_broken_columns():
+def test_run_invariants_reject_broken_columns(monkeypatch):
     # the post-run pass of the reference kernel, on the task columns of a
     # one-task run with one identity broken at a time
-    result = run_simulation(single_task_params(), backend="python")
+    monkeypatch.setenv("PONEDGE_BACKEND", "python")
+    result = run_simulation(single_task_params())
     out = result.outputs
     names = ("node_of", "uplink_done", "exec_start", "exec_end", "delivered_at", "final_phase")
 

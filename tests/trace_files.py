@@ -7,8 +7,8 @@ from ponedge._kernel import library
 
 
 def trace_digest(result) -> str:
-    """SHA-256 of the trace file that the write_trace of the library that made
-    a traced run produces for it."""
+    """SHA-256 of the trace file that the write_trace of the kernel this
+    process resolved produces for a traced run."""
     sink = io.BytesIO()
-    library(result.backend).write_trace(sink, result.outputs.trace, result.node_ids)
+    library().write_trace(sink, result.outputs.trace, result.node_ids)
     return hashlib.sha256(sink.getvalue()).hexdigest()
